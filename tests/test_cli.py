@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qhydro
 from qhydro.cli import main
 from qhydro.config import ExperimentConfig
 from qhydro.dynamics import Trajectory
@@ -84,6 +90,22 @@ def test_case_helium_line(capsys):
     assert code == 0
     assert "theta* = 2.4757 K" in out
     assert "E0 = -5.1557 kB" in out
+
+
+def test_cold_cli_never_imports_scipy():
+    # in a fresh interpreter, the CLI import and the square-well case
+    # study load no scipy: its import would dominate every cold call
+    src = str(Path(qhydro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from qhydro.cli import main\n"
+            "assert main(['case', 'helium']) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_lambda_q_finite_family(capsys):

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qhydro.constants import BOHR, HBAR, K_B
 from qhydro.errors import NoBoundStateError, ValidationError
@@ -21,6 +22,8 @@ from qhydro.potentials import (
     pseudo_gaussian_tail_force,
     square_well_density,
     square_well_solve,
+    _BRENT_MAX_ITER,
+    _brent_root,
 )
 from qhydro.qpotential import quantum_force, quantum_force_from_log, quantum_potential
 
@@ -140,6 +143,74 @@ def test_square_well_no_bound_state():
                              half_width=HE.half_width, depth_factor=HE.depth_factor)
     with pytest.raises(NoBoundStateError):
         square_well_solve(shallow)
+
+
+def test_square_well_solution_bits():
+    # scipy's brentq finds this root; the in-package finder matches it to the bit
+    state = square_well_solve(HE)
+    assert state.K_0 == 7900442664.402215
+    assert state.E_0 == -7.118297267166322e-23
+    assert state.matching_residual < 1e-15
+
+
+def test_square_well_rejects_same_sign_bracket():
+    # z0 just above pi/2 leaves the bracket (pi/2 + 1e-12, z0) reversed,
+    # and the matching function is negative at both ends
+    crit = (math.pi / 2 * HBAR / (2 * HE.half_width)) ** 2 / (
+        2 * HE.mass * HE.depth_factor)
+    marginal = dataclasses.replace(HE, well_depth=crit * (1 + 4e-13))
+    with pytest.raises(NoBoundStateError, match="no root"):
+        square_well_solve(marginal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 0.99), st.floats(1e-3, 0.5))
+def test_square_well_depth_property(depth_factor, step):
+    deeper_factor = min(depth_factor + step, 1.0)
+    try:
+        state = square_well_solve(dataclasses.replace(HE, depth_factor=depth_factor))
+    except NoBoundStateError:
+        assume(False)
+    deeper = square_well_solve(dataclasses.replace(HE, depth_factor=deeper_factor))
+    assert state.matching_residual < 1e-10
+    assert deeper.matching_residual < 1e-10
+    assert deeper.E_0 < state.E_0
+
+
+def test_brent_known_roots():
+    root = _brent_root(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15, 8.9e-16)
+    assert root == pytest.approx(0.7390851332151607, abs=2e-15)
+    cubic = _brent_root(lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 1e-15, 8.9e-16)
+    assert cubic == pytest.approx(2.0945514815423265, abs=4e-15)
+
+
+def test_brent_endpoint_root():
+    assert _brent_root(lambda x: x - 1.0, 1.0, 2.0, 1e-15, 8.9e-16) == 1.0
+    assert _brent_root(lambda x: x - 1.0, 0.0, 1.0, 1e-15, 8.9e-16) == 1.0
+
+
+def test_brent_stops_only_below_tolerance():
+    # the first half-bracket equals the tolerance exactly, which is not
+    # yet converged; one more step stops at 0.5 (as scipy's brentq does)
+    assert _brent_root(lambda x: x - 0.3, 0.0, 1.0, 1.0, 0.0) == 0.5
+
+
+def test_brent_same_sign_bracket():
+    with pytest.raises(NoBoundStateError):
+        _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
+
+
+def test_brent_iteration_cap():
+    # a step with no zero never meets a zero tolerance
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 1.0 / 3.0 else 1.0
+
+    with pytest.raises(NoBoundStateError, match="did not converge"):
+        _brent_root(step, 0.0, 1.0, 0.0, 0.0)
+    assert len(calls) == _BRENT_MAX_ITER + 2
 
 
 def test_square_well_zero_force_inside():
