@@ -3,58 +3,8 @@
 Computes Madelung quantum potentials and forces, correlation and
 nonlocality length scales, dynamical-regime labels, and integrates the
 deterministic and correlated-noise hydrodynamic equations of motion.
+Import names from the submodules (``qhydro.grids``, ``qhydro.dynamics``,
+...); the package itself exposes only ``__version__``.
 """
 
 __version__ = "0.1.0"
-
-from .constants import CODATA, HBAR, K_B, PhysicalConstants, parse_quantity
-from .errors import NumericalError, ValidationError
-from .grids import Field, Grid, derivative, integrate, make_grid
-from .qpotential import (
-    DecayClass,
-    QuantumForceProfile,
-    growth_exponent,
-    quantum_force,
-    quantum_force_from_log,
-    quantum_potential,
-    quantum_potential_from_log,
-)
-from .scales import (
-    ScaleReport,
-    classify_decay,
-    classify_regime,
-    convergence_test,
-    correlation_length,
-    nonlocality_length,
-)
-from .potentials import (
-    HarmonicApprox,
-    MaterialParams,
-    PseudoGaussianFamily,
-    SquareWellState,
-    harmonic_ground_density,
-    helium_preset,
-    lj_harmonic,
-    pseudo_gaussian_density,
-    pseudo_gaussian_tail_force,
-    square_well_solve,
-)
-from .noise import NoiseModel, RandomStream, covariance, sample_field, sample_fields
-from .dynamics import (
-    HydroState,
-    IntegratorConfig,
-    Trajectory,
-    initial_state,
-    run,
-    step_classical,
-    step_deterministic,
-    step_stochastic,
-)
-from .cases import (
-    LambdaPointReport,
-    LindemannReport,
-    helium_lambda,
-    helium_state_check,
-    lindemann,
-)
-from .config import ExperimentConfig, load_config, parse_config

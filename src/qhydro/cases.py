@@ -58,15 +58,14 @@ class LindemannReport:
 
 
 def lindemann(params: MaterialParams, grid_resolution: int = 4001,
-              truncate: bool = True,
-              lambda_c: float | None = None) -> LindemannReport:
+              truncate: bool = True) -> LindemannReport:
     """Nonlocality length of the harmonically bound pair, over r_0.
 
     The Gaussian ground state of the harmonic well exerts the linear
     quantum force k (q - q_bar); beyond the distance delta the force is
     negligible and, when ``truncate`` is set, dropped entirely.  The
     weighted-range quadrature then gives lambda_q = 2 delta regardless of
-    k, the material constants, or the probe length lambda_c.
+    k, the material constants, or the probe length lambda_c (delta / 2 here).
     """
     approx = lj_harmonic(params)
     delta = approx.delta
@@ -80,8 +79,7 @@ def lindemann(params: MaterialParams, grid_resolution: int = 4001,
     if truncate:
         force = np.where(np.abs(r) > delta, 0.0, force)
     profile = QuantumForceProfile(grid, Field(grid, force, "N"), approx.q_bar)
-    lc = delta / 2.0 if lambda_c is None else lambda_c
-    lam_q = nonlocality_length(profile, lc)
+    lam_q = nonlocality_length(profile, delta / 2.0)
     ratio = lam_q / params.r_0
     within = LINDEMANN_BAND[0] <= ratio <= LINDEMANN_BAND[1]
     return LindemannReport(ratio, delta / params.r_0, within, lam_q, delta)

@@ -134,6 +134,22 @@ def _emit(cfg: ExperimentConfig, results: dict, line: str,
     print(line)
 
 
+def _grid(cfg: ExperimentConfig) -> Grid:
+    g = cfg.grid
+    return Grid(g.q_min, g.q_max, g.n_points)
+
+
+def _lambda_c(cfg: ExperimentConfig, command: str) -> float:
+    """noise.lambda_c if set, else lambda_c(Theta); infinite is rejected."""
+    lam_c = cfg.noise.lambda_c
+    if lam_c is None:
+        lam_c = correlation_length(cfg.material_params().mass, cfg.noise.theta)
+    if math.isinf(lam_c):
+        raise ValidationError(
+            f"{command} needs theta > 0 or an explicit noise.lambda_c")
+    return lam_c
+
+
 def _potential_field(cfg: ExperimentConfig, grid: Grid) -> Field:
     kind = cfg.experiment.potential
     params = cfg.material_params()
@@ -163,21 +179,15 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
 
 
 def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
-    params = cfg.material_params()
-    lam_c = cfg.noise.lambda_c
-    if lam_c is None:
-        lam_c = correlation_length(params.mass, cfg.noise.theta)
-    if math.isinf(lam_c):
-        raise ValidationError(
-            "noise model needs theta > 0 or an explicit noise.lambda_c")
-    return NoiseModel(theta=cfg.noise.theta, lambda_c=lam_c, mass=params.mass,
+    lam_c = _lambda_c(cfg, "noise model")
+    return NoiseModel(theta=cfg.noise.theta, lambda_c=lam_c,
+                      mass=cfg.material_params().mass,
                       mobility_mu=cfg.noise.mobility_mu,
                       conserving=cfg.noise.conserving)
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> None:
-    g = cfg.grid
-    grid = Grid(g.q_min, g.q_max, g.n_points)
+    grid = _grid(cfg)
     params = cfg.material_params()
     i = cfg.integrator
     int_cfg = dynamics.IntegratorConfig(
@@ -217,20 +227,13 @@ def _cmd_lambda_c(cfg: ExperimentConfig) -> None:
     _emit(cfg, results, f"lambda_c = {rendered}")
 
 
-def _tail_profile(cfg: ExperimentConfig):
+def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
     e = cfg.experiment
-    params = cfg.material_params()
     fam = PseudoGaussianFamily(
         family=e.family, delta_q_sq=e.core_width**2, lam=e.tail_scale,
         g=e.family_g, h=e.family_h, q_bar=0.0)
-    g = cfg.grid
-    grid = Grid(g.q_min, g.q_max, g.n_points)
-    log_n = pseudo_gaussian_log_density(fam, grid)
-    return fam, params, quantum_force_from_log(log_n, params.mass, fam.q_bar)
-
-
-def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
-    fam, params, profile = _tail_profile(cfg)
+    log_n = pseudo_gaussian_log_density(fam, _grid(cfg))
+    profile = quantum_force_from_log(log_n, cfg.material_params().mass, fam.q_bar)
     decay = growth_exponent(profile)
     lam_c = cfg.noise.lambda_c
     if lam_c is None:
@@ -254,13 +257,7 @@ def _cmd_classify(cfg: ExperimentConfig) -> None:
     e = cfg.experiment
     if e.delta_l is None:
         raise ValidationError("classify needs --delta-L (experiment.delta_l)")
-    params = cfg.material_params()
-    lam_c = cfg.noise.lambda_c
-    if lam_c is None:
-        lam_c = correlation_length(params.mass, cfg.noise.theta)
-    if math.isinf(lam_c):
-        raise ValidationError(
-            "classify needs theta > 0 or an explicit noise.lambda_c")
+    lam_c = _lambda_c(cfg, "classify")
     lam_q = e.lambda_q_override if e.lambda_q_override is not None else math.inf
     regime = classify_regime(e.delta_l, lam_c, lam_q, e.ratio_threshold)
     results = {
@@ -301,8 +298,7 @@ def _cmd_case(cfg: ExperimentConfig, study: str) -> None:
 
 def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
     model = _noise_model(cfg)
-    g = cfg.grid
-    grid = Grid(g.q_min, g.q_max, g.n_points)
+    grid = _grid(cfg)
     stream = RandomStream(cfg.experiment.seed)
     samples = sample_fields(model, grid, stream, cfg.experiment.samples)
     h = grid.spacing

@@ -14,16 +14,12 @@ import math
 
 from .constants import parse_quantity
 from .errors import ValidationError
-from .potentials import MATERIAL_PRESETS, MaterialParams
-
-EXPERIMENT_KINDS = (
-    "simulate", "lambda_c", "lambda_q", "classify",
-    "case_lindemann", "case_helium", "noise_audit",
-)
+from .grids import Grid
+from .noise import noise_amplitude
+from .potentials import FAMILIES, MATERIAL_PRESETS, MaterialParams
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
 POTENTIALS = ("none", "harmonic", "square_well")
-FAMILIES = ("constant_f", "linear_f", "log_f", "power_f")
 
 
 def _quantity(text: str) -> float:
@@ -57,7 +53,6 @@ def _length_or_inf(text: str) -> float | None:
 
 @dataclass(frozen=True)
 class ExperimentSection:
-    kind: str = "simulate"
     seed: int = 12345
     initial: str = "free_gaussian"
     initial_width: float = 1e-10        # m, Gaussian sigma of the start density
@@ -143,7 +138,6 @@ class ExperimentConfig:
 # key -> converter, per section; the dataclass defaults are the default table
 _CONVERTERS = {
     "experiment": {
-        "kind": str,
         "seed": int,
         "initial": str,
         "initial_width": _quantity,
@@ -209,12 +203,6 @@ _SECTION_TYPES = {
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     e = cfg.experiment
-    kind = e.kind.replace("-", "_")
-    if kind not in EXPERIMENT_KINDS:
-        raise ValidationError(
-            f"experiment.kind must be one of {EXPERIMENT_KINDS}, got {e.kind!r}")
-    if kind != e.kind:
-        object.__setattr__(e, "kind", kind)
     if e.initial not in INITIAL_CONDITIONS:
         raise ValidationError(f"experiment.initial must be one of {INITIAL_CONDITIONS}")
     if e.potential not in POTENTIALS:
@@ -227,21 +215,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
     if e.samples < 1:
         raise ValidationError("experiment.samples must be >= 1")
-    if cfg.noise.theta < 0:
-        raise ValidationError("theta must be >= 0")
+    # the owners raise on inconsistent material, noise and grid values
+    params = cfg.material_params()
+    noise_amplitude(params.mass, cfg.noise.theta, cfg.noise.mobility_mu)
     if cfg.noise.lambda_c is not None and cfg.noise.lambda_c <= 0:
         raise ValidationError("noise.lambda_c must be positive")
-    if cfg.noise.mobility_mu <= 0:
-        raise ValidationError("noise.mobility_mu must be positive")
-    if cfg.grid.n_points < 8:
-        raise ValidationError("grid.n_points must be at least 8")
-    if not cfg.grid.q_max > cfg.grid.q_min:
-        raise ValidationError("grid must satisfy q_max > q_min")
+    Grid(cfg.grid.q_min, cfg.grid.q_max, cfg.grid.n_points)
     if cfg.integrator.dt <= 0 or cfg.integrator.t_end < 0:
         raise ValidationError("integrator.dt must be > 0 and t_end >= 0")
     if cfg.integrator.output_stride < 1:
         raise ValidationError("integrator.output_stride must be >= 1")
-    cfg.material_params()   # raises on inconsistent material values
     return cfg
 
 

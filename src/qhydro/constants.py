@@ -4,24 +4,12 @@ All internal computation is SI; unit suffixes (K, Bohr, eV, kB, u, ...)
 are converted at the CLI/config boundary.
 """
 
-from dataclasses import dataclass
-
 HBAR = 1.054571817e-34        # J s
 K_B = 1.380649e-23            # J / K
 BOHR = 5.29177210903e-11      # m
 ATOMIC_MASS_UNIT = 1.66053906660e-27   # kg
 EV = 1.602176634e-19          # J
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float = HBAR
-    k_B: float = K_B
-    bohr: float = BOHR
-    atomic_mass_unit: float = ATOMIC_MASS_UNIT
-
-
-CODATA = PhysicalConstants()
 
 # Multiplicative factors to SI for the unit suffixes accepted in configs
 # and on the command line.  "K" and "1" are identity (kelvin and plain

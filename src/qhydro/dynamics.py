@@ -32,6 +32,7 @@ from .constants import HBAR
 from .errors import CflError, StepRejected, ValidationError
 from .grids import Field, Grid, periodic_derivative, stencil_derivative
 from .noise import NoiseModel, RandomStream, sample_fields
+from .qpotential import vqu_kernel
 
 DETERMINISTIC_QUANTUM = "deterministic_quantum"
 STOCHASTIC_QUANTUM = "stochastic_quantum"
@@ -132,8 +133,7 @@ def _rhs(n: np.ndarray, v: np.ndarray, potential: np.ndarray, mass: float,
     nc = np.maximum(n, 0.0) + cfg.density_floor * peak
 
     if quantum:
-        s = np.sqrt(nc)
-        vqu = -(HBAR**2 / (2.0 * mass)) * d1(s, spacing, 2) / s
+        vqu = vqu_kernel(np.sqrt(nc), spacing, mass, periodic)
         force = -d1(vqu + potential, spacing, 1)
     else:
         vqu = np.zeros_like(n)
@@ -267,12 +267,9 @@ def observables(state: HydroState, potential: Field, mass: float,
         raise ValidationError("state has zero norm")
     mean_q = float(np.trapezoid(n * q, dx=h)) / norm
     variance = float(np.trapezoid(n * (q - mean_q) ** 2, dx=h)) / norm
-    periodic = cfg.boundary == PERIODIC
-    d1 = periodic_derivative if periodic else stencil_derivative
     peak = float(np.max(n))
     nc = np.maximum(n, 0.0) + cfg.density_floor * peak
-    s = np.sqrt(nc)
-    vqu = -(HBAR**2 / (2.0 * mass)) * d1(s, h, 2) / s
+    vqu = vqu_kernel(np.sqrt(nc), h, mass, cfg.boundary == PERIODIC)
     e_kin = float(np.trapezoid(0.5 * mass * n * v**2, dx=h))
     e_pot = float(np.trapezoid(n * potential.values, dx=h))
     e_qu = float(np.trapezoid(n * vqu, dx=h))

@@ -24,12 +24,14 @@ import numpy as np
 from .constants import BOHR, HBAR, K_B
 from .errors import NoBoundStateError, ValidationError
 from .grids import Field, Grid
-from .qpotential import quantum_force_from_log
+from .qpotential import growth_exponent, quantum_force_from_log
 
 # the documented truncation constant delta / r_0 for the harmonic quantum
 # force; the 12-6 zero-crossing alternative 1 - 2^(-1/6) is selectable
 DELTA_OVER_R0 = 0.11785
 DELTA_OVER_R0_LJ_ZERO = 1.0 - 2.0 ** (-1.0 / 6.0)
+
+FAMILIES = ("constant_f", "linear_f", "log_f", "power_f")
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,10 @@ class HarmonicApprox:
     shallow_well: bool = False   # ground level sits above the well rim
 
 
-def lj_harmonic(params: MaterialParams, mass: float | None = None,
+def lj_harmonic(params: MaterialParams,
                 delta_constant: float = DELTA_OVER_R0) -> HarmonicApprox:
     """Harmonic approximation: k = U (12/r_0)^2, ground level, truncation delta."""
-    m = params.mass if mass is None else mass
+    m = params.mass
     u, r0 = params.well_depth, params.r_0
     k = u * (12.0 / r0) ** 2
     half_hbar_omega = 0.5 * HBAR * math.sqrt(k / m)
@@ -124,13 +126,6 @@ def harmonic_ground_density(approx: HarmonicApprox, grid: Grid) -> Field:
     n = np.exp(-2.0 * approx.K_0**2 * r**2)
     n /= np.trapezoid(n, dx=grid.spacing)
     return Field(grid, n, "1/m")
-
-
-def harmonic_ground_log_density(approx: HarmonicApprox, grid: Grid) -> Field:
-    """log n of the Gaussian ground state, usable arbitrarily far out."""
-    r = grid.points - approx.q_bar
-    norm = math.sqrt(2.0 * approx.K_0**2 / math.pi)
-    return Field(grid, math.log(norm) - 2.0 * approx.K_0**2 * r**2, "1")
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,7 @@ def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
         f"no bound state: root finder did not converge in {_BRENT_MAX_ITER} iterations")
 
 
-def square_well_solve(params: MaterialParams, mass: float | None = None) -> SquareWellState:
+def square_well_solve(params: MaterialParams) -> SquareWellState:
     """Solve the lowest bound state of the hard-wall square well.
 
     Geometry: infinite wall at q = sigma, potential -depth on
@@ -213,7 +208,7 @@ def square_well_solve(params: MaterialParams, mass: float | None = None) -> Squa
     """
     if params.half_width is None:
         raise ValidationError("square well needs half_width (Delta)")
-    m = params.mass if mass is None else mass
+    m = params.mass
     width = 2.0 * params.half_width
     depth = params.depth_factor * params.well_depth
     sigma = params.sigma if params.sigma is not None else params.r_0 - params.half_width
@@ -242,13 +237,10 @@ def square_well_solve(params: MaterialParams, mass: float | None = None) -> Squa
     )
 
 
-def square_well_potential(state: SquareWellState, grid: Grid,
-                          wall_height: float | None = None) -> Field:
-    """Sampled square well; the hard wall is a large finite plateau on a grid."""
-    if wall_height is None:
-        wall_height = 1e3 * state.depth
+def square_well_potential(state: SquareWellState, grid: Grid) -> Field:
+    """Sampled square well; the hard wall is a plateau 1e3 times the well depth."""
     q = grid.points
-    v = np.where(q < state.sigma, wall_height,
+    v = np.where(q < state.sigma, 1e3 * state.depth,
                  np.where(q <= state.sigma + state.width, -state.depth, 0.0))
     return Field(grid, v, "J")
 
@@ -283,7 +275,7 @@ class PseudoGaussianFamily:
     n_0: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("constant_f", "linear_f", "log_f", "power_f"):
+        if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
         if self.delta_q_sq <= 0 or self.lam <= 0:
             raise ValidationError("delta_q_sq and lam must be positive")
@@ -368,7 +360,6 @@ def pseudo_gaussian_tail_force(fam: PseudoGaussianFamily, mass: float,
                 "non-power families need a fit_grid for the numeric descriptor")
         log_n = pseudo_gaussian_log_density(fam, fit_grid)
         profile = quantum_force_from_log(log_n, mass, fam.q_bar)
-        from .qpotential import growth_exponent
         decay = growth_exponent(profile)
         e_force = decay.fitted_exponent + 1.0
         return TailForceDescriptor(

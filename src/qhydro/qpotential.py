@@ -67,36 +67,39 @@ class DecayClass:
     at_boundary: bool = False
 
 
-def _floor_mask(n_values: np.ndarray, floor_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+def _floor_mask(n_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = float(np.max(n_values))
     if peak <= 0.0:
         raise DegenerateDensityError("degenerate density: no positive values")
-    floor = floor_fraction * peak
+    floor = DENSITY_FLOOR_FRACTION * peak
     return np.maximum(n_values, floor), n_values > floor
 
 
-def quantum_potential(n: Field, mass: float,
-                      floor_fraction: float = DENSITY_FLOOR_FRACTION,
-                      periodic: bool = False) -> Field:
+def vqu_kernel(s: np.ndarray, spacing: float, mass: float,
+               periodic: bool = False) -> np.ndarray:
+    """V_qu = -(hbar^2 / 2m) s'' / s on raw arrays, s = sqrt(n) > 0.
+
+    Callers apply their own density floor before taking the square root.
+    """
+    d2 = periodic_derivative if periodic else stencil_derivative
+    return -(HBAR**2 / (2.0 * mass)) * d2(s, spacing, 2) / s
+
+
+def quantum_potential(n: Field, mass: float) -> Field:
     """V_qu of a density field, in joules."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    clamped, _ = _floor_mask(n.values, floor_fraction)
-    s = np.sqrt(clamped)
-    d2 = periodic_derivative if periodic else stencil_derivative
-    curv = d2(s, n.grid.spacing, 2)
-    return Field(n.grid, -(HBAR**2 / (2 * mass)) * curv / s, "J")
+    clamped, _ = _floor_mask(n.values)
+    return Field(n.grid, vqu_kernel(np.sqrt(clamped), n.grid.spacing, mass), "J")
 
 
-def quantum_potential_from_log(log_n: Field, mass: float,
-                               periodic: bool = False) -> Field:
+def quantum_potential_from_log(log_n: Field, mass: float) -> Field:
     """V_qu evaluated from log n; stable arbitrarily deep in the tail."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    kernel = periodic_derivative if periodic else stencil_derivative
     h = log_n.grid.spacing
-    d1 = kernel(log_n.values, h, 1)
-    d2 = kernel(log_n.values, h, 2)
+    d1 = stencil_derivative(log_n.values, h, 1)
+    d2 = stencil_derivative(log_n.values, h, 2)
     curv_over_psi = d1**2 / 4.0 + d2 / 2.0
     return Field(log_n.grid, -(HBAR**2 / (2 * mass)) * curv_over_psi, "J")
 
@@ -108,11 +111,10 @@ def _force_from_potential(vqu: Field, origin: float,
     return QuantumForceProfile(vqu.grid, force, origin, valid)
 
 
-def quantum_force(n: Field, mass: float, origin: float,
-                  floor_fraction: float = DENSITY_FLOOR_FRACTION) -> QuantumForceProfile:
+def quantum_force(n: Field, mass: float, origin: float) -> QuantumForceProfile:
     """-dV_qu/dq from a density field; floor-clamped points are flagged invalid."""
-    vqu = quantum_potential(n, mass, floor_fraction)
-    _, valid = _floor_mask(n.values, floor_fraction)
+    vqu = quantum_potential(n, mass)
+    _, valid = _floor_mask(n.values)
     # the derivative stencil smears the clamp kink over one neighbour cell
     valid = valid & np.roll(valid, 1) & np.roll(valid, -1)
     return _force_from_potential(vqu, origin, valid)

@@ -12,7 +12,6 @@ of the wave function modulus onto the same four force-growth classes used
 by the numeric tail fit.
 """
 
-from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import NumericalError, ValidationError
 from .qpotential import (
     ASYMPTOTICALLY_VANISHING,
     BALLISTIC,
+    EXPONENT_TOLERANCE,
     SUPER_BALLISTIC,
     UNDER_BALLISTIC,
     DecayClass,
@@ -37,42 +37,6 @@ INDETERMINATE = "indeterminate"
 # operationalizes "much smaller than"; labels within a factor ~2 of the
 # threshold should be read with the near_threshold flag in mind
 DEFAULT_RATIO_THRESHOLD = 0.1
-
-
-@dataclass(frozen=True)
-class NoiseAmplitude:
-    """Noise amplitude Theta (kelvin) and the mobility form factor mu."""
-
-    theta: float
-    mobility_mu: float = 1.0
-
-    def __post_init__(self):
-        if self.theta < 0:
-            raise ValidationError("theta must be >= 0")
-        if self.mobility_mu <= 0:
-            raise ValidationError("mobility_mu must be positive")
-
-
-@dataclass(frozen=True)
-class ScaleReport:
-    lambda_c: float
-    lambda_q: float              # math.inf when the defining integral diverges
-    delta_L: float
-    regime: str
-    decay_label: str | None = None
-    thresholds: tuple[float, float] = field(
-        default=(DEFAULT_RATIO_THRESHOLD, DEFAULT_RATIO_THRESHOLD))
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_c_m": self.lambda_c,
-            "lambda_q_m": None if math.isinf(self.lambda_q) else self.lambda_q,
-            "lambda_q_infinite": math.isinf(self.lambda_q),
-            "delta_L_m": self.delta_L,
-            "regime": self.regime,
-            "decay_label": self.decay_label,
-            "ratio_threshold": self.thresholds[0],
-        }
 
 
 def correlation_length(mass: float, theta: float) -> float:
@@ -92,26 +56,25 @@ def convergence_test(profile: QuantumForceProfile,
     """True iff the weighted-range integral of the force converges.
 
     The integrand |q^-1 dV_qu/dq| must fall off faster than q^-1, i.e. the
-    fitted tail exponent must be below -1; fits inside the +-0.1 boundary
-    band count as non-convergent.
+    fitted tail exponent must be below -1; fits inside the
+    EXPONENT_TOLERANCE boundary band count as non-convergent.
     """
     if decay is None:
         decay = growth_exponent(profile)
     a = decay.fitted_exponent
     if a == -math.inf:
         return True
-    return a < -1.0 - 0.1
+    return a < -1.0 - EXPONENT_TOLERANCE
 
 
 def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,
-                       integration_cutoff: float | None = None,
                        decay: DecayClass | None = None) -> float:
     """Weighted range of the quantum force about the profile origin.
 
     lambda_q = 2 int_0^inf |r^-1 F(r)| dr / (lambda_c^-1 |F(lambda_c)|),
-    realized as trapezoid quadrature on the grid up to ``integration_cutoff``
-    plus a closed-form power-law tail from the fitted exponent.  Returns
-    ``math.inf`` when the integral diverges (convergence test fails).
+    realized as trapezoid quadrature over the grid plus a closed-form
+    power-law tail from the fitted exponent.  Returns ``math.inf`` when the
+    integral diverges (convergence test fails).
     """
     if lambda_c <= 0:
         raise ValidationError("lambda_c must be positive")
@@ -130,19 +93,17 @@ def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,
     if force_at_lc <= 0.0:
         raise NumericalError("lambda_q undefined at this lambda_c: zero force")
 
-    cutoff = r[-1] if integration_cutoff is None else min(integration_cutoff, r[-1])
-    inside = r <= cutoff
-    ri, fi = r[inside], f[inside]
-    integrand = fi / ri
+    cutoff = r[-1]
+    integrand = f / r
     # extend to r = 0 by linear extrapolation of the first two points
-    if ri[0] > 0 and ri.size >= 2:
-        slope0 = (integrand[1] - integrand[0]) / (ri[1] - ri[0])
-        i0 = integrand[0] - slope0 * ri[0]
-        ri = np.concatenate(([0.0], ri))
+    if r[0] > 0:
+        slope0 = (integrand[1] - integrand[0]) / (r[1] - r[0])
+        i0 = integrand[0] - slope0 * r[0]
+        r = np.concatenate(([0.0], r))
         integrand = np.concatenate(([max(i0, 0.0)], integrand))
-    total = float(np.trapezoid(integrand, ri))
+    total = float(np.trapezoid(integrand, r))
 
-    # analytic tail: integrand ~ C r^a beyond the cutoff with a < -1
+    # analytic tail: integrand ~ C r^a beyond the grid end with a < -1
     a = decay.fitted_exponent
     if a != -math.inf and decay.coefficient > 0.0:
         total += decay.coefficient * cutoff ** (a + 1.0) / (-1.0 - a)
@@ -178,11 +139,3 @@ def classify_decay(h: float) -> str:
     if h >= 1.5:
         return UNDER_BALLISTIC
     return ASYMPTOTICALLY_VANISHING
-
-
-def scale_report(delta_L: float, lambda_c: float, lambda_q: float,
-                 decay_label: str | None = None,
-                 ratio_threshold: float = DEFAULT_RATIO_THRESHOLD) -> ScaleReport:
-    regime = classify_regime(delta_L, lambda_c, lambda_q, ratio_threshold)
-    return ScaleReport(lambda_c, lambda_q, delta_L, regime, decay_label,
-                       (ratio_threshold, ratio_threshold))

@@ -57,6 +57,17 @@ def test_validation_exit_code(capsys):
     assert "delta" in err.lower()
 
 
+@pytest.mark.parametrize("command", [
+    ["lambda-c", "--theta", "2.17 K"],
+    ["case", "helium"],
+])
+def test_non_finite_grid_bound_rejected(command, capsys):
+    # every subcommand validates the grid, also those that never build it
+    code, _, err = run([*command, "--set", "grid.q_max=1e999"], capsys)
+    assert code == 1
+    assert "finite" in err
+
+
 def test_numerical_exit_code(capsys):
     # dt far above the CFL limit for this grid
     code, _, err = run(

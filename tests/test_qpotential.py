@@ -18,6 +18,7 @@ from qhydro.qpotential import (
     quantum_force_from_log,
     quantum_potential,
     quantum_potential_from_log,
+    vqu_kernel,
 )
 
 MASS = 6.6465e-27
@@ -66,6 +67,41 @@ def test_sine_state_constant_potential():
     expected = (HBAR**2 / (2 * MASS)) * k0**2
     interior = slice(40, -40)
     assert np.allclose(vqu.values[interior], expected, rtol=1e-4)
+
+
+def _periodic_vqu_error(n_points):
+    # n = 1 + cos(2 pi q / L) / 2 on a ring of n_points cells of spacing L / N
+    length = 1e-9
+    h = length / n_points
+    q = np.arange(n_points) * h
+    k = 2 * math.pi / length
+    n = 1.0 + 0.5 * np.cos(k * q)
+    s_ratio = -0.25 * k**2 * np.cos(k * q) / n \
+        - (0.5 * k * np.sin(k * q)) ** 2 / (4 * n**2)
+    expected = -(HBAR**2 / (2 * MASS)) * s_ratio
+    vqu = vqu_kernel(np.sqrt(n), h, MASS, periodic=True)
+    return np.max(np.abs(vqu - expected)) / np.max(np.abs(expected))
+
+
+def _zero_flux_vqu_error(n_points):
+    # sqrt(n) = exp(-r^2 / (2 dq2)): V_qu = -(hbar^2/2m) (r^2/dq2^2 - 1/dq2),
+    # one-sided stencils at both walls
+    dq2 = (1e-10) ** 2
+    grid = make_grid(-4e-10, 4e-10, n_points)
+    r = grid.points
+    expected = -(HBAR**2 / (2 * MASS)) * (r**2 / dq2**2 - 1.0 / dq2)
+    vqu = vqu_kernel(np.exp(-(r**2) / (2 * dq2)), grid.spacing, MASS)
+    return np.max(np.abs(vqu - expected)) / np.max(np.abs(expected))
+
+
+def test_vqu_kernel_second_order_both_boundaries():
+    periodic = [_periodic_vqu_error(n) for n in (64, 128, 256)]
+    zero_flux = [_zero_flux_vqu_error(n) for n in (401, 801, 1601)]
+    for errors in (periodic, zero_flux):
+        assert errors[-1] < 1e-3
+        for coarse, fine in zip(errors, errors[1:]):
+            # halving the spacing cuts the error about 4x
+            assert 3.5 < coarse / fine < 4.5
 
 
 def test_quantum_force_linear_for_gaussian():
