@@ -7,18 +7,23 @@ The equal-time spatial covariance is
 sampled exactly by circulant embedding: the stationary kernel is
 diagonalized by the FFT on the periodic extension of the grid, so each
 draw has the target covariance without factorizing a dense matrix.  The
-delta(tau) time factor is the integrator's contract (fields are scaled by
-sqrt(dt) there); the sampler produces unit-time-density fields.
+spectral filter sqrt(eig) is computed once per (model, grid) and kept in a
+small cache; batches are drawn in fixed row chunks into one output array,
+so peak memory is about that array, and each chunk matches the same rows
+of a one-shot batch bit for bit.  The delta(tau) time factor is the
+integrator's contract (fields are scaled by sqrt(dt) there); the sampler
+produces unit-time-density fields.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import UnderResolvedKernelError, ValidationError
-from .grids import Field, Grid
+from .grids import Grid
 
 
 @dataclass(frozen=True)
@@ -68,50 +73,82 @@ def covariance(model: NoiseModel, separation: float) -> float:
     return model.amplitude * math.exp(-((separation / model.lambda_c) ** 2))
 
 
-def _kernel_eigenvalues(model: NoiseModel, grid: Grid) -> np.ndarray:
-    """FFT eigenvalues of the circulant extension of the covariance kernel."""
+# rows per FFT batch in sample_fields: the working set beyond the output is
+# a few (CHUNK_ROWS, 2 n_points) arrays, whatever the sample count
+CHUNK_ROWS = 64
+
+
+def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
+    """First row of the circulant extension of the kernel (length 2 n_points).
+
+    Its first n_points entries are G at lags 0, h, ..., (n_points - 1) h.
+    """
     n = grid.n_points
-    h = grid.spacing
     m = 2 * n                    # periodic extension suppresses wrap-around
     j = np.arange(m)
-    dist = np.minimum(j, m - j) * h
-    row = model.amplitude * np.exp(-((dist / model.lambda_c) ** 2))
-    eig = np.fft.fft(row).real
+    dist = np.minimum(j, m - j) * grid.spacing
+    return model.amplitude * np.exp(-((dist / model.lambda_c) ** 2))
+
+
+@lru_cache(maxsize=8)
+def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
+    """sqrt of the FFT eigenvalues of the circulant kernel, read-only."""
+    eig = np.fft.fft(_kernel_row(model, grid)).real
     # the embedding is positive definite for the Gaussian kernel up to
     # roundoff; clip stray negative eigenvalues at zero
-    return np.clip(eig, 0.0, None)
-
-
-def sample_field(model: NoiseModel, grid: Grid, stream: RandomStream,
-                 rng: np.random.Generator | None = None) -> Field:
-    """One zero-mean Gaussian field with the model covariance on the grid.
-
-    Pass ``rng`` to draw a sequence of fields from one stream; otherwise a
-    fresh generator is built from the stream seed (deterministic per call).
-    """
-    fields = sample_fields(model, grid, stream, 1, rng)
-    return Field(grid, fields[0], "noise")
+    filt = np.sqrt(np.clip(eig, 0.0, None))
+    filt.flags.writeable = False
+    return filt
 
 
 def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
                   count: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """``count`` independent samples, shape (count, n_points)."""
+    """``count`` independent samples, shape (count, n_points).
+
+    Pass ``rng`` to draw a sequence of batches from one stream; otherwise a
+    fresh generator is built from the stream seed (deterministic per call).
+    """
     if grid.spacing >= model.lambda_c / 2.0:
         raise UnderResolvedKernelError(
             f"under-resolved kernel: spacing {grid.spacing:.3e} m must be "
             f"below lambda_c/2 = {model.lambda_c / 2.0:.3e} m")
     if model.amplitude == 0.0:
         return np.zeros((count, grid.n_points))
-    eig = _kernel_eigenvalues(model, grid)
-    m = eig.size
+    filt = _spectral_filter(model, grid)
     if rng is None:
         rng = stream.generator()
+    n = grid.n_points
+    samples = np.empty((count, n))
     # spectral filter: y = F^-1 sqrt(eig) F xi is a real symmetric circulant
     # acting on white noise, so cov(y) is exactly the circulant kernel
-    white = rng.standard_normal((count, m))
-    spectral = np.fft.fft(white, axis=1) * np.sqrt(eig)
-    samples = np.fft.ifft(spectral, axis=1).real[:, : grid.n_points]
-    if model.conserving:
-        mean_density = np.trapezoid(samples, dx=grid.spacing, axis=1) / grid.length
-        samples = samples - mean_density[:, None]
+    for start in range(0, count, CHUNK_ROWS):
+        rows = samples[start:start + CHUNK_ROWS]
+        white = rng.standard_normal((rows.shape[0], filt.size))
+        rows[:] = np.fft.ifft(np.fft.fft(white, axis=1) * filt, axis=1).real[:, :n]
+        if model.conserving:
+            rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
+                     / grid.length)[:, None]
     return samples
+
+
+def sampled_covariance(model: NoiseModel, grid: Grid, lag: int) -> float:
+    """Expected mean of x_i x_(i+lag) along the grid for ``sample_fields`` rows.
+
+    Without the conserving projection this is G(lag h).  The projection
+    y = x - (w.x / L) 1, with w the trapezoid weights and C the kernel
+    matrix, gives cov(y)_ij = C_ij - a_i - a_j + b with a = Cw/L and
+    b = w.Cw/L^2, so the mean along the lag is
+    G(lag h) - mean(a[:n-lag]) - mean(a[lag:]) + b.
+    """
+    target = covariance(model, lag * grid.spacing)
+    if not model.conserving:
+        return target
+    n = grid.n_points
+    g = _kernel_row(model, grid)[:n]
+    weights = np.full(n, grid.spacing)
+    weights[[0, -1]] = grid.spacing / 2.0
+    # C is the symmetric Toeplitz matrix of g, so Cw is a convolution
+    a = np.convolve(np.concatenate((g[:0:-1], g)), weights,
+                    mode="valid") / grid.length
+    b = float(weights @ a) / grid.length
+    return target - float(np.mean(a[:n - lag])) - float(np.mean(a[lag:])) + b

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import tracemalloc
 
 from qhydro.constants import HBAR, K_B
 from qhydro.errors import UnderResolvedKernelError, ValidationError
 from qhydro.grids import make_grid
+from qhydro import noise
 from qhydro.noise import (
+    CHUNK_ROWS,
     NoiseModel,
     RandomStream,
     covariance,
     noise_amplitude,
-    sample_field,
     sample_fields,
+    sampled_covariance,
 )
 
 
@@ -43,8 +46,8 @@ def test_zero_theta_is_silent():
     model = make_model(theta=0.0)
     assert model.amplitude == 0.0
     grid = make_grid(0.0, 10.0, 64)
-    f = sample_field(model, grid, RandomStream(1))
-    assert np.all(f.values == 0.0)
+    f = sample_fields(model, grid, RandomStream(1), 1)[0]
+    assert np.all(f == 0.0)
 
 
 def test_amplitude_theta_squared_scaling():
@@ -64,24 +67,24 @@ def test_validation():
 def test_same_seed_identical_fields():
     model = make_model()
     grid = make_grid(0.0, 50.0, 256)
-    a = sample_field(model, grid, RandomStream(42))
-    b = sample_field(model, grid, RandomStream(42))
-    assert np.array_equal(a.values, b.values)
+    a = sample_fields(model, grid, RandomStream(42), 1)[0]
+    b = sample_fields(model, grid, RandomStream(42), 1)[0]
+    assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
     model = make_model()
     grid = make_grid(0.0, 50.0, 256)
-    a = sample_field(model, grid, RandomStream(1))
-    b = sample_field(model, grid, RandomStream(2))
-    assert not np.array_equal(a.values, b.values)
+    a = sample_fields(model, grid, RandomStream(1), 1)[0]
+    b = sample_fields(model, grid, RandomStream(2), 1)[0]
+    assert not np.array_equal(a, b)
 
 
 def test_under_resolved_kernel_rejected():
     model = make_model(lambda_c=0.1)
     grid = make_grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
     with pytest.raises(UnderResolvedKernelError):
-        sample_field(model, grid, RandomStream(0))
+        sample_fields(model, grid, RandomStream(0), 1)
 
 
 def test_conserving_projection_zero_integral():
@@ -144,3 +147,112 @@ def test_sample_mean_is_small(seed):
     samples = sample_fields(model, grid, RandomStream(seed), 200)
     rms = np.sqrt(np.mean(samples**2))
     assert abs(np.mean(samples)) < 0.1 * rms
+
+
+def one_shot_reference(model, grid, rng, count):
+    """The whole batch in one draw, one FFT, one inverse FFT, one projection."""
+    n = grid.n_points
+    m = 2 * n
+    j = np.arange(m)
+    dist = np.minimum(j, m - j) * grid.spacing
+    row = model.amplitude * np.exp(-((dist / model.lambda_c) ** 2))
+    eig = np.clip(np.fft.fft(row).real, 0.0, None)
+    white = rng.standard_normal((count, m))
+    spectral = np.fft.fft(white, axis=1) * np.sqrt(eig)
+    samples = np.fft.ifft(spectral, axis=1).real[:, :n]
+    if model.conserving:
+        mean_density = np.trapezoid(samples, dx=grid.spacing, axis=1) / grid.length
+        samples = samples - mean_density[:, None]
+    return samples
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+@pytest.mark.parametrize("count", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   3 * CHUNK_ROWS + 5])
+def test_chunked_draws_match_one_shot_batch(conserving, count):
+    model = make_model(conserving=conserving)
+    grid = make_grid(0.0, 50.0, 200)
+    chunked = sample_fields(model, grid, RandomStream(3), count)
+    reference = one_shot_reference(model, grid, np.random.default_rng(3), count)
+    assert chunked.shape == (count, grid.n_points)
+    assert np.array_equal(chunked, reference)
+    # j rows then k rows from one generator are the first j + k rows
+    j = count // 2 + 1
+    rng = np.random.default_rng(11)
+    split = np.vstack([sample_fields(model, grid, RandomStream(0), j, rng),
+                       sample_fields(model, grid, RandomStream(0), count, rng)])
+    joined = sample_fields(model, grid, RandomStream(0), j + count,
+                           np.random.default_rng(11))
+    assert np.array_equal(split, joined)
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+def test_batch_peak_memory_is_about_the_output(conserving):
+    model = make_model(conserving=conserving)
+    grid = make_grid(0.0, 200.0, 801)
+    sample_fields(model, grid, RandomStream(0), 1)     # filter and FFT plan
+    tracemalloc.start()
+    try:
+        samples = sample_fields(model, grid, RandomStream(0), 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * samples.nbytes + 4 * 2**20
+
+
+def test_spectral_filter_cached_read_only_and_keyed():
+    model = make_model()
+    grid = make_grid(0.0, 50.0, 256)
+    filt = noise._spectral_filter(model, grid)
+    assert noise._spectral_filter(make_model(), make_grid(0.0, 50.0, 256)) is filt
+    assert not filt.flags.writeable
+    with pytest.raises(ValueError):
+        filt[0] = 0.0
+    other_lambda = noise._spectral_filter(make_model(lambda_c=2.0), grid)
+    other_grid = noise._spectral_filter(model, make_grid(0.0, 40.0, 256))
+    assert not np.array_equal(other_lambda, filt)
+    assert not np.array_equal(other_grid, filt)
+
+
+def test_under_resolved_kernel_rejected_on_cache_hit():
+    model = make_model(lambda_c=0.1)
+    grid = make_grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
+    noise._spectral_filter(model, grid)
+    for _ in range(2):
+        with pytest.raises(UnderResolvedKernelError):
+            sample_fields(model, grid, RandomStream(0), 1)
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+def test_sampled_covariance_matches_dense_projection(conserving):
+    # reference: cov(P x) = P C P^T with P = I - 1 w^T / L, averaged along
+    # each lag diagonal
+    model = make_model(conserving=conserving)
+    grid = make_grid(0.0, 6.0, 61)
+    q = grid.points
+    kernel = model.amplitude * np.exp(-(((q[:, None] - q[None, :])
+                                         / model.lambda_c) ** 2))
+    if conserving:
+        w = np.full(grid.n_points, grid.spacing)
+        w[[0, -1]] = grid.spacing / 2.0
+        proj = np.eye(grid.n_points) - np.outer(np.ones(grid.n_points), w) / grid.length
+        kernel = proj @ kernel @ proj.T
+    for k in (0, 1, 10, 20, 60):
+        expected = float(np.mean(np.diagonal(kernel, k)))
+        assert sampled_covariance(model, grid, k) == pytest.approx(
+            expected, rel=1e-9, abs=1e-12 * model.amplitude)
+
+
+def test_conserving_empirical_covariance_matches_projected_target():
+    # on a domain a few lambda_c long the projection drives the lag-2
+    # covariance negative; the projected target follows it
+    model = make_model(conserving=True)
+    grid = make_grid(0.0, 6.0, 121)
+    samples = sample_fields(model, grid, RandomStream(21), 4000)
+    for k in (0, 20, 40):
+        empirical = float(np.mean(samples[:, :grid.n_points - k] * samples[:, k:]))
+        target = sampled_covariance(model, grid, k)
+        assert abs(empirical - target) < 0.06 * model.amplitude
+    assert sampled_covariance(model, grid, 40) < 0.0
+    assert abs(sampled_covariance(model, grid, 40)
+               - covariance(model, 40 * grid.spacing)) > 0.2 * model.amplitude
