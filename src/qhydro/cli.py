@@ -239,12 +239,22 @@ def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
     if lam_c is None:
         lam_c = 2.0 * fam.core_length
     lam_q = nonlocality_length(profile, lam_c, decay=decay)
+    # below the first radial sample, np.interp in nonlocality_length can
+    # only clamp F(lambda_c) to that sample
+    r_1 = float(profile.radial()[0][0])
+    resolved = lam_c >= r_1
+    if not resolved and not math.isinf(lam_q):
+        print(f"warning: lambda_c = {lam_c:.3e} m lies below the first radial "
+              f"sample at {r_1:.3e} m, so F(lambda_c) is clamped to that "
+              f"sample and lambda_q is not resolved on this grid",
+              file=sys.stderr)
     results = {
         "lambda_q_m": None if math.isinf(lam_q) else lam_q,
         "lambda_q_infinite": math.isinf(lam_q),
         "fitted_exponent": decay.fitted_exponent,
         "decay_label": decay.label,
         "lambda_c_m": lam_c,
+        "lambda_c_resolved": resolved,
         "family": fam.family,
     }
     rendered = "infinite" if math.isinf(lam_q) else f"{lam_q:.6e} m"

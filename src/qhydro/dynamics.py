@@ -12,6 +12,14 @@ force), classical_limit (quantum force dropped), and stochastic_quantum
 (deterministic drift plus an Euler-Maruyama noise increment on the
 density).
 
+Layout: a step holds the state as one (3, N) array [n, v, S].  Each
+stage input is formed on the n and v rows at once, the rates are written
+into the rows of one (3, N) array with in-place ufuncs, and the RK4
+combination runs once over all three rows.  Every element goes through
+the same IEEE operations in the same order as the field-by-field
+textbook form, so results are bit-identical to it.  The three new rows
+are checked once and wrapped as read-only Fields without a copy.
+
 Vacuum handling: the density under the square root carries a small
 additive floor, and the total force is multiplied by a smooth taper that
 shuts it off where the density is at floor level.  Without the taper the
@@ -55,9 +63,11 @@ class HydroState:
     action: Field                # J s
 
     def __post_init__(self):
-        if self.velocity.grid is not self.density.grid and \
-                self.velocity.grid != self.density.grid:
-            raise ValidationError("state fields must share one grid")
+        # the step stacks the three fields as the rows of one array
+        grid = self.density.grid
+        for f in (self.velocity, self.action):
+            if f.grid is not grid and f.grid != grid:
+                raise ValidationError("state fields must share one grid")
 
     @property
     def grid(self) -> Grid:
@@ -107,81 +117,131 @@ def check_cfl(cfg: IntegratorConfig, mass: float, grid: Grid) -> None:
 
 
 def _divergence_flux(n: np.ndarray, v: np.ndarray, h: float,
-                     periodic: bool) -> np.ndarray:
-    """Conservative d(nv)/dq: averaged half-cell fluxes, telescoping sum."""
+                     periodic: bool, out: np.ndarray) -> None:
+    """Conservative d(nv)/dq into ``out``.
+
+    Averaged half-cell fluxes, differenced as a telescoping sum.
+    """
     flux = n * v
     if periodic:
-        f_right = 0.5 * (flux + np.roll(flux, -1))
-        return (f_right - np.roll(f_right, 1)) / h
-    f_half = 0.5 * (flux[:-1] + flux[1:])
-    div = np.empty_like(flux)
+        f_right = flux + np.roll(flux, -1)
+        f_right *= 0.5
+        np.subtract(f_right, np.roll(f_right, 1), out=out)
+        out /= h
+        return
+    f_half = flux[:-1] + flux[1:]
+    f_half *= 0.5
     # zero flux through both walls: total mass change telescopes to zero
-    div[0] = f_half[0] / h
-    div[1:-1] = (f_half[1:] - f_half[:-1]) / h
-    div[-1] = -f_half[-1] / h
-    return div
+    inner = out[1:-1]
+    np.subtract(f_half[1:], f_half[:-1], out=inner)
+    inner /= h
+    out[0] = f_half[0] / h
+    out[-1] = -f_half[-1] / h
 
 
 def _rhs(n: np.ndarray, v: np.ndarray, potential: np.ndarray, mass: float,
-         cfg: IntegratorConfig, spacing: float,
-         quantum: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+         cfg: IntegratorConfig, spacing: float, quantum: bool) -> np.ndarray:
+    """Rates [dn/dt, dv/dt, dS/dt] as the rows of one (3, N) array.
+
+    Sign flips sit only where IEEE makes them exact, (-a)*b == -(a*b) and
+    x + (-y) == x - y, so every element rounds as in the textbook form
+    dn = -d(nv)/dq, dv = -v dv/dq + w F/m, dS = -(m v^2/2 + V + V_qu).
+    """
     periodic = cfg.boundary == PERIODIC
     d1 = periodic_derivative if periodic else stencil_derivative
-    peak = float(np.max(n))
+    peak = float(n.max())
     if peak <= 0:
         raise StepRejected("density collapsed to zero")
-    nc = np.maximum(n, 0.0) + cfg.density_floor * peak
+    nc = np.maximum(n, 0.0)
+    nc += cfg.density_floor * peak
 
+    rates = np.empty((3, n.shape[0]))
+    dn, dv, ds = rates
     if quantum:
         vqu = vqu_kernel(np.sqrt(nc), spacing, mass, periodic)
-        force = -d1(vqu + potential, spacing, 1)
+        grad = d1(vqu + potential, spacing, 1)
     else:
-        vqu = np.zeros_like(n)
-        force = -d1(potential, spacing, 1)
+        grad = d1(potential, spacing, 1)
 
     # shut the force off where only floor density lives; an untapered
     # force accelerates ghost fluid in the vacuum without bound
     taper_level = FORCE_TAPER_FRACTION * peak
-    w = nc**2 / (nc**2 + taper_level**2)
+    nc2 = np.square(nc, out=nc)      # sqrt(nc) is taken above
+    w = nc2 + taper_level**2
+    np.divide(nc2, w, out=w)
 
-    dn = -_divergence_flux(n, v, spacing, periodic)
-    dv = -v * d1(v, spacing, 1) + w * force / mass
-    ds = -(0.5 * mass * v**2 + potential + vqu)
-    return dn, dv, ds
+    _divergence_flux(n, v, spacing, periodic, dn)
+    np.negative(dn, out=dn)
+    # dv = (-(v v')) - (w grad)/m, the force being -grad
+    np.multiply(v, d1(v, spacing, 1), out=dv)
+    np.negative(dv, out=dv)
+    grad *= w
+    grad /= mass
+    dv -= grad
+    # the classical limit adds no V_qu: x + 0.0 == x, as x = m v^2/2 + V
+    # is never -0.0
+    np.square(v, out=ds)
+    ds *= 0.5 * mass
+    ds += potential
+    if quantum:
+        ds += vqu
+    np.negative(ds, out=ds)
+    return rates
+
+
+_STATE_ROWS = ("density", "velocity", "action")
 
 
 def _rk4(state: HydroState, potential: Field, mass: float,
          cfg: IntegratorConfig, quantum: bool) -> HydroState:
+    """One RK4 step on the stacked state [n, v, S], wrapped in Fields once."""
     grid = state.grid
     h, dt = grid.spacing, cfg.dt
-    n0, v0, s0 = state.density.values, state.velocity.values, state.action.values
     vp = potential.values
+    y0 = np.array((state.density.values, state.velocity.values,
+                   state.action.values))
 
-    def f(n, v):
-        return _rhs(n, v, vp, mass, cfg, h, quantum)
+    def f(y):
+        return _rhs(y[0], y[1], vp, mass, cfg, h, quantum)
 
-    k1n, k1v, k1s = f(n0, v0)
-    k2n, k2v, k2s = f(n0 + 0.5 * dt * k1n, v0 + 0.5 * dt * k1v)
-    k3n, k3v, k3s = f(n0 + 0.5 * dt * k2n, v0 + 0.5 * dt * k2v)
-    k4n, k4v, k4s = f(n0 + dt * k3n, v0 + dt * k3v)
+    def stage(k, scale):
+        # the rates read only n and v, so S needs no stage value
+        y = k[:2] * scale
+        y += y0[:2]
+        return y
 
-    n1 = n0 + dt / 6.0 * (k1n + 2 * k2n + 2 * k3n + k4n)
-    v1 = v0 + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    s1 = s0 + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
+    k1 = f(y0)
+    k2 = f(stage(k1, 0.5 * dt))
+    k3 = f(stage(k2, 0.5 * dt))
+    k4 = f(stage(k3, dt))
 
-    if not (np.all(np.isfinite(n1)) and np.all(np.isfinite(v1))):
-        raise StepRejected(f"non-finite state after step at t = {state.time:.3e} s")
-    peak = float(np.max(n1))
+    # y1 = y0 + dt/6 (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
+    y1 = k2
+    y1 *= 2
+    y1 += k1
+    k3 *= 2
+    y1 += k3
+    y1 += k4
+    y1 *= dt / 6.0
+    y1 += y0
+
+    finite = np.isfinite(y1)
+    if not finite.all():
+        name = _STATE_ROWS[int(np.argmin(finite.all(axis=1)))]
+        raise StepRejected(
+            f"non-finite {name} after step at t = {state.time:.3e} s")
+    n1, v1, s1 = y1
+    peak = float(n1.max())
     # small negative undershoot near clipped regions is zeroed below; a
     # deep negative excursion marks a genuinely diverging step
-    if peak <= 0 or float(np.min(n1)) < -1e-4 * peak:
+    if peak <= 0 or float(n1.min()) < -1e-4 * peak:
         raise StepRejected(
             f"negative density beyond floor tolerance at t = {state.time:.3e} s")
-    n1 = np.maximum(n1, 0.0)
+    np.maximum(n1, 0.0, out=n1)
     return HydroState(state.time + dt,
-                      Field(grid, n1, state.density.unit),
-                      Field(grid, v1, state.velocity.unit),
-                      Field(grid, s1, state.action.unit))
+                      Field._adopt(grid, n1, state.density.unit),
+                      Field._adopt(grid, v1, state.velocity.unit),
+                      Field._adopt(grid, s1, state.action.unit))
 
 
 def step_deterministic(state: HydroState, potential: Field, mass: float,

@@ -71,6 +71,21 @@ class Field:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray, unit: str) -> "Field":
+        """Wrap a fresh float array the caller has already checked.
+
+        No copy and no revalidation: the caller guarantees shape
+        (grid.n_points,), finite values, and that it hands over the array.
+        The array is made read-only here, as in ``__post_init__``.
+        """
+        values.flags.writeable = False
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "unit", unit)
+        return field
+
     def with_values(self, values: np.ndarray, unit: str | None = None) -> "Field":
         return Field(self.grid, values, self.unit if unit is None else unit)
 
@@ -82,22 +97,32 @@ def _per_length_unit(unit: str, order: int) -> str:
 
 def stencil_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
     """Raw derivative kernel on an array (one-sided at the boundaries)."""
+    if order not in (1, 2):
+        raise ValidationError("derivative order must be 1 or 2")
     v = np.asarray(values, dtype=float)
     h = spacing
     out = np.empty_like(v)
+    inner = out[1:-1]
     # stencils written as grouped differences so constant fields map to
-    # exactly zero, with no roundoff residue at the boundaries
+    # exactly zero, with no roundoff residue at the boundaries; the
+    # one-sided ends run on Python floats, the same IEEE doubles as numpy
+    # scalars without their per-operation overhead
     if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        out[0] = (3 * (v[1] - v[0]) + (v[1] - v[2])) / (2 * h)
-        out[-1] = (3 * (v[-1] - v[-2]) + (v[-3] - v[-2])) / (2 * h)
-    elif order == 2:
-        out[1:-1] = ((v[2:] - v[1:-1]) - (v[1:-1] - v[:-2])) / h**2
-        out[0] = (2 * (v[0] - v[1]) - 3 * (v[1] - v[2]) + (v[2] - v[3])) / h**2
-        out[-1] = (2 * (v[-1] - v[-2]) - 3 * (v[-2] - v[-3])
-                   + (v[-3] - v[-4])) / h**2
+        np.subtract(v[2:], v[:-2], out=inner)
+        inner /= 2 * h
+        a0, a1, a2 = v[:3].tolist()
+        b2, b1, b0 = v[-3:].tolist()
+        out[0] = (3 * (a1 - a0) + (a1 - a2)) / (2 * h)
+        out[-1] = (3 * (b0 - b1) + (b2 - b1)) / (2 * h)
     else:
-        raise ValidationError("derivative order must be 1 or 2")
+        h2 = h**2
+        step = v[1:] - v[:-1]
+        np.subtract(step[1:], step[:-1], out=inner)
+        inner /= h2
+        a0, a1, a2, a3 = v[:4].tolist()
+        b3, b2, b1, b0 = v[-4:].tolist()
+        out[0] = (2 * (a0 - a1) - 3 * (a1 - a2) + (a2 - a3)) / h2
+        out[-1] = (2 * (b0 - b1) - 3 * (b1 - b2) + (b2 - b3)) / h2
     return out
 
 

@@ -4,7 +4,8 @@ CSV: comma separated, header mandatory, LF endings, one row per snapshot,
 columns time, norm, mean_q, variance, E_kin, E_pot, E_qu.  All numbers
 use shortest round-trip representation.  JSON summaries carry the keys
 {config, results, provenance}; the provenance block records the constants,
-package version, seed and a config hash so result tables stay auditable.
+package, numpy and Python versions, the platform, seed and a config hash
+so result tables stay auditable and comparable across machines.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind.
 """
@@ -12,6 +13,9 @@ partial summary behind.
 import hashlib
 import json
 import os
+import platform
+
+import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS_UNIT, BOHR, HBAR, K_B
@@ -46,6 +50,9 @@ def provenance_block(cfg: ExperimentConfig) -> dict:
     return {
         "package": "qhydro",
         "version": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
         "constants": {
             "hbar_Js": HBAR,
             "k_B_J_per_K": K_B,

@@ -82,7 +82,10 @@ def vqu_kernel(s: np.ndarray, spacing: float, mass: float,
     Callers apply their own density floor before taking the square root.
     """
     d2 = periodic_derivative if periodic else stencil_derivative
-    return -(HBAR**2 / (2.0 * mass)) * d2(s, spacing, 2) / s
+    vqu = d2(s, spacing, 2)
+    vqu *= -(HBAR**2 / (2.0 * mass))
+    vqu /= s
+    return vqu
 
 
 def quantum_potential(n: Field, mass: float) -> Field:

@@ -1,8 +1,10 @@
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhydro
@@ -184,3 +186,45 @@ def test_config_hash_tracks_content():
     record = summary_record(base, {"x": 1})
     assert record["provenance"]["config_sha256_16"] == config_hash(base)
     assert len(config_hash(base)) == 16
+
+
+LAMBDA_Q_ARGS = [
+    "lambda-q",
+    "--set", "experiment.family=power_f",
+    "--set", "experiment.family_g=1.4",
+    "--set", "experiment.core_width=1.0 m",
+    "--set", "experiment.tail_scale=40.0 m",
+    "--set", "grid.q_min=0 m",
+    "--set", "grid.q_max=3e6 m",
+    "--set", "grid.n_points=120001",
+]
+
+
+@pytest.mark.parametrize("lambda_c, resolved", [("2.0 m", False),
+                                                ("50.0 m", True)])
+def test_lambda_q_flags_unresolved_probe(tmp_path, capsys, lambda_c, resolved):
+    # the grid spacing is 25 m: a 2 m probe falls inside the first cell,
+    # where F(lambda_c) can only be clamped to the first sample
+    path = tmp_path / "lq.json"
+    code, out, err = run([*LAMBDA_Q_ARGS, "--set", f"noise.lambda_c={lambda_c}",
+                          "--json", str(path)], capsys)
+    assert code == 0
+    assert out.startswith("lambda_q = ") and len(out.splitlines()) == 1
+    assert read_summary(str(path))["results"]["lambda_c_resolved"] is resolved
+    if resolved:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: lambda_c = 2.000e+00 m lies below "
+                              "the first radial sample at 2.500e+01 m")
+
+
+def test_provenance_records_versions_and_platform(tmp_path, capsys):
+    path = tmp_path / "lc.json"
+    code, _, _ = run(["lambda-c", "--theta", "2.17 K", "--json", str(path)],
+                     capsys)
+    assert code == 0
+    provenance = read_summary(str(path))["provenance"]
+    assert provenance["numpy"] == np.__version__
+    assert provenance["python"] == platform.python_version()
+    assert provenance["platform"] == platform.platform()

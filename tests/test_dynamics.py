@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from qhydro.constants import HBAR
 from qhydro.dynamics import (
     CLASSICAL_LIMIT,
+    FORCE_TAPER_FRACTION,
+    NOISE_GATE_KICKS,
     PERIODIC,
     STOCHASTIC_QUANTUM,
     HydroState,
@@ -18,9 +22,9 @@ from qhydro.dynamics import (
     step_deterministic,
     step_stochastic,
 )
-from qhydro.errors import CflError, ValidationError
+from qhydro.errors import CflError, StepRejected, ValidationError
 from qhydro.grids import Field, integrate, make_grid
-from qhydro.noise import NoiseModel, RandomStream
+from qhydro.noise import NoiseModel, RandomStream, sample_fields
 from qhydro.potentials import harmonic_ground_density, harmonic_potential, helium_preset, lj_harmonic
 
 HE = helium_preset()
@@ -49,6 +53,15 @@ def test_cfl_violation_rejected():
     potential = Field(grid, np.zeros(grid.n_points), "J")
     with pytest.raises(CflError):
         step_deterministic(state, potential, MASS, bad)
+
+
+@pytest.mark.parametrize("field", ["velocity", "action"])
+def test_state_fields_must_share_one_grid(field):
+    grid = make_grid(-1e-9, 1e-9, 101)
+    state = gaussian_state(grid, 1e-10)
+    other = Field(make_grid(-1e-9, 1e-9, 121), np.zeros(121), "1")
+    with pytest.raises(ValidationError, match="share one grid"):
+        replace(state, **{field: other})
 
 
 def test_uniform_density_fixed_point():
@@ -308,3 +321,216 @@ def test_run_requires_stream_for_stochastic():
     potential = Field(grid, np.zeros(grid.n_points), "J")
     with pytest.raises(ValidationError):
         run(state, potential, MASS, None, cfg, 1e-17)
+
+
+# --- reference integrator -------------------------------------------------
+# The step written out one field at a time in its textbook form, with
+# fresh arrays for every intermediate.  The stacked, in-place step must
+# reproduce it bit for bit.
+
+def reference_derivative(v, h, order, periodic):
+    if periodic:
+        if order == 1:
+            return (np.roll(v, -1) - np.roll(v, 1)) / (2 * h)
+        return (np.roll(v, -1) - 2 * v + np.roll(v, 1)) / h**2
+    out = np.empty_like(v)
+    if order == 1:
+        out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+        out[0] = (3 * (v[1] - v[0]) + (v[1] - v[2])) / (2 * h)
+        out[-1] = (3 * (v[-1] - v[-2]) + (v[-3] - v[-2])) / (2 * h)
+    else:
+        out[1:-1] = ((v[2:] - v[1:-1]) - (v[1:-1] - v[:-2])) / h**2
+        out[0] = (2 * (v[0] - v[1]) - 3 * (v[1] - v[2]) + (v[2] - v[3])) / h**2
+        out[-1] = (2 * (v[-1] - v[-2]) - 3 * (v[-2] - v[-3])
+                   + (v[-3] - v[-4])) / h**2
+    return out
+
+
+def reference_divergence(n, v, h, periodic):
+    flux = n * v
+    if periodic:
+        f_right = 0.5 * (flux + np.roll(flux, -1))
+        return (f_right - np.roll(f_right, 1)) / h
+    f_half = 0.5 * (flux[:-1] + flux[1:])
+    div = np.empty_like(flux)
+    div[0] = f_half[0] / h
+    div[1:-1] = (f_half[1:] - f_half[:-1]) / h
+    div[-1] = -f_half[-1] / h
+    return div
+
+
+def reference_rhs(n, v, potential, cfg, h, quantum):
+    periodic = cfg.boundary == PERIODIC
+    peak = float(np.max(n))
+    nc = np.maximum(n, 0.0) + cfg.density_floor * peak
+    if quantum:
+        s = np.sqrt(nc)
+        vqu = -(HBAR**2 / (2.0 * MASS)) * reference_derivative(
+            s, h, 2, periodic) / s
+        force = -reference_derivative(vqu + potential, h, 1, periodic)
+    else:
+        vqu = np.zeros_like(n)
+        force = -reference_derivative(potential, h, 1, periodic)
+    taper_level = FORCE_TAPER_FRACTION * peak
+    w = nc**2 / (nc**2 + taper_level**2)
+    dn = -reference_divergence(n, v, h, periodic)
+    dv = -v * reference_derivative(v, h, 1, periodic) + w * force / MASS
+    ds = -(0.5 * MASS * v**2 + potential + vqu)
+    return dn, dv, ds
+
+
+def reference_rk4(n0, v0, s0, potential, cfg, h, quantum):
+    dt = cfg.dt
+
+    def f(n, v):
+        return reference_rhs(n, v, potential, cfg, h, quantum)
+
+    k1n, k1v, k1s = f(n0, v0)
+    k2n, k2v, k2s = f(n0 + 0.5 * dt * k1n, v0 + 0.5 * dt * k1v)
+    k3n, k3v, k3s = f(n0 + 0.5 * dt * k2n, v0 + 0.5 * dt * k2v)
+    k4n, k4v, k4s = f(n0 + dt * k3n, v0 + dt * k3v)
+    n1 = n0 + dt / 6.0 * (k1n + 2 * k2n + 2 * k3n + k4n)
+    v1 = v0 + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    s1 = s0 + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
+    return np.maximum(n1, 0.0), v1, s1
+
+
+def reference_kick(n0, n, grid, noise, stream, cfg, rng):
+    h = grid.spacing
+    eta = sample_fields(noise, grid, stream, 1, rng)[0]
+    gate_level = NOISE_GATE_KICKS * math.sqrt(noise.amplitude * cfg.dt)
+    gate = n**2 / (n**2 + gate_level**2)
+    n = np.maximum(n + gate * eta * math.sqrt(cfg.dt), 0.0)
+    if noise.conserving:
+        n = n * (np.trapezoid(n0, dx=h) / np.trapezoid(n, dx=h))
+    return n
+
+
+def parity_case(name):
+    """(state, potential, cfg, noise): one setup per branch of the step."""
+    if name == "zero_flux_harmonic":
+        _, grid, cfg, state, potential = harmonic_setup(n_points=401)
+        j = np.arange(grid.n_points)
+        velocity = Field(grid, 20.0 * np.sin(6 * math.pi * j / grid.n_points),
+                         "m/s")
+        return initial_state(state.density, velocity), potential, cfg, None
+    if name == "periodic_boost":
+        grid, state = periodic_wave_state()
+        cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                               boundary=PERIODIC)
+        velocity = Field(grid, np.full(grid.n_points, 40.0), "m/s")
+        potential = Field(grid, np.zeros(grid.n_points), "J")
+        return initial_state(state.density, velocity), potential, cfg, None
+    if name == "classical_limit":
+        approx = lj_harmonic(HE)
+        grid = make_grid(approx.q_bar - 3e-10, approx.q_bar + 3e-10, 401)
+        cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing),
+                               scheme=CLASSICAL_LIMIT)
+        state = gaussian_state(grid, 4e-11, center=approx.q_bar + 2e-11,
+                               velocity=30.0)
+        return state, harmonic_potential(approx, grid, HE.well_depth), cfg, None
+    grid, cfg = free_setup(n_points=401)
+    cfg = IntegratorConfig(dt=cfg.dt, scheme=STOCHASTIC_QUANTUM)
+    noise = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=MASS,
+                       mobility_mu=1e22)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    return gaussian_state(grid, 1.5e-10), potential, cfg, noise
+
+
+@pytest.mark.parametrize("name", ["zero_flux_harmonic", "periodic_boost",
+                                  "classical_limit", "stochastic_mu_1e22"])
+def test_step_matches_reference_bit_for_bit(name):
+    state0, potential, cfg, noise = parity_case(name)
+    grid = state0.grid
+    inputs = [f.values.copy()
+              for f in (state0.density, state0.velocity, state0.action)]
+    quantum = cfg.scheme != CLASSICAL_LIMIT
+    stream = RandomStream(7)
+    rng, ref_rng = stream.generator(), stream.generator()
+    state = state0
+    n, v, s = inputs
+    for _ in range(25):
+        if noise is not None:
+            state = step_stochastic(state, potential, MASS, noise, stream,
+                                    cfg, rng)
+        elif quantum:
+            state = step_deterministic(state, potential, MASS, cfg)
+        else:
+            state = step_classical(state, potential, MASS, cfg)
+        n_det, v, s = reference_rk4(n, v, s, potential.values, cfg,
+                                    grid.spacing, quantum)
+        if noise is not None:
+            n_det = reference_kick(n, n_det, grid, noise, stream, cfg,
+                                   ref_rng)
+        n = n_det
+    # compared as bit patterns, so a flipped sign of zero also fails
+    for got, want in ((state.density.values, n), (state.velocity.values, v),
+                      (state.action.values, s)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for field, before in zip((state0.density, state0.velocity, state0.action),
+                             inputs):
+        assert np.array_equal(field.values, before)
+        assert not field.values.flags.writeable
+    for field in (state.density, state.velocity, state.action):
+        assert not field.values.flags.writeable
+
+
+def test_nonfinite_action_named():
+    # a uniform periodic flow at 1e155 m/s: n and v stay finite, while
+    # m v^2 / 2 overflows and only the action goes non-finite
+    grid = make_grid(0.0, 1e-9, 128)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                           boundary=PERIODIC)
+    state = initial_state(Field(grid, np.full(128, 1e9), "1/m"),
+                          Field(grid, np.full(128, 1e155), "m/s"))
+    potential = Field(grid, np.zeros(128), "J")
+    with np.errstate(over="ignore"):
+        with pytest.raises(StepRejected, match="non-finite action"):
+            step_deterministic(state, potential, MASS, cfg)
+        trajectory = run(state, potential, MASS, None, cfg, 3 * cfg.dt)
+    assert trajectory.failure.startswith("non-finite action")
+
+
+# --- invariants over packet width and boost --------------------------------
+# 300 steps of the criterion-4 grid (601 points over 3 nm, dt = 0.9 CFL).
+# Over sigma in [0.8, 1.6] * 1e-10 m and |v0| in [10, 150] m/s both errors
+# grow as the packet narrows (fewer cells per width) and the drift also
+# with |v0|; the measured worst case, sigma = 0.8e-10 m and |v0| = 150 m/s,
+# is an energy drift of 7.7e-9 and a mean-position error of 5.3e-8 of
+# v0 t.  The bounds leave margins of 2.6x and 2.8x.
+INVARIANT_STEPS = 300
+ENERGY_DRIFT_BOUND = 2e-8
+MEAN_POSITION_BOUND = 1.5e-7
+
+packet_widths = st.floats(min_value=0.8e-10, max_value=1.6e-10)
+boosts = st.tuples(st.sampled_from([-1.0, 1.0]),
+                   st.floats(min_value=10.0, max_value=150.0)).map(
+    lambda sv: sv[0] * sv[1])
+
+
+def boosted_packet_run(sigma, v0):
+    grid, cfg = free_setup()
+    state = gaussian_state(grid, sigma, velocity=v0)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    trajectory = run(state, potential, MASS, None, cfg,
+                     INVARIANT_STEPS * cfg.dt, output_stride=30)
+    assert trajectory.completed
+    return trajectory.snapshots
+
+
+@settings(max_examples=8, deadline=None)
+@given(sigma=packet_widths, v0=boosts)
+def test_total_energy_conserved(sigma, v0):
+    energies = np.array([s.e_kin + s.e_pot + s.e_qu
+                         for s in boosted_packet_run(sigma, v0)])
+    drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
+    assert drift < ENERGY_DRIFT_BOUND
+
+
+@settings(max_examples=8, deadline=None)
+@given(sigma=packet_widths, v0=boosts)
+def test_mean_position_moves_at_boost_velocity(sigma, v0):
+    for snap in boosted_packet_run(sigma, v0)[1:]:
+        displacement = v0 * snap.time        # q0 = 0
+        assert abs(snap.mean_q - displacement) < (
+            MEAN_POSITION_BOUND * abs(displacement))
