@@ -166,6 +166,42 @@ def test_simulate_csv_byte_identical_across_runs(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# lambda_c = 1e-11 m is below twice the 1e-11 m spacing of FAST_SIM
+UNDER_RESOLVED_NOISE = ["simulate", *FAST_SIM,
+                        "--set", "integrator.scheme=stochastic_quantum",
+                        "--set", "noise.lambda_c=1e-11 m"]
+
+
+def test_silent_noise_draws_nothing(tmp_path, capsys):
+    # at theta = 0 the noise amplitude is zero, so the stochastic run never
+    # samples the under-resolved kernel and equals the deterministic run
+    paths = [tmp_path / "stochastic.csv", tmp_path / "deterministic.csv"]
+    code, _, err = run([*UNDER_RESOLVED_NOISE, "--csv", str(paths[0])], capsys)
+    assert code == 0, err
+    code, _, err = run(["simulate", *FAST_SIM, "--csv", str(paths[1])], capsys)
+    assert code == 0, err
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_under_resolved_noise_kernel_rejected(capsys):
+    code, _, err = run([*UNDER_RESOLVED_NOISE, "--set", "noise.theta=2.17 K"],
+                       capsys)
+    assert code == 1
+    assert "under-resolved kernel" in err
+
+
+def test_non_finite_noise_rejected(capsys):
+    # mu = 1e308 overflows the circulant eigenvalues, so the noise rows and
+    # the kicked density are not finite
+    with np.errstate(all="ignore"):
+        code, _, err = run(["simulate", *FAST_SIM,
+                            "--set", "integrator.scheme=stochastic_quantum",
+                            "--set", "noise.theta=2.17 K",
+                            "--set", "noise.mobility_mu=1e308"], capsys)
+    assert code == 1
+    assert "field values must be finite" in err
+
+
 def test_failed_run_leaves_no_summary(tmp_path, capsys):
     json_path = tmp_path / "broken.json"
     code, _, _ = run(

@@ -429,16 +429,27 @@ def parity_case(name):
         state = gaussian_state(grid, 4e-11, center=approx.q_bar + 2e-11,
                                velocity=30.0)
         return state, harmonic_potential(approx, grid, HE.well_depth), cfg, None
+    if name == "stochastic_periodic":
+        grid, state = periodic_wave_state()
+        cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                               scheme=STOCHASTIC_QUANTUM, boundary=PERIODIC)
+        potential = Field(grid, np.zeros(grid.n_points), "J")
+        noise = NoiseModel(theta=2.17, lambda_c=1e-10, mass=MASS,
+                           mobility_mu=1e22)
+        return state, potential, cfg, noise
     grid, cfg = free_setup(n_points=401)
     cfg = IntegratorConfig(dt=cfg.dt, scheme=STOCHASTIC_QUANTUM)
     noise = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=MASS,
-                       mobility_mu=1e22)
+                       mobility_mu=1e22,
+                       conserving=name != "stochastic_nonconserving")
     potential = Field(grid, np.zeros(grid.n_points), "J")
     return gaussian_state(grid, 1.5e-10), potential, cfg, noise
 
 
 @pytest.mark.parametrize("name", ["zero_flux_harmonic", "periodic_boost",
-                                  "classical_limit", "stochastic_mu_1e22"])
+                                  "classical_limit", "stochastic_mu_1e22",
+                                  "stochastic_nonconserving",
+                                  "stochastic_periodic"])
 def test_step_matches_reference_bit_for_bit(name):
     state0, potential, cfg, noise = parity_case(name)
     grid = state0.grid
@@ -473,6 +484,67 @@ def test_step_matches_reference_bit_for_bit(name):
         assert not field.values.flags.writeable
     for field in (state.density, state.velocity, state.action):
         assert not field.values.flags.writeable
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def snapshot_bits(snap):
+    return bits([snap.time, snap.norm, snap.mean_q, snap.variance,
+                 snap.e_kin, snap.e_pot, snap.e_qu])
+
+
+@pytest.mark.parametrize("case", [
+    # (boundary, conserving, mobility_mu, steps); 21 is not a multiple of
+    # the draw-ahead batch, and mu = 1e24 aborts at step 233
+    ("zero_flux", True, 1e22, 40),
+    ("zero_flux", False, 1e22, 40),
+    ("periodic", True, 1e22, 40),
+    ("zero_flux", True, 1e22, 21),
+    ("zero_flux", True, 1e24, 300),
+])
+def test_run_draw_ahead_matches_single_draw_steps(case):
+    boundary, conserving, mu, steps = case
+    grid = make_grid(-1.5e-9, 1.5e-9, 301)
+    cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing),
+                           scheme=STOCHASTIC_QUANTUM, boundary=boundary)
+    noise = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=MASS,
+                       mobility_mu=mu, conserving=conserving)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    state = gaussian_state(grid, 1.5e-10)
+    stream = RandomStream(7)
+    stride = 4
+    trajectory = run(state, potential, MASS, noise, cfg, steps * cfg.dt,
+                     output_stride=stride, stream=stream, keep_densities=True)
+
+    # the same run by hand, one single-row draw inside every step
+    rng = stream.generator()
+    snapshots = [observables(state, potential, MASS, cfg, True)]
+    failure = None
+    for step_index in range(1, steps + 1):
+        try:
+            state = step_stochastic(state, potential, MASS, noise, stream,
+                                    cfg, rng)
+        except StepRejected as exc:
+            failure = str(exc)
+            break
+        if step_index % stride == 0 or step_index == steps:
+            snapshots.append(observables(state, potential, MASS, cfg, True))
+
+    assert trajectory.failure == failure
+    assert (failure is not None) == (mu == 1e24)
+    assert len(trajectory.snapshots) == len(snapshots)
+    for got, want in zip(trajectory.snapshots, snapshots):
+        assert np.array_equal(snapshot_bits(got), snapshot_bits(want))
+        assert np.array_equal(bits(got.density.values),
+                              bits(want.density.values))
+    final = trajectory.final_state
+    assert bits(final.time) == bits(state.time)
+    for got, want in ((final.density, state.density),
+                      (final.velocity, state.velocity),
+                      (final.action, state.action)):
+        assert np.array_equal(bits(got.values), bits(want.values))
 
 
 def test_nonfinite_action_named():
