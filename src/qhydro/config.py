@@ -105,6 +105,8 @@ class IntegratorSection:
 class NoiseSection:
     theta: float = 0.0
     lambda_c: float | None = None       # m, override of the derived length
+    # s kg^-1 m^-2: the prefactor 8 m (k_B Theta)^2 / (pi^3 hbar^2) is in
+    # kg s^-2, and A = mu times it must be the m^-2 s^-1 of a density rate
     mobility_mu: float = 1.0
     conserving: bool = True
 

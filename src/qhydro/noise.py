@@ -8,16 +8,23 @@ sampled exactly by circulant embedding: the stationary kernel is
 diagonalized by the FFT on the periodic extension of the grid, so each
 draw has the target covariance without factorizing a dense matrix.  The
 spectral filter sqrt(eig) is computed once per (model, grid) and kept in a
-small cache; batches are drawn in fixed row chunks into one output array,
-so peak memory is about that array, and each chunk matches the same rows
-of a one-shot batch bit for bit.  The delta(tau) time factor is the
-integrator's contract (fields are scaled by sqrt(dt) there); the sampler
-produces unit-time-density fields.
+small cache.  A batch is drawn in fixed row chunks into one output array:
+the caller's thread draws every chunk's white noise from the generator in
+order, and up to two threads filter the chunks (FFT, filter, inverse FFT,
+projection) into disjoint rows.  Each row's transform depends on that row
+alone, so the bits are those of a one-shot batch whatever the chunking or
+the thread that filtered it; a one-chunk batch is filtered inline, with no
+thread.  Peak memory is still about the output array plus a few chunk
+buffers.  The delta(tau) time factor is the integrator's contract (fields
+are scaled by sqrt(dt) there); the sampler produces unit-time-density
+fields.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import os
 
 import numpy as np
 
@@ -73,9 +80,10 @@ def covariance(model: NoiseModel, separation: float) -> float:
     return model.amplitude * math.exp(-((separation / model.lambda_c) ** 2))
 
 
-# rows per FFT batch in sample_fields: the working set beyond the output is
-# a few (CHUNK_ROWS, 2 n_points) arrays, whatever the sample count
-CHUNK_ROWS = 64
+# rows per chunk in sample_fields: the working set beyond the output is one
+# real (CHUNK_ROWS, 2 n_points) buffer plus a complex one per chunk in
+# flight, whatever the sample count
+CHUNK_ROWS = 32
 
 
 def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
@@ -101,6 +109,37 @@ def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
     return filt
 
 
+def _filter_threads() -> int:
+    """Threads that filter a multi-chunk batch: two, or one on a single CPU.
+
+    The caller's serial draw of the white noise and the memory bound (one
+    output array plus a chunk buffer per chunk in flight) both argue
+    against more.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _filter_chunk(spectrum: np.ndarray, rows: np.ndarray, filt: np.ndarray,
+                  model: NoiseModel, grid: Grid) -> None:
+    """Filter the white rows held in ``spectrum`` (overwritten) into ``rows``.
+
+    y = F^-1 sqrt(eig) F xi is a real symmetric circulant acting on white
+    noise, so cov(y) is exactly the circulant kernel.  numpy's FFTs release
+    the GIL, so chunks filter in parallel on separate threads.
+    """
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    spectrum *= filt
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    rows[:] = spectrum.real[:, :rows.shape[1]]
+    if model.conserving:
+        rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
+                 / grid.length)[:, None]
+
+
 def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
                   count: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """``count`` independent samples, shape (count, n_points).
@@ -117,17 +156,39 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     filt = _spectral_filter(model, grid)
     if rng is None:
         rng = stream.generator()
-    n = grid.n_points
-    samples = np.empty((count, n))
-    # spectral filter: y = F^-1 sqrt(eig) F xi is a real symmetric circulant
-    # acting on white noise, so cov(y) is exactly the circulant kernel
-    for start in range(0, count, CHUNK_ROWS):
+    samples = np.empty((count, grid.n_points))
+    starts = range(0, count, CHUNK_ROWS)
+    # a multi-chunk batch runs on a pool: its threads filter up to
+    # `threads` chunks while the caller draws the next into a free slot
+    threads = _filter_threads() if len(starts) > 1 else 0
+    white = np.empty((min(count, CHUNK_ROWS), filt.size))
+    slots = [np.empty_like(white, dtype=complex) for _ in range(threads + 1)]
+
+    def draw(index: int, start: int) -> tuple:
+        """(spectrum, rows) of one chunk, its white noise drawn in order."""
         rows = samples[start:start + CHUNK_ROWS]
-        white = rng.standard_normal((rows.shape[0], filt.size))
-        rows[:] = np.fft.ifft(np.fft.fft(white, axis=1) * filt, axis=1).real[:, :n]
-        if model.conserving:
-            rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
-                     / grid.length)[:, None]
+        k = rows.shape[0]
+        rng.standard_normal(out=white[:k])
+        spectrum = slots[index % len(slots)][:k]
+        spectrum[:] = white[:k]      # cast here: fft(white) would allocate it
+        return spectrum, rows
+
+    if not threads:
+        for index, start in enumerate(starts):
+            _filter_chunk(*draw(index, start), filt, model, grid)
+        return samples
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(threads) as pool:
+        in_flight = deque()
+        for index, start in enumerate(starts):
+            if len(in_flight) == len(slots):
+                # the oldest chunk holds the slot drawn into next; results
+                # are awaited in order, so a worker's error re-raises here
+                in_flight.popleft().result()
+            in_flight.append(pool.submit(_filter_chunk, *draw(index, start),
+                                         filt, model, grid))
+        for future in in_flight:
+            future.result()
     return samples
 
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import qhydro
-from qhydro.cli import main
+from qhydro.cli import _lag_product_mean, main
 from qhydro.config import ExperimentConfig
 from qhydro.dynamics import Trajectory
+from qhydro.grids import make_grid
+from qhydro.noise import NoiseModel, RandomStream, sample_fields
 from qhydro.output import (
     CSV_COLUMNS,
     config_hash,
@@ -119,6 +121,33 @@ def test_cold_cli_never_imports_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path})
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cold_cli_never_imports_concurrent_futures():
+    # in a fresh interpreter, neither the CLI import nor a stochastic run,
+    # whose noise batches are one chunk, loads the thread pool module
+    src = str(Path(qhydro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from qhydro.cli import main\n"
+            "assert main(['case', 'helium']) == 0\n"
+            "assert main(['simulate', '--set', 'integrator.scheme=stochastic_quantum',"
+            " '--set', 'noise.theta=2.17 K', '--set', 'integrator.t_end=2e-15']) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'concurrent.futures' or m.startswith('concurrent.futures.')))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("lag", [0, 4, 8, 199])
+def test_lag_product_mean_matches_explicit_product(lag):
+    model = NoiseModel(theta=1.0, lambda_c=1.0, mass=1.0, conserving=False)
+    grid = make_grid(0.0, 50.0, 200)
+    samples = sample_fields(model, grid, RandomStream(4), 300)
+    expected = float(np.mean(samples[:, :grid.n_points - lag] * samples[:, lag:]))
+    assert _lag_product_mean(samples, lag) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lambda_q_finite_family(capsys):

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -167,8 +170,12 @@ def one_shot_reference(model, grid, rng, count):
 
 
 @pytest.mark.parametrize("conserving", [False, True])
+# one chunk (filtered inline), the smallest pooled batches around two
+# chunks, and batches whose slot ring wraps once and twice
 @pytest.mark.parametrize("count", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
-                                   3 * CHUNK_ROWS + 5])
+                                   2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS,
+                                   2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5,
+                                   6 * CHUNK_ROWS + 5])
 def test_chunked_draws_match_one_shot_batch(conserving, count):
     model = make_model(conserving=conserving)
     grid = make_grid(0.0, 50.0, 200)
@@ -184,6 +191,100 @@ def test_chunked_draws_match_one_shot_batch(conserving, count):
     joined = sample_fields(model, grid, RandomStream(0), j + count,
                            np.random.default_rng(11))
     assert np.array_equal(split, joined)
+
+
+def serial_reference(model, grid, rng, count):
+    """One chunk at a time on the caller's thread: draw, filter, project."""
+    filt = noise._spectral_filter(model, grid)
+    n = grid.n_points
+    samples = np.empty((count, n))
+    for start in range(0, count, CHUNK_ROWS):
+        rows = samples[start:start + CHUNK_ROWS]
+        white = rng.standard_normal((rows.shape[0], filt.size))
+        rows[:] = np.fft.ifft(np.fft.fft(white, axis=1) * filt, axis=1).real[:, :n]
+        if model.conserving:
+            rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
+                     / grid.length)[:, None]
+    return samples
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+def test_pooled_batches_match_serial_chunks(conserving):
+    # two consecutive pooled batches from one generator, bit for bit
+    model = make_model(conserving=conserving)
+    grid = make_grid(0.0, 50.0, 200)
+    counts = (10 * CHUNK_ROWS + 3, 4 * CHUNK_ROWS + 17)
+    rng = np.random.default_rng(5)
+    pooled = [sample_fields(model, grid, RandomStream(0), c, rng) for c in counts]
+    ref_rng = np.random.default_rng(5)
+    for batch, c in zip(pooled, counts):
+        assert np.array_equal(batch, serial_reference(model, grid, ref_rng, c))
+
+
+def test_pooled_batches_match_serial_chunks_under_thread_stress(monkeypatch):
+    # more threads than cores and a short switch interval: a slot reused
+    # before its chunk is filtered would change rows
+    monkeypatch.setattr(noise, "_filter_threads", lambda: 4)
+    model = make_model(conserving=True)
+    grid = make_grid(0.0, 50.0, 200)
+    count = 20 * CHUNK_ROWS + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = sample_fields(model, grid, RandomStream(9), count)
+    finally:
+        sys.setswitchinterval(interval)
+    reference = serial_reference(model, grid, np.random.default_rng(9), count)
+    assert np.array_equal(pooled, reference)
+
+
+def record_filter_threads(monkeypatch):
+    """Names of the threads that ran each chunk's filter, in call order."""
+    names = []
+    real = noise._filter_chunk
+
+    def recording(*args):
+        names.append(threading.current_thread().name)
+        real(*args)
+
+    monkeypatch.setattr(noise, "_filter_chunk", recording)
+    return names
+
+
+def test_one_chunk_batch_filters_inline(monkeypatch):
+    names = record_filter_threads(monkeypatch)
+    sample_fields(make_model(), make_grid(0.0, 50.0, 200), RandomStream(0),
+                  CHUNK_ROWS)
+    assert names == [threading.current_thread().name]
+
+
+def test_batch_leaves_no_thread_behind(monkeypatch):
+    names = record_filter_threads(monkeypatch)
+    before = threading.active_count()
+    sample_fields(make_model(), make_grid(0.0, 50.0, 200), RandomStream(0),
+                  5 * CHUNK_ROWS + 1)
+    assert threading.active_count() == before
+    assert len(names) == 6
+    assert threading.current_thread().name not in names
+
+
+@pytest.mark.parametrize("failing_call", [3, 10])
+def test_worker_error_reraises_in_caller(monkeypatch, failing_call):
+    # the third chunk is awaited inside the draw loop, the last after it
+    calls = itertools.count(1)
+    real = noise._filter_chunk
+
+    def failing(*args):
+        if next(calls) == failing_call:
+            raise RuntimeError(f"chunk {failing_call} failed")
+        real(*args)
+
+    monkeypatch.setattr(noise, "_filter_chunk", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"chunk {failing_call} failed"):
+        sample_fields(make_model(), make_grid(0.0, 50.0, 200), RandomStream(0),
+                      10 * CHUNK_ROWS)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("conserving", [False, True])
