@@ -4,15 +4,22 @@ Subcommands: simulate, lambda-c, lambda-q, classify, case {lindemann,
 helium}, noise-audit.  Each experiment is described by one INI config
 file (see qhydro.config); command-line overrides win over the file.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
+
+The scalar commands (lambda-c, lambda-q, classify, case) are dominated by
+import cost, so the integrator is imported only by simulate, numpy.random
+only on the first noise draw, and hashlib and json only by a --json summary.
 """
+
+from __future__ import annotations
 
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cases, dynamics
+from . import cases
 from .config import (
     ExperimentConfig,
     apply_overrides,
@@ -39,6 +46,9 @@ from .scales import (
     correlation_length,
     nonlocality_length,
 )
+
+if TYPE_CHECKING:
+    from . import dynamics
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,6 +173,8 @@ def _potential_field(cfg: ExperimentConfig, grid: Grid) -> Field:
 
 
 def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
+    from . import dynamics
+
     e = cfg.experiment
     params = cfg.material_params()
     if e.initial == "free_gaussian":
@@ -187,6 +199,8 @@ def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> None:
+    from . import dynamics
+
     grid = _grid(cfg)
     params = cfg.material_params()
     i = cfg.integrator

@@ -39,6 +39,8 @@ Stability: the quantum term behaves like free-particle dispersion, so the
 explicit step must satisfy dt <= cfl_safety * m * spacing^2 / hbar.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 import math
 

@@ -20,6 +20,8 @@ are scaled by sqrt(dt) there); the sampler produces unit-time-density
 fields.
 """
 
+from __future__ import annotations
+
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache

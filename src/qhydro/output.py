@@ -5,22 +5,32 @@ columns time, norm, mean_q, variance, E_kin, E_pot, E_qu.  All numbers
 use shortest round-trip representation.  JSON summaries carry the keys
 {config, results, provenance}; the provenance block records the constants,
 package, numpy and Python versions, the platform, seed and a config hash
-so result tables stay auditable and comparable across machines.
+(of everything but the output paths) so result tables stay auditable and
+comparable across machines.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind.
 """
 
-import hashlib
-import json
+from __future__ import annotations
+
+from dataclasses import replace
 import os
 import platform
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS_UNIT, BOHR, HBAR, K_B
-from .config import ExperimentConfig, config_to_dict, serialize_config
-from .dynamics import Trajectory
+from .config import (
+    ExperimentConfig,
+    OutputSection,
+    config_to_dict,
+    serialize_config,
+)
+
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
 
 CSV_COLUMNS = ("time", "norm", "mean_q", "variance", "E_kin", "E_pot", "E_qu")
 
@@ -43,7 +53,12 @@ def write_csv(trajectory: Trajectory, path: str) -> None:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+    """Hash of the config without its output paths, so the same run written
+    to two paths hashes the same (the record's config block keeps them)."""
+    import hashlib
+
+    unplaced = replace(cfg, output=OutputSection())
+    return hashlib.sha256(serialize_config(unplaced).encode()).hexdigest()[:16]
 
 
 def provenance_block(cfg: ExperimentConfig) -> dict:
@@ -73,10 +88,14 @@ def summary_record(cfg: ExperimentConfig, results: dict) -> dict:
 
 
 def write_summary(record: dict, path: str) -> None:
+    import json
+
     _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def read_summary(path: str) -> dict:
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)

@@ -1,5 +1,7 @@
+import ast
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import qhydro
 from qhydro.cli import _lag_product_mean, main
-from qhydro.config import ExperimentConfig
+from qhydro.config import ExperimentConfig, apply_overrides
 from qhydro.dynamics import Trajectory
 from qhydro.grids import make_grid
 from qhydro.noise import NoiseModel, RandomStream, sample_fields
@@ -107,38 +109,67 @@ def test_case_helium_line(capsys):
     assert "E0 = -5.1557 kB" in out
 
 
-def test_cold_cli_never_imports_scipy():
-    # in a fresh interpreter, the CLI import and the square-well case
-    # study load no scipy: its import would dominate every cold call
+# the README scalar commands, as the CI smoke step runs them
+SCALAR_COMMANDS = {
+    "lambda-c": ["lambda-c", "--theta", "2.17 K"],
+    "case-lindemann": ["case", "lindemann"],
+    "case-helium": ["case", "helium"],
+    "classify": ["classify", "--theta", "2.17 K", "--delta-L", "2e-11",
+                 "--lambda-q", "inf"],
+    "lambda-q": ["lambda-q", "--set", "experiment.family=power_f",
+                 "--set", "experiment.family_g=1.4", "--set", "grid.q_max=3e6 m",
+                 "--set", "grid.n_points=120001", "--set", "noise.lambda_c=2.0 m"],
+}
+SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
+                    "--set", "noise.theta=2.17 K", "--set", "integrator.t_end=2e-15"]
+# modules a cold command must not load unless its row allows them: the
+# integrator, the noise generator (whose secrets import loads hashlib), the
+# summary writer's hashlib and json, scipy (its import would dominate every
+# cold call) and the thread pool (one-chunk noise batches filter inline)
+COLD_FORBIDDEN = ("numpy.random", "hashlib", "json", "qhydro.dynamics",
+                  "scipy", "concurrent.futures")
+COLD_ROWS = [
+    *((name, [argv], ()) for name, argv in SCALAR_COMMANDS.items()),
+    ("case-helium+stochastic-simulate",
+     [SCALAR_COMMANDS["case-helium"], SHORT_STOCHASTIC],
+     ("qhydro.dynamics", "numpy.random", "hashlib")),
+    ("lambda-c-json", [[*SCALAR_COMMANDS["lambda-c"], "--json", "{tmp}/lc.json"]],
+     ("hashlib", "json")),
+    ("simulate-csv-json",
+     [["simulate", *FAST_SIM, "--csv", "{tmp}/run.csv", "--json", "{tmp}/run.json"]],
+     ("qhydro.dynamics", "hashlib", "json")),
+]
+
+
+@pytest.mark.parametrize("commands, allowed",
+                         [row[1:] for row in COLD_ROWS],
+                         ids=[row[0] for row in COLD_ROWS])
+def test_cold_command_loads_only_what_it_runs(tmp_path, commands, allowed):
+    # in a fresh interpreter, each command exits 0 and loads none of the
+    # forbidden modules that a bare `import numpy` does not already load
     src = str(Path(qhydro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argvs = [[arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+             for argv in commands]
+    forbidden = [m for m in COLD_FORBIDDEN if m not in allowed]
     code = ("import sys\n"
+            "import numpy\n"
+            "bare = set(sys.modules)\n"
             "from qhydro.cli import main\n"
-            "assert main(['case', 'helium']) == 0\n"
-            "print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))\n")
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            f"forbidden = {forbidden!r}\n"
+            "print(sorted(m for m in set(sys.modules) - bare\n"
+            "             if any(m == f or m.startswith(f + '.') for f in forbidden)))\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def test_cold_cli_never_imports_concurrent_futures():
-    # in a fresh interpreter, neither the CLI import nor a stochastic run,
-    # whose noise batches are one chunk, loads the thread pool module
-    src = str(Path(qhydro.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys\n"
-            "from qhydro.cli import main\n"
-            "assert main(['case', 'helium']) == 0\n"
-            "assert main(['simulate', '--set', 'integrator.scheme=stochastic_quantum',"
-            " '--set', 'noise.theta=2.17 K', '--set', 'integrator.t_end=2e-15']) == 0\n"
-            "print(sorted(m for m in sys.modules"
-            " if m == 'concurrent.futures' or m.startswith('concurrent.futures.')))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == []
+    for out in (a for argv in argvs for a in argv if a.startswith(str(tmp_path))):
+        assert Path(out).is_file()
+        if out.endswith(".json"):
+            digest = read_summary(out)["provenance"]["config_sha256_16"]
+            assert re.fullmatch("[0-9a-f]{16}", digest)
 
 
 @pytest.mark.parametrize("lag", [0, 4, 8, 199])
@@ -251,6 +282,19 @@ def test_config_hash_tracks_content():
     record = summary_record(base, {"x": 1})
     assert record["provenance"]["config_sha256_16"] == config_hash(base)
     assert len(config_hash(base)) == 16
+
+
+@pytest.mark.parametrize("key", ["output.csv", "output.json"])
+def test_config_hash_ignores_output_paths(key):
+    # the same run written to two paths is the same run; its record's
+    # config block still records the path
+    a = apply_overrides(ExperimentConfig(), {key: "a.out"})
+    b = apply_overrides(ExperimentConfig(), {key: "b.out"})
+    assert config_hash(a) == config_hash(b) == config_hash(ExperimentConfig())
+    section, name = key.split(".")
+    assert summary_record(a, {})["config"][section][name] == "a.out"
+    finer = apply_overrides(a, {"grid.n_points": "401"})
+    assert config_hash(finer) != config_hash(a)
 
 
 LAMBDA_Q_ARGS = [
