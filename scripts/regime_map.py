@@ -14,6 +14,7 @@ import numpy as np
 
 from qhydro.constants import parse_quantity
 from qhydro.scales import (
+    DEFAULT_RATIO_THRESHOLD,
     INDETERMINATE,
     LOCAL_STOCHASTIC,
     NONLOCAL_DETERMINISTIC,
@@ -41,7 +42,7 @@ def main() -> None:
     ap.add_argument("--dl-max", default="1e-6 m")
     ap.add_argument("--n-theta", type=int, default=24)
     ap.add_argument("--n-dl", type=int, default=32)
-    ap.add_argument("--ratio", type=float, default=0.1,
+    ap.add_argument("--ratio", type=float, default=DEFAULT_RATIO_THRESHOLD,
                     help="threshold standing in for 'much smaller than'")
     args = ap.parse_args()
 

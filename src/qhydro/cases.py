@@ -37,6 +37,9 @@ HE4_LAMBDA_POINT_K = 2.17
 # values, which give about 0.737 (both are reported, neither adjusted)
 REFERENCE_TWO_DELTA_OVER_R0 = 0.4340
 
+# grid points of the case-study profiles
+CASE_GRID_POINTS = 4001
+
 
 @dataclass(frozen=True)
 class LindemannReport:
@@ -57,7 +60,7 @@ class LindemannReport:
         }
 
 
-def lindemann(params: MaterialParams, grid_resolution: int = 4001,
+def lindemann(params: MaterialParams, grid_resolution: int = CASE_GRID_POINTS,
               truncate: bool = True) -> LindemannReport:
     """Nonlocality length of the harmonically bound pair, over r_0.
 
@@ -151,13 +154,12 @@ class HeliumStateReport:
         }
 
 
-def helium_state_check(params: MaterialParams,
-                       grid_resolution: int = 4001) -> HeliumStateReport:
+def helium_state_check(params: MaterialParams) -> HeliumStateReport:
     """Solve the dimer square well and audit the flat-force interior."""
     state = square_well_solve(params)
     # sample the bound state from the hard wall out past the decay length
     span = state.width + 6.0 / state.kappa
-    grid = Grid(state.sigma, state.sigma + span, int(grid_resolution))
+    grid = Grid(state.sigma, state.sigma + span, CASE_GRID_POINTS)
     density = square_well_density(state, grid)
     profile = quantum_force(density, params.mass, state.sigma)
     q = grid.points

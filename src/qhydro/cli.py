@@ -52,27 +52,31 @@ if TYPE_CHECKING:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a shorthand flag's dest is the config key it sets, so _load turns
+    # every dotted dest into an override
     parser = argparse.ArgumentParser(
         prog="qhydro",
         description="1-D quantum hydrodynamics laboratory")
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                         help="override one config value (repeatable)")
-    parser.add_argument("--seed", type=int, help="random seed override")
-    parser.add_argument("--csv", help="CSV output path override")
-    parser.add_argument("--json", help="JSON summary path override")
+    parser.add_argument("--seed", dest="experiment.seed", help="random seed override")
+    parser.add_argument("--csv", dest="output.csv", help="CSV output path override")
+    parser.add_argument("--json", dest="output.json", help="JSON summary path override")
 
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--mass", help="particle mass, e.g. '4.0026 u'")
-    shared.add_argument("--theta", help="noise amplitude, e.g. '2.17 K'")
+    shared.add_argument("--mass", dest="material.mass",
+                        help="particle mass, e.g. '4.0026 u'")
+    shared.add_argument("--theta", dest="noise.theta",
+                        help="noise amplitude, e.g. '2.17 K'")
     # accept the global flags after the subcommand as well; SUPPRESS keeps
     # the subparser from clobbering values parsed before the subcommand
     for flag, kwargs in (
             ("--config", {}),
             ("--set", {"action": "append", "metavar": "SEC.KEY=VAL"}),
-            ("--seed", {"type": int}),
-            ("--csv", {}),
-            ("--json", {})):
+            ("--seed", {"dest": "experiment.seed"}),
+            ("--csv", {"dest": "output.csv"}),
+            ("--json", {"dest": "output.json"})):
         shared.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,16 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda-q", parents=[shared],
                        help="nonlocality length of a tail family")
-    p.add_argument("--lambda-c", dest="lambda_c_value",
+    p.add_argument("--lambda-c", dest="noise.lambda_c",
                    help="probe length for the normalization, e.g. '3.3e-10'")
 
     p = sub.add_parser("classify", parents=[shared],
                        help="dynamical-regime label")
-    p.add_argument("--delta-L", dest="delta_l", help="physical length scale")
-    p.add_argument("--lambda-c", dest="lambda_c_value", help="correlation length")
-    p.add_argument("--lambda-q", dest="lambda_q_value",
+    p.add_argument("--delta-L", dest="experiment.delta_l",
+                   help="physical length scale")
+    p.add_argument("--lambda-c", dest="noise.lambda_c", help="correlation length")
+    p.add_argument("--lambda-q", dest="experiment.lambda_q_override",
                    help="nonlocality length ('inf' allowed)")
-    p.add_argument("--decay-h", dest="decay_h", type=float,
+    p.add_argument("--decay-h", dest="experiment.decay_h",
                    help="tail-decay exponent of the wave function modulus")
 
     p = sub.add_parser("case", parents=[shared],
@@ -114,24 +119,9 @@ def _load(args) -> ExperimentConfig:
             raise ValidationError(f"--set expects SEC.KEY=VAL, got {item!r}")
         dotted, value = item.split("=", 1)
         overrides[dotted.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["experiment.seed"] = str(args.seed)
-    if args.csv:
-        overrides["output.csv"] = args.csv
-    if args.json:
-        overrides["output.json"] = args.json
-    if getattr(args, "mass", None):
-        overrides["material.mass"] = args.mass
-    if getattr(args, "theta", None):
-        overrides["noise.theta"] = args.theta
-    if getattr(args, "lambda_c_value", None):
-        overrides["noise.lambda_c"] = args.lambda_c_value
-    if getattr(args, "delta_l", None):
-        overrides["experiment.delta_l"] = args.delta_l
-    if getattr(args, "lambda_q_value", None) not in (None, ""):
-        overrides["experiment.lambda_q_override"] = args.lambda_q_value
-    if getattr(args, "decay_h", None) is not None:
-        overrides["experiment.decay_h"] = repr(args.decay_h)
+    # shorthand flags win over --set; an empty flag value sets nothing
+    overrides.update((dest, value) for dest, value in vars(args).items()
+                     if "." in dest and value not in (None, ""))
     return apply_overrides(cfg, overrides)
 
 

@@ -5,10 +5,14 @@ Configs are INI-style documents with sections [experiment], [material],
 default; unknown sections or keys are rejected by name.  Values carrying
 units accept a suffix ("7.9 Bohr", "10.9 kB", "2.17K") and are converted
 to SI at this boundary.
+
+A value reaches a config by one route: ``apply_overrides`` looks up each
+"section.key", converts its text and names the key in any error.  A parsed
+INI file, ``--set`` and the CLI's shorthand flags all pass through it.
 """
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 import io
 import math
 
@@ -17,6 +21,7 @@ from .errors import ValidationError
 from .grids import Grid
 from .noise import noise_amplitude
 from .potentials import FAMILIES, MATERIAL_PRESETS, MaterialParams
+from .scales import DEFAULT_RATIO_THRESHOLD
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
 POTENTIALS = ("none", "harmonic", "square_well")
@@ -61,7 +66,7 @@ class ExperimentSection:
     potential: str = "none"
     delta_l: float | None = None        # m, physical length for classify
     lambda_q_override: float | None = None
-    ratio_threshold: float = 0.1
+    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD
     decay_h: float | None = None
     family: str = "power_f"
     family_g: float = 2.0
@@ -193,15 +198,6 @@ _CONVERTERS = {
     },
 }
 
-_SECTION_TYPES = {
-    "experiment": ExperimentSection,
-    "material": MaterialSection,
-    "grid": GridSection,
-    "integrator": IntegratorSection,
-    "noise": NoiseSection,
-    "output": OutputSection,
-}
-
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     e = cfg.experiment
@@ -230,6 +226,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
+def _section_converters(section: str) -> dict:
+    if section not in _CONVERTERS:
+        raise ValidationError(f"unknown config section [{section}]")
+    return _CONVERTERS[section]
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; unknown keys are rejected."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -237,26 +239,12 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
-
-    kwargs = {}
+    # an empty section sets no key, so sections are checked here as well
     for section in parser.sections():
-        if section not in _CONVERTERS:
-            raise ValidationError(f"unknown config section [{section}]")
-        converters = _CONVERTERS[section]
-        values = {}
-        for key, raw in parser.items(section):
-            if key not in converters:
-                raise ValidationError(
-                    f"unknown key {key!r} in section [{section}]")
-            try:
-                values[key] = converters[key](raw)
-            except ValidationError:
-                raise
-            except (ValueError, TypeError) as exc:
-                raise ValidationError(
-                    f"bad value for {section}.{key}: {exc}") from exc
-        kwargs[section] = _SECTION_TYPES[section](**values)
-    return _validate(ExperimentConfig(**kwargs))
+        _section_converters(section)
+    return apply_overrides(ExperimentConfig(), {
+        f"{section}.{key}": raw
+        for section in parser.sections() for key, raw in parser.items(section)})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -268,47 +256,32 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
-    """Apply "section.key=value" overrides on top of a parsed config."""
+    """Convert "section.key" -> text pairs and merge them into cfg, validated."""
     staged: dict[str, dict[str, object]] = {}
     for dotted, raw in overrides.items():
-        if "." not in dotted:
+        section, dot, key = dotted.partition(".")
+        if not dot:
             raise ValidationError(
                 f"override {dotted!r} must be section.key")
-        section, key = dotted.split(".", 1)
-        if section not in _CONVERTERS or key not in _CONVERTERS[section]:
-            raise ValidationError(f"unknown override {dotted!r}")
+        converters = _section_converters(section)
+        if key not in converters:
+            raise ValidationError(
+                f"unknown key {key!r} in section [{section}]")
         try:
-            staged.setdefault(section, {})[key] = _CONVERTERS[section][key](raw)
+            staged.setdefault(section, {})[key] = converters[key](raw)
         except ValidationError:
             raise
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"bad value for {dotted}: {exc}") from exc
-
-    sections = {}
-    for name, section_type in _SECTION_TYPES.items():
-        current = getattr(cfg, name)
-        if name in staged:
-            merged = {f.name: getattr(current, f.name) for f in fields(section_type)}
-            merged.update(staged[name])
-            sections[name] = section_type(**merged)
-        else:
-            sections[name] = current
-    return _validate(ExperimentConfig(**sections))
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for name, section_type in _SECTION_TYPES.items():
-        section = getattr(cfg, name)
-        out[name] = {f.name: getattr(section, f.name)
-                     for f in fields(section_type)}
-    return out
+    return _validate(replace(cfg, **{
+        section: replace(getattr(cfg, section), **values)
+        for section, values in staged.items()}))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render back to the INI schema (SI values, no unit suffixes)."""
     lines = []
-    for name, values in config_to_dict(cfg).items():
+    for name, values in asdict(cfg).items():
         lines.append(f"[{name}]")
         for key, value in values.items():
             if value is None:

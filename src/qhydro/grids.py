@@ -47,10 +47,6 @@ class Grid:
         return self.q_max - self.q_min
 
 
-def make_grid(q_min: float, q_max: float, n_points: int) -> Grid:
-    return Grid(q_min, q_max, int(n_points))
-
-
 @dataclass(frozen=True)
 class Field:
     """Sampled real profile on a grid, with a loose unit tag."""
@@ -85,14 +81,6 @@ class Field:
         object.__setattr__(field, "values", values)
         object.__setattr__(field, "unit", unit)
         return field
-
-    def with_values(self, values: np.ndarray, unit: str | None = None) -> "Field":
-        return Field(self.grid, values, self.unit if unit is None else unit)
-
-
-def _per_length_unit(unit: str, order: int) -> str:
-    suffix = "/m" if order == 1 else "/m^2"
-    return f"({unit}){suffix}" if unit != "1" else ("m^-1" if order == 1 else "m^-2")
 
 
 def stencil_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
@@ -135,12 +123,6 @@ def periodic_derivative(values: np.ndarray, spacing: float, order: int) -> np.nd
     if order == 2:
         return (np.roll(v, -1) - 2 * v + np.roll(v, 1)) / h**2
     raise ValidationError("derivative order must be 1 or 2")
-
-
-def derivative(f: Field, order: int = 1, periodic: bool = False) -> Field:
-    kernel = periodic_derivative if periodic else stencil_derivative
-    return Field(f.grid, kernel(f.values, f.grid.spacing, order),
-                 _per_length_unit(f.unit, order))
 
 
 def integrate(f: Field) -> float:

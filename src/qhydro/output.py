@@ -13,7 +13,7 @@ partial summary behind.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 import os
 import platform
 from typing import TYPE_CHECKING
@@ -22,12 +22,7 @@ import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS_UNIT, BOHR, HBAR, K_B
-from .config import (
-    ExperimentConfig,
-    OutputSection,
-    config_to_dict,
-    serialize_config,
-)
+from .config import ExperimentConfig, OutputSection, serialize_config
 
 if TYPE_CHECKING:
     from .dynamics import Trajectory
@@ -81,7 +76,7 @@ def provenance_block(cfg: ExperimentConfig) -> dict:
 
 def summary_record(cfg: ExperimentConfig, results: dict) -> dict:
     return {
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "results": results,
         "provenance": provenance_block(cfg),
     }
@@ -91,16 +86,6 @@ def write_summary(record: dict, path: str) -> None:
     import json
 
     _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def read_summary(path: str) -> dict:
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise OSError(f"cannot read summary {path!r}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:

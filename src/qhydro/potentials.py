@@ -26,10 +26,8 @@ from .errors import NoBoundStateError, ValidationError
 from .grids import Field, Grid
 from .qpotential import growth_exponent, quantum_force_from_log
 
-# the documented truncation constant delta / r_0 for the harmonic quantum
-# force; the 12-6 zero-crossing alternative 1 - 2^(-1/6) is selectable
+# the documented truncation constant delta / r_0 of the harmonic quantum force
 DELTA_OVER_R0 = 0.11785
-DELTA_OVER_R0_LJ_ZERO = 1.0 - 2.0 ** (-1.0 / 6.0)
 
 FAMILIES = ("constant_f", "linear_f", "log_f", "power_f")
 
@@ -83,8 +81,7 @@ class HarmonicApprox:
     shallow_well: bool = False   # ground level sits above the well rim
 
 
-def lj_harmonic(params: MaterialParams,
-                delta_constant: float = DELTA_OVER_R0) -> HarmonicApprox:
+def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
     """Harmonic approximation: k = U (12/r_0)^2, ground level, truncation delta."""
     m = params.mass
     u, r0 = params.well_depth, params.r_0
@@ -96,7 +93,7 @@ def lj_harmonic(params: MaterialParams,
         k=k,
         q_bar=r0 / 2.0,
         E_0=e0,
-        delta=delta_constant * r0,
+        delta=DELTA_OVER_R0 * r0,
         K_0=k0,
         shallow_well=half_hbar_omega >= u,
     )

@@ -33,6 +33,11 @@ DENSITY_FLOOR_FRACTION = 1e-12
 # reported with a boundary flag.
 EXPONENT_TOLERANCE = 0.1
 
+# growth_exponent fits radial distances in [0.75 r_max, 0.95 r_max]: the last
+# few percent stay out because the one-sided boundary stencils contaminate them
+TAIL_WINDOW = (0.25, 0.05)
+MIN_TAIL_POINTS = 8
+
 SUPER_BALLISTIC = "super_ballistic"
 BALLISTIC = "ballistic"
 UNDER_BALLISTIC = "under_ballistic"
@@ -129,24 +134,17 @@ def quantum_force_from_log(log_n: Field, mass: float, origin: float) -> QuantumF
     return _force_from_potential(vqu, origin, None)
 
 
-def growth_exponent(profile: QuantumForceProfile,
-                    tail_window: tuple[float, float] = (0.25, 0.05),
-                    min_points: int = 8) -> DecayClass:
-    """Fit |q^-1 dV_qu/dq| ~ q^a over the outer radial window and classify.
-
-    ``tail_window = (outer_start, outer_stop)`` selects radial distances in
-    [(1 - outer_start) r_max, (1 - outer_stop) r_max]; the last few percent
-    stay excluded because the one-sided boundary stencils contaminate them.
-    """
+def growth_exponent(profile: QuantumForceProfile) -> DecayClass:
+    """Fit |q^-1 dV_qu/dq| ~ q^a over the ``TAIL_WINDOW`` and classify."""
     r, f = profile.radial()
     if r.size == 0:
         raise TailFitError("profile has no points beyond its origin")
     r_max = r[-1]
-    lo, hi = (1.0 - tail_window[0]) * r_max, (1.0 - tail_window[1]) * r_max
+    lo, hi = (1.0 - TAIL_WINDOW[0]) * r_max, (1.0 - TAIL_WINDOW[1]) * r_max
     window = (r >= lo) & (r <= hi)
-    if np.count_nonzero(window) < min_points:
+    if np.count_nonzero(window) < MIN_TAIL_POINTS:
         raise TailFitError(
-            f"fewer than {min_points} usable points in the tail window")
+            f"fewer than {MIN_TAIL_POINTS} usable points in the tail window")
     rw, fw = r[window], f[window]
     peak_all = float(np.max(f)) if f.size else 0.0
     # force indistinguishable from zero on the window: vanishing class
@@ -154,7 +152,7 @@ def growth_exponent(profile: QuantumForceProfile,
         return DecayClass(ASYMPTOTICALLY_VANISHING, -math.inf, 0.0)
     integrand = fw / rw
     keep = integrand > 1e-12 * np.max(integrand)
-    if np.count_nonzero(keep) < min_points:
+    if np.count_nonzero(keep) < MIN_TAIL_POINTS:
         raise TailFitError("tail window dominated by zero-force points")
     slope, intercept = np.polyfit(np.log(rw[keep]), np.log(integrand[keep]), 1)
     return _classify_exponent(float(slope), float(np.exp(intercept)))

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import platform
 import re
@@ -10,15 +11,14 @@ import numpy as np
 import pytest
 
 import qhydro
-from qhydro.cli import _lag_product_mean, main
+from qhydro.cli import _build_parser, _lag_product_mean, _load, main
 from qhydro.config import ExperimentConfig, apply_overrides
 from qhydro.dynamics import Trajectory
-from qhydro.grids import make_grid
+from qhydro.grids import Grid
 from qhydro.noise import NoiseModel, RandomStream, sample_fields
 from qhydro.output import (
     CSV_COLUMNS,
     config_hash,
-    read_summary,
     summary_record,
     trajectory_csv,
 )
@@ -55,6 +55,48 @@ def test_global_flags_after_subcommand(capsys):
     before = run(["--set", "noise.theta=2.17 K", "lambda-c"], capsys)
     after = run(["lambda-c", "--set", "noise.theta=2.17 K"], capsys)
     assert before == after
+
+
+# command, flag, config key, value, another value
+SHORTHAND_FLAGS = [
+    ("lambda-c", "--seed", "experiment.seed", "7", "8"),
+    ("lambda-c", "--csv", "output.csv", "a.csv", "b.csv"),
+    ("lambda-c", "--json", "output.json", "a.json", "b.json"),
+    ("lambda-c", "--mass", "material.mass", "4.0026 u", "6e-27"),
+    ("lambda-c", "--theta", "noise.theta", "2.17 K", "1 K"),
+    ("lambda-q", "--lambda-c", "noise.lambda_c", "3.3e-10", "1e-10"),
+    ("classify", "--delta-L", "experiment.delta_l", "2e-11", "1e-11"),
+    ("classify", "--lambda-q", "experiment.lambda_q_override", "inf", "1e-9"),
+    ("classify", "--decay-h", "experiment.decay_h", "1.2", "0.5"),
+]
+
+
+def _config(argv):
+    return _load(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command, flag, key, value, other", SHORTHAND_FLAGS)
+def test_shorthand_flag_is_its_set_form(command, flag, key, value, other):
+    via_set = _config([command, "--set", f"{key}={value}"])
+    assert via_set != _config([command])
+    assert _config([command, flag, value]) == via_set
+    if flag in ("--seed", "--csv", "--json"):
+        assert _config([flag, value, command]) == via_set
+    # the flag wins over --set, and an empty flag value sets nothing
+    assert _config([command, "--set", f"{key}={other}", flag, value]) == via_set
+    assert _config([command, "--set", f"{key}={value}", flag, ""]) == via_set
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["lambda-c", "--seed"], "experiment.seed"),
+    (["classify", "--delta-L", "2e-11", "--decay-h"], "experiment.decay_h"),
+])
+def test_malformed_shorthand_flag_fails_as_its_set_form(argv, key, capsys):
+    via_flag = run([*argv, "abc"], capsys)
+    via_set = run([*argv[:-1], "--set", f"{key}=abc"], capsys)
+    assert via_flag == via_set
+    assert via_flag[0] == 1
+    assert f"error: bad value for {key}" in via_flag[2]
 
 
 def test_validation_exit_code(capsys):
@@ -96,7 +138,7 @@ def test_case_lindemann_json(tmp_path, capsys):
     code, out, _ = run(["case", "lindemann", "--json", str(path)], capsys)
     assert code == 0
     assert "lambda_q / r_0 = 0.23570" in out
-    record = read_summary(str(path))
+    record = json.loads(path.read_text())
     assert record["results"]["lambda_q_over_r0"] == pytest.approx(
         0.23570, abs=1e-4)
     assert record["provenance"]["package"] == "qhydro"
@@ -168,14 +210,15 @@ def test_cold_command_loads_only_what_it_runs(tmp_path, commands, allowed):
     for out in (a for argv in argvs for a in argv if a.startswith(str(tmp_path))):
         assert Path(out).is_file()
         if out.endswith(".json"):
-            digest = read_summary(out)["provenance"]["config_sha256_16"]
+            record = json.loads(Path(out).read_text())
+            digest = record["provenance"]["config_sha256_16"]
             assert re.fullmatch("[0-9a-f]{16}", digest)
 
 
 @pytest.mark.parametrize("lag", [0, 4, 8, 199])
 def test_lag_product_mean_matches_explicit_product(lag):
     model = NoiseModel(theta=1.0, lambda_c=1.0, mass=1.0, conserving=False)
-    grid = make_grid(0.0, 50.0, 200)
+    grid = Grid(0.0, 50.0, 200)
     samples = sample_fields(model, grid, RandomStream(4), 300)
     expected = float(np.mean(samples[:, :grid.n_points - lag] * samples[:, lag:]))
     assert _lag_product_mean(samples, lag) == pytest.approx(expected, rel=1e-12)
@@ -208,7 +251,7 @@ def test_simulate_writes_csv_and_json(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) > 1
-    record = read_summary(str(json_path))
+    record = json.loads(json_path.read_text())
     assert record["results"]["final_norm"] == pytest.approx(1.0, abs=1e-9)
     assert record["config"]["grid"]["n_points"] == 201
     assert record["provenance"]["seed"] == 12345
@@ -319,7 +362,7 @@ def test_lambda_q_flags_unresolved_probe(tmp_path, capsys, lambda_c, resolved):
                           "--json", str(path)], capsys)
     assert code == 0
     assert out.startswith("lambda_q = ") and len(out.splitlines()) == 1
-    assert read_summary(str(path))["results"]["lambda_c_resolved"] is resolved
+    assert json.loads(path.read_text())["results"]["lambda_c_resolved"] is resolved
     if resolved:
         assert err == ""
     else:
@@ -333,7 +376,7 @@ def test_provenance_records_versions_and_platform(tmp_path, capsys):
     code, _, _ = run(["lambda-c", "--theta", "2.17 K", "--json", str(path)],
                      capsys)
     assert code == 0
-    provenance = read_summary(str(path))["provenance"]
+    provenance = json.loads(path.read_text())["provenance"]
     assert provenance["numpy"] == np.__version__
     assert provenance["python"] == platform.python_version()
     assert provenance["platform"] == platform.platform()

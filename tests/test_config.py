@@ -1,8 +1,11 @@
+from dataclasses import fields
 import math
+import re
 
 import pytest
 
 from qhydro.config import (
+    _CONVERTERS,
     ExperimentConfig,
     apply_overrides,
     parse_config,
@@ -99,7 +102,8 @@ def test_overrides_win():
 
 
 def test_override_unknown_key_rejected():
-    with pytest.raises(ValidationError, match="unknown override"):
+    with pytest.raises(ValidationError,
+                       match=r"unknown key 'volume' in section \[noise\]"):
         apply_overrides(ExperimentConfig(), {"noise.volume": "11"})
 
 
@@ -107,3 +111,57 @@ def test_lambda_q_override_accepts_inf():
     cfg = apply_overrides(ExperimentConfig(),
                           {"experiment.lambda_q_override": "inf"})
     assert math.isinf(cfg.experiment.lambda_q_override)
+
+
+def test_converters_match_dataclass_fields():
+    # every field is settable and every converter sets a field
+    sections = {f.name: f.default_factory for f in fields(ExperimentConfig)}
+    assert set(_CONVERTERS) == set(sections)
+    for name, section_type in sections.items():
+        assert set(_CONVERTERS[name]) == {f.name for f in fields(section_type)}
+
+
+NON_DEFAULT = {
+    "experiment.seed": "7",
+    "experiment.initial": "harmonic_ground",
+    "experiment.lambda_q_override": "inf",
+    "experiment.decay_h": "1.2",
+    "experiment.truncate_force": "off",
+    "material.mass": "4.0026 u",
+    "material.sigma": "none",
+    "grid.n_points": "401",
+    "grid.q_max": "1.5 nm",
+    "integrator.dt": "0.5 fs",
+    "noise.theta": "2.17 K",
+    "noise.conserving": "false",
+    "output.csv": "run.csv",
+}
+
+
+def _ini(pairs: dict[str, str]) -> str:
+    sections: dict[str, list[str]] = {}
+    for dotted, raw in pairs.items():
+        section, key = dotted.split(".", 1)
+        sections.setdefault(section, []).append(f"{key} = {raw}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+
+
+def test_ini_and_overrides_give_equal_configs():
+    from_ini = parse_config(_ini(NON_DEFAULT))
+    assert from_ini == apply_overrides(ExperimentConfig(), NON_DEFAULT)
+    assert from_ini != ExperimentConfig()
+
+
+@pytest.mark.parametrize("dotted, raw, message", [
+    ("mystery.x", "1", "unknown config section [mystery]"),
+    ("experiment.kind", "simulate", "unknown key 'kind' in section [experiment]"),
+    ("experiment.seed", "abc", "bad value for experiment.seed"),
+    ("experiment.decay_h", "abc", "bad value for experiment.decay_h"),
+])
+def test_file_and_override_errors_agree(dotted, raw, message):
+    with pytest.raises(ValidationError, match=re.escape(message)) as from_file:
+        parse_config(_ini({dotted: raw}))
+    with pytest.raises(ValidationError) as from_override:
+        apply_overrides(ExperimentConfig(), {dotted: raw})
+    assert str(from_file.value) == str(from_override.value)

@@ -23,7 +23,7 @@ from qhydro.dynamics import (
     step_stochastic,
 )
 from qhydro.errors import CflError, StepRejected, ValidationError
-from qhydro.grids import Field, integrate, make_grid
+from qhydro.grids import Field, Grid, integrate
 from qhydro.noise import NoiseModel, RandomStream, sample_fields
 from qhydro.potentials import harmonic_ground_density, harmonic_potential, helium_preset, lj_harmonic
 
@@ -40,7 +40,7 @@ def gaussian_state(grid, sigma, center=0.0, velocity=0.0):
 
 
 def free_setup(n_points=601, half_span=1.5e-9):
-    grid = make_grid(-half_span, half_span, n_points)
+    grid = Grid(-half_span, half_span, n_points)
     dt = 0.9 * cfl_limit(MASS, grid.spacing)
     cfg = IntegratorConfig(dt=dt)
     return grid, cfg
@@ -57,15 +57,15 @@ def test_cfl_violation_rejected():
 
 @pytest.mark.parametrize("field", ["velocity", "action"])
 def test_state_fields_must_share_one_grid(field):
-    grid = make_grid(-1e-9, 1e-9, 101)
+    grid = Grid(-1e-9, 1e-9, 101)
     state = gaussian_state(grid, 1e-10)
-    other = Field(make_grid(-1e-9, 1e-9, 121), np.zeros(121), "1")
+    other = Field(Grid(-1e-9, 1e-9, 121), np.zeros(121), "1")
     with pytest.raises(ValidationError, match="share one grid"):
         replace(state, **{field: other})
 
 
 def test_uniform_density_fixed_point():
-    grid = make_grid(0.0, 1e-9, 128)
+    grid = Grid(0.0, 1e-9, 128)
     cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
                            boundary=PERIODIC)
     n = Field(grid, np.full(128, 1e9), "1/m")
@@ -105,7 +105,7 @@ def test_norm_conservation_1000_steps():
 def harmonic_setup(n_points=801):
     approx = lj_harmonic(HE)
     half_span = 5.0 / approx.K_0
-    grid = make_grid(approx.q_bar - half_span, approx.q_bar + half_span, n_points)
+    grid = Grid(approx.q_bar - half_span, approx.q_bar + half_span, n_points)
     cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing))
     density = harmonic_ground_density(approx, grid)
     potential = harmonic_potential(approx, grid, HE.well_depth)
@@ -185,7 +185,7 @@ def test_stochastic_ensemble_mean_tracks_deterministic():
 
 def periodic_wave_state(n_points=256, length=1e-9):
     h = length / n_points
-    grid = make_grid(0.0, (n_points - 1) * h, n_points)
+    grid = Grid(0.0, (n_points - 1) * h, n_points)
     j = np.arange(n_points)
     n = (1.0 + 0.5 * np.cos(2 * math.pi * j / n_points)) / length
     return grid, initial_state(Field(grid, n, "1/m"))
@@ -238,7 +238,7 @@ def test_time_reversal_round_trip():
 def test_classical_oscillator_mean():
     approx = lj_harmonic(HE)
     amplitude = 5e-11
-    grid = make_grid(approx.q_bar - 3e-10, approx.q_bar + 3e-10, 601)
+    grid = Grid(approx.q_bar - 3e-10, approx.q_bar + 3e-10, 601)
     cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing),
                            scheme=CLASSICAL_LIMIT)
     state = gaussian_state(grid, 2e-11, center=approx.q_bar + amplitude)
@@ -256,7 +256,7 @@ def test_classical_oscillator_mean():
 
 
 def test_classical_free_packet_constant_velocity():
-    grid = make_grid(-2e-9, 2e-9, 401)
+    grid = Grid(-2e-9, 2e-9, 401)
     cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing),
                            scheme=CLASSICAL_LIMIT)
     v0 = 50.0
@@ -270,7 +270,7 @@ def test_classical_free_packet_constant_velocity():
 
 
 def test_wide_packet_classical_matches_quantum():
-    grid = make_grid(-4e-9, 4e-9, 401)
+    grid = Grid(-4e-9, 4e-9, 401)
     dt = 0.9 * cfl_limit(MASS, grid.spacing)
     v0 = 50.0
     potential = Field(grid, np.zeros(grid.n_points), "J")
@@ -423,7 +423,7 @@ def parity_case(name):
         return initial_state(state.density, velocity), potential, cfg, None
     if name == "classical_limit":
         approx = lj_harmonic(HE)
-        grid = make_grid(approx.q_bar - 3e-10, approx.q_bar + 3e-10, 401)
+        grid = Grid(approx.q_bar - 3e-10, approx.q_bar + 3e-10, 401)
         cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing),
                                scheme=CLASSICAL_LIMIT)
         state = gaussian_state(grid, 4e-11, center=approx.q_bar + 2e-11,
@@ -506,7 +506,7 @@ def snapshot_bits(snap):
 ])
 def test_run_draw_ahead_matches_single_draw_steps(case):
     boundary, conserving, mu, steps = case
-    grid = make_grid(-1.5e-9, 1.5e-9, 301)
+    grid = Grid(-1.5e-9, 1.5e-9, 301)
     cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing),
                            scheme=STOCHASTIC_QUANTUM, boundary=boundary)
     noise = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=MASS,
@@ -550,7 +550,7 @@ def test_run_draw_ahead_matches_single_draw_steps(case):
 def test_nonfinite_action_named():
     # a uniform periodic flow at 1e155 m/s: n and v stay finite, while
     # m v^2 / 2 overflows and only the action goes non-finite
-    grid = make_grid(0.0, 1e-9, 128)
+    grid = Grid(0.0, 1e-9, 128)
     cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
                            boundary=PERIODIC)
     state = initial_state(Field(grid, np.full(128, 1e9), "1/m"),

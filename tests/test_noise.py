@@ -10,7 +10,7 @@ import tracemalloc
 
 from qhydro.constants import HBAR, K_B
 from qhydro.errors import UnderResolvedKernelError, ValidationError
-from qhydro.grids import make_grid
+from qhydro.grids import Grid
 from qhydro import noise
 from qhydro.noise import (
     CHUNK_ROWS,
@@ -48,7 +48,7 @@ def test_covariance_one_lambda_c():
 def test_zero_theta_is_silent():
     model = make_model(theta=0.0)
     assert model.amplitude == 0.0
-    grid = make_grid(0.0, 10.0, 64)
+    grid = Grid(0.0, 10.0, 64)
     f = sample_fields(model, grid, RandomStream(1), 1)[0]
     assert np.all(f == 0.0)
 
@@ -69,7 +69,7 @@ def test_validation():
 
 def test_same_seed_identical_fields():
     model = make_model()
-    grid = make_grid(0.0, 50.0, 256)
+    grid = Grid(0.0, 50.0, 256)
     a = sample_fields(model, grid, RandomStream(42), 1)[0]
     b = sample_fields(model, grid, RandomStream(42), 1)[0]
     assert np.array_equal(a, b)
@@ -77,7 +77,7 @@ def test_same_seed_identical_fields():
 
 def test_different_seeds_differ():
     model = make_model()
-    grid = make_grid(0.0, 50.0, 256)
+    grid = Grid(0.0, 50.0, 256)
     a = sample_fields(model, grid, RandomStream(1), 1)[0]
     b = sample_fields(model, grid, RandomStream(2), 1)[0]
     assert not np.array_equal(a, b)
@@ -85,14 +85,14 @@ def test_different_seeds_differ():
 
 def test_under_resolved_kernel_rejected():
     model = make_model(lambda_c=0.1)
-    grid = make_grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
+    grid = Grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
     with pytest.raises(UnderResolvedKernelError):
         sample_fields(model, grid, RandomStream(0), 1)
 
 
 def test_conserving_projection_zero_integral():
     model = make_model(conserving=True)
-    grid = make_grid(0.0, 100.0, 512)
+    grid = Grid(0.0, 100.0, 512)
     samples = sample_fields(model, grid, RandomStream(7), 20)
     rms = np.sqrt(np.mean(samples**2))
     integrals = np.trapezoid(samples, dx=grid.spacing, axis=1)
@@ -103,7 +103,7 @@ def test_empirical_covariance_moderate():
     # quick version of the covariance audit; tight 5% bands are exercised
     # by the acceptance suite with many more samples
     model = make_model()
-    grid = make_grid(0.0, 100.0, 512)
+    grid = Grid(0.0, 100.0, 512)
     samples = sample_fields(model, grid, RandomStream(12345), 4000)
     h = grid.spacing
     for lag_factor in (0.0, 1.0):
@@ -118,7 +118,7 @@ def test_empirical_covariance_moderate():
 
 def test_empirical_covariance_symmetric_and_decreasing():
     model = make_model()
-    grid = make_grid(0.0, 100.0, 512)
+    grid = Grid(0.0, 100.0, 512)
     samples = sample_fields(model, grid, RandomStream(99), 4000)
     h = grid.spacing
     values = []
@@ -134,7 +134,7 @@ def test_empirical_covariance_symmetric_and_decreasing():
 def test_conserving_changes_kernel_only_slightly():
     # on a domain much longer than lambda_c the projection perturbs the
     # empirical kernel at the lambda_c / length level
-    grid = make_grid(0.0, 200.0, 1024)
+    grid = Grid(0.0, 200.0, 1024)
     raw = sample_fields(make_model(conserving=False), grid, RandomStream(5), 3000)
     proj = sample_fields(make_model(conserving=True), grid, RandomStream(5), 3000)
     var_raw = float(np.mean(raw**2))
@@ -146,7 +146,7 @@ def test_conserving_changes_kernel_only_slightly():
 @settings(max_examples=10, deadline=None)
 def test_sample_mean_is_small(seed):
     model = make_model()
-    grid = make_grid(0.0, 100.0, 512)
+    grid = Grid(0.0, 100.0, 512)
     samples = sample_fields(model, grid, RandomStream(seed), 200)
     rms = np.sqrt(np.mean(samples**2))
     assert abs(np.mean(samples)) < 0.1 * rms
@@ -178,7 +178,7 @@ def one_shot_reference(model, grid, rng, count):
                                    6 * CHUNK_ROWS + 5])
 def test_chunked_draws_match_one_shot_batch(conserving, count):
     model = make_model(conserving=conserving)
-    grid = make_grid(0.0, 50.0, 200)
+    grid = Grid(0.0, 50.0, 200)
     chunked = sample_fields(model, grid, RandomStream(3), count)
     reference = one_shot_reference(model, grid, np.random.default_rng(3), count)
     assert chunked.shape == (count, grid.n_points)
@@ -212,7 +212,7 @@ def serial_reference(model, grid, rng, count):
 def test_pooled_batches_match_serial_chunks(conserving):
     # two consecutive pooled batches from one generator, bit for bit
     model = make_model(conserving=conserving)
-    grid = make_grid(0.0, 50.0, 200)
+    grid = Grid(0.0, 50.0, 200)
     counts = (10 * CHUNK_ROWS + 3, 4 * CHUNK_ROWS + 17)
     rng = np.random.default_rng(5)
     pooled = [sample_fields(model, grid, RandomStream(0), c, rng) for c in counts]
@@ -226,7 +226,7 @@ def test_pooled_batches_match_serial_chunks_under_thread_stress(monkeypatch):
     # before its chunk is filtered would change rows
     monkeypatch.setattr(noise, "_filter_threads", lambda: 4)
     model = make_model(conserving=True)
-    grid = make_grid(0.0, 50.0, 200)
+    grid = Grid(0.0, 50.0, 200)
     count = 20 * CHUNK_ROWS + 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -253,7 +253,7 @@ def record_filter_threads(monkeypatch):
 
 def test_one_chunk_batch_filters_inline(monkeypatch):
     names = record_filter_threads(monkeypatch)
-    sample_fields(make_model(), make_grid(0.0, 50.0, 200), RandomStream(0),
+    sample_fields(make_model(), Grid(0.0, 50.0, 200), RandomStream(0),
                   CHUNK_ROWS)
     assert names == [threading.current_thread().name]
 
@@ -261,7 +261,7 @@ def test_one_chunk_batch_filters_inline(monkeypatch):
 def test_batch_leaves_no_thread_behind(monkeypatch):
     names = record_filter_threads(monkeypatch)
     before = threading.active_count()
-    sample_fields(make_model(), make_grid(0.0, 50.0, 200), RandomStream(0),
+    sample_fields(make_model(), Grid(0.0, 50.0, 200), RandomStream(0),
                   5 * CHUNK_ROWS + 1)
     assert threading.active_count() == before
     assert len(names) == 6
@@ -282,7 +282,7 @@ def test_worker_error_reraises_in_caller(monkeypatch, failing_call):
     monkeypatch.setattr(noise, "_filter_chunk", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"chunk {failing_call} failed"):
-        sample_fields(make_model(), make_grid(0.0, 50.0, 200), RandomStream(0),
+        sample_fields(make_model(), Grid(0.0, 50.0, 200), RandomStream(0),
                       10 * CHUNK_ROWS)
     assert threading.active_count() == before
 
@@ -290,7 +290,7 @@ def test_worker_error_reraises_in_caller(monkeypatch, failing_call):
 @pytest.mark.parametrize("conserving", [False, True])
 def test_batch_peak_memory_is_about_the_output(conserving):
     model = make_model(conserving=conserving)
-    grid = make_grid(0.0, 200.0, 801)
+    grid = Grid(0.0, 200.0, 801)
     sample_fields(model, grid, RandomStream(0), 1)     # filter and FFT plan
     tracemalloc.start()
     try:
@@ -303,21 +303,21 @@ def test_batch_peak_memory_is_about_the_output(conserving):
 
 def test_spectral_filter_cached_read_only_and_keyed():
     model = make_model()
-    grid = make_grid(0.0, 50.0, 256)
+    grid = Grid(0.0, 50.0, 256)
     filt = noise._spectral_filter(model, grid)
-    assert noise._spectral_filter(make_model(), make_grid(0.0, 50.0, 256)) is filt
+    assert noise._spectral_filter(make_model(), Grid(0.0, 50.0, 256)) is filt
     assert not filt.flags.writeable
     with pytest.raises(ValueError):
         filt[0] = 0.0
     other_lambda = noise._spectral_filter(make_model(lambda_c=2.0), grid)
-    other_grid = noise._spectral_filter(model, make_grid(0.0, 40.0, 256))
+    other_grid = noise._spectral_filter(model, Grid(0.0, 40.0, 256))
     assert not np.array_equal(other_lambda, filt)
     assert not np.array_equal(other_grid, filt)
 
 
 def test_under_resolved_kernel_rejected_on_cache_hit():
     model = make_model(lambda_c=0.1)
-    grid = make_grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
+    grid = Grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
     noise._spectral_filter(model, grid)
     for _ in range(2):
         with pytest.raises(UnderResolvedKernelError):
@@ -329,7 +329,7 @@ def test_sampled_covariance_matches_dense_projection(conserving):
     # reference: cov(P x) = P C P^T with P = I - 1 w^T / L, averaged along
     # each lag diagonal
     model = make_model(conserving=conserving)
-    grid = make_grid(0.0, 6.0, 61)
+    grid = Grid(0.0, 6.0, 61)
     q = grid.points
     kernel = model.amplitude * np.exp(-(((q[:, None] - q[None, :])
                                          / model.lambda_c) ** 2))
@@ -348,7 +348,7 @@ def test_conserving_empirical_covariance_matches_projected_target():
     # on a domain a few lambda_c long the projection drives the lag-2
     # covariance negative; the projected target follows it
     model = make_model(conserving=True)
-    grid = make_grid(0.0, 6.0, 121)
+    grid = Grid(0.0, 6.0, 121)
     samples = sample_fields(model, grid, RandomStream(21), 4000)
     for k in (0, 20, 40):
         empirical = float(np.mean(samples[:, :grid.n_points - k] * samples[:, k:]))

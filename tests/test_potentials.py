@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhydro.constants import BOHR, HBAR, K_B
 from qhydro.errors import NoBoundStateError, ValidationError
-from qhydro.grids import integrate, make_grid
+from qhydro.grids import Field, Grid, integrate
 from qhydro.potentials import (
     DELTA_OVER_R0,
-    DELTA_OVER_R0_LJ_ZERO,
     MaterialParams,
     PseudoGaussianFamily,
     harmonic_ground_density,
@@ -46,14 +45,9 @@ def test_harmonic_delta_ratio():
     assert lj_harmonic(HE).delta / HE.r_0 == pytest.approx(DELTA_OVER_R0)
 
 
-def test_harmonic_alternative_delta():
-    approx = lj_harmonic(HE, delta_constant=DELTA_OVER_R0_LJ_ZERO)
-    assert approx.delta / HE.r_0 == pytest.approx(1 - 2 ** (-1 / 6))
-
-
 def test_harmonic_bottom_value():
     approx = lj_harmonic(HE)
-    grid = make_grid(approx.q_bar - 1e-10, approx.q_bar + 1e-10, 201)
+    grid = Grid(approx.q_bar - 1e-10, approx.q_bar + 1e-10, 201)
     v = harmonic_potential(approx, grid, HE.well_depth)
     assert np.min(v.values) == pytest.approx(-HE.well_depth)
 
@@ -72,7 +66,7 @@ def test_shallow_well_flag():
 
 def test_ground_density_peak_and_norm():
     approx = lj_harmonic(HE)
-    grid = make_grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 2001)
+    grid = Grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 2001)
     n = harmonic_ground_density(approx, grid)
     assert integrate(n) == pytest.approx(1.0, abs=1e-8)
     assert grid.points[np.argmax(n.values)] == pytest.approx(approx.q_bar, abs=grid.spacing)
@@ -80,17 +74,17 @@ def test_ground_density_peak_and_norm():
 
 def test_ground_density_variance():
     approx = lj_harmonic(HE)
-    grid = make_grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 4001)
+    grid = Grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 4001)
     n = harmonic_ground_density(approx, grid)
     q = grid.points
-    mean = integrate(n.with_values(n.values * q))
-    var = integrate(n.with_values(n.values * (q - mean) ** 2))
+    mean = integrate(Field(grid, n.values * q))
+    var = integrate(Field(grid, n.values * (q - mean) ** 2))
     assert var == pytest.approx(1 / (4 * approx.K_0**2), rel=1e-6)
 
 
 def test_ground_density_narrow_grid_rejected():
     approx = lj_harmonic(HE)
-    grid = make_grid(approx.q_bar - 1 / approx.K_0, approx.q_bar + 1 / approx.K_0, 64)
+    grid = Grid(approx.q_bar - 1 / approx.K_0, approx.q_bar + 1 / approx.K_0, 64)
     with pytest.raises(ValidationError, match="grid too narrow"):
         harmonic_ground_density(approx, grid)
 
@@ -98,7 +92,7 @@ def test_ground_density_narrow_grid_rejected():
 def test_eigenstate_stationarity_of_potentials():
     # V_harmonic + V_qu constant over the Gaussian core within 1%
     approx = lj_harmonic(HE)
-    grid = make_grid(approx.q_bar - 6 / approx.K_0, approx.q_bar + 6 / approx.K_0, 4001)
+    grid = Grid(approx.q_bar - 6 / approx.K_0, approx.q_bar + 6 / approx.K_0, 4001)
     n = harmonic_ground_density(approx, grid)
     vqu = quantum_potential(n, HE.mass)
     v = harmonic_potential(approx, grid, HE.well_depth)
@@ -113,7 +107,7 @@ def test_eigenstate_stationarity_of_potentials():
 
 def test_quantum_potential_reproduces_inverted_parabola():
     approx = lj_harmonic(HE)
-    grid = make_grid(approx.q_bar - 6 / approx.K_0, approx.q_bar + 6 / approx.K_0, 4001)
+    grid = Grid(approx.q_bar - 6 / approx.K_0, approx.q_bar + 6 / approx.K_0, 4001)
     n = harmonic_ground_density(approx, grid)
     vqu = quantum_potential(n, HE.mass)
     r = grid.points - approx.q_bar
@@ -216,7 +210,7 @@ def test_brent_iteration_cap():
 def test_square_well_zero_force_inside():
     state = square_well_solve(HE)
     span = state.width + 6 / state.kappa
-    grid = make_grid(state.sigma, state.sigma + span, 4001)
+    grid = Grid(state.sigma, state.sigma + span, 4001)
     n = square_well_density(state, grid)
     assert integrate(n) == pytest.approx(1.0, abs=1e-8)
     profile = quantum_force(n, HE.mass, state.sigma)
@@ -243,7 +237,7 @@ def test_family_validation():
 
 def test_center_value():
     fam = make_family("power_f")
-    grid = make_grid(-5.0, 5.0, 1001)
+    grid = Grid(-5.0, 5.0, 1001)
     n = pseudo_gaussian_density(fam, grid, normalize=False)
     center = np.argmin(np.abs(grid.points - fam.q_bar))
     assert n.values[center] == pytest.approx(fam.n_0)
@@ -252,7 +246,7 @@ def test_center_value():
 @pytest.mark.parametrize("family", ["constant_f", "linear_f", "log_f", "power_f"])
 def test_core_indistinguishable_from_gaussian(family):
     fam = make_family(family, g=1.2, h=1.3, lam=40.0)
-    grid = make_grid(-1.5, 1.5, 2001)
+    grid = Grid(-1.5, 1.5, 2001)
     n = pseudo_gaussian_density(fam, grid, normalize=False)
     r = grid.points
     pure = np.exp(-(r**2) / fam.delta_q_sq)
@@ -265,7 +259,7 @@ def test_log_family_power_law_tail():
     # f = 1 + ln(1 + s^h) gives an approximate power law with slope
     # -h lam^2 / dq2 in log n vs log s
     fam = make_family("log_f", h=1.0, dq2=1.0, lam=20.0)
-    grid = make_grid(1e20, 1e24, 2001)
+    grid = Grid(1e20, 1e24, 2001)
     log_n = pseudo_gaussian_log_density(fam, grid)
     s = grid.points / fam.core_length
     slope = np.polyfit(np.log(s), log_n.values, 1)[0]
@@ -300,7 +294,7 @@ def test_tail_force_nonpower_requires_grid():
 
 def test_tail_force_nonpower_numeric_descriptor():
     fam = make_family("linear_f")
-    grid = make_grid(0.0, 1.2e6, 2001)
+    grid = Grid(0.0, 1.2e6, 2001)
     desc = pseudo_gaussian_tail_force(fam, mass=1.0, fit_grid=grid)
     assert not desc.from_symbolic
     assert math.isfinite(desc.leading_exponent)
@@ -312,7 +306,7 @@ def test_numeric_fit_matches_symbolic_exponent(g):
     # the tail regime starts at r ~ (lam^2)^(1/(2-g)), which runs away as
     # g approaches 2; the fit window must sit far beyond it
     r_max = {1.0: 1.2e6, 1.2: 3e6, 1.4: 3e6, 1.8: 1e16, 2.0: 3e6}[g]
-    grid = make_grid(0.0, r_max, 3001)
+    grid = Grid(0.0, r_max, 3001)
     log_n = pseudo_gaussian_log_density(fam, grid)
     profile = quantum_force_from_log(log_n, 1.0, fam.q_bar)
     from qhydro.qpotential import growth_exponent
@@ -328,6 +322,6 @@ def test_numeric_fit_matches_symbolic_exponent(g):
 def test_densities_normalized(dq2, lam_factor):
     fam = PseudoGaussianFamily(family="power_f", delta_q_sq=dq2,
                                lam=lam_factor * math.sqrt(dq2), g=2.0)
-    grid = make_grid(-40 * math.sqrt(dq2), 40 * math.sqrt(dq2), 4001)
+    grid = Grid(-40 * math.sqrt(dq2), 40 * math.sqrt(dq2), 4001)
     n = pseudo_gaussian_density(fam, grid)
     assert integrate(n) == pytest.approx(1.0, abs=1e-8)

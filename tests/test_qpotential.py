@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhydro.constants import HBAR
 from qhydro.errors import DegenerateDensityError, TailFitError
-from qhydro.grids import Field, make_grid
+from qhydro.grids import Field, Grid
 from qhydro.qpotential import (
     ASYMPTOTICALLY_VANISHING,
     BALLISTIC,
@@ -31,14 +31,14 @@ def gaussian_density(grid, dq2, q_bar=0.0):
 
 
 def test_uniform_density_zero_potential():
-    grid = make_grid(0, 1e-9, 101)
+    grid = Grid(0, 1e-9, 101)
     n = Field(grid, np.full(101, 2.5), "1/m")
     vqu = quantum_potential(n, MASS)
     assert np.max(np.abs(vqu.values)) == 0.0
 
 
 def test_all_zero_density_rejected():
-    grid = make_grid(0, 1, 11)
+    grid = Grid(0, 1, 11)
     with pytest.raises(DegenerateDensityError):
         quantum_potential(Field(grid, np.zeros(11), "1/m"), MASS)
 
@@ -46,7 +46,7 @@ def test_all_zero_density_rejected():
 def test_gaussian_quantum_potential_analytic():
     # V_qu = -(hbar^2/2m) [r^2/dq2^2 - 1/dq2] for sqrt(n) = exp(-r^2/(2 dq2))
     dq2 = (1e-10) ** 2
-    grid = make_grid(-5e-10, 5e-10, 2001)
+    grid = Grid(-5e-10, 5e-10, 2001)
     n = gaussian_density(grid, dq2)
     vqu = quantum_potential(n, MASS)
     r = grid.points
@@ -61,7 +61,7 @@ def test_sine_state_constant_potential():
     k0 = 7.9e9
     sigma = 1e-10
     width = math.pi / k0            # one half-wave fits exactly
-    grid = make_grid(sigma, sigma + width, 513)
+    grid = Grid(sigma, sigma + width, 513)
     psi = np.sin(k0 * (grid.points - sigma))
     vqu = quantum_potential(Field(grid, psi**2, "1/m"), MASS)
     expected = (HBAR**2 / (2 * MASS)) * k0**2
@@ -87,7 +87,7 @@ def _zero_flux_vqu_error(n_points):
     # sqrt(n) = exp(-r^2 / (2 dq2)): V_qu = -(hbar^2/2m) (r^2/dq2^2 - 1/dq2),
     # one-sided stencils at both walls
     dq2 = (1e-10) ** 2
-    grid = make_grid(-4e-10, 4e-10, n_points)
+    grid = Grid(-4e-10, 4e-10, n_points)
     r = grid.points
     expected = -(HBAR**2 / (2 * MASS)) * (r**2 / dq2**2 - 1.0 / dq2)
     vqu = vqu_kernel(np.exp(-(r**2) / (2 * dq2)), grid.spacing, MASS)
@@ -106,7 +106,7 @@ def test_vqu_kernel_second_order_both_boundaries():
 
 def test_quantum_force_linear_for_gaussian():
     dq2 = (1e-10) ** 2
-    grid = make_grid(-6e-10, 6e-10, 2401)
+    grid = Grid(-6e-10, 6e-10, 2401)
     n = gaussian_density(grid, dq2)
     profile = quantum_force(n, MASS, 0.0)
     r = grid.points
@@ -120,7 +120,7 @@ def test_quantum_force_linear_for_gaussian():
 
 
 def test_uniform_density_zero_force():
-    grid = make_grid(0, 1e-9, 101)
+    grid = Grid(0, 1e-9, 101)
     n = Field(grid, np.full(101, 1.0), "1/m")
     profile = quantum_force(n, MASS, 5e-10)
     assert np.max(np.abs(profile.force.values)) == 0.0
@@ -130,7 +130,7 @@ def test_uniform_density_zero_force():
 @settings(max_examples=20, deadline=None)
 def test_scale_invariance(c):
     dq2 = (1e-10) ** 2
-    grid = make_grid(-4e-10, 4e-10, 401)
+    grid = Grid(-4e-10, 4e-10, 401)
     n = gaussian_density(grid, dq2)
     base = quantum_potential(n, MASS).values
     scaled = quantum_potential(Field(grid, c * n.values, "1/m"), MASS).values
@@ -139,7 +139,7 @@ def test_scale_invariance(c):
 
 def test_mass_scaling():
     dq2 = (1e-10) ** 2
-    grid = make_grid(-4e-10, 4e-10, 401)
+    grid = Grid(-4e-10, 4e-10, 401)
     n = gaussian_density(grid, dq2)
     v1 = quantum_potential(n, MASS).values
     v2 = quantum_potential(n, 2 * MASS).values
@@ -148,7 +148,7 @@ def test_mass_scaling():
 
 def test_log_route_matches_density_route():
     dq2 = (1e-10) ** 2
-    grid = make_grid(-4e-10, 4e-10, 801)
+    grid = Grid(-4e-10, 4e-10, 801)
     r = grid.points
     log_n = Field(grid, -(r**2) / dq2, "1")
     n = Field(grid, np.exp(log_n.values), "1/m")
@@ -161,7 +161,7 @@ def test_log_route_matches_density_route():
 
 
 def _synthetic_profile(exponent, r_max=1e3, n=2001):
-    grid = make_grid(0.0, r_max, n)
+    grid = Grid(0.0, r_max, n)
     r = grid.points
     force = np.zeros_like(r)
     force[1:] = r[1:] ** (exponent + 1.0)   # so |F / r| ~ r^exponent
@@ -187,7 +187,7 @@ def test_growth_exponent_boundary_flag():
 
 
 def test_growth_exponent_zero_force():
-    grid = make_grid(0.0, 10.0, 101)
+    grid = Grid(0.0, 10.0, 101)
     profile = QuantumForceProfile(grid, Field(grid, np.zeros(101), "N"), 0.0)
     decay = growth_exponent(profile)
     assert decay.label == ASYMPTOTICALLY_VANISHING
@@ -195,18 +195,18 @@ def test_growth_exponent_zero_force():
 
 
 def test_growth_exponent_too_few_points():
-    grid = make_grid(0.0, 10.0, 32)
+    grid = Grid(0.0, 10.0, 32)
     profile = QuantumForceProfile(
         grid, Field(grid, grid.points, "N"), 0.0)
-    with pytest.raises(TailFitError):
-        growth_exponent(profile, tail_window=(0.05, 0.04))
+    with pytest.raises(TailFitError, match="fewer than 8 usable points"):
+        growth_exponent(profile)
 
 
 def test_force_from_log_linear_everywhere():
     # a quadratic log-density gives an exactly linear force, even in the
     # far tail where the plain density underflows
     dq2 = 1.0
-    grid = make_grid(0.0, 50.0, 2001)
+    grid = Grid(0.0, 50.0, 2001)
     r = grid.points
     log_n = Field(grid, -(r**2) / dq2, "1")
     profile = quantum_force_from_log(log_n, 1.0, 0.0)

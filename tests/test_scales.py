@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhydro.errors import NumericalError, ValidationError
-from qhydro.grids import Field, make_grid
+from qhydro.grids import Field, Grid
 from qhydro.qpotential import (
     ASYMPTOTICALLY_VANISHING,
     BALLISTIC,
@@ -31,14 +31,14 @@ HE_MASS = 6.6465e-27
 def truncated_linear_profile(k=1.0, delta=1.0, n=4003):
     # force k r on (0, delta], zero beyond; the cutoff sits halfway
     # between grid points so the quadrature is exact across the jump
-    grid = make_grid(0.0, 4.0 * delta, n)
+    grid = Grid(0.0, 4.0 * delta, n)
     r = grid.points
     force = np.where(r > delta, 0.0, k * r)
     return QuantumForceProfile(grid, Field(grid, force, "N"), 0.0)
 
 
 def linear_profile(k=1.0, r_max=10.0, n=2001):
-    grid = make_grid(0.0, r_max, n)
+    grid = Grid(0.0, r_max, n)
     return QuantumForceProfile(grid, Field(grid, k * grid.points, "N"), 0.0)
 
 
@@ -73,7 +73,7 @@ def test_scaling_invariant(mass, theta):
 
 
 def test_convergence_vanishing_true():
-    grid = make_grid(0.0, 1e3, 2001)
+    grid = Grid(0.0, 1e3, 2001)
     r = grid.points
     force = np.zeros_like(r)
     force[1:] = r[1:] ** (-1.0)      # integrand ~ r^-2
@@ -86,7 +86,7 @@ def test_convergence_ballistic_false():
 
 
 def test_convergence_zero_force_true():
-    grid = make_grid(0.0, 10.0, 101)
+    grid = Grid(0.0, 10.0, 101)
     profile = QuantumForceProfile(grid, Field(grid, np.zeros(101), "N"), 0.0)
     assert convergence_test(profile)
 
