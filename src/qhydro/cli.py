@@ -8,6 +8,12 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 The scalar commands (lambda-c, lambda-q, classify, case) are dominated by
 import cost, so the integrator is imported only by simulate, numpy.random
 only on the first noise draw, and hashlib and json only by a --json summary.
+
+noise-audit streams: it draws its fields in blocks of AUDIT_BLOCK_ROWS
+(1,024) from one generator, the rows of one batch bit for bit, and reduces
+each block to per-field lag means before drawing the next, so its peak
+memory is about one block whatever experiment.samples is.  Each lag's
+standard error and z-score come from the spread of those per-field means.
 """
 
 from __future__ import annotations
@@ -27,7 +33,13 @@ from .config import (
 )
 from .errors import NumericalError, ValidationError
 from .grids import Field, Grid
-from .noise import NoiseModel, RandomStream, sample_fields, sampled_covariance
+from .noise import (
+    CHUNK_ROWS,
+    NoiseModel,
+    RandomStream,
+    sample_fields,
+    sampled_covariance,
+)
 from .output import summary_record, write_csv, write_summary
 from .potentials import (
     PseudoGaussianFamily,
@@ -310,39 +322,66 @@ def _cmd_case(cfg: ExperimentConfig, study: str) -> None:
           f"E0 = {state_report.e0_over_kb:.4f} kB")
 
 
-def _lag_product_mean(samples: np.ndarray, lag: int) -> float:
-    """Mean of x_i x_(i+lag) over every row, without a product temporary."""
-    head, tail = samples[:, :samples.shape[1] - lag], samples[:, lag:]
-    return float(np.einsum("ij,ij->", head, tail) / head.size)
+# fields per noise-audit block, 6.6 MB at N = 801: the audit's peak
+# memory whatever experiment.samples is (see the module docstring)
+AUDIT_BLOCK_ROWS = 32 * CHUNK_ROWS
+
+
+def _lag_means(block: np.ndarray, lags: list[int]) -> np.ndarray:
+    """Each row's mean of x_i x_(i+lag), shape (len(lags), rows).
+
+    einsum over the lagged views builds no product temporary.
+    """
+    n = block.shape[1]
+    return np.array([np.einsum("ij,ij->i", block[:, :n - k], block[:, k:])
+                     / (n - k) for k in lags])
 
 
 def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
     model = _noise_model(cfg)
     grid = _grid(cfg)
-    stream = RandomStream(cfg.experiment.seed)
-    samples = sample_fields(model, grid, stream, cfg.experiment.samples)
     h = grid.spacing
+    lag_factors = (0.0, 1.0, 2.0)
+    lags = [int(round(f * model.lambda_c / h)) for f in lag_factors]
+    if lags[-1] >= grid.n_points:
+        raise ValidationError("grid too short for the 2 lambda_c lag")
+    count = cfg.experiment.samples
+    stream = RandomStream(cfg.experiment.seed)
+    rng = stream.generator()
+    # consecutive blocks from one generator are the rows of one batch;
+    # the block is reduced inside the call, so no name holds it while
+    # the next one is drawn
+    means = np.empty((len(lags), count))
+    for start in range(0, count, AUDIT_BLOCK_ROWS):
+        stop = min(start + AUDIT_BLOCK_ROWS, count)
+        means[:, start:stop] = _lag_means(
+            sample_fields(model, grid, stream, stop - start, rng), lags)
     rows = []
     worst = 0.0
-    for lag_factor in (0.0, 1.0, 2.0):
-        lag = lag_factor * model.lambda_c
-        k = int(round(lag / h))
-        if k >= grid.n_points:
-            raise ValidationError("grid too short for the 2 lambda_c lag")
-        empirical = _lag_product_mean(samples, k)
+    for lag_factor, k, per_field in zip(lag_factors, lags, means):
+        empirical = float(np.mean(per_field))
         target = sampled_covariance(model, grid, k)
         # the conserving projection makes the target negative at long lags
         rel = abs(empirical - target) / abs(target)
         worst = max(worst, rel)
+        se = z = None
+        if count > 1:
+            se = float(np.std(per_field, ddof=1)) / math.sqrt(count)
+            z = (empirical - target) / se
         rows.append({"lag_over_lambda_c": lag_factor, "lag_m": k * h,
                      "empirical": empirical, "target": target,
-                     "relative_error": rel})
-    results = {"samples": cfg.experiment.samples, "lambda_c_m": model.lambda_c,
+                     "relative_error": rel, "standard_error": se,
+                     "z_score": z})
+    # a single field has no spread, so no standard error and no z-score
+    worst_z = max(abs(row["z_score"]) for row in rows) if count > 1 else None
+    results = {"samples": count, "lambda_c_m": model.lambda_c,
                "amplitude": model.amplitude, "conserving": model.conserving,
-               "covariance": rows, "worst_relative_error": worst}
+               "covariance": rows, "worst_relative_error": worst,
+               "worst_abs_z": worst_z}
+    rendered_z = "n/a" if worst_z is None else f"{worst_z:.2f}"
     _emit(cfg, results,
           f"noise-audit: worst covariance error {worst:.3%} over "
-          f"{cfg.experiment.samples} samples")
+          f"{count} samples, worst |z| {rendered_z}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,13 +5,15 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qhydro
-from qhydro.cli import _build_parser, _lag_product_mean, _load, main
+from qhydro import cli
+from qhydro.cli import AUDIT_BLOCK_ROWS, _build_parser, _lag_means, _load, main
 from qhydro.config import ExperimentConfig, apply_overrides
 from qhydro.dynamics import Trajectory
 from qhydro.grids import Grid
@@ -220,8 +222,146 @@ def test_lag_product_mean_matches_explicit_product(lag):
     model = NoiseModel(theta=1.0, lambda_c=1.0, mass=1.0, conserving=False)
     grid = Grid(0.0, 50.0, 200)
     samples = sample_fields(model, grid, RandomStream(4), 300)
-    expected = float(np.mean(samples[:, :grid.n_points - lag] * samples[:, lag:]))
-    assert _lag_product_mean(samples, lag) == pytest.approx(expected, rel=1e-12)
+    products = samples[:, :grid.n_points - lag] * samples[:, lag:]
+    per_field = _lag_means(samples, [lag])[0]
+    # a field's mean can cancel to near zero, so it is held to roundoff in
+    # the sum of |products|, and the audit's mean over fields to 1e-12
+    assert per_field == pytest.approx(np.mean(products, axis=1), rel=0,
+                                      abs=1e-12 * float(np.mean(np.abs(products))))
+    assert float(np.mean(per_field)) == pytest.approx(float(np.mean(products)),
+                                                      rel=1e-12)
+
+
+# lambda_c at 2.17 K is 3.29e-10 m, about 10.5 cells of this 33-point grid,
+# so the 2 lambda_c lag (21 cells) fits and the kernel is resolved
+SMALL_AUDIT = ["noise-audit", "--theta", "2.17 K",
+               "--set", "grid.q_min=-0.5 nm", "--set", "grid.q_max=0.5 nm",
+               "--set", "grid.n_points=33"]
+
+
+def record_audit_draws(monkeypatch):
+    """(count, rng, rows) of every cli.sample_fields call, in call order."""
+    calls = []
+    real = cli.sample_fields
+
+    def recording(model, grid, stream, count, rng=None):
+        rows = real(model, grid, stream, count, rng)
+        calls.append((count, rng, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(cli, "sample_fields", recording)
+    return calls
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+@pytest.mark.parametrize("samples", [1, AUDIT_BLOCK_ROWS - 1, AUDIT_BLOCK_ROWS,
+                                     AUDIT_BLOCK_ROWS + 1,
+                                     2 * AUDIT_BLOCK_ROWS + 3])
+def test_streamed_audit_matches_one_batch_reference(
+        tmp_path, capsys, monkeypatch, conserving, samples):
+    argv = [*SMALL_AUDIT, "--seed", "5",
+            "--set", f"noise.conserving={str(conserving).lower()}",
+            "--set", f"experiment.samples={samples}"]
+    calls = record_audit_draws(monkeypatch)
+    json_path = tmp_path / "audit.json"
+    code, out, err = run([*argv, "--json", str(json_path)], capsys)
+    assert code == 0, err
+    cfg = _load(_build_parser().parse_args(argv))
+    model, grid = cli._noise_model(cfg), cli._grid(cfg)
+    batch = sample_fields(model, grid, RandomStream(5), samples)
+    # blocks of at most AUDIT_BLOCK_ROWS from one generator, whose rows
+    # are those of one batch bit for bit
+    blocks = -(-samples // AUDIT_BLOCK_ROWS)
+    assert [count for count, _, _ in calls] == (
+        [AUDIT_BLOCK_ROWS] * (blocks - 1)
+        + [samples - (blocks - 1) * AUDIT_BLOCK_ROWS])
+    assert len({id(rng) for _, rng, _ in calls}) == 1
+    assert np.array_equal(np.vstack([rows for _, _, rows in calls]), batch)
+    results = json.loads(json_path.read_text())["results"]
+    assert results["samples"] == samples
+    for row in results["covariance"]:
+        k = int(round(row["lag_m"] / grid.spacing))
+        products = batch[:, :grid.n_points - k] * batch[:, k:]
+        assert row["empirical"] == pytest.approx(float(np.mean(products)),
+                                                 rel=1e-12)
+        if samples == 1:
+            assert row["standard_error"] is None and row["z_score"] is None
+        else:
+            per_field = np.mean(products, axis=1)
+            se = float(np.std(per_field, ddof=1)) / np.sqrt(samples)
+            assert row["standard_error"] == pytest.approx(se, rel=1e-9)
+            assert row["z_score"] == pytest.approx(
+                (row["empirical"] - row["target"]) / se, rel=1e-9)
+    z_scores = [row["z_score"] for row in results["covariance"]]
+    if samples == 1:
+        assert results["worst_abs_z"] is None
+        assert out.endswith(", worst |z| n/a\n")
+    else:
+        assert results["worst_abs_z"] == max(abs(z) for z in z_scores)
+        assert out.endswith(f", worst |z| {results['worst_abs_z']:.2f}\n")
+    assert out.startswith(
+        f"noise-audit: worst covariance error "
+        f"{results['worst_relative_error']:.3%} over {samples} samples")
+
+
+def test_audit_rejects_short_grid_before_drawing(monkeypatch, capsys):
+    calls = record_audit_draws(monkeypatch)
+    code, out, err = run(["noise-audit", "--theta", "2.17 K",
+                          "--set", "grid.q_min=-0.25 nm",
+                          "--set", "grid.q_max=0.25 nm",
+                          "--set", "grid.n_points=8"], capsys)
+    assert code == 1
+    assert err == "error: grid too short for the 2 lambda_c lag\n"
+    assert out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("samples", [5000, 20000])
+def test_audit_peak_memory_is_about_one_block(capsys, samples):
+    argv = ["noise-audit", "--theta", "2.17 K", "--seed", "3"]
+    assert main([*argv, "--set", "experiment.samples=2"]) == 0   # FFT plans
+    block_bytes = AUDIT_BLOCK_ROWS * ExperimentConfig().grid.n_points * 8
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--set", f"experiment.samples={samples}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.25 * block_bytes + 8 * 2**20
+    capsys.readouterr()
+
+
+def test_audit_standard_error_matches_isserlis(tmp_path, capsys):
+    # for zero-mean Gaussian fields with covariance C(d cells), the mean of
+    # x_i x_(i+k) over P = N - k positions has variance
+    # (1/P^2) sum_{|d|<P} (P - |d|) [C(d)^2 + C(d + k) C(d - k)]
+    # (Isserlis), and the audit's estimate that over the field count
+    samples = 4000
+    json_path = tmp_path / "audit.json"
+    code, _, err = run(["noise-audit", "--theta", "2.17 K", "--seed", "8",
+                        "--set", "noise.conserving=false",
+                        "--set", f"experiment.samples={samples}",
+                        "--json", str(json_path)], capsys)
+    assert code == 0, err
+    record = json.loads(json_path.read_text())
+    results, g = record["results"], record["config"]["grid"]
+    n = g["n_points"]
+    h = (g["q_max"] - g["q_min"]) / (n - 1)
+
+    def cov(cells):
+        return results["amplitude"] * np.exp(
+            -((cells * h / results["lambda_c_m"]) ** 2))
+
+    for row in results["covariance"]:
+        k = int(round(row["lag_m"] / h))
+        p = n - k
+        d = np.arange(-(p - 1), p)
+        var = float(np.sum((p - np.abs(d)) * (cov(d) ** 2
+                                              + cov(d + k) * cov(d - k)))) / p**2
+        expected = np.sqrt(var / samples)
+        assert abs(row["z_score"]) < 5.0
+        assert row["standard_error"] == pytest.approx(expected, rel=0.1)
 
 
 def test_lambda_q_finite_family(capsys):
