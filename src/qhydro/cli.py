@@ -339,6 +339,11 @@ def _lag_means(block: np.ndarray, lags: list[int]) -> np.ndarray:
 
 def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
     model = _noise_model(cfg)
+    # a silent noise has a zero target covariance, so no relative error
+    if model.amplitude == 0.0:
+        raise ValidationError(
+            f"noise amplitude is zero at theta = {model.theta:g} K; "
+            "noise-audit needs a nonzero one")
     grid = _grid(cfg)
     h = grid.spacing
     lag_factors = (0.0, 1.0, 2.0)

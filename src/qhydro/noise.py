@@ -7,17 +7,20 @@ The equal-time spatial covariance is
 sampled exactly by circulant embedding: the stationary kernel is
 diagonalized by the FFT on the periodic extension of the grid, so each
 draw has the target covariance without factorizing a dense matrix.  The
-spectral filter sqrt(eig) is computed once per (model, grid) and kept in a
-small cache.  A batch is drawn in fixed row chunks into one output array:
-the caller's thread draws every chunk's white noise from the generator in
-order, and up to two threads filter the chunks (FFT, filter, inverse FFT,
-projection) into disjoint rows.  Each row's transform depends on that row
-alone, so the bits are those of a one-shot batch whatever the chunking or
-the thread that filtered it; a one-chunk batch is filtered inline, with no
-thread.  Peak memory is still about the output array plus a few chunk
-buffers.  The delta(tau) time factor is the integrator's contract (fields
-are scaled by sqrt(dt) there); the sampler produces unit-time-density
-fields.
+kernel is real and symmetric, so a real-input FFT pair applies it: each
+real white row of length 2 n_points goes through rfft, is scaled by the
+filter sqrt(eig) at the n_points + 1 non-negative frequencies, and comes
+back through irfft.  The filter is computed once per (model, grid) and
+kept in a small cache.  A batch is drawn in fixed row chunks into one
+output array: the caller's thread draws every chunk's white noise from
+the generator in order, and up to two threads filter the chunks (rfft,
+filter, irfft, projection) into disjoint rows.  Each row's transform
+depends on that row alone, so the bits are those of a one-shot batch
+whatever the chunking or the thread that filtered it; a one-chunk batch
+is filtered inline, with no thread.  Peak memory is still about the
+output array plus a few chunk buffers.  The delta(tau) time factor is the
+integrator's contract (fields are scaled by sqrt(dt) there); the sampler
+produces unit-time-density fields.
 """
 
 from __future__ import annotations
@@ -82,9 +85,10 @@ def covariance(model: NoiseModel, separation: float) -> float:
     return model.amplitude * math.exp(-((separation / model.lambda_c) ** 2))
 
 
-# rows per chunk in sample_fields: the working set beyond the output is one
-# real (CHUNK_ROWS, 2 n_points) buffer plus a complex one per chunk in
-# flight, whatever the sample count
+# rows per chunk in sample_fields: the working set beyond the output is, per
+# chunk in flight, a real (CHUNK_ROWS, 2 n_points) white buffer and a
+# complex (CHUNK_ROWS, n_points + 1) spectrum buffer, whatever the sample
+# count
 CHUNK_ROWS = 32
 
 
@@ -102,8 +106,13 @@ def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
-    """sqrt of the FFT eigenvalues of the circulant kernel, read-only."""
-    eig = np.fft.fft(_kernel_row(model, grid)).real
+    """sqrt of the circulant kernel's eigenvalues, read-only.
+
+    Only the n_points + 1 non-negative frequencies are kept: the kernel
+    row is real and symmetric, so its eigenvalues are real and even in
+    frequency, and irfft supplies the other half.
+    """
+    eig = np.fft.rfft(_kernel_row(model, grid)).real
     # the embedding is positive definite for the Gaussian kernel up to
     # roundoff; clip stray negative eigenvalues at zero
     filt = np.sqrt(np.clip(eig, 0.0, None))
@@ -115,7 +124,7 @@ def _filter_threads() -> int:
     """Threads that filter a multi-chunk batch: two, or one on a single CPU.
 
     The caller's serial draw of the white noise and the memory bound (one
-    output array plus a chunk buffer per chunk in flight) both argue
+    output array plus a buffer pair per chunk in flight) both argue
     against more.
     """
     try:
@@ -125,18 +134,20 @@ def _filter_threads() -> int:
     return min(2, cpus)
 
 
-def _filter_chunk(spectrum: np.ndarray, rows: np.ndarray, filt: np.ndarray,
-                  model: NoiseModel, grid: Grid) -> None:
-    """Filter the white rows held in ``spectrum`` (overwritten) into ``rows``.
+def _filter_chunk(white: np.ndarray, spectrum: np.ndarray, rows: np.ndarray,
+                  filt: np.ndarray, model: NoiseModel, grid: Grid) -> None:
+    """Filter the white rows in ``white`` into ``rows``, via ``spectrum``.
 
     y = F^-1 sqrt(eig) F xi is a real symmetric circulant acting on white
-    noise, so cov(y) is exactly the circulant kernel.  numpy's FFTs release
-    the GIL, so chunks filter in parallel on separate threads.
+    noise, so cov(y) is exactly the circulant kernel.  Both buffers are
+    overwritten: ``spectrum`` holds the rfft, and ``white`` the irfft.
+    numpy's FFTs release the GIL, so chunks filter in parallel on
+    separate threads.
     """
-    np.fft.fft(spectrum, axis=1, out=spectrum)
+    np.fft.rfft(white, axis=1, out=spectrum)
     spectrum *= filt
-    np.fft.ifft(spectrum, axis=1, out=spectrum)
-    rows[:] = spectrum.real[:, :rows.shape[1]]
+    np.fft.irfft(spectrum, n=white.shape[1], axis=1, out=white)
+    rows[:] = white[:, :rows.shape[1]]
     if model.conserving:
         rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
                  / grid.length)[:, None]
@@ -163,17 +174,20 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     # a multi-chunk batch runs on a pool: its threads filter up to
     # `threads` chunks while the caller draws the next into a free slot
     threads = _filter_threads() if len(starts) > 1 else 0
-    white = np.empty((min(count, CHUNK_ROWS), filt.size))
-    slots = [np.empty_like(white, dtype=complex) for _ in range(threads + 1)]
+    # one (white, spectrum) buffer pair per chunk in flight; the transforms
+    # write their results into it instead of allocating them
+    chunk = min(count, CHUNK_ROWS)
+    slots = [(np.empty((chunk, 2 * grid.n_points)),
+              np.empty((chunk, filt.size), dtype=complex))
+             for _ in range(threads + 1)]
 
     def draw(index: int, start: int) -> tuple:
-        """(spectrum, rows) of one chunk, its white noise drawn in order."""
+        """(white, spectrum, rows) of one chunk, its noise drawn in order."""
         rows = samples[start:start + CHUNK_ROWS]
         k = rows.shape[0]
+        white, spectrum = slots[index % len(slots)]
         rng.standard_normal(out=white[:k])
-        spectrum = slots[index % len(slots)][:k]
-        spectrum[:] = white[:k]      # cast here: fft(white) would allocate it
-        return spectrum, rows
+        return white[:k], spectrum[:k], rows
 
     if not threads:
         for index, start in enumerate(starts):

@@ -316,6 +316,23 @@ def test_audit_rejects_short_grid_before_drawing(monkeypatch, capsys):
     assert calls == []
 
 
+def test_audit_rejects_zero_amplitude_before_drawing(tmp_path, monkeypatch,
+                                                    capsys):
+    # theta = 0 gives a zero amplitude and a zero target covariance
+    calls = record_audit_draws(monkeypatch)
+    json_path = tmp_path / "audit.json"
+    code, out, err = run(["noise-audit", "--theta", "0",
+                          "--set", "noise.lambda_c=3e-10 m",
+                          "--json", str(json_path)], capsys)
+    assert code == 1
+    assert err == ("error: noise amplitude is zero at theta = 0 K; "
+                   "noise-audit needs a nonzero one\n")
+    assert "Traceback" not in err
+    assert out == ""
+    assert calls == []
+    assert not json_path.exists()
+
+
 @pytest.mark.parametrize("samples", [5000, 20000])
 def test_audit_peak_memory_is_about_one_block(capsys, samples):
     argv = ["noise-audit", "--theta", "2.17 K", "--seed", "3"]
