@@ -73,11 +73,10 @@ ROWS = {
                                 "--set", "noise.conserving=false",
                                 "--seed", "11"], True),
 }
-for _n in (64, 801):
-    for _conserving in (False, True):
-        for _seed in (3, 11):
-            ROWS[f"fields-n{_n}-{'conserving' if _conserving else 'raw'}"
-                 f"-seed{_seed}"] = ("fields", (_n, _conserving, _seed), True)
+ROWS.update({
+    f"fields-n{n}-{'conserving' if conserving else 'raw'}-seed{seed}":
+        ("fields", (n, conserving, seed), True)
+    for n in (64, 801) for conserving in (False, True) for seed in (3, 11)})
 
 
 def environment() -> dict:
