@@ -3,7 +3,8 @@
 
 Each row is one result that defines "the same results": the README
 scalar commands, the square-well abort, the seeded simulate CSVs (the
-criterion-8 run and the mu = 1e22 run, conserving and not), the seeded
+criterion-8 run and the mu = 1e22 run, conserving and not), the
+classical-limit and periodic-boundary simulate CSVs, the seeded
 noise audit and a small matrix of ``sample_fields`` hashes on each side
 of a chunk boundary.  Rows that draw noise are marked stochastic.  The
 table records the numpy version and the machine that wrote it, because
@@ -69,6 +70,14 @@ ROWS = {
     "mu-1e22-nonconserving-csv": ("csv", [*MU_1E22,
                                           "--set", "noise.conserving=false"],
                                   True),
+    "classical-harmonic-csv": ("csv", [
+        "simulate", "--set", "integrator.scheme=classical_limit",
+        "--set", "experiment.potential=harmonic",
+        "--set", "experiment.initial=harmonic_ground"], False),
+    "periodic-boost-csv": ("csv", ["simulate",
+                                   "--set", "integrator.boundary=periodic",
+                                   "--set", "experiment.initial_velocity=50"],
+                           False),
     "audit-seed-11": ("audit", ["noise-audit", "--theta", "2.17 K",
                                 "--set", "noise.conserving=false",
                                 "--seed", "11"], True),
