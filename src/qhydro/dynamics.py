@@ -12,16 +12,18 @@ force), classical_limit (quantum force dropped), and stochastic_quantum
 (deterministic drift plus an Euler-Maruyama noise increment on the
 density).
 
-Layout: a step holds the state as one (3, N) array [n, v, S].  Each
-stage input is formed on the n and v rows at once, the rates are written
-into the rows of one (3, N) array with in-place ufuncs, and the RK4
+Layout: ``HydroState`` holds the state as one read-only (3, N) array
+[n, v, S], which the step reads as its y0 without a copy.  Each stage
+input is formed on the n and v rows at once, the rates are written into
+the rows of one (3, N) array with in-place ufuncs, and the RK4
 combination runs once over all three rows.  Every element goes through
 the same IEEE operations in the same order as the field-by-field
-textbook form, so results are bit-identical to it.  The three new rows
-are checked once and wrapped as read-only Fields without a copy.
+textbook form, so results are bit-identical to it.  The new array is
+checked once, by the next ``HydroState``; a Field of one row is built
+only when a caller reads it (a kept snapshot density, the final state).
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
-density row in place before that one wrap, with the operations of the
+density row in place before that check, with the operations of the
 textbook form in their order.  ``run`` draws the noise rows 8 steps ahead
 in one ``sample_fields`` call and hands row j to step j; the rows equal
 single-row draws bit for bit, and 8 rows keep most of the per-call
@@ -65,31 +67,50 @@ FORCE_TAPER_FRACTION = 1e-8
 
 @dataclass(frozen=True)
 class HydroState:
-    """Density, velocity and accumulated action at one instant."""
+    """Density, velocity and accumulated action at one instant.
+
+    ``y`` is the (3, N) array of rows [n (1/m), v (m/s), S (J s)] that the
+    step advances; it is checked once here and made read-only.  The rows
+    are built into Fields only when read.
+    """
 
     time: float
-    density: Field               # 1/m
-    velocity: Field              # m/s
-    action: Field                # J s
+    grid: Grid
+    y: np.ndarray
 
     def __post_init__(self):
-        # the step stacks the three fields as the rows of one array
-        grid = self.density.grid
-        for f in (self.velocity, self.action):
-            if f.grid is not grid and f.grid != grid:
-                raise ValidationError("state fields must share one grid")
+        y = np.asarray(self.y, dtype=float)
+        if y.shape != (3, self.grid.n_points):
+            raise ValidationError(
+                f"state has {y.shape} values for 3 rows on a "
+                f"{self.grid.n_points}-point grid")
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("field values must be finite")
+        y.flags.writeable = False
+        object.__setattr__(self, "y", y)
 
     @property
-    def grid(self) -> Grid:
-        return self.density.grid
+    def density(self) -> Field:
+        return Field(self.grid, self.y[0], "1/m")
+
+    @property
+    def velocity(self) -> Field:
+        return Field(self.grid, self.y[1], "m/s")
+
+    @property
+    def action(self) -> Field:
+        return Field(self.grid, self.y[2], "J s")
 
 
 def initial_state(density: Field, velocity: Field | None = None) -> HydroState:
     grid = density.grid
-    zeros = Field(grid, np.zeros(grid.n_points), "m/s")
-    vel = velocity if velocity is not None else zeros
-    action = Field(grid, np.zeros(grid.n_points), "J s")
-    return HydroState(0.0, density, vel, action)
+    y = np.zeros((3, grid.n_points))
+    y[0] = density.values
+    if velocity is not None:
+        if velocity.grid != grid:
+            raise ValidationError("state fields must share one grid")
+        y[1] = velocity.values
+    return HydroState(0.0, grid, y)
 
 
 @dataclass(frozen=True)
@@ -203,15 +224,16 @@ _STATE_ROWS = ("density", "velocity", "action")
 
 
 def _advance(state: HydroState, potential: Field, mass: float,
-             cfg: IntegratorConfig, quantum: bool) -> np.ndarray:
+             cfg: IntegratorConfig) -> np.ndarray:
     """One RK4 step on the stacked state [n, v, S]: the checked (3, N) y1.
 
-    y1 is a fresh array the caller owns; its density row is clipped at zero.
+    The classical limit drops the quantum force.  y1 is a fresh array the
+    caller owns; its density row is clipped at zero.
     """
     h, dt = state.grid.spacing, cfg.dt
     vp = potential.values
-    y0 = np.array((state.density.values, state.velocity.values,
-                   state.action.values))
+    quantum = cfg.scheme != CLASSICAL_LIMIT
+    y0 = state.y
 
     def f(y):
         return _rhs(y[0], y[1], vp, mass, cfg, h, quantum)
@@ -253,28 +275,12 @@ def _advance(state: HydroState, potential: Field, mass: float,
     return y1
 
 
-def _wrap(state: HydroState, y1: np.ndarray, dt: float) -> HydroState:
-    """The state one step after ``state``, adopting the rows of a checked y1."""
-    grid = state.grid
-    n1, v1, s1 = y1
-    return HydroState(state.time + dt,
-                      Field._adopt(grid, n1, state.density.unit),
-                      Field._adopt(grid, v1, state.velocity.unit),
-                      Field._adopt(grid, s1, state.action.unit))
-
-
 def step_deterministic(state: HydroState, potential: Field, mass: float,
                        cfg: IntegratorConfig) -> HydroState:
-    """One RK4 step of the full quantum hydrodynamic system."""
+    """One RK4 step without noise; ``classical_limit`` drops the quantum force."""
     check_cfl(cfg, mass, state.grid)
-    return _wrap(state, _advance(state, potential, mass, cfg, True), cfg.dt)
-
-
-def step_classical(state: HydroState, potential: Field, mass: float,
-                   cfg: IntegratorConfig) -> HydroState:
-    """One RK4 step with the quantum force dropped (large-scale limit)."""
-    check_cfl(cfg, mass, state.grid)
-    return _wrap(state, _advance(state, potential, mass, cfg, False), cfg.dt)
+    return HydroState(state.time + cfg.dt, state.grid,
+                      _advance(state, potential, mass, cfg))
 
 
 # the noise increment is gated off where the density falls below this
@@ -294,14 +300,12 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     draws one row from ``rng`` (or from a fresh generator of ``stream``).
     """
     check_cfl(cfg, mass, state.grid)
+    h, dt = state.grid.spacing, cfg.dt
+    y1 = _advance(state, potential, mass, cfg)
     amplitude = noise.amplitude
     if amplitude == 0.0:
         # deterministic limit, bit-for-bit, and no draw
-        return _wrap(state, _advance(state, potential, mass, cfg, True), cfg.dt)
-    h, dt = state.grid.spacing, cfg.dt
-    if noise.conserving:
-        norm_before = float(np.trapezoid(state.density.values, dx=h))
-    y1 = _advance(state, potential, mass, cfg, True)
+        return HydroState(state.time + dt, state.grid, y1)
     if eta is None:
         eta = sample_fields(noise, state.grid, stream, 1, rng)[0]
     # gate, kick, clip and renormalise row 0 in place:
@@ -319,12 +323,10 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
         norm = float(np.trapezoid(n, dx=h))
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
-        n *= norm_before / norm
-    # only a non-finite noise row (an amplitude near overflow) gets here;
-    # it is the Field validation error a rebuilt density would raise
-    if not np.isfinite(n).all():
-        raise ValidationError("field values must be finite")
-    return _wrap(state, y1, dt)
+        n *= float(np.trapezoid(state.y[0], dx=h)) / norm
+    # a non-finite noise row (an amplitude near overflow) fails the state's
+    # finiteness check, the Field validation error
+    return HydroState(state.time + dt, state.grid, y1)
 
 
 @dataclass(frozen=True)
@@ -356,8 +358,7 @@ def observables(state: HydroState, potential: Field, mass: float,
     grid = state.grid
     h = grid.spacing
     q = grid.points
-    n = state.density.values
-    v = state.velocity.values
+    n, v, _ = state.y
     norm = float(np.trapezoid(n, dx=h))
     if norm <= 0:
         raise ValidationError("state has zero norm")
@@ -374,7 +375,7 @@ def observables(state: HydroState, potential: Field, mass: float,
 
 
 def _near_boundary_mass(state: HydroState) -> bool:
-    n = state.density.values
+    n = state.y[0]
     peak = float(np.max(n))
     edge = max(float(np.max(n[:5])), float(np.max(n[-5:])))
     return edge > 1e-6 * peak
@@ -412,10 +413,8 @@ def run(initial: HydroState, potential: Field, mass: float,
     warned = _near_boundary_mass(state) if cfg.boundary == ZERO_FLUX else False
     try:
         for step_index in range(1, n_steps + 1):
-            if cfg.scheme == DETERMINISTIC_QUANTUM:
+            if cfg.scheme != STOCHASTIC_QUANTUM:
                 state = step_deterministic(state, potential, mass, cfg)
-            elif cfg.scheme == CLASSICAL_LIMIT:
-                state = step_classical(state, potential, mass, cfg)
             else:
                 if draw_ahead:
                     row = (step_index - 1) % NOISE_DRAW_ROWS

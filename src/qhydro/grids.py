@@ -67,21 +67,6 @@ class Field:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def _adopt(cls, grid: Grid, values: np.ndarray, unit: str) -> "Field":
-        """Wrap a fresh float array the caller has already checked.
-
-        No copy and no revalidation: the caller guarantees shape
-        (grid.n_points,), finite values, and that it hands over the array.
-        The array is made read-only here, as in ``__post_init__``.
-        """
-        values.flags.writeable = False
-        field = object.__new__(cls)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "values", values)
-        object.__setattr__(field, "unit", unit)
-        return field
-
 
 def stencil_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
     """Raw derivative kernel on an array (one-sided at the boundaries)."""

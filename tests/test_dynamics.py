@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -11,6 +10,7 @@ from qhydro.dynamics import (
     FORCE_TAPER_FRACTION,
     NOISE_GATE_KICKS,
     PERIODIC,
+    SCHEMES,
     STOCHASTIC_QUANTUM,
     HydroState,
     IntegratorConfig,
@@ -18,7 +18,6 @@ from qhydro.dynamics import (
     initial_state,
     observables,
     run,
-    step_classical,
     step_deterministic,
     step_stochastic,
 )
@@ -55,13 +54,28 @@ def test_cfl_violation_rejected():
         step_deterministic(state, potential, MASS, bad)
 
 
-@pytest.mark.parametrize("field", ["velocity", "action"])
-def test_state_fields_must_share_one_grid(field):
+def test_state_fields_must_share_one_grid():
     grid = Grid(-1e-9, 1e-9, 101)
     state = gaussian_state(grid, 1e-10)
-    other = Field(Grid(-1e-9, 1e-9, 121), np.zeros(121), "1")
+    other = Field(Grid(-1e-9, 1e-9, 121), np.zeros(121), "m/s")
     with pytest.raises(ValidationError, match="share one grid"):
-        replace(state, **{field: other})
+        initial_state(state.density, other)
+
+
+def test_state_array_checked_once_and_read_only():
+    grid = Grid(-1e-9, 1e-9, 101)
+    with pytest.raises(ValidationError, match="3 rows on a 101-point grid"):
+        HydroState(0.0, grid, np.zeros((2, 101)))
+    y = np.zeros((3, 101))
+    y[2, 7] = np.nan
+    with pytest.raises(ValidationError, match="field values must be finite"):
+        HydroState(0.0, grid, y)
+    state = HydroState(0.0, grid, np.ones((3, 101)))
+    assert not state.y.flags.writeable
+    for field, unit in ((state.density, "1/m"), (state.velocity, "m/s"),
+                        (state.action, "J s")):
+        assert field.unit == unit
+        assert np.array_equal(field.values, np.ones(101))
 
 
 def test_uniform_density_fixed_point():
@@ -211,17 +225,14 @@ def reversal_error(dt_scale):
     grid, state = periodic_wave_state()
     # an asymmetric initial velocity so the round trip is nontrivial
     j = np.arange(grid.n_points)
-    state = HydroState(0.0, state.density,
-                       Field(grid, 30.0 * np.sin(4 * math.pi * j / grid.n_points),
-                             "m/s"),
-                       state.action)
+    state = HydroState(0.0, grid, np.array(
+        (state.y[0], 30.0 * np.sin(4 * math.pi * j / grid.n_points), state.y[2])))
     cfg = IntegratorConfig(dt=dt_scale * 0.5 * cfl_limit(MASS, grid.spacing),
                            boundary=PERIODIC)
     potential = Field(grid, np.zeros(grid.n_points), "J")
     forward = step_deterministic(state, potential, MASS, cfg)
-    flipped = HydroState(forward.time, forward.density,
-                         Field(grid, -forward.velocity.values, "m/s"),
-                         forward.action)
+    flipped = HydroState(forward.time, grid,
+                         np.array((forward.y[0], -forward.y[1], forward.y[2])))
     back = step_deterministic(flipped, potential, MASS, cfg)
     return float(np.max(np.abs(back.density.values - state.density.values))
                  / np.max(state.density.values))
@@ -248,7 +259,7 @@ def test_classical_oscillator_mean():
     # stay well before the quarter-period caustic of the cold fluid
     steps = int(round(0.2 * period / cfg.dt))
     for _ in range(steps):
-        state = step_classical(state, potential, MASS, cfg)
+        state = step_deterministic(state, potential, MASS, cfg)
     snap = observables(state, potential, MASS, cfg)
     expected = approx.q_bar + amplitude * math.cos(omega * steps * cfg.dt)
     assert snap.mean_q - approx.q_bar == pytest.approx(
@@ -264,7 +275,7 @@ def test_classical_free_packet_constant_velocity():
     potential = Field(grid, np.zeros(grid.n_points), "J")
     steps = 200
     for _ in range(steps):
-        state = step_classical(state, potential, MASS, cfg)
+        state = step_deterministic(state, potential, MASS, cfg)
     snap = observables(state, potential, MASS, cfg)
     assert snap.mean_q == pytest.approx(v0 * steps * cfg.dt, rel=0.01)
 
@@ -279,7 +290,7 @@ def test_wide_packet_classical_matches_quantum():
     ccfg = IntegratorConfig(dt=dt, scheme=CLASSICAL_LIMIT)
     qcfg = IntegratorConfig(dt=dt)
     for _ in range(100):
-        classical = step_classical(classical, potential, MASS, ccfg)
+        classical = step_deterministic(classical, potential, MASS, ccfg)
         quantum = step_deterministic(quantum, potential, MASS, qcfg)
     mc = observables(classical, potential, MASS, ccfg).mean_q
     mq = observables(quantum, potential, MASS, qcfg).mean_q
@@ -321,6 +332,30 @@ def test_run_requires_stream_for_stochastic():
     potential = Field(grid, np.zeros(grid.n_points), "J")
     with pytest.raises(ValidationError):
         run(state, potential, MASS, None, cfg, 1e-17)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_builds_no_field(scheme, monkeypatch):
+    # the state lives in one stacked array; a Field is built only when a
+    # caller reads a row, and a run without kept densities reads none
+    grid, cfg = free_setup(n_points=301)
+    cfg = IntegratorConfig(dt=cfg.dt, scheme=scheme)
+    state = gaussian_state(grid, 1e-10)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    noise = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=MASS,
+                       mobility_mu=1e22)
+    built = []
+    post_init = Field.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counting)
+    trajectory = run(state, potential, MASS, noise, cfg, 40 * cfg.dt,
+                     output_stride=40, stream=RandomStream(7))
+    assert trajectory.completed and len(trajectory.snapshots) == 2
+    assert built == []
 
 
 # --- reference integrator -------------------------------------------------
@@ -464,10 +499,8 @@ def test_step_matches_reference_bit_for_bit(name):
         if noise is not None:
             state = step_stochastic(state, potential, MASS, noise, stream,
                                     cfg, rng)
-        elif quantum:
-            state = step_deterministic(state, potential, MASS, cfg)
         else:
-            state = step_classical(state, potential, MASS, cfg)
+            state = step_deterministic(state, potential, MASS, cfg)
         n_det, v, s = reference_rk4(n, v, s, potential.values, cfg,
                                     grid.spacing, quantum)
         if noise is not None:
