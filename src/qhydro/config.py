@@ -43,15 +43,15 @@ def _boolean(text: str) -> bool:
     raise ValidationError(f"expected a boolean, got {text!r}")
 
 
-def _optional_quantity(text: str) -> float | None:
-    return None if text.strip().lower() in ("", "none") else _quantity(text)
+def _optional(convert):
+    """``convert``, with "" and "none" read as None."""
+    def optional(text: str):
+        return None if text.strip().lower() in ("", "none") else convert(text)
+    return optional
 
 
-def _length_or_inf(text: str) -> float | None:
-    lowered = text.strip().lower()
-    if lowered in ("", "none"):
-        return None
-    if lowered in ("inf", "infinite"):
+def _length_or_inf(text: str) -> float:
+    if text.strip().lower() in ("inf", "infinite"):
         return math.inf
     return _quantity(text)
 
@@ -151,10 +151,10 @@ _CONVERTERS = {
         "initial_center": _quantity,
         "initial_velocity": _quantity,
         "potential": str,
-        "delta_l": _optional_quantity,
-        "lambda_q_override": _length_or_inf,
+        "delta_l": _optional(_quantity),
+        "lambda_q_override": _optional(_length_or_inf),
         "ratio_threshold": float,
-        "decay_h": lambda t: None if t.strip().lower() in ("", "none") else float(t),
+        "decay_h": _optional(float),
         "family": str,
         "family_g": float,
         "family_h": float,
@@ -164,12 +164,12 @@ _CONVERTERS = {
         "truncate_force": _boolean,
     },
     "material": {
-        "preset": lambda t: None if t.strip().lower() in ("", "none") else t.strip(),
+        "preset": _optional(str.strip),
         "mass": _quantity,
         "well_depth": _quantity,
         "r_0": _quantity,
-        "sigma": _optional_quantity,
-        "half_width": _optional_quantity,
+        "sigma": _optional(_quantity),
+        "half_width": _optional(_quantity),
         "depth_factor": float,
     },
     "grid": {
@@ -188,13 +188,13 @@ _CONVERTERS = {
     },
     "noise": {
         "theta": _quantity,
-        "lambda_c": _optional_quantity,
+        "lambda_c": _optional(_quantity),
         "mobility_mu": float,
         "conserving": _boolean,
     },
     "output": {
-        "csv": lambda t: None if t.strip().lower() in ("", "none") else t.strip(),
-        "json": lambda t: None if t.strip().lower() in ("", "none") else t.strip(),
+        "csv": _optional(str.strip),
+        "json": _optional(str.strip),
     },
 }
 
