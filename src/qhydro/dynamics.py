@@ -84,7 +84,7 @@ class HydroState:
             raise ValidationError(
                 f"state has {y.shape} values for 3 rows on a "
                 f"{self.grid.n_points}-point grid")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ValidationError("field values must be finite")
         y.flags.writeable = False
         object.__setattr__(self, "y", y)

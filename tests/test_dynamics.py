@@ -62,7 +62,7 @@ def test_state_fields_must_share_one_grid():
         initial_state(state.density, other)
 
 
-def test_state_array_checked_once_and_read_only():
+def test_state_array_checked_and_read_only():
     grid = Grid(-1e-9, 1e-9, 101)
     with pytest.raises(ValidationError, match="3 rows on a 101-point grid"):
         HydroState(0.0, grid, np.zeros((2, 101)))
