@@ -81,7 +81,7 @@ def lindemann(params: MaterialParams, grid_resolution: int = CASE_GRID_POINTS,
     force = approx.k * r
     if truncate:
         force = np.where(np.abs(r) > delta, 0.0, force)
-    profile = QuantumForceProfile(grid, Field(grid, force, "N"), approx.q_bar)
+    profile = QuantumForceProfile(Field(grid, force, "N"), approx.q_bar)
     lam_q = nonlocality_length(profile, delta / 2.0)
     ratio = lam_q / params.r_0
     within = LINDEMANN_BAND[0] <= ratio <= LINDEMANN_BAND[1]

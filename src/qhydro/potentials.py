@@ -24,7 +24,6 @@ import numpy as np
 from .constants import BOHR, HBAR, K_B
 from .errors import NoBoundStateError, ValidationError
 from .grids import Field, Grid
-from .qpotential import growth_exponent, quantum_force_from_log
 
 # the documented truncation constant delta / r_0 of the harmonic quantum force
 DELTA_OVER_R0 = 0.11785
@@ -97,10 +96,6 @@ def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
         K_0=k0,
         shallow_well=half_hbar_omega >= u,
     )
-
-
-def harmonic_frequency(approx: HarmonicApprox, mass: float) -> float:
-    return math.sqrt(approx.k / mass)
 
 
 def harmonic_potential(approx: HarmonicApprox, grid: Grid,
@@ -306,36 +301,22 @@ class PseudoGaussianFamily:
             self.delta_q_sq * (1.0 + r**2 / (self.lam**2 * f)))
 
 
-def pseudo_gaussian_density(fam: PseudoGaussianFamily, grid: Grid,
-                            normalize: bool = True) -> Field:
-    n = np.exp(fam.log_density(grid.points))
-    if normalize:
-        norm = np.trapezoid(n, dx=grid.spacing)
-        if norm <= 0:
-            raise ValidationError("density underflows everywhere on this grid")
-        n /= norm
-    return Field(grid, n, "1/m")
-
-
 def pseudo_gaussian_log_density(fam: PseudoGaussianFamily, grid: Grid) -> Field:
     return Field(grid, fam.log_density(grid.points), "1")
 
 
 @dataclass(frozen=True)
 class TailForceDescriptor:
-    """Two leading terms of the asymptotic quantum force C1 r^e1 + C2 r^e2."""
+    """Leading term C r^e of the asymptotic quantum force of power_f."""
 
     leading_exponent: float
     leading_coefficient: float
-    second_exponent: float
-    second_coefficient: float
     vanishing_force: bool        # force -> 0 at infinity
     boundary_case: bool = False  # leading exponent within 0.1 of a class edge
-    from_symbolic: bool = True   # False when obtained by numeric fit
 
 
-def pseudo_gaussian_tail_force(fam: PseudoGaussianFamily, mass: float,
-                               fit_grid: Grid | None = None) -> TailForceDescriptor:
+def pseudo_gaussian_tail_force(fam: PseudoGaussianFamily,
+                               mass: float) -> TailForceDescriptor:
     """Asymptotic quantum-force expansion for the power_f family.
 
     For power_f with tail log n ~ -beta r^g the force expands as
@@ -343,32 +324,19 @@ def pseudo_gaussian_tail_force(fam: PseudoGaussianFamily, mass: float,
         F = (hbar^2/2m) [ beta^2 g^2 (g-1)/2 * r^(2g-3)
                           - beta g (g-1)(g-2)/2 * r^(g-3) ] + ...
 
-    At g = 1 both displayed coefficients vanish and the expansion is
-    degenerate; the next order gives F ~ (hbar^2/2m) c^4 r^-3 with
-    c = Lambda^2 / Dq^2.  Non-power families fall back to a numeric fit on
-    ``fit_grid``.
+    and the descriptor keeps the leading term.  At g = 1 both displayed
+    coefficients vanish and the expansion is degenerate; the next order
+    gives F ~ (hbar^2/2m) c^4 r^-3 with c = Lambda^2 / Dq^2.  Other
+    families have no closed form: fit them with
+    ``growth_exponent(quantum_force_from_log(...))``.
     """
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    pref = HBAR**2 / (2.0 * mass)
     if fam.family != "power_f":
-        if fit_grid is None:
-            raise ValidationError(
-                "non-power families need a fit_grid for the numeric descriptor")
-        log_n = pseudo_gaussian_log_density(fam, fit_grid)
-        profile = quantum_force_from_log(log_n, mass, fam.q_bar)
-        decay = growth_exponent(profile)
-        e_force = decay.fitted_exponent + 1.0
-        return TailForceDescriptor(
-            leading_exponent=e_force,
-            leading_coefficient=decay.coefficient,
-            second_exponent=math.nan,
-            second_coefficient=0.0,
-            vanishing_force=e_force < 0.0,
-            boundary_case=decay.at_boundary,
-            from_symbolic=False,
-        )
-
+        raise ValidationError(
+            f"no symbolic tail force for family {fam.family!r}: only power_f "
+            f"has one")
+    pref = HBAR**2 / (2.0 * mass)
     g = fam.g
     ell = fam.core_length
     if g == 2.0:
@@ -382,20 +350,12 @@ def pseudo_gaussian_tail_force(fam: PseudoGaussianFamily, mass: float,
         return TailForceDescriptor(
             leading_exponent=-3.0,
             leading_coefficient=pref * c**4,
-            second_exponent=math.nan,
-            second_coefficient=0.0,
             vanishing_force=True,
         )
 
-    lead_exp = 2.0 * g - 3.0
-    lead_coeff = pref * beta**2 * g**2 * (g - 1.0) / 2.0
-    second_exp = g - 3.0
-    second_coeff = -pref * beta * g * (g - 1.0) * (g - 2.0) / 2.0
     return TailForceDescriptor(
-        leading_exponent=lead_exp,
-        leading_coefficient=lead_coeff,
-        second_exponent=second_exp,
-        second_coefficient=second_coeff,
+        leading_exponent=2.0 * g - 3.0,
+        leading_coefficient=pref * beta**2 * g**2 * (g - 1.0) / 2.0,
         vanishing_force=g < 1.5,
         boundary_case=abs(g - 1.5) <= 0.05,
     )

@@ -12,8 +12,12 @@ available on log-densities via the identity
 
     psi''/psi = (L')^2/4 + L''/2,      L = log n.
 
-The force-growth classifier fits the exponent a of |q^-1 dV_qu/dq| ~ q^a
-over an outer radial window and maps it onto the four expansion classes.
+A :class:`QuantumForceProfile` is the force field and the origin of radial
+distance.  The force-growth classifier fits the exponent a of
+|q^-1 dV_qu/dq| ~ q^a over an outer radial window and maps it onto the four
+expansion classes.  A density family reaches the nonlocality length by one
+route: ``quantum_force_from_log`` -> ``growth_exponent`` ->
+``scales.nonlocality_length``.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
-from .grids import Field, Grid, periodic_derivative, stencil_derivative
+from .grids import Field, periodic_derivative, stencil_derivative
 
 DENSITY_FLOOR_FRACTION = 1e-12
 
@@ -46,22 +50,16 @@ ASYMPTOTICALLY_VANISHING = "asymptotically_vanishing"
 
 @dataclass(frozen=True)
 class QuantumForceProfile:
-    """Quantum force -dV_qu/dq sampled on a grid, radial about ``origin``."""
+    """Quantum force -dV_qu/dq on its grid, radial about ``origin``."""
 
-    grid: Grid
     force: Field                 # N
     origin: float                # q-bar, reference point for radial distance
-    valid: np.ndarray | None = None   # False where the density sat at the floor
 
     def radial(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r, |F|) for r = q - origin > 0, floor-contaminated points zeroed."""
-        q = self.grid.points
+        """(r, |F|) for r = q - origin > 0."""
+        q = self.force.grid.points
         mask = q > self.origin
-        r = q[mask] - self.origin
-        f = np.abs(self.force.values[mask])
-        if self.valid is not None:
-            f = np.where(self.valid[mask], f, 0.0)
-        return r, f
+        return q[mask] - self.origin, np.abs(self.force.values[mask])
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,11 @@ class DecayClass:
     at_boundary: bool = False
 
 
-def _floor_mask(n_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _floor_clamp(n_values: np.ndarray) -> np.ndarray:
     peak = float(np.max(n_values))
     if peak <= 0.0:
         raise DegenerateDensityError("degenerate density: no positive values")
-    floor = DENSITY_FLOOR_FRACTION * peak
-    return np.maximum(n_values, floor), n_values > floor
+    return np.maximum(n_values, DENSITY_FLOOR_FRACTION * peak)
 
 
 def vqu_kernel(s: np.ndarray, spacing: float, mass: float,
@@ -97,8 +94,8 @@ def quantum_potential(n: Field, mass: float) -> Field:
     """V_qu of a density field, in joules."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    clamped, _ = _floor_mask(n.values)
-    return Field(n.grid, vqu_kernel(np.sqrt(clamped), n.grid.spacing, mass), "J")
+    s = np.sqrt(_floor_clamp(n.values))
+    return Field(n.grid, vqu_kernel(s, n.grid.spacing, mass), "J")
 
 
 def quantum_potential_from_log(log_n: Field, mass: float) -> Field:
@@ -112,26 +109,19 @@ def quantum_potential_from_log(log_n: Field, mass: float) -> Field:
     return Field(log_n.grid, -(HBAR**2 / (2 * mass)) * curv_over_psi, "J")
 
 
-def _force_from_potential(vqu: Field, origin: float,
-                          valid: np.ndarray | None) -> QuantumForceProfile:
+def _force_from_potential(vqu: Field, origin: float) -> QuantumForceProfile:
     grad = stencil_derivative(vqu.values, vqu.grid.spacing, 1)
-    force = Field(vqu.grid, -grad, "N")
-    return QuantumForceProfile(vqu.grid, force, origin, valid)
+    return QuantumForceProfile(Field(vqu.grid, -grad, "N"), origin)
 
 
 def quantum_force(n: Field, mass: float, origin: float) -> QuantumForceProfile:
-    """-dV_qu/dq from a density field; floor-clamped points are flagged invalid."""
-    vqu = quantum_potential(n, mass)
-    _, valid = _floor_mask(n.values)
-    # the derivative stencil smears the clamp kink over one neighbour cell
-    valid = valid & np.roll(valid, 1) & np.roll(valid, -1)
-    return _force_from_potential(vqu, origin, valid)
+    """-dV_qu/dq from a density field, clamped at the density floor."""
+    return _force_from_potential(quantum_potential(n, mass), origin)
 
 
 def quantum_force_from_log(log_n: Field, mass: float, origin: float) -> QuantumForceProfile:
-    """-dV_qu/dq from a log-density field (all points valid)."""
-    vqu = quantum_potential_from_log(log_n, mass)
-    return _force_from_potential(vqu, origin, None)
+    """-dV_qu/dq from a log-density field; exact deep in the tail."""
+    return _force_from_potential(quantum_potential_from_log(log_n, mass), origin)
 
 
 def growth_exponent(profile: QuantumForceProfile) -> DecayClass:

@@ -51,16 +51,13 @@ def correlation_length(mass: float, theta: float) -> float:
     return (math.pi / 2) ** 1.5 * HBAR / math.sqrt(2.0 * mass * K_B * theta)
 
 
-def convergence_test(profile: QuantumForceProfile,
-                     decay: DecayClass | None = None) -> bool:
+def convergence_test(decay: DecayClass) -> bool:
     """True iff the weighted-range integral of the force converges.
 
     The integrand |q^-1 dV_qu/dq| must fall off faster than q^-1, i.e. the
     fitted tail exponent must be below -1; fits inside the
     EXPONENT_TOLERANCE boundary band count as non-convergent.
     """
-    if decay is None:
-        decay = growth_exponent(profile)
     a = decay.fitted_exponent
     if a == -math.inf:
         return True
@@ -83,7 +80,7 @@ def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,
         raise ValidationError("profile too short to integrate")
     if decay is None:
         decay = growth_exponent(profile)
-    if not convergence_test(profile, decay):
+    if not convergence_test(decay):
         return math.inf
 
     if lambda_c > r[-1]:

@@ -27,7 +27,6 @@ from qhydro.noise import NoiseModel, RandomStream, covariance, sample_fields
 from qhydro.potentials import (
     MaterialParams,
     PseudoGaussianFamily,
-    harmonic_frequency,
     harmonic_ground_density,
     harmonic_potential,
     helium_preset,
@@ -133,7 +132,7 @@ def test_criterion_5_eigenstate_stationarity(emit):
     core = np.abs(grid.points - approx.q_bar) <= 1.0 / approx.K_0
     flatness = float(np.ptp(total[core]) / abs(np.mean(total[core])))
 
-    period = 2.0 * math.pi / harmonic_frequency(approx, mass)
+    period = 2.0 * math.pi / math.sqrt(approx.k / mass)
     dt = 0.98 * cfl_limit(mass, grid.spacing)
     cfg = IntegratorConfig(dt=dt, scheme=DETERMINISTIC_QUANTUM)
     traj = run(initial_state(density), potential, mass, None, cfg, period,
@@ -210,7 +209,7 @@ def test_criterion_7_taxonomy_classifier(emit):
         target = symbolic.leading_exponent - 1.0   # force -> q^-1 F
         dev = abs(decay.fitted_exponent - target)
         ok = ok and (dev <= 0.15 and decay.label == label
-                     and convergence_test(profile, decay) is converges)
+                     and convergence_test(decay) is converges)
         rows.append(f"g={g}: fit {decay.fitted_exponent:+.3f} vs symbolic "
                     f"{target:+.1f} -> {decay.label}")
     assert emit(ok, 7, "; ".join(rows))

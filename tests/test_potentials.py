@@ -16,7 +16,6 @@ from qhydro.potentials import (
     harmonic_potential,
     helium_preset,
     lj_harmonic,
-    pseudo_gaussian_density,
     pseudo_gaussian_log_density,
     pseudo_gaussian_tail_force,
     square_well_density,
@@ -24,7 +23,13 @@ from qhydro.potentials import (
     _BRENT_MAX_ITER,
     _brent_root,
 )
-from qhydro.qpotential import quantum_force, quantum_force_from_log, quantum_potential
+from qhydro.qpotential import (
+    ASYMPTOTICALLY_VANISHING,
+    growth_exponent,
+    quantum_force,
+    quantum_force_from_log,
+    quantum_potential,
+)
 
 HE = helium_preset()
 
@@ -238,21 +243,21 @@ def test_family_validation():
 def test_center_value():
     fam = make_family("power_f")
     grid = Grid(-5.0, 5.0, 1001)
-    n = pseudo_gaussian_density(fam, grid, normalize=False)
+    n = np.exp(fam.log_density(grid.points))
     center = np.argmin(np.abs(grid.points - fam.q_bar))
-    assert n.values[center] == pytest.approx(fam.n_0)
+    assert n[center] == pytest.approx(fam.n_0)
 
 
 @pytest.mark.parametrize("family", ["constant_f", "linear_f", "log_f", "power_f"])
 def test_core_indistinguishable_from_gaussian(family):
     fam = make_family(family, g=1.2, h=1.3, lam=40.0)
     grid = Grid(-1.5, 1.5, 2001)
-    n = pseudo_gaussian_density(fam, grid, normalize=False)
+    n = np.exp(fam.log_density(grid.points))
     r = grid.points
     pure = np.exp(-(r**2) / fam.delta_q_sq)
     f = fam.shape_f(r)
     core = r**2 <= 0.01 * fam.lam**2 * f
-    assert np.max(np.abs(n.values[core] / pure[core] - 1.0)) < 0.01
+    assert np.max(np.abs(n[core] / pure[core] - 1.0)) < 0.01
 
 
 def test_log_family_power_law_tail():
@@ -287,17 +292,22 @@ def test_tail_force_g15_boundary():
     assert desc.boundary_case
 
 
-def test_tail_force_nonpower_requires_grid():
-    with pytest.raises(ValidationError):
-        pseudo_gaussian_tail_force(make_family("linear_f"), mass=1.0)
+@pytest.mark.parametrize("family", ["constant_f", "linear_f", "log_f"])
+def test_tail_force_nonpower_rejected(family):
+    with pytest.raises(ValidationError, match=f"family '{family}'"):
+        pseudo_gaussian_tail_force(make_family(family), mass=1.0)
 
 
-def test_tail_force_nonpower_numeric_descriptor():
-    fam = make_family("linear_f")
+@pytest.mark.parametrize("family", ["linear_f", "log_f"])
+def test_numeric_tail_fit_nonpower(family):
+    # both tails give a force ~ r^-3, so |F / r| ~ r^-4
+    fam = make_family(family)
     grid = Grid(0.0, 1.2e6, 2001)
-    desc = pseudo_gaussian_tail_force(fam, mass=1.0, fit_grid=grid)
-    assert not desc.from_symbolic
-    assert math.isfinite(desc.leading_exponent)
+    log_n = pseudo_gaussian_log_density(fam, grid)
+    decay = growth_exponent(quantum_force_from_log(log_n, 1.0, fam.q_bar))
+    assert math.isfinite(decay.fitted_exponent)
+    assert decay.fitted_exponent == pytest.approx(-4.0, abs=0.15)
+    assert decay.label == ASYMPTOTICALLY_VANISHING
 
 
 @pytest.mark.parametrize("g", [1.0, 1.2, 1.4, 1.8, 2.0])
@@ -309,19 +319,9 @@ def test_numeric_fit_matches_symbolic_exponent(g):
     grid = Grid(0.0, r_max, 3001)
     log_n = pseudo_gaussian_log_density(fam, grid)
     profile = quantum_force_from_log(log_n, 1.0, fam.q_bar)
-    from qhydro.qpotential import growth_exponent
     decay = growth_exponent(profile)
     desc = pseudo_gaussian_tail_force(fam, mass=1.0)
     # numeric fit is of |F / r|, symbolic exponent is of F itself
     assert decay.fitted_exponent == pytest.approx(
         desc.leading_exponent - 1.0, abs=0.15)
 
-
-@given(dq2=st.floats(0.1, 10.0), lam_factor=st.floats(10.5, 100.0))
-@settings(max_examples=20, deadline=None)
-def test_densities_normalized(dq2, lam_factor):
-    fam = PseudoGaussianFamily(family="power_f", delta_q_sq=dq2,
-                               lam=lam_factor * math.sqrt(dq2), g=2.0)
-    grid = Grid(-40 * math.sqrt(dq2), 40 * math.sqrt(dq2), 4001)
-    n = pseudo_gaussian_density(fam, grid)
-    assert integrate(n) == pytest.approx(1.0, abs=1e-8)

@@ -165,7 +165,7 @@ def _synthetic_profile(exponent, r_max=1e3, n=2001):
     r = grid.points
     force = np.zeros_like(r)
     force[1:] = r[1:] ** (exponent + 1.0)   # so |F / r| ~ r^exponent
-    return QuantumForceProfile(grid, Field(grid, force, "N"), 0.0)
+    return QuantumForceProfile(Field(grid, force, "N"), 0.0)
 
 
 @pytest.mark.parametrize("exponent,label", [
@@ -188,7 +188,7 @@ def test_growth_exponent_boundary_flag():
 
 def test_growth_exponent_zero_force():
     grid = Grid(0.0, 10.0, 101)
-    profile = QuantumForceProfile(grid, Field(grid, np.zeros(101), "N"), 0.0)
+    profile = QuantumForceProfile(Field(grid, np.zeros(101), "N"), 0.0)
     decay = growth_exponent(profile)
     assert decay.label == ASYMPTOTICALLY_VANISHING
     assert decay.fitted_exponent == -math.inf
@@ -196,8 +196,7 @@ def test_growth_exponent_zero_force():
 
 def test_growth_exponent_too_few_points():
     grid = Grid(0.0, 10.0, 32)
-    profile = QuantumForceProfile(
-        grid, Field(grid, grid.points, "N"), 0.0)
+    profile = QuantumForceProfile(Field(grid, grid.points, "N"), 0.0)
     with pytest.raises(TailFitError, match="fewer than 8 usable points"):
         growth_exponent(profile)
 

@@ -12,6 +12,7 @@ from qhydro.qpotential import (
     SUPER_BALLISTIC,
     UNDER_BALLISTIC,
     QuantumForceProfile,
+    growth_exponent,
 )
 from qhydro.scales import (
     INDETERMINATE,
@@ -34,12 +35,12 @@ def truncated_linear_profile(k=1.0, delta=1.0, n=4003):
     grid = Grid(0.0, 4.0 * delta, n)
     r = grid.points
     force = np.where(r > delta, 0.0, k * r)
-    return QuantumForceProfile(grid, Field(grid, force, "N"), 0.0)
+    return QuantumForceProfile(Field(grid, force, "N"), 0.0)
 
 
 def linear_profile(k=1.0, r_max=10.0, n=2001):
     grid = Grid(0.0, r_max, n)
-    return QuantumForceProfile(grid, Field(grid, k * grid.points, "N"), 0.0)
+    return QuantumForceProfile(Field(grid, k * grid.points, "N"), 0.0)
 
 
 def test_helium_correlation_length():
@@ -77,18 +78,18 @@ def test_convergence_vanishing_true():
     r = grid.points
     force = np.zeros_like(r)
     force[1:] = r[1:] ** (-1.0)      # integrand ~ r^-2
-    profile = QuantumForceProfile(grid, Field(grid, force, "N"), 0.0)
-    assert convergence_test(profile)
+    profile = QuantumForceProfile(Field(grid, force, "N"), 0.0)
+    assert convergence_test(growth_exponent(profile))
 
 
 def test_convergence_ballistic_false():
-    assert not convergence_test(linear_profile())
+    assert not convergence_test(growth_exponent(linear_profile()))
 
 
 def test_convergence_zero_force_true():
     grid = Grid(0.0, 10.0, 101)
-    profile = QuantumForceProfile(grid, Field(grid, np.zeros(101), "N"), 0.0)
-    assert convergence_test(profile)
+    profile = QuantumForceProfile(Field(grid, np.zeros(101), "N"), 0.0)
+    assert convergence_test(growth_exponent(profile))
 
 
 def test_truncated_linear_gives_two_delta():
