@@ -27,11 +27,18 @@ INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
 POTENTIALS = ("none", "harmonic", "square_well")
 
 
-def _quantity(text: str) -> float:
-    try:
-        return parse_quantity(text)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+def _finite(parse):
+    """``parse``, with NaN and +-inf rejected."""
+    def finite(text: str) -> float:
+        value = parse(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text.strip()!r} is not finite")
+        return value
+    return finite
+
+
+_quantity = _finite(parse_quantity)
+_real = _finite(float)
 
 
 def _boolean(text: str) -> bool:
@@ -40,7 +47,7 @@ def _boolean(text: str) -> bool:
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _optional(convert):
@@ -153,11 +160,11 @@ _CONVERTERS = {
         "potential": str,
         "delta_l": _optional(_quantity),
         "lambda_q_override": _optional(_length_or_inf),
-        "ratio_threshold": float,
-        "decay_h": _optional(float),
+        "ratio_threshold": _real,
+        "decay_h": _optional(_real),
         "family": str,
-        "family_g": float,
-        "family_h": float,
+        "family_g": _real,
+        "family_h": _real,
         "core_width": _quantity,
         "tail_scale": _quantity,
         "samples": int,
@@ -170,7 +177,7 @@ _CONVERTERS = {
         "r_0": _quantity,
         "sigma": _optional(_quantity),
         "half_width": _optional(_quantity),
-        "depth_factor": float,
+        "depth_factor": _real,
     },
     "grid": {
         "q_min": _quantity,
@@ -180,16 +187,16 @@ _CONVERTERS = {
     "integrator": {
         "dt": _quantity,
         "scheme": str,
-        "cfl_safety": float,
+        "cfl_safety": _real,
         "boundary": str,
-        "density_floor": float,
+        "density_floor": _real,
         "t_end": _quantity,
         "output_stride": int,
     },
     "noise": {
         "theta": _quantity,
         "lambda_c": _optional(_quantity),
-        "mobility_mu": float,
+        "mobility_mu": _real,
         "conserving": _boolean,
     },
     "output": {
@@ -269,8 +276,6 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
                 f"unknown key {key!r} in section [{section}]")
         try:
             staged.setdefault(section, {})[key] = converters[key](raw)
-        except ValidationError:
-            raise
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"bad value for {dotted}: {exc}") from exc
     return _validate(replace(cfg, **{

@@ -118,6 +118,22 @@ def test_non_finite_grid_bound_rejected(command, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["lambda-c", "--theta", "1e999"], "noise.theta"),
+    (["noise-audit", "--theta", "2.17 K", "--set", "noise.mobility_mu=nan",
+      "--set", "experiment.samples=10"], "noise.mobility_mu"),
+    (["classify", "--delta-L", "2e-11", "--decay-h", "nan"],
+     "experiment.decay_h"),
+    (["simulate", "--set", "integrator.t_end=1e999"], "integrator.t_end"),
+])
+def test_non_finite_value_named(argv, key, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: bad value for {key}: ")
+    assert err.count("\n") == 1 and "is not finite" in err
+
+
 def test_numerical_exit_code(capsys):
     # dt far above the CFL limit for this grid
     code, _, err = run(

@@ -108,9 +108,28 @@ def test_override_unknown_key_rejected():
 
 
 def test_lambda_q_override_accepts_inf():
-    cfg = apply_overrides(ExperimentConfig(),
-                          {"experiment.lambda_q_override": "inf"})
-    assert math.isinf(cfg.experiment.lambda_q_override)
+    for raw in ("inf", "infinite"):
+        cfg = apply_overrides(ExperimentConfig(),
+                              {"experiment.lambda_q_override": raw})
+        assert math.isinf(cfg.experiment.lambda_q_override)
+
+
+# parse_quantity reads a bare "nan" or "inf" as a unit suffix
+NON_FINITE = [
+    *((key, raw) for key in ("noise.theta", "noise.lambda_c", "integrator.t_end",
+                             "experiment.lambda_q_override")
+      for raw in ("nan K", "-inf K", "1e999")),
+    *((key, raw) for key in ("noise.mobility_mu", "experiment.decay_h",
+                             "material.depth_factor")
+      for raw in ("nan", "inf", "-inf", "1e999")),
+]
+
+
+@pytest.mark.parametrize("dotted, raw", NON_FINITE)
+def test_non_finite_value_rejected(dotted, raw):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"bad value for {dotted}: {raw!r} is not finite")):
+        apply_overrides(ExperimentConfig(), {dotted: raw})
 
 
 def test_converters_match_dataclass_fields():
