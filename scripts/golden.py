@@ -65,6 +65,7 @@ ROWS = {
                           False),
     "criterion-8-csv": ("csv", [*STOCHASTIC, "--set", "grid.n_points=201",
                                 "--set", "integrator.t_end=2e-15",
+                                "--set", "noise.mobility_mu=1e22",
                                 "--seed", "2024"], True),
     "mu-1e22-conserving-csv": ("csv", MU_1E22, True),
     "mu-1e22-nonconserving-csv": ("csv", [*MU_1E22,
