@@ -70,13 +70,6 @@ class DecayClass:
     at_boundary: bool = False
 
 
-def _floor_clamp(n_values: np.ndarray) -> np.ndarray:
-    peak = float(np.max(n_values))
-    if peak <= 0.0:
-        raise DegenerateDensityError("degenerate density: no positive values")
-    return np.maximum(n_values, DENSITY_FLOOR_FRACTION * peak)
-
-
 def vqu_kernel(s: np.ndarray, spacing: float, mass: float,
                periodic: bool = False) -> np.ndarray:
     """V_qu = -(hbar^2 / 2m) s'' / s on raw arrays, s = sqrt(n) > 0.
@@ -94,7 +87,10 @@ def quantum_potential(n: Field, mass: float) -> Field:
     """V_qu of a density field, in joules."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    s = np.sqrt(_floor_clamp(n.values))
+    peak = float(np.max(n.values))
+    if peak <= 0.0:
+        raise DegenerateDensityError("degenerate density: no positive values")
+    s = np.sqrt(np.maximum(n.values, DENSITY_FLOOR_FRACTION * peak))
     return Field(n.grid, vqu_kernel(s, n.grid.spacing, mass), "J")
 
 

@@ -324,4 +324,3 @@ def test_numeric_fit_matches_symbolic_exponent(g):
     # numeric fit is of |F / r|, symbolic exponent is of F itself
     assert decay.fitted_exponent == pytest.approx(
         desc.leading_exponent - 1.0, abs=0.15)
-
