@@ -9,10 +9,10 @@ The scalar commands (lambda-c, lambda-q, classify, case) are dominated by
 import cost, so the integrator is imported only by simulate, numpy.random
 only on the first noise draw, and hashlib and json only by a --json summary.
 
-noise-audit streams: it draws its fields in blocks of AUDIT_BLOCK_ROWS
-(1,024) from one generator, the rows of one batch bit for bit, and reduces
-each block to per-field lag means before drawing the next, so its peak
-memory is about one block whatever experiment.samples is.  Each lag's
+noise-audit draws all its fields in one sample_fields call that reduces
+each filtered chunk to per-field lag means (its ``reduce`` argument), so
+no field outlives its chunk and peak memory is the sampler's chunk
+buffers plus the means, whatever experiment.samples is.  Each lag's
 standard error and z-score come from the spread of those per-field means.
 """
 
@@ -34,7 +34,6 @@ from .config import (
 from .errors import NumericalError, ValidationError
 from .grids import Field, Grid
 from .noise import (
-    CHUNK_ROWS,
     NoiseModel,
     RandomStream,
     sample_fields,
@@ -322,19 +321,14 @@ def _cmd_case(cfg: ExperimentConfig, study: str) -> None:
           f"E0 = {state_report.e0_over_kb:.4f} kB")
 
 
-# fields per noise-audit block, 6.6 MB at N = 801: the audit's peak
-# memory whatever experiment.samples is (see the module docstring)
-AUDIT_BLOCK_ROWS = 32 * CHUNK_ROWS
-
-
-def _lag_means(block: np.ndarray, lags: list[int]) -> np.ndarray:
-    """Each row's mean of x_i x_(i+lag), shape (len(lags), rows).
+def _lag_means(rows: np.ndarray, lags: list[int]) -> np.ndarray:
+    """Each row's mean of x_i x_(i+lag), shape (len(rows), len(lags)).
 
     einsum over the lagged views builds no product temporary.
     """
-    n = block.shape[1]
-    return np.array([np.einsum("ij,ij->i", block[:, :n - k], block[:, k:])
-                     / (n - k) for k in lags])
+    n = rows.shape[1]
+    return np.stack([np.einsum("ij,ij->i", rows[:, :n - k], rows[:, k:])
+                     / (n - k) for k in lags], axis=1)
 
 
 def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
@@ -351,16 +345,10 @@ def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
     if lags[-1] >= grid.n_points:
         raise ValidationError("grid too short for the 2 lambda_c lag")
     count = cfg.experiment.samples
-    stream = RandomStream(cfg.experiment.seed)
-    rng = stream.generator()
-    # consecutive blocks from one generator are the rows of one batch;
-    # the block is reduced inside the call, so no name holds it while
-    # the next one is drawn
-    means = np.empty((len(lags), count))
-    for start in range(0, count, AUDIT_BLOCK_ROWS):
-        stop = min(start + AUDIT_BLOCK_ROWS, count)
-        means[:, start:stop] = _lag_means(
-            sample_fields(model, grid, stream, stop - start, rng), lags)
+    # one call, one generator: each filtered chunk is reduced to its lag
+    # means at once, so no (count, n_points) array is ever held
+    means = sample_fields(model, grid, RandomStream(cfg.experiment.seed),
+                          count, reduce=lambda rows: _lag_means(rows, lags)).T
     rows = []
     worst = 0.0
     for lag_factor, k, per_field in zip(lag_factors, lags, means):

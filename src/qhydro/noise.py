@@ -17,15 +17,19 @@ the generator in order, and up to two threads filter the chunks (rfft,
 filter, irfft, projection) into disjoint rows.  Each row's transform
 depends on that row alone, so the bits are those of a one-shot batch
 whatever the chunking or the thread that filtered it; a one-chunk batch
-is filtered inline, with no thread.  Peak memory is still about the
-output array plus a few chunk buffers.  The delta(tau) time factor is the
-integrator's contract (fields are scaled by sqrt(dt) there); the sampler
-produces unit-time-density fields.
+is filtered inline, with no thread.  Peak memory is the output array plus
+a few chunk buffers.  A caller that needs only a summary of each field
+(noise-audit's lag means) passes ``reduce``: each chunk is reduced on the
+thread that filtered it, and the output holds the summaries, so a batch
+of any size costs the chunk buffers plus the summaries.  The delta(tau)
+time factor is the integrator's contract (fields are scaled by sqrt(dt)
+there); the sampler produces unit-time-density fields.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 import math
@@ -154,44 +158,76 @@ def _filter_chunk(white: np.ndarray, spectrum: np.ndarray, rows: np.ndarray,
 
 
 def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
-                  count: int, rng: np.random.Generator | None = None) -> np.ndarray:
+                  count: int, rng: np.random.Generator | None = None, *,
+                  reduce: Callable[[np.ndarray], np.ndarray] | None = None
+                  ) -> np.ndarray:
     """``count`` independent samples, shape (count, n_points).
 
     Pass ``rng`` to draw a sequence of batches from one stream; otherwise a
     fresh generator is built from the stream seed (deterministic per call).
+
+    Pass ``reduce`` to keep a summary of each sample instead of the sample:
+    each filtered chunk ``rows`` of shape (k, n_points) is replaced by
+    ``reduce(rows)``, of shape (k, m), on the thread that filtered it, and
+    the call returns shape (count, m), sized from the first reduced chunk.
+    No (count, n_points) array is held, so peak memory is the chunk buffers
+    in flight plus the result.  ``reduce`` must treat rows independently
+    and keep no reference to ``rows``, whose buffer is reused; then the
+    result is ``reduce`` of the unreduced batch, bit for bit, whatever the
+    chunking.
     """
     if grid.spacing >= model.lambda_c / 2.0:
         raise UnderResolvedKernelError(
             f"under-resolved kernel: spacing {grid.spacing:.3e} m must be "
             f"below lambda_c/2 = {model.lambda_c / 2.0:.3e} m")
-    if model.amplitude == 0.0:
-        return np.zeros((count, grid.n_points))
+    n = grid.n_points
+    if model.amplitude == 0.0 or count == 0:
+        # nothing to draw: every row is zero, or there is no row
+        zero = np.zeros((1, n))
+        return np.repeat(zero if reduce is None else reduce(zero), count,
+                         axis=0)
     filt = _spectral_filter(model, grid)
     if rng is None:
         rng = stream.generator()
-    samples = np.empty((count, grid.n_points))
+    samples = np.empty((count, n)) if reduce is None else None
     starts = range(0, count, CHUNK_ROWS)
     # a multi-chunk batch runs on a pool: its threads filter up to
     # `threads` chunks while the caller draws the next into a free slot
     threads = _filter_threads() if len(starts) > 1 else 0
-    # one (white, spectrum) buffer pair per chunk in flight; the transforms
-    # write their results into it instead of allocating them
+    # one (white, spectrum) buffer pair per chunk in flight, plus the rows
+    # to reduce when there is no output array to filter into; the
+    # transforms write their results into it instead of allocating them
     chunk = min(count, CHUNK_ROWS)
-    slots = [(np.empty((chunk, 2 * grid.n_points)),
-              np.empty((chunk, filt.size), dtype=complex))
+    slots = [(np.empty((chunk, 2 * n)),
+              np.empty((chunk, filt.size), dtype=complex),
+              None if reduce is None else np.empty((chunk, n)))
              for _ in range(threads + 1)]
 
     def draw(index: int, start: int) -> tuple:
         """(white, spectrum, rows) of one chunk, its noise drawn in order."""
-        rows = samples[start:start + CHUNK_ROWS]
-        k = rows.shape[0]
-        white, spectrum = slots[index % len(slots)]
+        white, spectrum, rows = slots[index % len(slots)]
+        k = min(CHUNK_ROWS, count - start)
         rng.standard_normal(out=white[:k])
+        rows = samples[start:start + k] if rows is None else rows[:k]
         return white[:k], spectrum[:k], rows
+
+    def filtered(white: np.ndarray, spectrum: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray | None:
+        """Filter one chunk into ``rows``; its reduction, if there is one."""
+        _filter_chunk(white, spectrum, rows, filt, model, grid)
+        return None if reduce is None else reduce(rows)
+
+    def store(start: int, reduced: np.ndarray | None) -> None:
+        nonlocal samples
+        if reduced is None:         # filtered straight into the output
+            return
+        if samples is None:
+            samples = np.empty((count, *reduced.shape[1:]), reduced.dtype)
+        samples[start:start + CHUNK_ROWS] = reduced
 
     if not threads:
         for index, start in enumerate(starts):
-            _filter_chunk(*draw(index, start), filt, model, grid)
+            store(start, filtered(*draw(index, start)))
         return samples
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(threads) as pool:
@@ -200,11 +236,12 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
             if len(in_flight) == len(slots):
                 # the oldest chunk holds the slot drawn into next; results
                 # are awaited in order, so a worker's error re-raises here
-                in_flight.popleft().result()
-            in_flight.append(pool.submit(_filter_chunk, *draw(index, start),
-                                         filt, model, grid))
-        for future in in_flight:
-            future.result()
+                at, future = in_flight.popleft()
+                store(at, future.result())
+            in_flight.append((start, pool.submit(filtered,
+                                                 *draw(index, start))))
+        for at, future in in_flight:
+            store(at, future.result())
     return samples
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import qhydro
 from qhydro import cli
-from qhydro.cli import AUDIT_BLOCK_ROWS, _build_parser, _lag_means, _load, main
+from qhydro.cli import _build_parser, _lag_means, _load, main
 from qhydro.config import ExperimentConfig, apply_overrides
 from qhydro.dynamics import Trajectory
 from qhydro.grids import Grid
@@ -239,7 +239,7 @@ def test_lag_product_mean_matches_explicit_product(lag):
     grid = Grid(0.0, 50.0, 200)
     samples = sample_fields(model, grid, RandomStream(4), 300)
     products = samples[:, :grid.n_points - lag] * samples[:, lag:]
-    per_field = _lag_means(samples, [lag])[0]
+    per_field = _lag_means(samples, [lag])[:, 0]
     # a field's mean can cancel to near zero, so it is held to roundoff in
     # the sum of |products|, and the audit's mean over fields to 1e-12
     assert per_field == pytest.approx(np.mean(products, axis=1), rel=0,
@@ -256,13 +256,14 @@ SMALL_AUDIT = ["noise-audit", "--theta", "2.17 K",
 
 
 def record_audit_draws(monkeypatch):
-    """(count, rng, rows) of every cli.sample_fields call, in call order."""
+    """(stream, count, rng, reduced rows) of every cli.sample_fields call."""
     calls = []
     real = cli.sample_fields
 
-    def recording(model, grid, stream, count, rng=None):
-        rows = real(model, grid, stream, count, rng)
-        calls.append((count, rng, rows.copy()))
+    def recording(model, grid, stream, count, rng=None, *, reduce=None):
+        assert reduce is not None
+        rows = real(model, grid, stream, count, rng, reduce=reduce)
+        calls.append((stream, count, rng, rows.copy()))
         return rows
 
     monkeypatch.setattr(cli, "sample_fields", recording)
@@ -270,9 +271,8 @@ def record_audit_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("conserving", [False, True])
-@pytest.mark.parametrize("samples", [1, AUDIT_BLOCK_ROWS - 1, AUDIT_BLOCK_ROWS,
-                                     AUDIT_BLOCK_ROWS + 1,
-                                     2 * AUDIT_BLOCK_ROWS + 3])
+# one chunk, and pooled batches whose last chunk has 31, 32, 1 and 3 rows
+@pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 2051])
 def test_streamed_audit_matches_one_batch_reference(
         tmp_path, capsys, monkeypatch, conserving, samples):
     argv = [*SMALL_AUDIT, "--seed", "5",
@@ -285,15 +285,14 @@ def test_streamed_audit_matches_one_batch_reference(
     cfg = _load(_build_parser().parse_args(argv))
     model, grid = cli._noise_model(cfg), cli._grid(cfg)
     batch = sample_fields(model, grid, RandomStream(5), samples)
-    # blocks of at most AUDIT_BLOCK_ROWS from one generator, whose rows
-    # are those of one batch bit for bit
-    blocks = -(-samples // AUDIT_BLOCK_ROWS)
-    assert [count for count, _, _ in calls] == (
-        [AUDIT_BLOCK_ROWS] * (blocks - 1)
-        + [samples - (blocks - 1) * AUDIT_BLOCK_ROWS])
-    assert len({id(rng) for _, rng, _ in calls}) == 1
-    assert np.array_equal(np.vstack([rows for _, _, rows in calls]), batch)
+    # one call, whose generator is built from the seed, and whose reduced
+    # rows are the lag means of that one batch bit for bit
+    [(stream, count, rng, reduced)] = calls
+    assert (stream.seed, count, rng) == (5, samples, None)
     results = json.loads(json_path.read_text())["results"]
+    lags = [int(round(row["lag_m"] / grid.spacing))
+            for row in results["covariance"]]
+    assert np.array_equal(reduced, _lag_means(batch, lags))
     assert results["samples"] == samples
     for row in results["covariance"]:
         k = int(round(row["lag_m"] / grid.spacing))
@@ -349,19 +348,23 @@ def test_audit_rejects_zero_amplitude_before_drawing(tmp_path, monkeypatch,
     assert not json_path.exists()
 
 
-@pytest.mark.parametrize("samples", [5000, 20000])
-def test_audit_peak_memory_is_about_one_block(capsys, samples):
+def test_audit_peak_memory_does_not_grow_with_samples(capsys):
     argv = ["noise-audit", "--theta", "2.17 K", "--seed", "3"]
-    assert main([*argv, "--set", "experiment.samples=2"]) == 0   # FFT plans
-    block_bytes = AUDIT_BLOCK_ROWS * ExperimentConfig().grid.n_points * 8
-    tracemalloc.start()
-    try:
-        code = main([*argv, "--set", f"experiment.samples={samples}"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 1.25 * block_bytes + 8 * 2**20
+    # FFT plans, the filter and the pool's first start (two chunks)
+    assert main([*argv, "--set", "experiment.samples=33"]) == 0
+    peaks = []
+    for samples in (5000, 20000):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--set", f"experiment.samples={samples}"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    # the chunk buffers in flight plus a (samples, 3) result: the fields
+    # themselves (32 MB at 5,000 samples) are never held
+    assert max(peaks) < 6 * 2**20
+    assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20
     capsys.readouterr()
 
 

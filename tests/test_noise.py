@@ -330,6 +330,96 @@ def test_batch_peak_memory_is_about_the_output(conserving):
     assert peak < 1.25 * samples.nbytes + 4 * 2**20
 
 
+def row_summary(rows):
+    """A per-row reduction: each row's sum, and its product at two points."""
+    return np.stack([rows.sum(axis=1), rows[:, 3] * rows[:, -5]], axis=1)
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+# no row, one chunk, and pooled batches whose last chunk has 1, 1 and 4 rows
+@pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                   CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 100])
+def test_reduced_batch_matches_reduce_of_batch(conserving, count):
+    model = make_model(conserving=conserving)
+    grid = Grid(0.0, 50.0, 200)
+    reduced = sample_fields(model, grid, RandomStream(6), count,
+                            reduce=row_summary)
+    expected = row_summary(sample_fields(model, grid, RandomStream(6), count))
+    assert reduced.shape == (count, 2)
+    assert np.array_equal(reduced, expected)
+    # a reduced batch advances a shared generator as the unreduced one does
+    rng = np.random.default_rng(2)
+    sample_fields(model, grid, RandomStream(0), count, rng, reduce=row_summary)
+    ref_rng = np.random.default_rng(2)
+    sample_fields(model, grid, RandomStream(0), count, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_reduced_batch_matches_reduce_of_batch_under_thread_stress(monkeypatch):
+    monkeypatch.setattr(noise, "_filter_threads", lambda: 4)
+    model = make_model(conserving=True)
+    grid = Grid(0.0, 50.0, 200)
+    count = 20 * CHUNK_ROWS + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reduced = sample_fields(model, grid, RandomStream(9), count,
+                                reduce=row_summary)
+    finally:
+        sys.setswitchinterval(interval)
+    reference = serial_reference(model, grid, np.random.default_rng(9), count)
+    assert np.array_equal(reduced, row_summary(reference))
+
+
+def test_reduced_silent_noise_is_reduce_of_zero_rows():
+    grid = Grid(0.0, 50.0, 200)
+    reduced = sample_fields(make_model(theta=0.0), grid, RandomStream(0),
+                            CHUNK_ROWS + 1, reduce=row_summary)
+    assert np.array_equal(reduced, np.zeros((CHUNK_ROWS + 1, 2)))
+
+
+def test_reduced_batch_leaves_no_thread_behind(monkeypatch):
+    names = record_filter_threads(monkeypatch)
+    before = threading.active_count()
+    sample_fields(make_model(), Grid(0.0, 50.0, 200), RandomStream(0),
+                  5 * CHUNK_ROWS + 1, reduce=row_summary)
+    assert threading.active_count() == before
+    assert len(names) == 6
+    assert threading.current_thread().name not in names
+
+
+@pytest.mark.parametrize("failing_call", [3, 10])
+def test_reduce_error_reraises_in_caller(failing_call):
+    calls = itertools.count(1)
+
+    def failing(rows):
+        if next(calls) == failing_call:
+            raise RuntimeError(f"reduce {failing_call} failed")
+        return row_summary(rows)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"reduce {failing_call} failed"):
+        sample_fields(make_model(), Grid(0.0, 50.0, 200), RandomStream(0),
+                      10 * CHUNK_ROWS, reduce=failing)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+def test_reduced_batch_peak_memory_is_the_chunk_buffers(conserving):
+    model = make_model(conserving=conserving)
+    grid = Grid(0.0, 200.0, 801)
+    sample_fields(model, grid, RandomStream(0), 1)     # filter and FFT plan
+    tracemalloc.start()
+    try:
+        sample_fields(model, grid, RandomStream(0), 2000, reduce=row_summary)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three slots of white, spectrum and rows buffers, 32 rows each: 3.1 MB,
+    # against 12.8 MB for the unreduced batch
+    assert peak < 4 * 2**20
+
+
 def test_spectral_filter_cached_read_only_and_keyed():
     model = make_model()
     grid = Grid(0.0, 50.0, 256)
