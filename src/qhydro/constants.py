@@ -42,17 +42,22 @@ def parse_quantity(text: str) -> float:
     """Parse "4.0026 u" / "7.9 Bohr" / "1.5e-22" into an SI float."""
     parts = text.strip().split()
     if len(parts) == 1:
-        # allow a glued suffix, e.g. "2.17K" or "4.0026u"
         token = parts[0]
+        try:
+            # a bare number, "1e-22", "inf" and "nan" included: its letters
+            # are not a unit
+            return float(token)
+        except ValueError:
+            pass
+        # allow a glued suffix, e.g. "2.17K" or "4.0026u"
         idx = len(token)
         while idx > 0 and token[idx - 1].isalpha():
             idx -= 1
         number, unit = token[:idx], token[idx:]
-        # bare exponent letter ("1e-22") must not be eaten as a unit
-        if number and number[-1] in "eE" and unit == "":
-            number = token
-    else:
-        number, unit = parts[0], " ".join(parts[1:])
+    else:                           # a blank text has no number either
+        number, unit = " ".join(parts[:1]), " ".join(parts[1:])
+    if not number:
+        raise ValueError(f"malformed number in {text!r}")
     if unit not in UNIT_FACTORS:
         raise ValueError(f"unknown unit suffix {unit!r} in {text!r}")
     try:

@@ -101,6 +101,19 @@ def test_malformed_shorthand_flag_fails_as_its_set_form(argv, key, capsys):
     assert f"error: bad value for {key}" in via_flag[2]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--theta", "inf"], "noise.theta: 'inf' is not finite"),
+    (["--theta", "abc"], "noise.theta: malformed number in 'abc'"),
+    (["--set", "grid.q_max="], "grid.q_max: malformed number in ''"),
+])
+def test_bare_quantity_names_its_fault(argv, message, capsys):
+    # a lone word is a malformed number, not an unknown unit, and a lone
+    # float() token ("inf") is a number with no unit
+    code, out, err = run(["lambda-c", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad value for {message}\n"
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(["classify"], capsys)   # missing --delta-L
     assert code == 1

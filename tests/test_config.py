@@ -29,6 +29,19 @@ def test_parse_quantity_rejects_unknown_unit():
         parse_quantity("3.0 furlongs")
 
 
+@pytest.mark.parametrize("text", ["abc", "K", "kB", "", "  "])
+def test_parse_quantity_rejects_missing_number(text):
+    with pytest.raises(ValueError, match=re.escape(
+            f"malformed number in {text!r}")):
+        parse_quantity(text)
+
+
+def test_parse_quantity_reads_bare_non_finite_token_as_number():
+    assert math.isinf(parse_quantity("inf"))
+    assert parse_quantity("-inf") == -math.inf
+    assert math.isnan(parse_quantity("nan"))
+
+
 def test_mass_with_unit_suffix():
     cfg = parse_config("[material]\nmass = 4.0026 u\n")
     assert cfg.material.mass == pytest.approx(6.6465e-27, rel=1e-4)
@@ -114,11 +127,14 @@ def test_lambda_q_override_accepts_inf():
         assert math.isinf(cfg.experiment.lambda_q_override)
 
 
-# parse_quantity reads a bare "nan" or "inf" as a unit suffix
+# quantity keys take a unit, so a non-finite value is tried with one,
+# bare, and out of float range; a bare "inf" is a legal lambda_q_override
 NON_FINITE = [
     *((key, raw) for key in ("noise.theta", "noise.lambda_c", "integrator.t_end",
                              "experiment.lambda_q_override")
-      for raw in ("nan K", "-inf K", "1e999")),
+      for raw in ("nan K", "-inf K", "1e999", "nan")),
+    *((key, "inf") for key in ("noise.theta", "noise.lambda_c",
+                               "integrator.t_end")),
     *((key, raw) for key in ("noise.mobility_mu", "experiment.decay_h",
                              "material.depth_factor")
       for raw in ("nan", "inf", "-inf", "1e999")),
