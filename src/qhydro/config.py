@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import io
 import math
 
-from .constants import parse_quantity
+from .constants import DEFAULT_CFL_SAFETY, parse_quantity
 from .errors import ValidationError
 from .grids import Grid
 from .noise import noise_amplitude
@@ -106,7 +106,7 @@ class GridSection:
 class IntegratorSection:
     dt: float = 1e-16
     scheme: str = "deterministic_quantum"
-    cfl_safety: float = 0.4
+    cfl_safety: float = DEFAULT_CFL_SAFETY
     boundary: str = "zero_flux"
     density_floor: float = 1e-12
     t_end: float = 1e-13

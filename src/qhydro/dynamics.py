@@ -37,8 +37,20 @@ floor region hosts unbounded parasitic accelerations; tapering only the
 quantum force leaves the classical force to accelerate ghost fluid, so
 the taper multiplies the sum.
 
-Stability: the quantum term behaves like free-particle dispersion, so the
-explicit step must satisfy dt <= cfl_safety * m * spacing^2 / hbar.
+Stability: the quantum term behaves like free-particle dispersion.
+Linearised about a uniform periodic state n0 at rest, the rates read
+dn = -n0 D1 v and dv = (hbar^2 / (4 m^2 n0)) D1 D2 n, with D1 the centred
+first difference (the averaged fluxes difference to it) and D2 the
+three-point second difference.  A Fourier mode exp(i k q) has the
+eigenvalues +-i omega(k), omega(k) = (hbar / (m h^2)) |sin kh sin(kh/2)|,
+all on the imaginary axis, whose largest is omega = 4 / (3 sqrt 3) *
+hbar / (m h^2) at cos(kh/2) = 1/sqrt(3).  RK4 is stable on the imaginary
+axis up to |lambda dt| = 2 sqrt 2 (Hairer & Wanner, Solving ODEs II,
+1996), so the step must satisfy dt <= cfl_safety * 2 sqrt 2 / omega,
+about 3.67 cfl_safety m h^2 / hbar.  The bound depends on the grid and
+the mass only, so a run that starts inside it stays inside it.  The
+one-sided wall stencils and the low-density fringe lie outside this
+analysis; the default cfl_safety is set from runs that include them.
 """
 
 from __future__ import annotations
@@ -48,7 +60,7 @@ import math
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import DEFAULT_CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
 from .grids import Field, Grid, periodic_derivative, stencil_derivative
 from .noise import NoiseModel, RandomStream, sample_fields
@@ -117,7 +129,7 @@ def initial_state(density: Field, velocity: Field | None = None) -> HydroState:
 class IntegratorConfig:
     dt: float
     scheme: str = DETERMINISTIC_QUANTUM
-    cfl_safety: float = 0.4
+    cfl_safety: float = DEFAULT_CFL_SAFETY
     boundary: str = ZERO_FLUX
     density_floor: float = 1e-12     # additive floor, fraction of peak density
 
@@ -134,9 +146,25 @@ class IntegratorConfig:
             raise ValidationError("density_floor must lie in (0, 1e-3)")
 
 
-def cfl_limit(mass: float, spacing: float, cfl_safety: float = 0.4) -> float:
-    """Largest stable dt for the explicit quantum-dispersion step."""
-    return cfl_safety * mass * spacing**2 / HBAR
+# RK4's stability interval on the imaginary axis: |lambda dt| <= 2 sqrt 2
+RK4_IMAGINARY_LIMIT = 2.0 * math.sqrt(2.0)
+# the largest rate of the linearised step, in units of hbar / (m h^2)
+DISPERSION_RATE = 4.0 / (3.0 * math.sqrt(3.0))
+
+
+def cfl_limit(mass: float, spacing: float,
+              cfl_safety: float = DEFAULT_CFL_SAFETY) -> float:
+    """Largest dt allowed for the explicit step: ``cfl_safety`` times RK4's
+    stability limit on the discretised dispersion.
+
+    The linearised rates are +-i omega(k), the largest
+    omega = 4 / (3 sqrt 3) hbar / (m h^2) (derived in the module
+    docstring).  RK4 keeps i omega dt stable up to 2 sqrt 2, so
+    cfl_safety = 1 returns 2 sqrt 2 / omega = 3.67 m h^2 / hbar, the edge
+    of stability.
+    """
+    omega = DISPERSION_RATE * HBAR / (mass * spacing**2)
+    return cfl_safety * RK4_IMAGINARY_LIMIT / omega
 
 
 def check_cfl(cfg: IntegratorConfig, mass: float, grid: Grid) -> None:

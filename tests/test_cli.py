@@ -155,6 +155,14 @@ def test_numerical_exit_code(capsys):
     assert "numerical failure" in err
 
 
+def test_step_inside_derived_bound_runs(capsys):
+    # on the default grid 1e-15 s lies above 0.4 m h^2/hbar = 6.3e-16 s,
+    # the bound before it was derived, and inside the derived 2.3e-15 s
+    code, _, err = run(["simulate", "--set", "integrator.dt=1e-15",
+                        "--set", "integrator.t_end=2e-15"], capsys)
+    assert code == 0, err
+
+
 def test_classify_line(capsys):
     code, out, _ = run(
         ["classify", "--theta", "2.17 K", "--delta-L", "2e-11",
