@@ -387,17 +387,27 @@ def observables(state: HydroState, potential: Field, mass: float,
     h = grid.spacing
     q = grid.points
     n, v, _ = state.y
-    norm = float(np.trapezoid(n, dx=h))
+    periodic = cfg.boundary == PERIODIC
+
+    def integral(f: np.ndarray) -> float:
+        # a periodic grid's N points each own one cell of width h, the
+        # wrap-around interval included; the trapezoid rule would leave
+        # that interval out
+        if periodic:
+            return float(np.sum(f)) * h
+        return float(np.trapezoid(f, dx=h))
+
+    norm = integral(n)
     if norm <= 0:
         raise ValidationError("state has zero norm")
-    mean_q = float(np.trapezoid(n * q, dx=h)) / norm
-    variance = float(np.trapezoid(n * (q - mean_q) ** 2, dx=h)) / norm
+    mean_q = integral(n * q) / norm
+    variance = integral(n * (q - mean_q) ** 2) / norm
     peak = float(np.max(n))
     nc = np.maximum(n, 0.0) + cfg.density_floor * peak
-    vqu = vqu_kernel(np.sqrt(nc), h, mass, cfg.boundary == PERIODIC)
-    e_kin = float(np.trapezoid(0.5 * mass * n * v**2, dx=h))
-    e_pot = float(np.trapezoid(n * potential.values, dx=h))
-    e_qu = float(np.trapezoid(n * vqu, dx=h))
+    vqu = vqu_kernel(np.sqrt(nc), h, mass, periodic)
+    e_kin = integral(0.5 * mass * n * v**2)
+    e_pot = integral(n * potential.values)
+    e_qu = integral(n * vqu)
     return Snapshot(state.time, norm, mean_q, variance, e_kin, e_pot, e_qu,
                     state.density if keep_density else None)
 

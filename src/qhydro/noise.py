@@ -8,22 +8,27 @@ sampled exactly by circulant embedding: the stationary kernel is
 diagonalized by the FFT on the periodic extension of the grid, so each
 draw has the target covariance without factorizing a dense matrix.  The
 kernel is real and symmetric, so a real-input FFT pair applies it: each
-real white row of length 2 n_points goes through rfft, is scaled by the
-filter sqrt(eig) at the n_points + 1 non-negative frequencies, and comes
-back through irfft.  The filter is computed once per (model, grid) and
-kept in a small cache.  A batch is drawn in fixed row chunks into one
-output array: the caller's thread draws every chunk's white noise from
-the generator in order, and up to two threads filter the chunks (rfft,
-filter, irfft, projection) into disjoint rows.  Each row's transform
-depends on that row alone, so the bits are those of a one-shot batch
-whatever the chunking or the thread that filtered it; a one-chunk batch
-is filtered inline, with no thread.  Peak memory is the output array plus
-a few chunk buffers.  A caller that needs only a summary of each field
-(noise-audit's lag means) passes ``reduce``: each chunk is reduced on the
-thread that filtered it, and the output holds the summaries, so a batch
-of any size costs the chunk buffers plus the summaries.  The delta(tau)
-time factor is the integrator's contract (fields are scaled by sqrt(dt)
-there); the sampler produces unit-time-density fields.
+real white row of the embedding length M goes through rfft, is scaled by
+the filter sqrt(eig) at the M // 2 + 1 non-negative frequencies, and
+comes back through irfft; its first n_points entries are the field.  M
+is the smallest 2^a 3^b 5^c >= 2 (n_points - 1): every length from there
+on holds the kernel at each grid lag exactly, and the FFT is fastest on
+a 5-smooth length (the default 801-point grid uses 1,600, while 2 x 801
+= 1,602 has the prime factor 89, which slows every transform).  The
+filter is computed once per (model, grid) and kept in a small cache.  A
+batch is drawn in fixed row chunks into one output array: the caller's
+thread draws every chunk's white noise from the generator in order, and
+up to two threads filter the chunks (rfft, filter, irfft, projection)
+into disjoint rows.  Each row's transform depends on that row alone, so
+the bits are those of a one-shot batch whatever the chunking or the
+thread that filtered it; a one-chunk batch is filtered inline, with no
+thread.  Peak memory is the output array plus a few chunk buffers.  A
+caller that needs only a summary of each field (noise-audit's lag means)
+passes ``reduce``: each chunk is reduced on the thread that filtered it,
+and the output holds the summaries, so a batch of any size costs the
+chunk buffers plus the summaries.  The delta(tau) time factor is the
+integrator's contract (fields are scaled by sqrt(dt) there); the sampler
+produces unit-time-density fields.
 """
 
 from __future__ import annotations
@@ -90,19 +95,42 @@ def covariance(model: NoiseModel, separation: float) -> float:
 
 
 # rows per chunk in sample_fields: the working set beyond the output is, per
-# chunk in flight, a real (CHUNK_ROWS, 2 n_points) white buffer and a
-# complex (CHUNK_ROWS, n_points + 1) spectrum buffer, whatever the sample
-# count
+# chunk in flight, a real (CHUNK_ROWS, M) white buffer and a complex
+# (CHUNK_ROWS, M // 2 + 1) spectrum buffer, M the embedding length,
+# whatever the sample count
 CHUNK_ROWS = 32
 
 
-def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
-    """First row of the circulant extension of the kernel (length 2 n_points).
+@lru_cache(maxsize=8)
+def _embedding_length(n_points: int) -> int:
+    """Smallest 2^a 3^b 5^c >= 2 (n_points - 1), the circulant length M.
 
-    Its first n_points entries are G at lags 0, h, ..., (n_points - 1) h.
+    For every grid lag d <= n_points - 1, M - d >= d, so the row's
+    distance min(d, M - d) is d itself and the embedding holds G(d h)
+    exactly; the cache spares each sample_fields call the search.
     """
-    n = grid.n_points
-    m = 2 * n                    # periodic extension suppresses wrap-around
+    target = 2 * (n_points - 1)
+    best = 1 << (target - 1).bit_length()        # a power of two >= target
+    odd = 1
+    while odd < best:                            # odd = 5^c
+        length = odd
+        while length < best:                     # length = 3^b 5^c
+            smooth = length
+            while smooth < target:
+                smooth *= 2
+            best = min(best, smooth)
+            length *= 3
+        odd *= 5
+    return best
+
+
+def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
+    """First row of the circulant extension of the kernel.
+
+    Its length is ``_embedding_length(n_points)``, and its first n_points
+    entries are G at lags 0, h, ..., (n_points - 1) h.
+    """
+    m = _embedding_length(grid.n_points)
     j = np.arange(m)
     dist = np.minimum(j, m - j) * grid.spacing
     return model.amplitude * np.exp(-((dist / model.lambda_c) ** 2))
@@ -112,7 +140,7 @@ def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
 def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
     """sqrt of the circulant kernel's eigenvalues, read-only.
 
-    Only the n_points + 1 non-negative frequencies are kept: the kernel
+    Only the M // 2 + 1 non-negative frequencies are kept: the kernel
     row is real and symmetric, so its eigenvalues are real and even in
     frequency, and irfft supplies the other half.
     """
@@ -198,7 +226,7 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     # to reduce when there is no output array to filter into; the
     # transforms write their results into it instead of allocating them
     chunk = min(count, CHUNK_ROWS)
-    slots = [(np.empty((chunk, 2 * n)),
+    slots = [(np.empty((chunk, _embedding_length(n))),
               np.empty((chunk, filt.size), dtype=complex),
               None if reduce is None else np.empty((chunk, n)))
              for _ in range(threads + 1)]

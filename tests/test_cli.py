@@ -204,16 +204,17 @@ SCALAR_COMMANDS = {
 SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
                     "--set", "noise.theta=2.17 K", "--set", "integrator.t_end=2e-15"]
 # modules a cold command must not load unless its row allows them: the
-# integrator, the noise generator (whose secrets import loads hashlib), the
-# summary writer's hashlib and json, scipy (its import would dominate every
-# cold call) and the thread pool (one-chunk noise batches filter inline)
-COLD_FORBIDDEN = ("numpy.random", "hashlib", "json", "qhydro.dynamics",
-                  "scipy", "concurrent.futures")
+# integrator, the noise generator (whose secrets import loads hashlib) and
+# its FFT, the summary writer's hashlib and json, scipy (its import would
+# dominate every cold call) and the thread pool (one-chunk noise batches
+# filter inline)
+COLD_FORBIDDEN = ("numpy.random", "numpy.fft", "hashlib", "json",
+                  "qhydro.dynamics", "scipy", "concurrent.futures")
 COLD_ROWS = [
     *((name, [argv], ()) for name, argv in SCALAR_COMMANDS.items()),
     ("case-helium+stochastic-simulate",
      [SCALAR_COMMANDS["case-helium"], SHORT_STOCHASTIC],
-     ("qhydro.dynamics", "numpy.random", "hashlib")),
+     ("qhydro.dynamics", "numpy.random", "numpy.fft", "hashlib")),
     ("lambda-c-json", [[*SCALAR_COMMANDS["lambda-c"], "--json", "{tmp}/lc.json"]],
      ("hashlib", "json")),
     ("simulate-csv-json",

@@ -254,6 +254,22 @@ def test_galilean_shift_periodic():
                          - np.roll(plain.density.values, 1))) < 1e-10 * scale
 
 
+def test_periodic_observables_weigh_every_cell():
+    # the wave state's density sums to 1 over the N cells of the periodic
+    # grid, wrap-around included, and the RK4 step keeps that sum
+    grid, state = periodic_wave_state()
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                           boundary=PERIODIC)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    assert abs(observables(state, potential, MASS, cfg).norm - 1.0) <= 1e-14
+    state = initial_state(state.density,
+                          Field(grid, np.full(grid.n_points, 40.0), "m/s"))
+    norm0 = observables(state, potential, MASS, cfg).norm
+    for _ in range(100):
+        state = step_deterministic(state, potential, MASS, cfg)
+    assert abs(observables(state, potential, MASS, cfg).norm - norm0) <= 1e-13
+
+
 def reversal_error(dt_scale):
     grid, state = periodic_wave_state()
     # an asymmetric initial velocity so the round trip is nontrivial

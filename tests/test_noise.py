@@ -153,11 +153,50 @@ def test_sample_mean_is_small(seed):
 
 
 def circulant_row(model, grid):
-    """G on the periodic extension of the grid, length 2 n_points."""
-    m = 2 * grid.n_points
+    """G on the periodic extension of the grid, the module's length."""
+    m = noise._embedding_length(grid.n_points)
     j = np.arange(m)
     dist = np.minimum(j, m - j) * grid.spacing
     return model.amplitude * np.exp(-((dist / model.lambda_c) ** 2))
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_embedding_length_is_the_smallest_5_smooth_from_2n_minus_2():
+    smooth = sorted(m for m in range(1, 8001) if is_5_smooth(m))
+    for n in range(2, 4001):
+        m = noise._embedding_length(n)
+        assert m == next(s for s in smooth if s >= 2 * (n - 1)), n
+
+
+@pytest.mark.parametrize("n_points", [64, 200, 201, 602, 801])
+def test_kernel_row_holds_the_kernel_at_every_grid_lag(n_points):
+    model = make_model()
+    grid = Grid(0.0, 50.0, n_points)
+    row = noise._kernel_row(model, grid)
+    m = noise._embedding_length(n_points)
+    assert row.shape == (m,)
+    lags = np.arange(n_points) * grid.spacing
+    assert np.array_equal(row[:n_points], model.amplitude
+                          * np.exp(-((lags / model.lambda_c) ** 2)))
+    # symmetric, so its eigenvalues are real
+    assert np.array_equal(row[1:], row[:0:-1])
+
+
+@pytest.mark.parametrize("q_max, n_points", [(1.5e-9, 201), (1.5e-9, 601),
+                                             (2e-9, 801), (1.5e-9, 2001)])
+def test_embedding_is_positive_semidefinite_at_benchmark_grids(q_max,
+                                                               n_points):
+    # on the noise audit's lambda_c: any negative eigenvalue is round-off
+    model = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=6.6465e-27)
+    row = noise._kernel_row(model, Grid(-q_max, q_max, n_points))
+    eig = np.fft.rfft(row).real
+    assert np.min(eig) >= -1e-12 * np.max(eig)
 
 
 def project(samples, grid):
@@ -168,7 +207,7 @@ def project(samples, grid):
 
 def one_shot_reference(model, grid, rng, count):
     """The whole batch in one draw, one rfft, one irfft, one projection."""
-    n, m = grid.n_points, 2 * grid.n_points
+    n, m = grid.n_points, noise._embedding_length(grid.n_points)
     eig = np.clip(np.fft.rfft(circulant_row(model, grid)).real, 0.0, None)
     white = rng.standard_normal((count, m))
     spectral = np.fft.rfft(white, axis=1) * np.sqrt(eig)
@@ -176,16 +215,24 @@ def one_shot_reference(model, grid, rng, count):
     return project(samples, grid) if model.conserving else samples
 
 
-@pytest.mark.parametrize("conserving", [False, True])
 # one chunk (filtered inline), the smallest pooled batches around two
 # chunks, and batches whose slot ring wraps once and twice
-@pytest.mark.parametrize("count", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
-                                   2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS,
-                                   2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5,
-                                   6 * CHUNK_ROWS + 5])
-def test_chunked_draws_match_one_shot_batch(conserving, count):
+CHUNKED_COUNTS = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                  2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1,
+                  3 * CHUNK_ROWS + 5, 6 * CHUNK_ROWS + 5]
+
+
+@pytest.mark.parametrize("conserving", [False, True])
+# embedding lengths: 400 = 2 N at N = 200, the minimal 400 = 2 (N - 1) at
+# N = 201, and at N = 602 the padded 1,215, the next 5-smooth length above
+# 1,202
+@pytest.mark.parametrize("count, n_points", [
+    pytest.param(count, n_points,
+                 id=str(count) if n_points == 200 else f"{count}-n{n_points}")
+    for n_points in (200, 201, 602) for count in CHUNKED_COUNTS])
+def test_chunked_draws_match_one_shot_batch(conserving, count, n_points):
     model = make_model(conserving=conserving)
-    grid = Grid(0.0, 50.0, 200)
+    grid = Grid(0.0, 50.0, n_points)
     chunked = sample_fields(model, grid, RandomStream(3), count)
     reference = one_shot_reference(model, grid, np.random.default_rng(3), count)
     assert chunked.shape == (count, grid.n_points)
@@ -203,7 +250,7 @@ def test_chunked_draws_match_one_shot_batch(conserving, count):
 def serial_reference(model, grid, rng, count):
     """One chunk at a time on the caller's thread: draw, filter, project."""
     filt = noise._spectral_filter(model, grid)
-    n, m = grid.n_points, 2 * grid.n_points
+    n, m = grid.n_points, noise._embedding_length(grid.n_points)
     samples = np.empty((count, n))
     for start in range(0, count, CHUNK_ROWS):
         rows = samples[start:start + CHUNK_ROWS]
@@ -239,7 +286,7 @@ def test_real_fft_filter_matches_complex_fft_filter(conserving):
     grid = Grid(-2e-9, 2e-9, 801)
     count = 3 * CHUNK_ROWS + 5
     fields = sample_fields(model, grid, RandomStream(4), count)
-    n, m = grid.n_points, 2 * grid.n_points
+    n, m = grid.n_points, noise._embedding_length(grid.n_points)
     eig = np.clip(np.fft.fft(circulant_row(model, grid)).real, 0.0, None)
     white = np.random.default_rng(4).standard_normal((count, m))
     reference = np.fft.ifft(np.fft.fft(white, axis=1) * np.sqrt(eig),
@@ -425,7 +472,8 @@ def test_spectral_filter_cached_read_only_and_keyed():
     grid = Grid(0.0, 50.0, 256)
     filt = noise._spectral_filter(model, grid)
     assert noise._spectral_filter(make_model(), Grid(0.0, 50.0, 256)) is filt
-    # the non-negative frequencies of the length-2N circulant
+    # the non-negative frequencies of the circulant, whose length at
+    # N = 256 is 512 = 2 N
     assert filt.shape == (grid.n_points + 1,)
     assert not filt.flags.writeable
     with pytest.raises(ValueError):
