@@ -18,13 +18,15 @@ input is formed on the n and v rows at once, the rates are written into
 the rows of one (3, N) array with in-place ufuncs, and the RK4
 combination runs once over all three rows.  Every element goes through
 the same IEEE operations in the same order as the field-by-field
-textbook form, so results are bit-identical to it.  The new array is
-checked once, by the next ``HydroState``; a Field of one row is built
-only when a caller reads it (a kept snapshot density, the final state).
+textbook form, so results are bit-identical to it.  The step scans the
+new array once for non-finite values, naming the row it finds, and the
+next ``HydroState`` adopts it without a second scan; a Field of one row
+is built only when a caller reads it (a kept snapshot density, the final
+state).
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
-density row in place before that check, with the operations of the
-textbook form in their order.  ``run`` draws the noise rows 8 steps ahead
+density row in place, with the operations of the textbook form in their
+order, and scans that row again.  ``run`` draws the noise rows 8 steps ahead
 in one ``sample_fields`` call and hands row j to step j; the rows equal
 single-row draws bit for bit, and 8 rows keep most of the per-call
 saving while the batch stays small next to the run's memory (a 64-row
@@ -82,8 +84,8 @@ class HydroState:
     """Density, velocity and accumulated action at one instant.
 
     ``y`` is the (3, N) array of rows [n (1/m), v (m/s), S (J s)] that the
-    step advances; it is checked once here and made read-only.  The rows
-    are built into Fields only when read.
+    step advances; it is checked once, here or by the step that made it,
+    and made read-only.  The rows are built into Fields only when read.
     """
 
     time: float
@@ -112,6 +114,20 @@ class HydroState:
     @property
     def action(self) -> Field:
         return Field(self.grid, self.y[2], "J s")
+
+
+def _stepped(state: HydroState, dt: float, y1: np.ndarray) -> HydroState:
+    """The state dt after ``state``, holding the step's own (3, N) y1.
+
+    The step has already scanned y1 for non-finite values, so the
+    constructor's scan is skipped rather than repeated.
+    """
+    y1.flags.writeable = False
+    new = object.__new__(HydroState)
+    object.__setattr__(new, "time", state.time + dt)
+    object.__setattr__(new, "grid", state.grid)
+    object.__setattr__(new, "y", y1)
+    return new
 
 
 def initial_state(density: Field, velocity: Field | None = None) -> HydroState:
@@ -173,6 +189,18 @@ def check_cfl(cfg: IntegratorConfig, mass: float, grid: Grid) -> None:
         raise CflError(
             f"dt = {cfg.dt:.3e} s exceeds the stability bound {limit:.3e} s "
             f"(cfl_safety {cfg.cfl_safety}, spacing {grid.spacing:.3e} m)")
+
+
+def _integral(f: np.ndarray, h: float, periodic: bool) -> float:
+    """The integral of f over the grid.
+
+    A periodic grid's N points each own one cell of width h, the
+    wrap-around interval included; the trapezoid rule would leave that
+    interval out.
+    """
+    if periodic:
+        return float(np.sum(f)) * h
+    return float(np.trapezoid(f, dx=h))
 
 
 def _divergence_flux(n: np.ndarray, v: np.ndarray, h: float,
@@ -307,8 +335,7 @@ def step_deterministic(state: HydroState, potential: Field, mass: float,
                        cfg: IntegratorConfig) -> HydroState:
     """One RK4 step without noise; ``classical_limit`` drops the quantum force."""
     check_cfl(cfg, mass, state.grid)
-    return HydroState(state.time + cfg.dt, state.grid,
-                      _advance(state, potential, mass, cfg))
+    return _stepped(state, cfg.dt, _advance(state, potential, mass, cfg))
 
 
 # the noise increment is gated off where the density falls below this
@@ -333,7 +360,7 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     amplitude = noise.amplitude
     if amplitude == 0.0:
         # deterministic limit, bit-for-bit, and no draw
-        return HydroState(state.time + dt, state.grid, y1)
+        return _stepped(state, dt, y1)
     if eta is None:
         eta = sample_fields(noise, state.grid, stream, 1, rng)[0]
     # gate, kick, clip and renormalise row 0 in place:
@@ -348,13 +375,17 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     n += kick
     np.maximum(n, 0.0, out=n)
     if noise.conserving:
-        norm = float(np.trapezoid(n, dx=h))
+        # the norm observables reports, so a periodic run keeps it exactly
+        periodic = cfg.boundary == PERIODIC
+        norm = _integral(n, h, periodic)
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
-        n *= float(np.trapezoid(state.y[0], dx=h)) / norm
-    # a non-finite noise row (an amplitude near overflow) fails the state's
-    # finiteness check, the Field validation error
-    return HydroState(state.time + dt, state.grid, y1)
+        n *= _integral(state.y[0], h, periodic) / norm
+    # a non-finite noise row (an amplitude near overflow) is invalid input,
+    # not a failed step
+    if not np.isfinite(n).all():
+        raise ValidationError("field values must be finite")
+    return _stepped(state, dt, y1)
 
 
 @dataclass(frozen=True)
@@ -389,25 +420,17 @@ def observables(state: HydroState, potential: Field, mass: float,
     n, v, _ = state.y
     periodic = cfg.boundary == PERIODIC
 
-    def integral(f: np.ndarray) -> float:
-        # a periodic grid's N points each own one cell of width h, the
-        # wrap-around interval included; the trapezoid rule would leave
-        # that interval out
-        if periodic:
-            return float(np.sum(f)) * h
-        return float(np.trapezoid(f, dx=h))
-
-    norm = integral(n)
+    norm = _integral(n, h, periodic)
     if norm <= 0:
         raise ValidationError("state has zero norm")
-    mean_q = integral(n * q) / norm
-    variance = integral(n * (q - mean_q) ** 2) / norm
+    mean_q = _integral(n * q, h, periodic) / norm
+    variance = _integral(n * (q - mean_q) ** 2, h, periodic) / norm
     peak = float(np.max(n))
     nc = np.maximum(n, 0.0) + cfg.density_floor * peak
     vqu = vqu_kernel(np.sqrt(nc), h, mass, periodic)
-    e_kin = integral(0.5 * mass * n * v**2)
-    e_pot = integral(n * potential.values)
-    e_qu = integral(n * vqu)
+    e_kin = _integral(0.5 * mass * n * v**2, h, periodic)
+    e_pot = _integral(n * potential.values, h, periodic)
+    e_qu = _integral(n * vqu, h, periodic)
     return Snapshot(state.time, norm, mean_q, variance, e_kin, e_pot, e_qu,
                     state.density if keep_density else None)
 
@@ -421,7 +444,8 @@ def _near_boundary_mass(state: HydroState) -> bool:
 
 # noise rows run() draws per sample_fields call, one per coming step; they
 # equal single-row draws bit for bit, as the generator fills them in order
-# and the FFT transforms each row alike (why 8: see the module docstring)
+# and each row's field depends on its own normals alone (why 8: see the
+# module docstring)
 NOISE_DRAW_ROWS = 8
 
 

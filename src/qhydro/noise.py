@@ -4,41 +4,39 @@ The equal-time spatial covariance is
 
     G(lambda) = A exp[-(lambda/lambda_c)^2],   A = mu 8 m (k_B Theta)^2 / (pi^3 hbar^2),
 
-sampled exactly by circulant embedding: the stationary kernel is
-diagonalized by the FFT on the periodic extension of the grid, so each
-draw has the target covariance without factorizing a dense matrix.  The
-kernel is real and symmetric, so a real-input FFT pair applies it: each
-real white row of the embedding length M goes through rfft, is scaled by
-the filter sqrt(eig) at the M // 2 + 1 non-negative frequencies, and
-comes back through irfft; its first n_points entries are the field.  M
-is the smallest 2^a 3^b 5^c >= 2 (n_points - 1): every length from there
-on holds the kernel at each grid lag exactly, and the FFT is fastest on
-a 5-smooth length (the default 801-point grid uses 1,600, while 2 x 801
-= 1,602 has the prime factor 89, which slows every transform).  The
-filter is computed once per (model, grid) and kept in a small cache.  A
-batch is drawn in fixed row chunks into one output array: the caller's
-thread draws every chunk's white noise from the generator in order, and
-up to two threads filter the chunks (rfft, filter, irfft, projection)
-into disjoint rows.  Each row's transform depends on that row alone, so
-the bits are those of a one-shot batch whatever the chunking or the
-thread that filtered it; a one-chunk batch is filtered inline, with no
-thread.  Peak memory is the output array plus a few chunk buffers.  A
-caller that needs only a summary of each field (noise-audit's lag means)
-passes ``reduce``: each chunk is reduced on the thread that filtered it,
-and the output holds the summaries, so a batch of any size costs the
-chunk buffers plus the summaries.  The delta(tau) time factor is the
-integrator's contract (fields are scaled by sqrt(dt) there); the sampler
-produces unit-time-density fields.
+sampled exactly by circulant embedding (Wood & Chan 1994; Dietrich &
+Newsam 1997): the stationary kernel, extended periodically to length M,
+is diagonalized by the FFT, so a field with that covariance is the
+inverse transform of a Hermitian spectrum whose mode j is complex normal
+with variance set by the kernel's eigenvalue eig_j.  M is the smallest
+2^a 3^b 5^c >= 2 (n_points - 1): every length from there on holds the
+kernel at each grid lag exactly, and the FFT is fastest on a 5-smooth
+length (the default 801-point grid uses 1,600, while 2 x 801 = 1,602 has
+the prime factor 89).  The spectrum of a Gaussian kernel is itself a
+Gaussian, so past a few lambda_c-dependent modes the eigenvalues are
+rounding noise; only the prefix above a roundoff floor is drawn (43 of
+the 801 modes for the default audit).  Each field takes a fixed block
+of 2J - 1 normals from the generator, the real parts of modes 0..J-1 and
+the imaginary parts of modes 1..J-1, goes through one irfft, and its
+first n_points entries are the field.  The filter is computed once per
+(model, grid) and kept in a small cache.  A batch is drawn on the
+caller's thread in fixed row chunks into one output array; each row's
+bits depend on its own normals alone, so they are those of a one-shot
+batch whatever the chunking.  Peak memory is the output array plus one
+set of chunk buffers.  A caller that needs only a summary of each field
+(noise-audit's lag means) passes ``reduce``: each chunk is reduced as it
+is drawn, and the output holds the summaries, so a batch of any size
+costs the chunk buffers plus the summaries.  The delta(tau) time factor
+is the integrator's contract (fields are scaled by sqrt(dt) there); the
+sampler produces unit-time-density fields.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 import math
-import os
 
 import numpy as np
 
@@ -94,11 +92,17 @@ def covariance(model: NoiseModel, separation: float) -> float:
     return model.amplitude * math.exp(-((separation / model.lambda_c) ** 2))
 
 
-# rows per chunk in sample_fields: the working set beyond the output is, per
-# chunk in flight, a real (CHUNK_ROWS, M) white buffer and a complex
-# (CHUNK_ROWS, M // 2 + 1) spectrum buffer, M the embedding length,
-# whatever the sample count
+# rows per chunk in sample_fields: the working set beyond the output is a
+# (CHUNK_ROWS, 2J - 1) normals buffer, a complex (CHUNK_ROWS, M // 2 + 1)
+# spectrum and a real (CHUNK_ROWS, M) field buffer, M the embedding length
+# and J the modes drawn, whatever the sample count
 CHUNK_ROWS = 32
+
+# modes from the first eigenvalue at or below this fraction of eig[0] on
+# are not drawn: the Gaussian's spectrum has fallen into roundoff there,
+# and the kept modes hold G to within 1.5e-14 G(0) at every grid lag of
+# the audit's kernel (tests/test_noise.py bounds it at 1e-13 G(0))
+SPECTRUM_FLOOR = 1e-13
 
 
 @lru_cache(maxsize=8)
@@ -138,48 +142,46 @@ def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
-    """sqrt of the circulant kernel's eigenvalues, read-only.
+    """Standard deviations of the drawn modes' real and imaginary parts.
 
-    Only the M // 2 + 1 non-negative frequencies are kept: the kernel
-    row is real and symmetric, so its eigenvalues are real and even in
-    frequency, and irfft supplies the other half.
+    The kernel row is real and symmetric, so its eigenvalues eig_j are
+    real and even in frequency, and irfft supplies the negative
+    frequencies.  irfft(c, n=M) has the circulant covariance when c_j has
+    real and imaginary parts of variance eig_j M / 2, except that modes 0
+    and M / 2 (for even M) are real and carry eig_j M.  Only the prefix
+    of modes before the first eig_j <= SPECTRUM_FLOOR eig_0 is kept, so
+    every kept eigenvalue is positive.  Mode 0 is always kept: a kernel
+    that overflows (eig_0 infinite) then gives non-finite fields, which
+    the integrator rejects, not an empty draw.  Read-only.
     """
+    m = _embedding_length(grid.n_points)
     eig = np.fft.rfft(_kernel_row(model, grid)).real
-    # the embedding is positive definite for the Gaussian kernel up to
-    # roundoff; clip stray negative eigenvalues at zero
-    filt = np.sqrt(np.clip(eig, 0.0, None))
+    below = np.flatnonzero(eig[1:] <= SPECTRUM_FLOOR * eig[0])
+    kept = 1 + below[0] if below.size else eig.size
+    weight = np.full(kept, m / 2)
+    weight[0] = m
+    if kept == m // 2 + 1 and m % 2 == 0:
+        weight[-1] = m                   # the Nyquist mode
+    filt = np.sqrt(eig[:kept] * weight)
     filt.flags.writeable = False
     return filt
 
 
-def _filter_threads() -> int:
-    """Threads that filter a multi-chunk batch: two, or one on a single CPU.
+def _filter_chunk(normals: np.ndarray, spectrum: np.ndarray,
+                  field: np.ndarray, rows: np.ndarray, filt: np.ndarray,
+                  model: NoiseModel, grid: Grid) -> None:
+    """Turn each row of ``normals`` into a field in ``rows``.
 
-    The caller's serial draw of the white noise and the memory bound (one
-    output array plus a buffer pair per chunk in flight) both argue
-    against more.
+    ``spectrum`` holds the scaled modes, zero past the kept ones and in
+    the imaginary part of mode 0, and ``field`` the irfft; both are
+    overwritten.  The imaginary part of a kept Nyquist mode is drawn but
+    irfft ignores it, so the block per row stays 2J - 1 normals.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
-
-
-def _filter_chunk(white: np.ndarray, spectrum: np.ndarray, rows: np.ndarray,
-                  filt: np.ndarray, model: NoiseModel, grid: Grid) -> None:
-    """Filter the white rows in ``white`` into ``rows``, via ``spectrum``.
-
-    y = F^-1 sqrt(eig) F xi is a real symmetric circulant acting on white
-    noise, so cov(y) is exactly the circulant kernel.  Both buffers are
-    overwritten: ``spectrum`` holds the rfft, and ``white`` the irfft.
-    numpy's FFTs release the GIL, so chunks filter in parallel on
-    separate threads.
-    """
-    np.fft.rfft(white, axis=1, out=spectrum)
-    spectrum *= filt
-    np.fft.irfft(spectrum, n=white.shape[1], axis=1, out=white)
-    rows[:] = white[:, :rows.shape[1]]
+    kept = filt.size
+    np.multiply(normals[:, :kept], filt, out=spectrum.real[:, :kept])
+    np.multiply(normals[:, kept:], filt[1:], out=spectrum.imag[:, 1:kept])
+    np.fft.irfft(spectrum, n=field.shape[1], axis=1, out=field)
+    rows[:] = field[:, :rows.shape[1]]
     if model.conserving:
         rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
                  / grid.length)[:, None]
@@ -195,14 +197,13 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     fresh generator is built from the stream seed (deterministic per call).
 
     Pass ``reduce`` to keep a summary of each sample instead of the sample:
-    each filtered chunk ``rows`` of shape (k, n_points) is replaced by
-    ``reduce(rows)``, of shape (k, m), on the thread that filtered it, and
-    the call returns shape (count, m), sized from the first reduced chunk.
-    No (count, n_points) array is held, so peak memory is the chunk buffers
-    in flight plus the result.  ``reduce`` must treat rows independently
-    and keep no reference to ``rows``, whose buffer is reused; then the
-    result is ``reduce`` of the unreduced batch, bit for bit, whatever the
-    chunking.
+    each chunk ``rows`` of shape (k, n_points) is replaced by
+    ``reduce(rows)``, of shape (k, m), as soon as it is drawn, and the call
+    returns shape (count, m), sized from the first reduced chunk.  No
+    (count, n_points) array is held, so peak memory is the chunk buffers
+    plus the result.  ``reduce`` must treat rows independently and keep no
+    reference to ``rows``, whose buffer is reused; then the result is
+    ``reduce`` of the unreduced batch, bit for bit, whatever the chunking.
     """
     if grid.spacing >= model.lambda_c / 2.0:
         raise UnderResolvedKernelError(
@@ -217,59 +218,26 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     filt = _spectral_filter(model, grid)
     if rng is None:
         rng = stream.generator()
-    samples = np.empty((count, n)) if reduce is None else None
-    starts = range(0, count, CHUNK_ROWS)
-    # a multi-chunk batch runs on a pool: its threads filter up to
-    # `threads` chunks while the caller draws the next into a free slot
-    threads = _filter_threads() if len(starts) > 1 else 0
-    # one (white, spectrum) buffer pair per chunk in flight, plus the rows
-    # to reduce when there is no output array to filter into; the
-    # transforms write their results into it instead of allocating them
+    m = _embedding_length(n)
+    # one set of chunk buffers, reused by every chunk; the transform writes
+    # into them instead of allocating, and the spectrum's zeros stay put
     chunk = min(count, CHUNK_ROWS)
-    slots = [(np.empty((chunk, _embedding_length(n))),
-              np.empty((chunk, filt.size), dtype=complex),
-              None if reduce is None else np.empty((chunk, n)))
-             for _ in range(threads + 1)]
-
-    def draw(index: int, start: int) -> tuple:
-        """(white, spectrum, rows) of one chunk, its noise drawn in order."""
-        white, spectrum, rows = slots[index % len(slots)]
+    normals = np.empty((chunk, 2 * filt.size - 1))
+    spectrum = np.zeros((chunk, m // 2 + 1), dtype=complex)
+    field = np.empty((chunk, m))
+    rows_buffer = None if reduce is None else np.empty((chunk, n))
+    samples = np.empty((count, n)) if reduce is None else None
+    for start in range(0, count, CHUNK_ROWS):
         k = min(CHUNK_ROWS, count - start)
-        rng.standard_normal(out=white[:k])
-        rows = samples[start:start + k] if rows is None else rows[:k]
-        return white[:k], spectrum[:k], rows
-
-    def filtered(white: np.ndarray, spectrum: np.ndarray,
-                 rows: np.ndarray) -> np.ndarray | None:
-        """Filter one chunk into ``rows``; its reduction, if there is one."""
-        _filter_chunk(white, spectrum, rows, filt, model, grid)
-        return None if reduce is None else reduce(rows)
-
-    def store(start: int, reduced: np.ndarray | None) -> None:
-        nonlocal samples
-        if reduced is None:         # filtered straight into the output
-            return
-        if samples is None:
-            samples = np.empty((count, *reduced.shape[1:]), reduced.dtype)
-        samples[start:start + CHUNK_ROWS] = reduced
-
-    if not threads:
-        for index, start in enumerate(starts):
-            store(start, filtered(*draw(index, start)))
-        return samples
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(threads) as pool:
-        in_flight = deque()
-        for index, start in enumerate(starts):
-            if len(in_flight) == len(slots):
-                # the oldest chunk holds the slot drawn into next; results
-                # are awaited in order, so a worker's error re-raises here
-                at, future = in_flight.popleft()
-                store(at, future.result())
-            in_flight.append((start, pool.submit(filtered,
-                                                 *draw(index, start))))
-        for at, future in in_flight:
-            store(at, future.result())
+        rng.standard_normal(out=normals[:k])
+        rows = samples[start:start + k] if reduce is None else rows_buffer[:k]
+        _filter_chunk(normals[:k], spectrum[:k], field[:k], rows, filt,
+                      model, grid)
+        if reduce is not None:
+            reduced = reduce(rows)
+            if samples is None:
+                samples = np.empty((count, *reduced.shape[1:]), reduced.dtype)
+            samples[start:start + k] = reduced
     return samples
 
 

@@ -206,8 +206,8 @@ SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
 # modules a cold command must not load unless its row allows them: the
 # integrator, the noise generator (whose secrets import loads hashlib) and
 # its FFT, the summary writer's hashlib and json, scipy (its import would
-# dominate every cold call) and the thread pool (one-chunk noise batches
-# filter inline)
+# dominate every cold call) and concurrent.futures (the sampler starts no
+# thread)
 COLD_FORBIDDEN = ("numpy.random", "numpy.fft", "hashlib", "json",
                   "qhydro.dynamics", "scipy", "concurrent.futures")
 COLD_ROWS = [
@@ -293,7 +293,7 @@ def record_audit_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("conserving", [False, True])
-# one chunk, and pooled batches whose last chunk has 31, 32, 1 and 3 rows
+# one chunk, and batches whose last chunk has 31, 32, 1 and 3 rows
 @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 2051])
 def test_streamed_audit_matches_one_batch_reference(
         tmp_path, capsys, monkeypatch, conserving, samples):
@@ -384,14 +384,13 @@ def audit_peak(argv, samples):
 @pytest.mark.parametrize("samples", [5000, 20000])
 def test_audit_peak_memory_is_about_one_block(capsys, samples):
     argv = ["noise-audit", "--theta", "2.17 K", "--seed", "3"]
-    # FFT plans, the filter and the pool's first start (two chunks)
+    # FFT plans and the filter (two chunks)
     assert main([*argv, "--set", "experiment.samples=33"]) == 0
-    # four former 1,024-field blocks: enough chunks that every buffer slot
-    # of the pool is in use, so the reference peak is steady
+    # four former 1,024-field blocks, so the reference peak is steady
     reference = 4096
     reference_peak = audit_peak(argv, reference)
     peak = audit_peak(argv, samples)
-    # the chunk buffers in flight plus a (samples, 3) result: under one
+    # the chunk buffers plus a (samples, 3) result: under one
     # 1,024-field block (6.5 MB), and the fields themselves (32 MB at
     # 5,000 samples) are never held; past the reference the peak grows
     # by the extra result rows only

@@ -486,7 +486,12 @@ def reference_kick(n0, n, grid, noise, stream, cfg, rng):
     gate = n**2 / (n**2 + gate_level**2)
     n = np.maximum(n + gate * eta * math.sqrt(cfg.dt), 0.0)
     if noise.conserving:
-        n = n * (np.trapezoid(n0, dx=h) / np.trapezoid(n, dx=h))
+        # renormalised to the norm observables reports: cell sums on a
+        # periodic grid, the trapezoid rule between walls
+        if cfg.boundary == PERIODIC:
+            n = n * ((float(np.sum(n0)) * h) / (float(np.sum(n)) * h))
+        else:
+            n = n * (np.trapezoid(n0, dx=h) / np.trapezoid(n, dx=h))
     return n
 
 
@@ -627,6 +632,16 @@ def test_run_draw_ahead_matches_single_draw_steps(case):
                       (final.velocity, state.velocity),
                       (final.action, state.action)):
         assert np.array_equal(bits(got.values), bits(want.values))
+
+
+def test_periodic_stochastic_run_keeps_its_reported_norm():
+    state, potential, cfg, noise = parity_case("stochastic_periodic")
+    trajectory = run(state, potential, MASS, noise, cfg, 100 * cfg.dt,
+                     stream=RandomStream(7))
+    assert trajectory.completed
+    norms = np.array([snap.norm for snap in trajectory.snapshots])
+    assert norms.size == 101
+    assert np.max(np.abs(norms / norms[0] - 1.0)) <= 1e-13
 
 
 def test_nonfinite_action_named():

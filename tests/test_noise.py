@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import threading
 
 import numpy as np
@@ -152,14 +151,6 @@ def test_sample_mean_is_small(seed):
     assert abs(np.mean(samples)) < 0.1 * rms
 
 
-def circulant_row(model, grid):
-    """G on the periodic extension of the grid, the module's length."""
-    m = noise._embedding_length(grid.n_points)
-    j = np.arange(m)
-    dist = np.minimum(j, m - j) * grid.spacing
-    return model.amplitude * np.exp(-((dist / model.lambda_c) ** 2))
-
-
 def is_5_smooth(m):
     for p in (2, 3, 5):
         while m % p == 0:
@@ -199,24 +190,81 @@ def test_embedding_is_positive_semidefinite_at_benchmark_grids(q_max,
     assert np.min(eig) >= -1e-12 * np.max(eig)
 
 
+class BasisNormals:
+    """A stand-in generator that yields the unit vectors as its rows.
+
+    The fields drawn from them are the columns of the sampler's linear
+    map, so their products give the draw's exact covariance.
+    """
+
+    def __init__(self):
+        self.drawn = 0
+
+    def standard_normal(self, out):
+        rows = np.arange(out.shape[0])
+        out[:] = 0.0
+        out[rows, self.drawn + rows] = 1.0
+        self.drawn += out.shape[0]
+
+
+@pytest.mark.parametrize("lambda_c, n_points", [
+    # the audit's kernel; at N = 602 the embedding length is the odd 1,215
+    *((3.289826e-10, n) for n in (64, 201, 602, 801, 8001)),
+    # 2.1 h on this grid: barely resolved, so no mode is dropped and the
+    # Nyquist mode is kept
+    (1.05e-11, 801)])
+def test_drawn_modes_hold_the_kernel_at_every_grid_lag(lambda_c, n_points):
+    model = NoiseModel(theta=2.17, lambda_c=lambda_c, mass=6.6465e-27,
+                       conserving=False)
+    grid = Grid(-2e-9, 2e-9, n_points)
+    n, m = n_points, noise._embedding_length(n_points)
+    filt = noise._spectral_filter(model, grid)
+    kept = filt.size
+    assert (kept == m // 2 + 1) == (lambda_c < 3 * grid.spacing)
+    tolerance = 1e-13 * model.amplitude
+    target = noise._kernel_row(model, grid)[:n]
+    # the kept eigenvalues: each part of a mode has variance eig M / 2,
+    # the real modes 0 and M / 2 variance eig M
+    weight = np.full(m // 2 + 1, m / 2)
+    weight[0] = m
+    if m % 2 == 0:
+        weight[-1] = m
+    eig = np.zeros(m // 2 + 1)
+    eig[:kept] = filt**2 / weight[:kept]
+    assert np.max(np.abs(np.fft.irfft(eig, n=m)[:n] - target)) <= tolerance
+    # the draw's own covariance with three reference points
+    fields = sample_fields(model, grid, RandomStream(0), 2 * kept - 1,
+                           BasisNormals())
+    for i in (0, n // 2, n - 1):
+        lagged = target[np.abs(np.arange(n) - i)]
+        assert np.max(np.abs(fields[:, i] @ fields - lagged)) <= tolerance
+
+
 def project(samples, grid):
     """Subtract each row's trapezoid mean, as the conserving model does."""
     mean_density = np.trapezoid(samples, dx=grid.spacing, axis=1) / grid.length
     return samples - mean_density[:, None]
 
 
-def one_shot_reference(model, grid, rng, count):
-    """The whole batch in one draw, one rfft, one irfft, one projection."""
+def spectral_reference(model, grid, rng, count):
+    """The whole batch in one draw, one spectrum, one irfft, one projection.
+
+    Row i takes normals [i (2J - 1), (i + 1)(2J - 1)) of the generator: the
+    real parts of modes 0..J-1, then the imaginary parts of modes 1..J-1.
+    """
     n, m = grid.n_points, noise._embedding_length(grid.n_points)
-    eig = np.clip(np.fft.rfft(circulant_row(model, grid)).real, 0.0, None)
-    white = rng.standard_normal((count, m))
-    spectral = np.fft.rfft(white, axis=1) * np.sqrt(eig)
-    samples = np.fft.irfft(spectral, n=m, axis=1)[:, :n]
+    filt = noise._spectral_filter(model, grid)
+    kept = filt.size
+    normals = rng.standard_normal((count, 2 * kept - 1))
+    spectrum = np.zeros((count, m // 2 + 1), dtype=complex)
+    spectrum.real[:, :kept] = normals[:, :kept] * filt
+    spectrum.imag[:, 1:kept] = normals[:, kept:] * filt[1:]
+    samples = np.fft.irfft(spectrum, n=m, axis=1)[:, :n]
     return project(samples, grid) if model.conserving else samples
 
 
-# one chunk (filtered inline), the smallest pooled batches around two
-# chunks, and batches whose slot ring wraps once and twice
+# one chunk, batches on each side of one and two chunk boundaries, and
+# batches of four and seven chunks
 CHUNKED_COUNTS = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
                   2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1,
                   3 * CHUNK_ROWS + 5, 6 * CHUNK_ROWS + 5]
@@ -234,7 +282,7 @@ def test_chunked_draws_match_one_shot_batch(conserving, count, n_points):
     model = make_model(conserving=conserving)
     grid = Grid(0.0, 50.0, n_points)
     chunked = sample_fields(model, grid, RandomStream(3), count)
-    reference = one_shot_reference(model, grid, np.random.default_rng(3), count)
+    reference = spectral_reference(model, grid, np.random.default_rng(3), count)
     assert chunked.shape == (count, grid.n_points)
     assert np.array_equal(chunked, reference)
     # j rows then k rows from one generator are the first j + k rows
@@ -247,71 +295,29 @@ def test_chunked_draws_match_one_shot_batch(conserving, count, n_points):
     assert np.array_equal(split, joined)
 
 
-def serial_reference(model, grid, rng, count):
-    """One chunk at a time on the caller's thread: draw, filter, project."""
-    filt = noise._spectral_filter(model, grid)
-    n, m = grid.n_points, noise._embedding_length(grid.n_points)
-    samples = np.empty((count, n))
-    for start in range(0, count, CHUNK_ROWS):
-        rows = samples[start:start + CHUNK_ROWS]
-        white = rng.standard_normal((rows.shape[0], m))
-        rows[:] = np.fft.irfft(np.fft.rfft(white, axis=1) * filt, n=m,
-                               axis=1)[:, :n]
-        if model.conserving:
-            rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
-                     / grid.length)[:, None]
-    return samples
-
-
-@pytest.mark.parametrize("conserving", [False, True])
-def test_pooled_batches_match_serial_chunks(conserving):
-    # two consecutive pooled batches from one generator, bit for bit
-    model = make_model(conserving=conserving)
-    grid = Grid(0.0, 50.0, 200)
-    counts = (10 * CHUNK_ROWS + 3, 4 * CHUNK_ROWS + 17)
-    rng = np.random.default_rng(5)
-    pooled = [sample_fields(model, grid, RandomStream(0), c, rng) for c in counts]
-    ref_rng = np.random.default_rng(5)
-    for batch, c in zip(pooled, counts):
-        assert np.array_equal(batch, serial_reference(model, grid, ref_rng, c))
-
-
 @pytest.mark.parametrize("conserving", [False, True])
 def test_real_fft_filter_matches_complex_fft_filter(conserving):
-    # the complex FFT pair on the same white noise applies the same
-    # circulant filter; the two differ by round-off, largest where the
-    # eigenvalues are round-off sized (2e-8 of max |field| measured here)
+    # each row's spectrum, extended to all M frequencies by conjugate
+    # symmetry, through the complex inverse FFT: its real part is the field
     model = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=6.6465e-27,
                        conserving=conserving)
     grid = Grid(-2e-9, 2e-9, 801)
     count = 3 * CHUNK_ROWS + 5
     fields = sample_fields(model, grid, RandomStream(4), count)
     n, m = grid.n_points, noise._embedding_length(grid.n_points)
-    eig = np.clip(np.fft.fft(circulant_row(model, grid)).real, 0.0, None)
-    white = np.random.default_rng(4).standard_normal((count, m))
-    reference = np.fft.ifft(np.fft.fft(white, axis=1) * np.sqrt(eig),
-                            axis=1).real[:, :n]
+    filt = noise._spectral_filter(model, grid)
+    kept = filt.size
+    normals = np.random.default_rng(4).standard_normal((count, 2 * kept - 1))
+    modes = normals[:, :kept] * filt + 0j
+    modes[:, 1:] += 1j * (normals[:, kept:] * filt[1:])
+    spectrum = np.zeros((count, m), dtype=complex)
+    spectrum[:, :kept] = modes
+    spectrum[:, m - kept + 1:] = np.conj(modes[:, :0:-1])
+    reference = np.fft.ifft(spectrum, axis=1).real[:, :n]
     if conserving:
         reference = project(reference, grid)
     assert (np.max(np.abs(fields - reference))
-            <= 1e-7 * np.max(np.abs(reference)))
-
-
-def test_pooled_batches_match_serial_chunks_under_thread_stress(monkeypatch):
-    # more threads than cores and a short switch interval: a slot reused
-    # before its chunk is filtered would change rows
-    monkeypatch.setattr(noise, "_filter_threads", lambda: 4)
-    model = make_model(conserving=True)
-    grid = Grid(0.0, 50.0, 200)
-    count = 20 * CHUNK_ROWS + 3
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = sample_fields(model, grid, RandomStream(9), count)
-    finally:
-        sys.setswitchinterval(interval)
-    reference = serial_reference(model, grid, np.random.default_rng(9), count)
-    assert np.array_equal(pooled, reference)
+            <= 1e-12 * np.max(np.abs(reference)))
 
 
 def record_filter_threads(monkeypatch):
@@ -340,13 +346,12 @@ def test_batch_leaves_no_thread_behind(monkeypatch):
     sample_fields(make_model(), Grid(0.0, 50.0, 200), RandomStream(0),
                   5 * CHUNK_ROWS + 1)
     assert threading.active_count() == before
-    assert len(names) == 6
-    assert threading.current_thread().name not in names
+    assert names == [threading.current_thread().name] * 6
 
 
 @pytest.mark.parametrize("failing_call", [3, 10])
 def test_worker_error_reraises_in_caller(monkeypatch, failing_call):
-    # the third chunk is awaited inside the draw loop, the last after it
+    # an error in a middle chunk and in the last one
     calls = itertools.count(1)
     real = noise._filter_chunk
 
@@ -383,7 +388,7 @@ def row_summary(rows):
 
 
 @pytest.mark.parametrize("conserving", [False, True])
-# no row, one chunk, and pooled batches whose last chunk has 1, 1 and 4 rows
+# no row, one chunk, and batches whose last chunk has 1, 1 and 4 rows
 @pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
                                    CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 100])
 def test_reduced_batch_matches_reduce_of_batch(conserving, count):
@@ -402,22 +407,6 @@ def test_reduced_batch_matches_reduce_of_batch(conserving, count):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_reduced_batch_matches_reduce_of_batch_under_thread_stress(monkeypatch):
-    monkeypatch.setattr(noise, "_filter_threads", lambda: 4)
-    model = make_model(conserving=True)
-    grid = Grid(0.0, 50.0, 200)
-    count = 20 * CHUNK_ROWS + 3
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reduced = sample_fields(model, grid, RandomStream(9), count,
-                                reduce=row_summary)
-    finally:
-        sys.setswitchinterval(interval)
-    reference = serial_reference(model, grid, np.random.default_rng(9), count)
-    assert np.array_equal(reduced, row_summary(reference))
-
-
 def test_reduced_silent_noise_is_reduce_of_zero_rows():
     grid = Grid(0.0, 50.0, 200)
     reduced = sample_fields(make_model(theta=0.0), grid, RandomStream(0),
@@ -431,8 +420,7 @@ def test_reduced_batch_leaves_no_thread_behind(monkeypatch):
     sample_fields(make_model(), Grid(0.0, 50.0, 200), RandomStream(0),
                   5 * CHUNK_ROWS + 1, reduce=row_summary)
     assert threading.active_count() == before
-    assert len(names) == 6
-    assert threading.current_thread().name not in names
+    assert names == [threading.current_thread().name] * 6
 
 
 @pytest.mark.parametrize("failing_call", [3, 10])
@@ -462,8 +450,8 @@ def test_reduced_batch_peak_memory_is_the_chunk_buffers(conserving):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # three slots of white, spectrum and rows buffers, 32 rows each: 3.1 MB,
-    # against 12.8 MB for the unreduced batch
+    # one set of normals, spectrum, field and rows buffers, 32 rows each:
+    # 1.0 MB, against 12.8 MB for the unreduced batch
     assert peak < 4 * 2**20
 
 
@@ -472,9 +460,13 @@ def test_spectral_filter_cached_read_only_and_keyed():
     grid = Grid(0.0, 50.0, 256)
     filt = noise._spectral_filter(model, grid)
     assert noise._spectral_filter(make_model(), Grid(0.0, 50.0, 256)) is filt
-    # the non-negative frequencies of the circulant, whose length at
-    # N = 256 is 512 = 2 N
-    assert filt.shape == (grid.n_points + 1,)
+    # the modes before the first eigenvalue at or below the floor, fewer
+    # than the 257 non-negative frequencies of the length 512 = 2 N
+    eig = np.fft.rfft(noise._kernel_row(model, grid)).real
+    kept = filt.size
+    assert kept < grid.n_points + 1
+    assert np.all(eig[1:kept] > noise.SPECTRUM_FLOOR * eig[0])
+    assert eig[kept] <= noise.SPECTRUM_FLOOR * eig[0]
     assert not filt.flags.writeable
     with pytest.raises(ValueError):
         filt[0] = 0.0
