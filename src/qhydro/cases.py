@@ -60,8 +60,7 @@ class LindemannReport:
         }
 
 
-def lindemann(params: MaterialParams, grid_resolution: int = CASE_GRID_POINTS,
-              truncate: bool = True) -> LindemannReport:
+def lindemann(params: MaterialParams, truncate: bool = True) -> LindemannReport:
     """Nonlocality length of the harmonically bound pair, over r_0.
 
     The Gaussian ground state of the harmonic well exerts the linear
@@ -74,8 +73,7 @@ def lindemann(params: MaterialParams, grid_resolution: int = CASE_GRID_POINTS,
     delta = approx.delta
     # place the truncation radius delta exactly halfway between two grid
     # points: the trapezoid rule then integrates the jump cell exactly
-    n = int(grid_resolution)
-    n += (2 - (n - 1) % 4) % 4
+    n = CASE_GRID_POINTS + (2 - (CASE_GRID_POINTS - 1) % 4) % 4
     grid = Grid(approx.q_bar - 2.0 * delta, approx.q_bar + 2.0 * delta, n)
     r = grid.points - approx.q_bar
     force = approx.k * r

@@ -13,7 +13,8 @@ noise-audit draws all its fields in one sample_fields call that reduces
 each filtered chunk to per-field lag means (its ``reduce`` argument), so
 no field outlives its chunk and peak memory is the sampler's chunk
 buffers plus the means, whatever experiment.samples is.  Each lag's
-standard error and z-score come from the spread of those per-field means.
+standard error and z-score come from the spread of those per-field means;
+a lag whose statistics overflow fails the audit as a numerical error.
 """
 
 from __future__ import annotations
@@ -145,11 +146,6 @@ def _emit(cfg: ExperimentConfig, results: dict, line: str,
     print(line)
 
 
-def _grid(cfg: ExperimentConfig) -> Grid:
-    g = cfg.grid
-    return Grid(g.q_min, g.q_max, g.n_points)
-
-
 def _lambda_c(cfg: ExperimentConfig, command: str) -> float:
     """noise.lambda_c if set, else lambda_c(Theta); infinite is rejected."""
     lam_c = cfg.noise.lambda_c
@@ -202,19 +198,16 @@ def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
 def _cmd_simulate(cfg: ExperimentConfig) -> None:
     from . import dynamics
 
-    grid = _grid(cfg)
+    grid = cfg.grid
     params = cfg.material_params()
     i = cfg.integrator
-    int_cfg = dynamics.IntegratorConfig(
-        dt=i.dt, scheme=i.scheme, cfl_safety=i.cfl_safety,
-        boundary=i.boundary, density_floor=i.density_floor)
     potential = _potential_field(cfg, grid)
     state = _initial_state(cfg, grid)
     noise = stream = None
     if i.scheme == dynamics.STOCHASTIC_QUANTUM:
         noise = _noise_model(cfg)
         stream = RandomStream(cfg.experiment.seed)
-    trajectory = dynamics.run(state, potential, params.mass, noise, int_cfg,
+    trajectory = dynamics.run(state, potential, params.mass, noise, i,
                               i.t_end, i.output_stride, stream)
     if not trajectory.completed:
         raise NumericalError(f"run aborted: {trajectory.failure}")
@@ -247,7 +240,7 @@ def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
     fam = PseudoGaussianFamily(
         family=e.family, delta_q_sq=e.core_width**2, lam=e.tail_scale,
         g=e.family_g, h=e.family_h, q_bar=0.0)
-    log_n = pseudo_gaussian_log_density(fam, _grid(cfg))
+    log_n = pseudo_gaussian_log_density(fam, cfg.grid)
     profile = quantum_force_from_log(log_n, cfg.material_params().mass, fam.q_bar)
     decay = growth_exponent(profile)
     lam_c = cfg.noise.lambda_c
@@ -304,8 +297,7 @@ def _cmd_classify(cfg: ExperimentConfig) -> None:
 def _cmd_case(cfg: ExperimentConfig, study: str) -> None:
     params = cfg.material_params()
     if study == "lindemann":
-        report = cases.lindemann(params, cfg.grid.n_points,
-                                 truncate=cfg.experiment.truncate_force)
+        report = cases.lindemann(params, truncate=cfg.experiment.truncate_force)
         _emit(cfg, report.to_dict(),
               f"lindemann: lambda_q / r_0 = {report.lambda_q_over_r0:.5f} "
               f"(band {cases.LINDEMANN_BAND[0]}-{cases.LINDEMANN_BAND[1]}: "
@@ -338,7 +330,7 @@ def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
         raise ValidationError(
             f"noise amplitude is zero at theta = {model.theta:g} K; "
             "noise-audit needs a nonzero one")
-    grid = _grid(cfg)
+    grid = cfg.grid
     h = grid.spacing
     lag_factors = (0.0, 1.0, 2.0)
     lags = [int(round(f * model.lambda_c / h)) for f in lag_factors]
@@ -361,6 +353,12 @@ def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
         if count > 1:
             se = float(np.std(per_field, ddof=1)) / math.sqrt(count)
             z = (empirical - target) / se
+        # an amplitude near overflow can overflow the lag products or
+        # their spread, which would report a nan or zero error as a pass
+        if not all(math.isfinite(x) for x in (empirical, se, z) if x is not None):
+            raise NumericalError(
+                f"covariance statistics at lag {lag_factor:g} lambda_c are not "
+                f"finite at noise amplitude {model.amplitude:.3e}")
         rows.append({"lag_over_lambda_c": lag_factor, "lag_m": k * h,
                      "empirical": empirical, "target": target,
                      "relative_error": rel, "standard_error": se,

@@ -9,6 +9,14 @@ to SI at this boundary.
 A value reaches a config by one route: ``apply_overrides`` looks up each
 "section.key", converts its text and names the key in any error.  A parsed
 INI file, ``--set`` and the CLI's shorthand flags all pass through it.
+
+The [grid] section is the ``grids.Grid`` the commands run on, and the
+[integrator] section is the ``IntegratorConfig`` that ``dynamics`` steps
+with, plus the run length; both check their own values when they are
+built, so every command rejects a bad grid or integrator value at load.
+``IntegratorConfig`` and the scheme and boundary names live here, and
+``dynamics`` re-exports them, so the scalar commands never import the
+integrator to validate its settings.
 """
 
 import configparser
@@ -25,6 +33,14 @@ from .scales import DEFAULT_RATIO_THRESHOLD
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
 POTENTIALS = ("none", "harmonic", "square_well")
+
+DETERMINISTIC_QUANTUM = "deterministic_quantum"
+STOCHASTIC_QUANTUM = "stochastic_quantum"
+CLASSICAL_LIMIT = "classical_limit"
+SCHEMES = (DETERMINISTIC_QUANTUM, STOCHASTIC_QUANTUM, CLASSICAL_LIMIT)
+
+ZERO_FLUX = "zero_flux"
+PERIODIC = "periodic"
 
 
 def _finite(parse):
@@ -96,19 +112,34 @@ class MaterialSection:
 
 
 @dataclass(frozen=True)
-class GridSection:
-    q_min: float = -2e-9
-    q_max: float = 2e-9
-    n_points: int = 801
+class IntegratorConfig:
+    """Settings of the time integrator (``qhydro.dynamics``)."""
+
+    dt: float
+    scheme: str = DETERMINISTIC_QUANTUM
+    cfl_safety: float = DEFAULT_CFL_SAFETY
+    boundary: str = ZERO_FLUX
+    density_floor: float = 1e-12     # additive floor, fraction of peak density
+
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise ValidationError("integrator.dt must be positive")
+        if self.scheme not in SCHEMES:
+            raise ValidationError(f"integrator.scheme must be one of {SCHEMES}")
+        if not 0.0 < self.cfl_safety <= 1.0:
+            raise ValidationError("integrator.cfl_safety must lie in (0, 1]")
+        if self.boundary not in (ZERO_FLUX, PERIODIC):
+            raise ValidationError(
+                f"integrator.boundary must be one of {(ZERO_FLUX, PERIODIC)}")
+        if not 0.0 < self.density_floor < 1e-3:
+            raise ValidationError("integrator.density_floor must lie in (0, 1e-3)")
 
 
 @dataclass(frozen=True)
-class IntegratorSection:
+class IntegratorSection(IntegratorConfig):
+    """[integrator]: the integrator's settings and the run length."""
+
     dt: float = 1e-16
-    scheme: str = "deterministic_quantum"
-    cfl_safety: float = DEFAULT_CFL_SAFETY
-    boundary: str = "zero_flux"
-    density_floor: float = 1e-12
     t_end: float = 1e-13
     output_stride: int = 10
 
@@ -133,7 +164,7 @@ class OutputSection:
 class ExperimentConfig:
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
     material: MaterialSection = field(default_factory=MaterialSection)
-    grid: GridSection = field(default_factory=GridSection)
+    grid: Grid = field(default_factory=lambda: Grid(-2e-9, 2e-9, 801))
     integrator: IntegratorSection = field(default_factory=IntegratorSection)
     noise: NoiseSection = field(default_factory=NoiseSection)
     output: OutputSection = field(default_factory=OutputSection)
@@ -220,14 +251,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
     if e.samples < 1:
         raise ValidationError("experiment.samples must be >= 1")
-    # the owners raise on inconsistent material, noise and grid values
+    # the owners raise on inconsistent material and noise values; the grid
+    # and the integrator settings checked themselves when they were built
     params = cfg.material_params()
     noise_amplitude(params.mass, cfg.noise.theta, cfg.noise.mobility_mu)
     if cfg.noise.lambda_c is not None and cfg.noise.lambda_c <= 0:
         raise ValidationError("noise.lambda_c must be positive")
-    Grid(cfg.grid.q_min, cfg.grid.q_max, cfg.grid.n_points)
-    if cfg.integrator.dt <= 0 or cfg.integrator.t_end < 0:
-        raise ValidationError("integrator.dt must be > 0 and t_end >= 0")
+    if cfg.integrator.t_end < 0:
+        raise ValidationError("integrator.t_end must be >= 0")
     if cfg.integrator.output_stride < 1:
         raise ValidationError("integrator.output_stride must be >= 1")
     return cfg

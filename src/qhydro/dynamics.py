@@ -10,7 +10,9 @@ at every stage.  The action S accumulates -(m v^2/2 + V + V_qu) as a
 diagnostic.  Three schemes share the core: deterministic_quantum (full
 force), classical_limit (quantum force dropped), and stochastic_quantum
 (deterministic drift plus an Euler-Maruyama noise increment on the
-density).
+density).  The step's settings, ``IntegratorConfig``, and the scheme and
+boundary names are defined in ``qhydro.config``, where the [integrator]
+section extends them with the run length, and are importable from here.
 
 Layout: ``HydroState`` holds the state as one read-only (3, N) array
 [n, v, S], which the step reads as its y0 without a copy.  Each stage
@@ -62,19 +64,20 @@ import math
 
 import numpy as np
 
+from .config import (  # noqa: F401
+    CLASSICAL_LIMIT,
+    DETERMINISTIC_QUANTUM,
+    PERIODIC,
+    SCHEMES,
+    STOCHASTIC_QUANTUM,
+    ZERO_FLUX,
+    IntegratorConfig,
+)
 from .constants import DEFAULT_CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
 from .grids import Field, Grid, periodic_derivative, stencil_derivative
 from .noise import NoiseModel, RandomStream, sample_fields
 from .qpotential import vqu_kernel
-
-DETERMINISTIC_QUANTUM = "deterministic_quantum"
-STOCHASTIC_QUANTUM = "stochastic_quantum"
-CLASSICAL_LIMIT = "classical_limit"
-SCHEMES = (DETERMINISTIC_QUANTUM, STOCHASTIC_QUANTUM, CLASSICAL_LIMIT)
-
-ZERO_FLUX = "zero_flux"
-PERIODIC = "periodic"
 
 FORCE_TAPER_FRACTION = 1e-8
 
@@ -139,27 +142,6 @@ def initial_state(density: Field, velocity: Field | None = None) -> HydroState:
             raise ValidationError("state fields must share one grid")
         y[1] = velocity.values
     return HydroState(0.0, grid, y)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    dt: float
-    scheme: str = DETERMINISTIC_QUANTUM
-    cfl_safety: float = DEFAULT_CFL_SAFETY
-    boundary: str = ZERO_FLUX
-    density_floor: float = 1e-12     # additive floor, fraction of peak density
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValidationError("cfl_safety must lie in (0, 1]")
-        if self.boundary not in (ZERO_FLUX, PERIODIC):
-            raise ValidationError(f"unknown boundary {self.boundary!r}")
-        if not 0.0 < self.density_floor < 1e-3:
-            raise ValidationError("density_floor must lie in (0, 1e-3)")
 
 
 # RK4's stability interval on the imaginary axis: |lambda dt| <= 2 sqrt 2

@@ -63,7 +63,16 @@ def noise_amplitude(mass: float, theta: float, mobility_mu: float) -> float:
         raise ValidationError("theta must be >= 0")
     if mobility_mu <= 0:
         raise ValidationError("mobility_mu must be positive")
-    return mobility_mu * 8.0 * mass * (K_B * theta) ** 2 / (math.pi**3 * HBAR**2)
+    try:
+        amplitude = (mobility_mu * 8.0 * mass * (K_B * theta) ** 2
+                     / (math.pi**3 * HBAR**2))
+    except OverflowError:            # float ** raises where * gives inf
+        amplitude = math.inf
+    if not math.isfinite(amplitude):
+        raise ValidationError(
+            f"noise amplitude overflows at theta = {theta:g} K and "
+            f"mobility_mu = {mobility_mu:g}")
+    return amplitude
 
 
 @dataclass(frozen=True)

@@ -133,59 +133,31 @@ class SquareWellState:
     matching_residual: float     # dimensionless residual of z cot z = -sqrt(z0^2-z^2)
 
 
-_BRENT_MAX_ITER = 100
+def _bisect_root(f, a: float, b: float) -> float:
+    """Root of f on [a, b] by bisection, to the last bit.
 
-
-def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of f on [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    Each step tries inverse quadratic interpolation (or the secant when
-    only two points are distinct) and falls back to bisection when the
-    trial step is not short enough.  Stops once half the bracket is below
-    (xtol + rtol |x|) / 2; follows scipy's brentq step for step, so the
-    root is the same to the bit.
+    Halves the bracket until its midpoint equals an endpoint, then returns
+    the endpoint with the smaller |f|: about 52 halvings for a bracket of
+    order one.
     """
-    x_pre, x_cur = a, b
-    f_pre, f_cur = f(x_pre), f(x_cur)
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+    f_a, f_b = f(a), f(b)
+    if f_a == 0.0:
+        return a
+    if f_b == 0.0:
+        return b
+    if (f_a < 0.0) == (f_b < 0.0):
         raise NoBoundStateError("no bound state: matching condition has no root")
-    for _ in range(_BRENT_MAX_ITER):
-        if math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (xtol + rtol * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return a if abs(f_a) <= abs(f_b) else b
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_a < 0.0):
+            a, f_a = mid, f_mid
         else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        if abs(s_cur) > delta:
-            x_cur += s_cur
-        else:
-            x_cur += delta if s_bis > 0 else -delta
-        f_cur = f(x_cur)
-    raise NoBoundStateError(
-        f"no bound state: root finder did not converge in {_BRENT_MAX_ITER} iterations")
+            b, f_b = mid, f_mid
 
 
 def square_well_solve(params: MaterialParams) -> SquareWellState:
@@ -214,7 +186,7 @@ def square_well_solve(params: MaterialParams) -> SquareWellState:
 
     eps = 1e-12
     lo, hi = math.pi / 2.0 + eps, min(math.pi - eps, z0)
-    z = _brent_root(matching, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    z = _bisect_root(matching, lo, hi)
     k0 = z / width
     e0 = (HBAR * k0) ** 2 / (2.0 * m) - depth
     kappa = math.sqrt(-2.0 * m * e0) / HBAR

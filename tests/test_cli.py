@@ -305,7 +305,7 @@ def test_streamed_audit_matches_one_batch_reference(
     code, out, err = run([*argv, "--json", str(json_path)], capsys)
     assert code == 0, err
     cfg = _load(_build_parser().parse_args(argv))
-    model, grid = cli._noise_model(cfg), cli._grid(cfg)
+    model, grid = cli._noise_model(cfg), cfg.grid
     batch = sample_fields(model, grid, RandomStream(5), samples)
     # one call, whose generator is built from the seed, and whose reduced
     # rows are the lag means of that one batch bit for bit
@@ -501,15 +501,77 @@ def test_under_resolved_noise_kernel_rejected(capsys):
 
 
 def test_non_finite_noise_rejected(capsys):
-    # mu = 1e308 overflows the circulant eigenvalues, so the noise rows and
-    # the kicked density are not finite
+    # mu = 1e307 gives a finite amplitude whose circulant eigenvalues
+    # overflow on a 2.5 pm spacing, so the noise rows and the kicked density
+    # are not finite
     with np.errstate(all="ignore"):
         code, _, err = run(["simulate", *FAST_SIM,
+                            "--set", "grid.n_points=801",
                             "--set", "integrator.scheme=stochastic_quantum",
                             "--set", "noise.theta=2.17 K",
-                            "--set", "noise.mobility_mu=1e308"], capsys)
+                            "--set", "noise.mobility_mu=1e307"], capsys)
     assert code == 1
     assert "field values must be finite" in err
+
+
+def test_overflowing_amplitude_named(capsys):
+    # mu = 1e308 overflows the noise amplitude, which the config rejects
+    # before any step is taken
+    code, out, err = run(["simulate", *FAST_SIM,
+                          "--set", "integrator.scheme=stochastic_quantum",
+                          "--set", "noise.theta=2.17 K",
+                          "--set", "noise.mobility_mu=1e308"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: noise amplitude overflows at theta = 2.17 K and "
+                   "mobility_mu = 1e+308\n")
+
+
+def test_overflowing_theta_named(capsys):
+    # (k_B theta)^2 overflows; every command validates the amplitude
+    code, out, err = run(["lambda-c", "--theta", "1e200 K"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: noise amplitude overflows at theta = 1e+200 K and "
+                   "mobility_mu = 1\n")
+
+
+@pytest.mark.parametrize("mu", ["1e300", "1e307"])
+def test_audit_with_overflowing_statistics_fails(tmp_path, capsys, mu):
+    # a finite amplitude whose lag products overflow (1e300), or whose
+    # spectrum does (1e307), must not report an inf or nan error as a pass
+    json_path = tmp_path / "audit.json"
+    with np.errstate(all="ignore"):
+        code, out, err = run(["noise-audit", "--theta", "2.17 K",
+                              "--set", f"noise.mobility_mu={mu}",
+                              "--set", "experiment.samples=100",
+                              "--json", str(json_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: covariance statistics at lag 0 "
+                          "lambda_c are not finite")
+    assert not json_path.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("integrator.scheme", "bogus"),
+    ("integrator.boundary", "wall"),
+    ("integrator.cfl_safety", "5"),
+    ("integrator.density_floor", "0.5"),
+])
+def test_bad_integrator_value_rejected_by_every_command(key, value, capsys):
+    # the integrator settings check themselves when the config loads, so a
+    # command that never integrates rejects them too
+    code, out, err = run(["lambda-c", "--theta", "2.17 K",
+                          "--set", f"{key}={value}"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {key} must ")
+
+
+def test_case_lindemann_ignores_the_grid(capsys):
+    # the case study integrates on its own grid, so a coarse [grid] that is
+    # valid for the config leaves its line unchanged
+    code, out, err = run(["case", "lindemann", "--set", "grid.n_points=9"],
+                         capsys)
+    assert code == 0, err
+    assert out == run(["case", "lindemann"], capsys)[1]
 
 
 def test_failed_run_leaves_no_summary(tmp_path, capsys):

@@ -6,13 +6,17 @@ import pytest
 
 from qhydro.config import (
     _CONVERTERS,
+    SCHEMES,
     ExperimentConfig,
+    IntegratorConfig,
     apply_overrides,
     parse_config,
     serialize_config,
 )
 from qhydro.constants import parse_quantity
 from qhydro.errors import ValidationError
+from qhydro.grids import Grid
+from qhydro.output import config_hash
 
 
 def test_parse_quantity_units():
@@ -150,10 +154,34 @@ def test_non_finite_value_rejected(dotted, raw):
 
 def test_converters_match_dataclass_fields():
     # every field is settable and every converter sets a field
-    sections = {f.name: f.default_factory for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig()
+    sections = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}
     assert set(_CONVERTERS) == set(sections)
-    for name, section_type in sections.items():
-        assert set(_CONVERTERS[name]) == {f.name for f in fields(section_type)}
+    for name, section in sections.items():
+        assert set(_CONVERTERS[name]) == {f.name for f in fields(section)}
+
+
+def test_default_config_serialization_is_pinned():
+    # the grid is a grids.Grid and the integrator section extends the
+    # dynamics settings; the rendered keys, their order and so the
+    # config hash are those of the flat sections they replaced
+    text = serialize_config(ExperimentConfig())
+    assert ("[grid]\nq_min = -2e-09\nq_max = 2e-09\nn_points = 801\n"
+            in text)
+    assert ("[integrator]\ndt = 1e-16\nscheme = deterministic_quantum\n"
+            "cfl_safety = 0.4\nboundary = zero_flux\ndensity_floor = 1e-12\n"
+            "t_end = 1e-13\noutput_stride = 10\n" in text)
+    assert config_hash(ExperimentConfig()) == "72693b8581c3522d"
+
+
+def test_sections_are_the_objects_the_code_runs_on():
+    from qhydro import dynamics
+
+    cfg = ExperimentConfig()
+    assert cfg.grid == Grid(-2e-9, 2e-9, 801)
+    assert dynamics.IntegratorConfig is IntegratorConfig
+    assert isinstance(cfg.integrator, IntegratorConfig)
+    assert dynamics.SCHEMES is SCHEMES
 
 
 NON_DEFAULT = {
@@ -193,6 +221,8 @@ def test_ini_and_overrides_give_equal_configs():
     ("experiment.kind", "simulate", "unknown key 'kind' in section [experiment]"),
     ("experiment.seed", "abc", "bad value for experiment.seed"),
     ("experiment.decay_h", "abc", "bad value for experiment.decay_h"),
+    ("integrator.scheme", "bogus", "integrator.scheme must be one of"),
+    ("grid.n_points", "3", "n_points must be at least 8"),
 ])
 def test_file_and_override_errors_agree(dotted, raw, message):
     with pytest.raises(ValidationError, match=re.escape(message)) as from_file:

@@ -20,8 +20,7 @@ from qhydro.potentials import (
     pseudo_gaussian_tail_force,
     square_well_density,
     square_well_solve,
-    _BRENT_MAX_ITER,
-    _brent_root,
+    _bisect_root,
 )
 from qhydro.qpotential import (
     ASYMPTOTICALLY_VANISHING,
@@ -145,7 +144,7 @@ def test_square_well_no_bound_state():
 
 
 def test_square_well_solution_bits():
-    # scipy's brentq finds this root; the in-package finder matches it to the bit
+    # scipy's brentq finds this root; bisection to the last bit finds it too
     state = square_well_solve(HE)
     assert state.K_0 == 7900442664.402215
     assert state.E_0 == -7.118297267166322e-23
@@ -177,39 +176,26 @@ def test_square_well_depth_property(depth_factor, step):
 
 
 def test_brent_known_roots():
-    root = _brent_root(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15, 8.9e-16)
-    assert root == pytest.approx(0.7390851332151607, abs=2e-15)
-    cubic = _brent_root(lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 1e-15, 8.9e-16)
-    assert cubic == pytest.approx(2.0945514815423265, abs=4e-15)
+    # bisection ends on one of the two floats around the root
+    root = _bisect_root(lambda x: math.cos(x) - x, 0.0, 1.0)
+    assert root == pytest.approx(0.7390851332151607, abs=2e-16)
+    cubic = _bisect_root(lambda x: x**3 - 2 * x - 5, 2.0, 3.0)
+    assert cubic == pytest.approx(2.0945514815423265, abs=5e-16)
+    # a root that is a float is found exactly, and a sign change with no
+    # zero ends, with no iteration cap, on the float below the jump
+    assert _bisect_root(lambda x: x - 0.3, 0.0, 1.0) == 0.3
+    jump = _bisect_root(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0)
+    assert jump == math.nextafter(1.0 / 3.0, 0.0)
 
 
 def test_brent_endpoint_root():
-    assert _brent_root(lambda x: x - 1.0, 1.0, 2.0, 1e-15, 8.9e-16) == 1.0
-    assert _brent_root(lambda x: x - 1.0, 0.0, 1.0, 1e-15, 8.9e-16) == 1.0
-
-
-def test_brent_stops_only_below_tolerance():
-    # the first half-bracket equals the tolerance exactly, which is not
-    # yet converged; one more step stops at 0.5 (as scipy's brentq does)
-    assert _brent_root(lambda x: x - 0.3, 0.0, 1.0, 1.0, 0.0) == 0.5
+    assert _bisect_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert _bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
 
 def test_brent_same_sign_bracket():
-    with pytest.raises(NoBoundStateError):
-        _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
-
-
-def test_brent_iteration_cap():
-    # a step with no zero never meets a zero tolerance
-    calls = []
-
-    def step(x):
-        calls.append(x)
-        return -1.0 if x < 1.0 / 3.0 else 1.0
-
-    with pytest.raises(NoBoundStateError, match="did not converge"):
-        _brent_root(step, 0.0, 1.0, 0.0, 0.0)
-    assert len(calls) == _BRENT_MAX_ITER + 2
+    with pytest.raises(NoBoundStateError, match="no root"):
+        _bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_square_well_zero_force_inside():
