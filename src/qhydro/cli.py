@@ -150,7 +150,7 @@ def _lambda_c(cfg: ExperimentConfig, command: str) -> float:
     """noise.lambda_c if set, else lambda_c(Theta); infinite is rejected."""
     lam_c = cfg.noise.lambda_c
     if lam_c is None:
-        lam_c = correlation_length(cfg.material_params().mass, cfg.noise.theta)
+        lam_c = correlation_length(cfg.material.mass, cfg.noise.theta)
     if math.isinf(lam_c):
         raise ValidationError(
             f"{command} needs theta > 0 or an explicit noise.lambda_c")
@@ -159,7 +159,7 @@ def _lambda_c(cfg: ExperimentConfig, command: str) -> float:
 
 def _potential_field(cfg: ExperimentConfig, grid: Grid) -> Field:
     kind = cfg.experiment.potential
-    params = cfg.material_params()
+    params = cfg.material
     if kind == "none":
         return Field(grid, np.zeros(grid.n_points), "J")
     if kind == "harmonic":
@@ -173,7 +173,7 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
     from . import dynamics
 
     e = cfg.experiment
-    params = cfg.material_params()
+    params = cfg.material
     if e.initial == "free_gaussian":
         q = grid.points
         n = np.exp(-((q - e.initial_center) ** 2) / (2.0 * e.initial_width**2))
@@ -190,7 +190,7 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
 def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
     lam_c = _lambda_c(cfg, "noise model")
     return NoiseModel(theta=cfg.noise.theta, lambda_c=lam_c,
-                      mass=cfg.material_params().mass,
+                      mass=cfg.material.mass,
                       mobility_mu=cfg.noise.mobility_mu,
                       conserving=cfg.noise.conserving)
 
@@ -199,7 +199,6 @@ def _cmd_simulate(cfg: ExperimentConfig) -> None:
     from . import dynamics
 
     grid = cfg.grid
-    params = cfg.material_params()
     i = cfg.integrator
     potential = _potential_field(cfg, grid)
     state = _initial_state(cfg, grid)
@@ -207,7 +206,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> None:
     if i.scheme == dynamics.STOCHASTIC_QUANTUM:
         noise = _noise_model(cfg)
         stream = RandomStream(cfg.experiment.seed)
-    trajectory = dynamics.run(state, potential, params.mass, noise, i,
+    trajectory = dynamics.run(state, potential, cfg.material.mass, noise, i,
                               i.t_end, i.output_stride, stream)
     if not trajectory.completed:
         raise NumericalError(f"run aborted: {trajectory.failure}")
@@ -226,7 +225,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_lambda_c(cfg: ExperimentConfig) -> None:
-    params = cfg.material_params()
+    params = cfg.material
     lam_c = correlation_length(params.mass, cfg.noise.theta)
     results = {"lambda_c_m": None if math.isinf(lam_c) else lam_c,
                "lambda_c_infinite": math.isinf(lam_c),
@@ -241,7 +240,7 @@ def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
         family=e.family, delta_q_sq=e.core_width**2, lam=e.tail_scale,
         g=e.family_g, h=e.family_h, q_bar=0.0)
     log_n = pseudo_gaussian_log_density(fam, cfg.grid)
-    profile = quantum_force_from_log(log_n, cfg.material_params().mass, fam.q_bar)
+    profile = quantum_force_from_log(log_n, cfg.material.mass, fam.q_bar)
     decay = growth_exponent(profile)
     lam_c = cfg.noise.lambda_c
     if lam_c is None:
@@ -295,7 +294,7 @@ def _cmd_classify(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_case(cfg: ExperimentConfig, study: str) -> None:
-    params = cfg.material_params()
+    params = cfg.material
     if study == "lindemann":
         report = cases.lindemann(params, truncate=cfg.experiment.truncate_force)
         _emit(cfg, report.to_dict(),
@@ -323,6 +322,10 @@ def _lag_means(rows: np.ndarray, lags: list[int]) -> np.ndarray:
                      / (n - k) for k in lags], axis=1)
 
 
+# an amplitude near overflow can overflow the lag products or their spread,
+# which would report a nan or zero error as a pass; numpy stays quiet, and
+# the audit's finiteness check names the failure
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
     model = _noise_model(cfg)
     # a silent noise has a zero target covariance, so no relative error
@@ -353,8 +356,6 @@ def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
         if count > 1:
             se = float(np.std(per_field, ddof=1)) / math.sqrt(count)
             z = (empirical - target) / se
-        # an amplitude near overflow can overflow the lag products or
-        # their spread, which would report a nan or zero error as a pass
         if not all(math.isfinite(x) for x in (empirical, se, z) if x is not None):
             raise NumericalError(
                 f"covariance statistics at lag {lag_factor:g} lambda_c are not "

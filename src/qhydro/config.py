@@ -10,10 +10,13 @@ A value reaches a config by one route: ``apply_overrides`` looks up each
 "section.key", converts its text and names the key in any error.  A parsed
 INI file, ``--set`` and the CLI's shorthand flags all pass through it.
 
-The [grid] section is the ``grids.Grid`` the commands run on, and the
-[integrator] section is the ``IntegratorConfig`` that ``dynamics`` steps
-with, plus the run length; both check their own values when they are
-built, so every command rejects a bad grid or integrator value at load.
+Each section is the object the code runs on, and each checks its own
+values when it is built, so every command rejects a bad value at load:
+[material] is the ``potentials.MaterialParams`` of the run (He-4 by
+default), [grid] the ``grids.Grid``, and [integrator] the
+``IntegratorConfig`` that ``dynamics`` steps with, plus the run length.
+The one check that spans two sections, the noise amplitude from the
+material's mass and [noise], runs when the whole config is built.
 ``IntegratorConfig`` and the scheme and boundary names live here, and
 ``dynamics`` re-exports them, so the scalar commands never import the
 integrator to validate its settings.
@@ -28,7 +31,7 @@ from .constants import DEFAULT_CFL_SAFETY, parse_quantity
 from .errors import ValidationError
 from .grids import Grid
 from .noise import noise_amplitude
-from .potentials import FAMILIES, MATERIAL_PRESETS, MaterialParams
+from .potentials import FAMILIES, MaterialParams, helium_preset
 from .scales import DEFAULT_RATIO_THRESHOLD
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
@@ -99,16 +102,20 @@ class ExperimentSection:
     samples: int = 10000                # noise-audit sample count
     truncate_force: bool = True         # melting-ratio truncation at delta
 
-
-@dataclass(frozen=True)
-class MaterialSection:
-    preset: str | None = None
-    mass: float = 6.6465e-27
-    well_depth: float = 1.5049e-22      # J, 10.9 kB
-    r_0: float = 4.1805e-10             # m
-    sigma: float | None = None
-    half_width: float | None = 1.54e-10
-    depth_factor: float = 0.82
+    def __post_init__(self):
+        if self.initial not in INITIAL_CONDITIONS:
+            raise ValidationError(
+                f"experiment.initial must be one of {INITIAL_CONDITIONS}")
+        if self.potential not in POTENTIALS:
+            raise ValidationError(f"experiment.potential must be one of {POTENTIALS}")
+        if self.family not in FAMILIES:
+            raise ValidationError(f"experiment.family must be one of {FAMILIES}")
+        if self.initial_width <= 0:
+            raise ValidationError("experiment.initial_width must be positive")
+        if not 0.0 < self.ratio_threshold < 1.0:
+            raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
+        if self.samples < 1:
+            raise ValidationError("experiment.samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,13 @@ class IntegratorSection(IntegratorConfig):
     t_end: float = 1e-13
     output_stride: int = 10
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.t_end < 0:
+            raise ValidationError("integrator.t_end must be >= 0")
+        if self.output_stride < 1:
+            raise ValidationError("integrator.output_stride must be >= 1")
+
 
 @dataclass(frozen=True)
 class NoiseSection:
@@ -152,6 +166,10 @@ class NoiseSection:
     # kg s^-2, and A = mu times it must be the m^-2 s^-1 of a density rate
     mobility_mu: float = 1.0
     conserving: bool = True
+
+    def __post_init__(self):
+        if self.lambda_c is not None and self.lambda_c <= 0:
+            raise ValidationError("noise.lambda_c must be positive")
 
 
 @dataclass(frozen=True)
@@ -163,21 +181,16 @@ class OutputSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
-    material: MaterialSection = field(default_factory=MaterialSection)
+    material: MaterialParams = field(default_factory=helium_preset)
     grid: Grid = field(default_factory=lambda: Grid(-2e-9, 2e-9, 801))
     integrator: IntegratorSection = field(default_factory=IntegratorSection)
     noise: NoiseSection = field(default_factory=NoiseSection)
     output: OutputSection = field(default_factory=OutputSection)
 
-    def material_params(self) -> MaterialParams:
-        m = self.material
-        if m.preset is not None:
-            if m.preset not in MATERIAL_PRESETS:
-                raise ValidationError(f"unknown material preset {m.preset!r}")
-            return MATERIAL_PRESETS[m.preset]()
-        return MaterialParams(mass=m.mass, well_depth=m.well_depth, r_0=m.r_0,
-                              sigma=m.sigma, half_width=m.half_width,
-                              depth_factor=m.depth_factor)
+    def __post_init__(self):
+        # the amplitude's owner raises on a bad theta or mu, or an overflow
+        noise_amplitude(self.material.mass, self.noise.theta,
+                        self.noise.mobility_mu)
 
 
 # key -> converter, per section; the dataclass defaults are the default table
@@ -202,7 +215,6 @@ _CONVERTERS = {
         "truncate_force": _boolean,
     },
     "material": {
-        "preset": _optional(str.strip),
         "mass": _quantity,
         "well_depth": _quantity,
         "r_0": _quantity,
@@ -237,33 +249,6 @@ _CONVERTERS = {
 }
 
 
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    e = cfg.experiment
-    if e.initial not in INITIAL_CONDITIONS:
-        raise ValidationError(f"experiment.initial must be one of {INITIAL_CONDITIONS}")
-    if e.potential not in POTENTIALS:
-        raise ValidationError(f"experiment.potential must be one of {POTENTIALS}")
-    if e.family not in FAMILIES:
-        raise ValidationError(f"experiment.family must be one of {FAMILIES}")
-    if e.initial_width <= 0:
-        raise ValidationError("experiment.initial_width must be positive")
-    if not 0.0 < e.ratio_threshold < 1.0:
-        raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
-    if e.samples < 1:
-        raise ValidationError("experiment.samples must be >= 1")
-    # the owners raise on inconsistent material and noise values; the grid
-    # and the integrator settings checked themselves when they were built
-    params = cfg.material_params()
-    noise_amplitude(params.mass, cfg.noise.theta, cfg.noise.mobility_mu)
-    if cfg.noise.lambda_c is not None and cfg.noise.lambda_c <= 0:
-        raise ValidationError("noise.lambda_c must be positive")
-    if cfg.integrator.t_end < 0:
-        raise ValidationError("integrator.t_end must be >= 0")
-    if cfg.integrator.output_stride < 1:
-        raise ValidationError("integrator.output_stride must be >= 1")
-    return cfg
-
-
 def _section_converters(section: str) -> dict:
     if section not in _CONVERTERS:
         raise ValidationError(f"unknown config section [{section}]")
@@ -294,7 +279,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
-    """Convert "section.key" -> text pairs and merge them into cfg, validated."""
+    """Convert "section.key" -> text pairs and merge them into cfg; each
+    rebuilt section, and the new config, checks itself."""
     staged: dict[str, dict[str, object]] = {}
     for dotted, raw in overrides.items():
         section, dot, key = dotted.partition(".")
@@ -309,9 +295,9 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
             staged.setdefault(section, {})[key] = converters[key](raw)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"bad value for {dotted}: {exc}") from exc
-    return _validate(replace(cfg, **{
+    return replace(cfg, **{
         section: replace(getattr(cfg, section), **values)
-        for section, values in staged.items()}))
+        for section, values in staged.items()})
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

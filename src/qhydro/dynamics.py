@@ -363,8 +363,8 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
         n *= _integral(state.y[0], h, periodic) / norm
-    # a non-finite noise row (an amplitude near overflow) is invalid input,
-    # not a failed step
+    # a non-finite noise row (a caller's eta; the sampler rejects a spectrum
+    # that overflows) is invalid input, not a failed step
     if not np.isfinite(n).all():
         raise ValidationError("field values must be finite")
     return _stepped(state, dt, y1)

@@ -1,9 +1,8 @@
-"""Uniform 1-D grids, sampled fields, derivative and quadrature kernels.
+"""Uniform 1-D grids, sampled fields and derivative kernels.
 
 The numeric substrate for everything else: fields are immutable numpy
-arrays tied to a grid, derivatives are second-order central stencils with
-second-order one-sided stencils at the boundaries, integration is the
-composite trapezoid rule.
+arrays tied to a grid, and derivatives are second-order central stencils
+with second-order one-sided stencils at the boundaries.
 """
 
 from dataclasses import dataclass
@@ -108,8 +107,3 @@ def periodic_derivative(values: np.ndarray, spacing: float, order: int) -> np.nd
     if order == 2:
         return (np.roll(v, -1) - 2 * v + np.roll(v, 1)) / h**2
     raise ValidationError("derivative order must be 1 or 2")
-
-
-def integrate(f: Field) -> float:
-    """Composite trapezoid estimate of the integral over the grid."""
-    return float(np.trapezoid(f.values, dx=f.grid.spacing))

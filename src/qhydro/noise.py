@@ -159,19 +159,24 @@ def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
     real and imaginary parts of variance eig_j M / 2, except that modes 0
     and M / 2 (for even M) are real and carry eig_j M.  Only the prefix
     of modes before the first eig_j <= SPECTRUM_FLOOR eig_0 is kept, so
-    every kept eigenvalue is positive.  Mode 0 is always kept: a kernel
-    that overflows (eig_0 infinite) then gives non-finite fields, which
-    the integrator rejects, not an empty draw.  Read-only.
+    every kept eigenvalue is positive.  An amplitude near overflow can
+    overflow the transform or eig_j M; such a filter is rejected by name.
+    Read-only.
     """
     m = _embedding_length(grid.n_points)
-    eig = np.fft.rfft(_kernel_row(model, grid)).real
-    below = np.flatnonzero(eig[1:] <= SPECTRUM_FLOOR * eig[0])
-    kept = 1 + below[0] if below.size else eig.size
-    weight = np.full(kept, m / 2)
-    weight[0] = m
-    if kept == m // 2 + 1 and m % 2 == 0:
-        weight[-1] = m                   # the Nyquist mode
-    filt = np.sqrt(eig[:kept] * weight)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eig = np.fft.rfft(_kernel_row(model, grid)).real
+        below = np.flatnonzero(eig[1:] <= SPECTRUM_FLOOR * eig[0])
+        kept = 1 + below[0] if below.size else eig.size
+        weight = np.full(kept, m / 2)
+        weight[0] = m
+        if kept == m // 2 + 1 and m % 2 == 0:
+            weight[-1] = m                   # the Nyquist mode
+        filt = np.sqrt(eig[:kept] * weight)
+    if not np.isfinite(filt).all():
+        raise ValidationError(
+            f"noise spectrum overflows at amplitude {model.amplitude:.3e} on "
+            f"the {grid.n_points}-point grid of spacing {grid.spacing:.3e} m")
     filt.flags.writeable = False
     return filt
 

@@ -52,20 +52,12 @@ class MaterialParams:
 
 
 def helium_preset() -> MaterialParams:
-    """He-4 pair parameters: r_0 = 7.9 Bohr, Delta = 1.54e-10 m, U = 10.9 k_B."""
-    r_0 = 7.9 * BOHR
-    half_width = 1.54e-10
-    return MaterialParams(
-        mass=6.6465e-27,
-        well_depth=10.9 * K_B,
-        r_0=r_0,
-        sigma=r_0 - half_width,
-        half_width=half_width,
-        depth_factor=0.82,
-    )
+    """He-4 pair parameters: r_0 = 7.9 Bohr, Delta = 1.54e-10 m, U = 10.9 k_B.
 
-
-MATERIAL_PRESETS = {"he4": helium_preset}
+    sigma is left unset, so the square well puts its wall at r_0 - Delta.
+    """
+    return MaterialParams(mass=6.6465e-27, well_depth=10.9 * K_B,
+                          r_0=7.9 * BOHR, half_width=1.54e-10)
 
 
 @dataclass(frozen=True)

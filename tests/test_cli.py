@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +16,17 @@ import qhydro
 from qhydro import cli
 from qhydro.cli import _build_parser, _lag_means, _load, main
 from qhydro.config import ExperimentConfig, apply_overrides
+from qhydro.constants import parse_quantity
 from qhydro.dynamics import Trajectory
 from qhydro.grids import Grid
-from qhydro.noise import NoiseModel, RandomStream, sample_fields
+from qhydro.noise import NoiseModel, RandomStream, noise_amplitude, sample_fields
 from qhydro.output import (
     CSV_COLUMNS,
     config_hash,
     summary_record,
     trajectory_csv,
 )
+from qhydro.scales import correlation_length
 
 FAST_SIM = [
     "--set", "grid.n_points=201",
@@ -187,7 +190,7 @@ def test_case_helium_line(capsys):
     code, out, _ = run(["case", "helium"], capsys)
     assert code == 0
     assert "theta* = 2.4757 K" in out
-    assert "E0 = -5.1557 kB" in out
+    assert "E0 = -5.1558 kB" in out
 
 
 # the README scalar commands, as the CI smoke step runs them
@@ -500,18 +503,25 @@ def test_under_resolved_noise_kernel_rejected(capsys):
     assert "under-resolved kernel" in err
 
 
-def test_non_finite_noise_rejected(capsys):
-    # mu = 1e307 gives a finite amplitude whose circulant eigenvalues
-    # overflow on a 2.5 pm spacing, so the noise rows and the kicked density
-    # are not finite
-    with np.errstate(all="ignore"):
-        code, _, err = run(["simulate", *FAST_SIM,
-                            "--set", "grid.n_points=801",
-                            "--set", "integrator.scheme=stochastic_quantum",
-                            "--set", "noise.theta=2.17 K",
-                            "--set", "noise.mobility_mu=1e307"], capsys)
-    assert code == 1
-    assert "field values must be finite" in err
+def test_non_finite_noise_rejected(tmp_path, capsys):
+    # mu = 1e307 gives a finite amplitude whose circulant eigenvalues, times
+    # the embedding length, overflow; the sampler names the amplitude and
+    # the grid before a field is drawn, and numpy warns of nothing
+    noisy = ["--set", "noise.theta=2.17 K", "--set", "noise.mobility_mu=1e307",
+             "--json", str(tmp_path / "out.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate = run(["simulate", *FAST_SIM, "--set", "grid.n_points=801",
+                        "--set", "integrator.scheme=stochastic_quantum",
+                        *noisy], capsys)
+        audit = run(["noise-audit", "--set", "experiment.samples=100", *noisy],
+                    capsys)
+    spectrum = "error: noise spectrum overflows at amplitude 1.384e+303 on the "
+    assert simulate == (1, "", spectrum + "801-point grid of spacing "
+                                          "2.500e-12 m\n")
+    assert audit == (1, "", spectrum + "801-point grid of spacing "
+                                       "5.000e-12 m\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_overflowing_amplitude_named(capsys):
@@ -534,20 +544,47 @@ def test_overflowing_theta_named(capsys):
                    "mobility_mu = 1\n")
 
 
-@pytest.mark.parametrize("mu", ["1e300", "1e307"])
+@pytest.mark.parametrize("mu", ["1e300", "1e306", "1e307"])
 def test_audit_with_overflowing_statistics_fails(tmp_path, capsys, mu):
-    # a finite amplitude whose lag products overflow (1e300), or whose
-    # spectrum does (1e307), must not report an inf or nan error as a pass
+    # a finite amplitude whose spectrum is finite (up to mu = 1e306) but
+    # whose lag products or their spread overflow must not report an inf or
+    # nan error as a pass; at mu = 1e307 the spectrum itself overflows and
+    # the sampler refuses the amplitude before any statistics are taken.
+    # Either failure is one stderr line, with no warning and no JSON
     json_path = tmp_path / "audit.json"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(["noise-audit", "--theta", "2.17 K",
                               "--set", f"noise.mobility_mu={mu}",
                               "--set", "experiment.samples=100",
                               "--json", str(json_path)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("numerical failure: covariance statistics at lag 0 "
-                          "lambda_c are not finite")
+    amplitude = noise_amplitude(ExperimentConfig().material.mass, 2.17,
+                                float(mu))
+    if mu == "1e307":
+        assert (code, out) == (1, "")
+        assert err == (f"error: noise spectrum overflows at amplitude "
+                       f"{amplitude:.3e} on the 801-point grid of spacing "
+                       "5.000e-12 m\n")
+    else:
+        assert (code, out) == (2, "")
+        assert err == ("numerical failure: covariance statistics at lag 0 "
+                       f"lambda_c are not finite at noise amplitude "
+                       f"{amplitude:.3e}\n")
     assert not json_path.exists()
+
+
+def test_mass_moves_lambda_c_on_every_route(tmp_path, capsys):
+    # the material section is the MaterialParams the command runs on, so
+    # no other key can mask an explicit mass
+    ini = tmp_path / "mass.ini"
+    ini.write_text("[material]\nmass = 1 u\n")
+    expected = (f"lambda_c = "
+                f"{correlation_length(parse_quantity('1 u'), 2.17):.6e} m\n")
+    assert run(["lambda-c", "--theta", "2.17 K"], capsys)[1] != expected
+    for route in (["--mass", "1 u"], ["--set", "material.mass=1 u"],
+                  ["--config", str(ini)]):
+        assert run(["lambda-c", "--theta", "2.17 K", *route],
+                   capsys) == (0, expected, "")
 
 
 @pytest.mark.parametrize("key, value", [

@@ -17,6 +17,7 @@ from qhydro.constants import parse_quantity
 from qhydro.errors import ValidationError
 from qhydro.grids import Grid
 from qhydro.output import config_hash
+from qhydro.potentials import helium_preset, square_well_solve
 
 
 def test_parse_quantity_units():
@@ -86,14 +87,24 @@ def test_malformed_value_names_key():
 
 
 def test_preset_material():
-    cfg = parse_config("[material]\npreset = he4\n")
-    params = cfg.material_params()
-    assert params.mass == pytest.approx(6.6465e-27)
+    # He-4 is defined once, and it is the default material
+    assert ExperimentConfig().material == helium_preset()
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(ValidationError, match="preset"):
-        parse_config("[material]\npreset = unobtanium\n").material_params()
+    # He-4 is the default, so there is no preset key; --set names it
+    with pytest.raises(ValidationError, match=re.escape(
+            "unknown key 'preset' in section [material]")):
+        apply_overrides(ExperimentConfig(), {"material.preset": "he4"})
+
+
+def test_half_width_moves_the_wall():
+    # sigma is unset, so the square well's wall follows r_0 - half_width
+    cfg = apply_overrides(ExperimentConfig(),
+                          {"material.half_width": "1.6e-10 m"})
+    assert square_well_solve(cfg.material).sigma == cfg.material.r_0 - 1.6e-10
+    assert (square_well_solve(ExperimentConfig().material).sigma
+            == cfg.material.r_0 - 1.54e-10)
 
 
 def test_parse_serialize_parse_idempotent():
@@ -163,15 +174,18 @@ def test_converters_match_dataclass_fields():
 
 def test_default_config_serialization_is_pinned():
     # the grid is a grids.Grid and the integrator section extends the
-    # dynamics settings; the rendered keys, their order and so the
-    # config hash are those of the flat sections they replaced
+    # dynamics settings, with the keys and order of the flat sections they
+    # replaced; the material is the He-4 MaterialParams, to the last bit
     text = serialize_config(ExperimentConfig())
+    assert ("[material]\nmass = 6.6465e-27\nwell_depth = 1.50490741e-22\n"
+            "r_0 = 4.1804999661337003e-10\nsigma = none\n"
+            "half_width = 1.54e-10\ndepth_factor = 0.82\n" in text)
     assert ("[grid]\nq_min = -2e-09\nq_max = 2e-09\nn_points = 801\n"
             in text)
     assert ("[integrator]\ndt = 1e-16\nscheme = deterministic_quantum\n"
             "cfl_safety = 0.4\nboundary = zero_flux\ndensity_floor = 1e-12\n"
             "t_end = 1e-13\noutput_stride = 10\n" in text)
-    assert config_hash(ExperimentConfig()) == "72693b8581c3522d"
+    assert config_hash(ExperimentConfig()) == "b27e4630f3cbc17e"
 
 
 def test_sections_are_the_objects_the_code_runs_on():
@@ -191,7 +205,7 @@ NON_DEFAULT = {
     "experiment.decay_h": "1.2",
     "experiment.truncate_force": "off",
     "material.mass": "4.0026 u",
-    "material.sigma": "none",
+    "material.sigma": "2.6e-10 m",
     "grid.n_points": "401",
     "grid.q_max": "1.5 nm",
     "integrator.dt": "0.5 fs",
@@ -223,6 +237,20 @@ def test_ini_and_overrides_give_equal_configs():
     ("experiment.decay_h", "abc", "bad value for experiment.decay_h"),
     ("integrator.scheme", "bogus", "integrator.scheme must be one of"),
     ("grid.n_points", "3", "n_points must be at least 8"),
+    # the checks each section, and the whole config, make when built
+    ("experiment.initial", "bogus", "experiment.initial must be one of"),
+    ("experiment.potential", "bogus", "experiment.potential must be one of"),
+    ("experiment.family", "bogus", "experiment.family must be one of"),
+    ("experiment.initial_width", "0", "experiment.initial_width must be positive"),
+    ("experiment.ratio_threshold", "1",
+     "experiment.ratio_threshold must lie in (0, 1)"),
+    ("experiment.samples", "0", "experiment.samples must be >= 1"),
+    ("noise.lambda_c", "-1e-10", "noise.lambda_c must be positive"),
+    ("integrator.t_end", "-1e-15", "integrator.t_end must be >= 0"),
+    ("integrator.output_stride", "0", "integrator.output_stride must be >= 1"),
+    ("noise.mobility_mu", "0", "mobility_mu must be positive"),
+    ("material.mass", "0", "mass, well_depth and r_0 must be positive"),
+    ("material.half_width", "-1e-10", "half_width must be positive"),
 ])
 def test_file_and_override_errors_agree(dotted, raw, message):
     with pytest.raises(ValidationError, match=re.escape(message)) as from_file:

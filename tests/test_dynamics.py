@@ -23,7 +23,7 @@ from qhydro.dynamics import (
     _rhs,
 )
 from qhydro.errors import CflError, StepRejected, ValidationError
-from qhydro.grids import Field, Grid, integrate
+from qhydro.grids import Field, Grid
 from qhydro.noise import NoiseModel, RandomStream, sample_fields
 from qhydro.potentials import harmonic_ground_density, harmonic_potential, helium_preset, lj_harmonic
 
@@ -143,10 +143,10 @@ def test_norm_conservation_1000_steps():
     grid, cfg = free_setup()
     state = gaussian_state(grid, 1e-10)
     potential = Field(grid, np.zeros(grid.n_points), "J")
-    norm0 = integrate(state.density)
+    norm0 = np.trapezoid(state.y[0], dx=grid.spacing)
     for _ in range(1000):
         state = step_deterministic(state, potential, MASS, cfg)
-    assert abs(integrate(state.density) - norm0) < 1e-6
+    assert abs(np.trapezoid(state.y[0], dx=grid.spacing) - norm0) < 1e-6
 
 
 def harmonic_setup(n_points=801):
@@ -190,19 +190,35 @@ def loud_noise(conserving=True):
                       mobility_mu=1e34, conserving=conserving)
 
 
+def test_non_finite_noise_row_rejected():
+    # the sampler never draws a non-finite row, but a caller's eta can hold
+    # one; the step names it as invalid input instead of storing it
+    grid, _ = free_setup(n_points=201)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                           scheme=STOCHASTIC_QUANTUM)
+    state = gaussian_state(grid, 2e-10)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    eta = np.zeros(grid.n_points)
+    eta[100] = np.inf
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValidationError, match="field values must be finite"):
+        step_stochastic(state, potential, MASS, loud_noise(), RandomStream(1),
+                        cfg, eta=eta)
+
+
 def test_stochastic_norm_conserved_exactly():
     grid, _ = free_setup(n_points=601)
     cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
                            scheme=STOCHASTIC_QUANTUM)
     state = gaussian_state(grid, 2e-10)
     potential = Field(grid, np.zeros(grid.n_points), "J")
-    norm0 = integrate(state.density)
+    norm0 = np.trapezoid(state.y[0], dx=grid.spacing)
     stream = RandomStream(11)
     rng = stream.generator()
     for _ in range(20):
         state = step_stochastic(state, potential, MASS, loud_noise(), stream,
                                 cfg, rng)
-    assert integrate(state.density) == pytest.approx(norm0, rel=1e-12)
+    assert np.trapezoid(state.y[0], dx=grid.spacing) == pytest.approx(norm0, rel=1e-12)
 
 
 def test_stochastic_ensemble_mean_tracks_deterministic():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhydro.constants import BOHR, HBAR, K_B
 from qhydro.errors import NoBoundStateError, ValidationError
-from qhydro.grids import Field, Grid, integrate
+from qhydro.grids import Grid
 from qhydro.potentials import (
     DELTA_OVER_R0,
     MaterialParams,
@@ -72,7 +72,7 @@ def test_ground_density_peak_and_norm():
     approx = lj_harmonic(HE)
     grid = Grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 2001)
     n = harmonic_ground_density(approx, grid)
-    assert integrate(n) == pytest.approx(1.0, abs=1e-8)
+    assert np.trapezoid(n.values, dx=grid.spacing) == pytest.approx(1.0, abs=1e-8)
     assert grid.points[np.argmax(n.values)] == pytest.approx(approx.q_bar, abs=grid.spacing)
 
 
@@ -81,8 +81,8 @@ def test_ground_density_variance():
     grid = Grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 4001)
     n = harmonic_ground_density(approx, grid)
     q = grid.points
-    mean = integrate(Field(grid, n.values * q))
-    var = integrate(Field(grid, n.values * (q - mean) ** 2))
+    mean = np.trapezoid(n.values * q, dx=grid.spacing)
+    var = np.trapezoid(n.values * (q - mean) ** 2, dx=grid.spacing)
     assert var == pytest.approx(1 / (4 * approx.K_0**2), rel=1e-6)
 
 
@@ -203,7 +203,7 @@ def test_square_well_zero_force_inside():
     span = state.width + 6 / state.kappa
     grid = Grid(state.sigma, state.sigma + span, 4001)
     n = square_well_density(state, grid)
-    assert integrate(n) == pytest.approx(1.0, abs=1e-8)
+    assert np.trapezoid(n.values, dx=grid.spacing) == pytest.approx(1.0, abs=1e-8)
     profile = quantum_force(n, HE.mass, state.sigma)
     q = grid.points
     interior = (q > state.sigma + 0.1 * state.width) & \
