@@ -10,6 +10,9 @@ Two desk-scale results fall out of the length-scale machinery:
   * Equating the noise correlation length lambda_c(Theta) to the helium
     dimer well width 2 Delta picks out a noise amplitude Theta* close to
     the He-4 lambda-transition temperature of 2.17 K.
+
+Each report's fields are the keys of its JSON results, with the unit in
+the name, and ``case`` writes ``dataclasses.asdict`` of the report.
 """
 
 from dataclasses import dataclass
@@ -46,18 +49,9 @@ class LindemannReport:
     lambda_q_over_r0: float
     delta_over_r0: float
     within_empirical_band: bool
-    lambda_q: float              # m
-    delta: float                 # m
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_q_over_r0": self.lambda_q_over_r0,
-            "delta_over_r0": self.delta_over_r0,
-            "within_empirical_band": self.within_empirical_band,
-            "band": list(LINDEMANN_BAND),
-            "lambda_q_m": self.lambda_q,
-            "delta_m": self.delta,
-        }
+    lambda_q_m: float
+    delta_m: float
+    band: tuple[float, float] = LINDEMANN_BAND
 
 
 def lindemann(params: MaterialParams, truncate: bool = True) -> LindemannReport:
@@ -88,23 +82,14 @@ def lindemann(params: MaterialParams, truncate: bool = True) -> LindemannReport:
 
 @dataclass(frozen=True)
 class LambdaPointReport:
-    theta_star: float            # K, solves lambda_c(Theta) = 2 Delta
-    reference_theta: float       # K, quoted transition temperature
-    lambda_c_at_theta_star: float
-    lambda_c_at_reference: float
-    two_delta: float             # m
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_star_K": self.theta_star,
-            "reference_theta_K": self.reference_theta,
-            "lambda_c_at_theta_star_m": self.lambda_c_at_theta_star,
-            "lambda_c_at_reference_m": self.lambda_c_at_reference,
-            "two_delta_m": self.two_delta,
-            "note": ("theta_star inverts the correlation-length formula at "
-                     "lambda_c = 2 Delta with CODATA constants; the quoted "
-                     "2.17 K is shown alongside, not reproduced exactly"),
-        }
+    theta_star_K: float          # solves lambda_c(Theta) = 2 Delta
+    reference_theta_K: float     # quoted transition temperature
+    lambda_c_at_theta_star_m: float
+    lambda_c_at_reference_m: float
+    two_delta_m: float
+    note: str = ("theta_star inverts the correlation-length formula at "
+                 "lambda_c = 2 Delta with CODATA constants; the quoted "
+                 "2.17 K is shown alongside, not reproduced exactly")
 
 
 def helium_lambda(params: MaterialParams) -> LambdaPointReport:
@@ -116,40 +101,27 @@ def helium_lambda(params: MaterialParams) -> LambdaPointReport:
     theta_star = (math.pi / 2.0) ** 3 * HBAR**2 / (
         2.0 * params.mass * K_B * two_delta**2)
     return LambdaPointReport(
-        theta_star=theta_star,
-        reference_theta=HE4_LAMBDA_POINT_K,
-        lambda_c_at_theta_star=correlation_length(params.mass, theta_star),
-        lambda_c_at_reference=correlation_length(params.mass, HE4_LAMBDA_POINT_K),
-        two_delta=two_delta,
+        theta_star_K=theta_star,
+        reference_theta_K=HE4_LAMBDA_POINT_K,
+        lambda_c_at_theta_star_m=correlation_length(params.mass, theta_star),
+        lambda_c_at_reference_m=correlation_length(params.mass,
+                                                   HE4_LAMBDA_POINT_K),
+        two_delta_m=two_delta,
     )
 
 
 @dataclass(frozen=True)
 class HeliumStateReport:
-    e0_over_kb: float            # bound-state energy in kelvin units
-    k0: float                    # 1/m
+    E0_over_kB: float            # bound-state energy in kelvin units
+    K0_per_m: float
     matching_residual: float
-    max_force_inside: float      # N, numeric quantum force inside the well
-    core_force_scale: float      # N, harmonic-case force at delta, for comparison
+    max_force_inside_N: float    # numeric quantum force inside the well
+    core_force_scale_N: float    # harmonic-case force at delta, for comparison
     zero_force_inside: bool
     lambda_q_over_r0: float      # harmonic estimate
     two_delta_over_r0: float     # from the SI preset values
     reference_two_delta_over_r0: float
     ordering_ok: bool            # lambda_q estimate < 2 Delta
-
-    def to_dict(self) -> dict:
-        return {
-            "E0_over_kB": self.e0_over_kb,
-            "K0_per_m": self.k0,
-            "matching_residual": self.matching_residual,
-            "max_force_inside_N": self.max_force_inside,
-            "core_force_scale_N": self.core_force_scale,
-            "zero_force_inside": self.zero_force_inside,
-            "lambda_q_over_r0": self.lambda_q_over_r0,
-            "two_delta_over_r0": self.two_delta_over_r0,
-            "reference_two_delta_over_r0": self.reference_two_delta_over_r0,
-            "ordering_ok": self.ordering_ok,
-        }
 
 
 def helium_state_check(params: MaterialParams) -> HeliumStateReport:
@@ -170,11 +142,11 @@ def helium_state_check(params: MaterialParams) -> HeliumStateReport:
     lam_q_ratio = lindemann(params).lambda_q_over_r0
     two_delta_ratio = state.width / params.r_0
     return HeliumStateReport(
-        e0_over_kb=state.E_0 / K_B,
-        k0=state.K_0,
+        E0_over_kB=state.E_0 / K_B,
+        K0_per_m=state.K_0,
         matching_residual=state.matching_residual,
-        max_force_inside=max_force,
-        core_force_scale=core_force,
+        max_force_inside_N=max_force,
+        core_force_scale_N=core_force,
         zero_force_inside=max_force < 1e-6 * core_force,
         lambda_q_over_r0=lam_q_ratio,
         two_delta_over_r0=two_delta_ratio,

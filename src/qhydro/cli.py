@@ -20,6 +20,7 @@ a lag whose statistics overflow fails the audit as a numerical error.
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -297,19 +298,19 @@ def _cmd_case(cfg: ExperimentConfig, study: str) -> None:
     params = cfg.material
     if study == "lindemann":
         report = cases.lindemann(params, truncate=cfg.experiment.truncate_force)
-        _emit(cfg, report.to_dict(),
+        _emit(cfg, asdict(report),
               f"lindemann: lambda_q / r_0 = {report.lambda_q_over_r0:.5f} "
               f"(band {cases.LINDEMANN_BAND[0]}-{cases.LINDEMANN_BAND[1]}: "
               f"{'inside' if report.within_empirical_band else 'outside'})")
         return
     lam_report = cases.helium_lambda(params)
     state_report = cases.helium_state_check(params)
-    results = {"lambda_point": lam_report.to_dict(),
-               "bound_state": state_report.to_dict()}
+    results = {"lambda_point": asdict(lam_report),
+               "bound_state": asdict(state_report)}
     _emit(cfg, results,
-          f"helium: theta* = {lam_report.theta_star:.4f} K "
-          f"(reference {lam_report.reference_theta} K), "
-          f"E0 = {state_report.e0_over_kb:.4f} kB")
+          f"helium: theta* = {lam_report.theta_star_K:.4f} K "
+          f"(reference {lam_report.reference_theta_K} K), "
+          f"E0 = {state_report.E0_over_kB:.4f} kB")
 
 
 def _lag_means(rows: np.ndarray, lags: list[int]) -> np.ndarray:

@@ -116,6 +116,12 @@ class ExperimentSection:
             raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
         if self.samples < 1:
             raise ValidationError("experiment.samples must be >= 1")
+        # core_width is squared into the family's core variance, so a
+        # negative width would run as its absolute value
+        if self.core_width <= 0:
+            raise ValidationError("experiment.core_width must be positive")
+        if self.tail_scale <= 0:
+            raise ValidationError("experiment.tail_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,6 @@ class IntegratorConfig:
     scheme: str = DETERMINISTIC_QUANTUM
     cfl_safety: float = DEFAULT_CFL_SAFETY
     boundary: str = ZERO_FLUX
-    density_floor: float = 1e-12     # additive floor, fraction of peak density
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -138,8 +143,6 @@ class IntegratorConfig:
         if self.boundary not in (ZERO_FLUX, PERIODIC):
             raise ValidationError(
                 f"integrator.boundary must be one of {(ZERO_FLUX, PERIODIC)}")
-        if not 0.0 < self.density_floor < 1e-3:
-            raise ValidationError("integrator.density_floor must lie in (0, 1e-3)")
 
 
 @dataclass(frozen=True)
@@ -232,7 +235,6 @@ _CONVERTERS = {
         "scheme": str,
         "cfl_safety": _real,
         "boundary": str,
-        "density_floor": _real,
         "t_end": _quantity,
         "output_stride": int,
     },

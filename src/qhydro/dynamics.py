@@ -34,12 +34,14 @@ single-row draws bit for bit, and 8 rows keep most of the per-call
 saving while the batch stays small next to the run's memory (a 64-row
 batch adds about 5 MB to the peak at N = 801).
 
-Vacuum handling: the density under the square root carries a small
-additive floor, and the total force is multiplied by a smooth taper that
-shuts it off where the density is at floor level.  Without the taper the
-floor region hosts unbounded parasitic accelerations; tapering only the
-quantum force leaves the classical force to accelerate ghost fluid, so
-the taper multiplies the sum.
+Vacuum handling: the density under the square root carries the additive
+floor of ``qpotential.floored_density``, 1e-12 of the peak, so the step,
+``observables`` and ``qpotential.quantum_potential`` take V_qu alike.  The
+total force is multiplied by a smooth taper that shuts it off where the
+density is at floor level.  Without the taper the floor region hosts
+unbounded parasitic accelerations; tapering only the quantum force leaves
+the classical force to accelerate ghost fluid, so the taper multiplies
+the sum.
 
 Stability: the quantum term behaves like free-particle dispersion.
 Linearised about a uniform periodic state n0 at rest, the rates read
@@ -77,7 +79,7 @@ from .constants import DEFAULT_CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
 from .grids import Field, Grid, periodic_derivative, stencil_derivative
 from .noise import NoiseModel, RandomStream, sample_fields
-from .qpotential import vqu_kernel
+from .qpotential import floored_density, vqu_kernel
 
 FORCE_TAPER_FRACTION = 1e-8
 
@@ -221,8 +223,7 @@ def _rhs(n: np.ndarray, v: np.ndarray, potential: np.ndarray, mass: float,
     peak = float(n.max())
     if peak <= 0:
         raise StepRejected("density collapsed to zero")
-    nc = np.maximum(n, 0.0)
-    nc += cfg.density_floor * peak
+    nc = floored_density(n, peak)
 
     rates = np.empty((3, n.shape[0]))
     dn, dv, ds = rates
@@ -407,8 +408,7 @@ def observables(state: HydroState, potential: Field, mass: float,
         raise ValidationError("state has zero norm")
     mean_q = _integral(n * q, h, periodic) / norm
     variance = _integral(n * (q - mean_q) ** 2, h, periodic) / norm
-    peak = float(np.max(n))
-    nc = np.maximum(n, 0.0) + cfg.density_floor * peak
+    nc = floored_density(n, float(np.max(n)))
     vqu = vqu_kernel(np.sqrt(nc), h, mass, periodic)
     e_kin = _integral(0.5 * mass * n * v**2, h, periodic)
     e_pot = _integral(n * potential.values, h, periodic)

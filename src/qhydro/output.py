@@ -8,7 +8,8 @@ package, numpy and Python versions, the platform, seed and a config hash
 (of everything but the output paths) so result tables stay auditable and
 comparable across machines.
 Files are written whole at the end of a run: a failed run leaves no
-partial summary behind.
+partial summary behind, and a path that cannot be written is a
+ValidationError naming it, as an unreadable config is.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .constants import ATOMIC_MASS_UNIT, BOHR, HBAR, K_B
 from .config import ExperimentConfig, OutputSection, serialize_config
+from .errors import ValidationError
 
 if TYPE_CHECKING:
     from .dynamics import Trajectory
@@ -96,4 +98,4 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc}") from exc
+        raise ValidationError(f"cannot write {path!r}: {exc}") from exc

@@ -43,12 +43,13 @@ class MaterialParams:
     depth_factor: float = 0.82   # square-well depth as a fraction of well_depth
 
     def __post_init__(self):
-        if self.mass <= 0 or self.well_depth <= 0 or self.r_0 <= 0:
-            raise ValidationError("mass, well_depth and r_0 must be positive")
+        for key in ("mass", "well_depth", "r_0"):
+            if getattr(self, key) <= 0:
+                raise ValidationError(f"material.{key} must be positive")
         if self.half_width is not None and self.half_width <= 0:
-            raise ValidationError("half_width must be positive")
+            raise ValidationError("material.half_width must be positive")
         if not 0.0 < self.depth_factor <= 1.0:
-            raise ValidationError("depth_factor must lie in (0, 1]")
+            raise ValidationError("material.depth_factor must lie in (0, 1]")
 
 
 def helium_preset() -> MaterialParams:

@@ -4,11 +4,13 @@ The quantum potential of a density n is
 
     V_qu = -(hbar^2 / 2m) (d^2 sqrt(n) / dq^2) / sqrt(n)
 
-computed with the stencil kernels of :mod:`qhydro.grids`.  Densities are
-clamped below at a relative floor before the square root (the tails of any
-localized state underflow long before the grid ends).  For work in the deep
-tail, where no floating-point density survives, the same operator is
-available on log-densities via the identity
+computed with the stencil kernels of :mod:`qhydro.grids`.  The density
+under the square root carries one additive floor, ``floored_density``:
+max(n, 0) plus 1e-12 of the peak (the tails of any localized state
+underflow long before the grid ends).  The integrator takes V_qu through
+the same floor, so a state's V_qu here is the V_qu it is stepped and
+measured with.  For work in the deep tail, where no floating-point density
+survives, the same operator is available on log-densities via the identity
 
     psi''/psi = (L')^2/4 + L''/2,      L = log n.
 
@@ -29,6 +31,7 @@ from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
 from .grids import Field, periodic_derivative, stencil_derivative
 
+# the additive density floor, as a fraction of the peak density
 DENSITY_FLOOR_FRACTION = 1e-12
 
 # Fitted-exponent class boundaries sit at 0 (ballistic) and -1
@@ -70,11 +73,18 @@ class DecayClass:
     at_boundary: bool = False
 
 
+def floored_density(n: np.ndarray, peak: float) -> np.ndarray:
+    """max(n, 0) + DENSITY_FLOOR_FRACTION * peak, as a new array."""
+    nc = np.maximum(n, 0.0)
+    nc += DENSITY_FLOOR_FRACTION * peak
+    return nc
+
+
 def vqu_kernel(s: np.ndarray, spacing: float, mass: float,
                periodic: bool = False) -> np.ndarray:
     """V_qu = -(hbar^2 / 2m) s'' / s on raw arrays, s = sqrt(n) > 0.
 
-    Callers apply their own density floor before taking the square root.
+    s is the square root of a ``floored_density``.
     """
     d2 = periodic_derivative if periodic else stencil_derivative
     vqu = d2(s, spacing, 2)
@@ -90,7 +100,7 @@ def quantum_potential(n: Field, mass: float) -> Field:
     peak = float(np.max(n.values))
     if peak <= 0.0:
         raise DegenerateDensityError("degenerate density: no positive values")
-    s = np.sqrt(np.maximum(n.values, DENSITY_FLOOR_FRACTION * peak))
+    s = np.sqrt(floored_density(n.values, peak))
     return Field(n.grid, vqu_kernel(s, n.grid.spacing, mass), "J")
 
 
@@ -111,7 +121,7 @@ def _force_from_potential(vqu: Field, origin: float) -> QuantumForceProfile:
 
 
 def quantum_force(n: Field, mass: float, origin: float) -> QuantumForceProfile:
-    """-dV_qu/dq from a density field, clamped at the density floor."""
+    """-dV_qu/dq from a density field, through the density floor."""
     return _force_from_potential(quantum_potential(n, mass), origin)
 
 

@@ -71,13 +71,13 @@ def test_criterion_1_lindemann_ratio(emit):
 
 def test_criterion_2_lambda_point_temperature(emit):
     report = cases.helium_lambda(HE)
-    forward = correlation_length(HE.mass, report.theta_star)
-    forward_rel = abs(forward - report.two_delta) / report.two_delta
-    ok = (2.0 <= report.theta_star <= 2.6 and forward_rel < 1e-6
-          and report.reference_theta == 2.17)
+    forward = correlation_length(HE.mass, report.theta_star_K)
+    forward_rel = abs(forward - report.two_delta_m) / report.two_delta_m
+    ok = (2.0 <= report.theta_star_K <= 2.6 and forward_rel < 1e-6
+          and report.reference_theta_K == 2.17)
     assert emit(ok, 2,
-                f"theta* = {report.theta_star:.4f} K in [2.0, 2.6] K "
-                f"(reference {report.reference_theta} K juxtaposed, forward "
+                f"theta* = {report.theta_star_K:.4f} K in [2.0, 2.6] K "
+                f"(reference {report.reference_theta_K} K juxtaposed, forward "
                 f"residual {forward_rel:.1e})")
 
 

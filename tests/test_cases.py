@@ -1,3 +1,4 @@
+from dataclasses import asdict
 import math
 
 import pytest
@@ -38,7 +39,7 @@ def test_lindemann_full_tail_is_infinite():
     # without the truncation the linear force never lets the weighted
     # range converge
     report = lindemann(HE, truncate=False)
-    assert math.isinf(report.lambda_q)
+    assert math.isinf(report.lambda_q_m)
     assert not report.within_empirical_band
 
 
@@ -48,22 +49,22 @@ def test_lindemann_band_constant():
 
 def test_helium_lambda_value():
     report = helium_lambda(HE)
-    assert report.theta_star == pytest.approx(2.4757, abs=0.01)
-    assert report.reference_theta == HE4_LAMBDA_POINT_K
+    assert report.theta_star_K == pytest.approx(2.4757, abs=0.01)
+    assert report.reference_theta_K == HE4_LAMBDA_POINT_K
 
 
 def test_helium_lambda_forward_consistency():
     report = helium_lambda(HE)
-    assert correlation_length(HE.mass, report.theta_star) == pytest.approx(
-        report.two_delta, rel=1e-6)
+    assert correlation_length(HE.mass, report.theta_star_K) == pytest.approx(
+        report.two_delta_m, rel=1e-6)
 
 
 def test_helium_lambda_scaling():
     doubled = MaterialParams(mass=HE.mass, well_depth=HE.well_depth,
                              r_0=HE.r_0, sigma=HE.sigma,
                              half_width=2 * HE.half_width)
-    assert helium_lambda(doubled).theta_star == pytest.approx(
-        helium_lambda(HE).theta_star / 4, rel=1e-12)
+    assert helium_lambda(doubled).theta_star_K == pytest.approx(
+        helium_lambda(HE).theta_star_K / 4, rel=1e-12)
 
 
 def test_helium_lambda_needs_half_width():
@@ -74,7 +75,7 @@ def test_helium_lambda_needs_half_width():
 
 def test_helium_state_report():
     report = helium_state_check(HE)
-    assert -5.19 * 1.10 < report.e0_over_kb < -5.19 * 0.90
+    assert -5.19 * 1.10 < report.E0_over_kB < -5.19 * 0.90
     assert report.matching_residual < 1e-10
     assert report.zero_force_inside
     assert report.ordering_ok
@@ -91,11 +92,12 @@ def test_reports_are_deterministic():
 
 def test_e0_in_kelvin_band():
     report = helium_state_check(HE)
-    assert -5.7 < report.e0_over_kb < -4.7
+    assert -5.7 < report.E0_over_kB < -4.7
 
 
 def test_serialization_dicts():
-    assert helium_lambda(HE).to_dict()["theta_star_K"] > 0
-    d = lindemann(HE).to_dict()
+    # a report's fields are its JSON keys; the band is a field default
+    assert asdict(helium_lambda(HE))["theta_star_K"] > 0
+    d = asdict(lindemann(HE))
     assert d["within_empirical_band"] is True
-    assert d["band"] == [0.20, 0.25]
+    assert d["band"] == LINDEMANN_BAND == (0.20, 0.25)

@@ -591,7 +591,6 @@ def test_mass_moves_lambda_c_on_every_route(tmp_path, capsys):
     ("integrator.scheme", "bogus"),
     ("integrator.boundary", "wall"),
     ("integrator.cfl_safety", "5"),
-    ("integrator.density_floor", "0.5"),
 ])
 def test_bad_integrator_value_rejected_by_every_command(key, value, capsys):
     # the integrator settings check themselves when the config loads, so a
@@ -600,6 +599,68 @@ def test_bad_integrator_value_rejected_by_every_command(key, value, capsys):
                           "--set", f"{key}={value}"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {key} must ")
+
+
+def test_density_floor_is_not_a_config_key(capsys):
+    # the floor under V_qu is one qpotential constant, shared by the
+    # integrator and quantum_potential
+    code, out, err = run(["lambda-c", "--set", "integrator.density_floor=1e-12"],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: unknown key 'density_floor' in section [integrator]\n"
+
+
+@pytest.mark.parametrize("command", ["lambda-q", "lambda-c"])
+@pytest.mark.parametrize("key", ["experiment.core_width",
+                                 "experiment.tail_scale"])
+def test_nonpositive_family_length_rejected_at_load(command, key, capsys):
+    # core_width is squared, so a negative width would run as its absolute value
+    code, out, err = run([command, "--set", f"{key}=-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {key} must be positive\n"
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    parent = tmp_path / "plain.txt"
+    parent.write_text("not a directory\n")
+    path = parent / "x.json"
+    code, out, err = run(["lambda-c", "--theta", "2.17 K", "--json", str(path)],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {str(path)!r}: ")
+
+
+CASE_RESULT_KEYS = {
+    "lindemann": {"band", "delta_m", "delta_over_r0", "lambda_q_m",
+                  "lambda_q_over_r0", "within_empirical_band"},
+    "helium": {"bound_state", "lambda_point"},
+}
+HELIUM_SECTION_KEYS = {
+    "lambda_point": {"lambda_c_at_reference_m", "lambda_c_at_theta_star_m",
+                     "note", "reference_theta_K", "theta_star_K",
+                     "two_delta_m"},
+    "bound_state": {"E0_over_kB", "K0_per_m", "core_force_scale_N",
+                    "lambda_q_over_r0", "matching_residual",
+                    "max_force_inside_N", "ordering_ok",
+                    "reference_two_delta_over_r0", "two_delta_over_r0",
+                    "zero_force_inside"},
+}
+
+
+@pytest.mark.parametrize("study", ["lindemann", "helium"])
+def test_case_json_result_keys_are_pinned(tmp_path, capsys, study):
+    # each report's fields are the keys it writes
+    path = tmp_path / f"{study}.json"
+    code, _, err = run(["case", study, "--json", str(path)], capsys)
+    assert code == 0, err
+    results = json.loads(path.read_text())["results"]
+    assert set(results) == CASE_RESULT_KEYS[study]
+    if study == "lindemann":
+        assert results["band"] == [0.20, 0.25]
+    else:
+        for section, keys in HELIUM_SECTION_KEYS.items():
+            assert set(results[section]) == keys
 
 
 def test_case_lindemann_ignores_the_grid(capsys):

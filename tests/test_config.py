@@ -175,7 +175,8 @@ def test_converters_match_dataclass_fields():
 def test_default_config_serialization_is_pinned():
     # the grid is a grids.Grid and the integrator section extends the
     # dynamics settings, with the keys and order of the flat sections they
-    # replaced; the material is the He-4 MaterialParams, to the last bit
+    # replaced, less the density floor, which is a qpotential constant; the
+    # material is the He-4 MaterialParams, to the last bit
     text = serialize_config(ExperimentConfig())
     assert ("[material]\nmass = 6.6465e-27\nwell_depth = 1.50490741e-22\n"
             "r_0 = 4.1804999661337003e-10\nsigma = none\n"
@@ -183,9 +184,9 @@ def test_default_config_serialization_is_pinned():
     assert ("[grid]\nq_min = -2e-09\nq_max = 2e-09\nn_points = 801\n"
             in text)
     assert ("[integrator]\ndt = 1e-16\nscheme = deterministic_quantum\n"
-            "cfl_safety = 0.4\nboundary = zero_flux\ndensity_floor = 1e-12\n"
+            "cfl_safety = 0.4\nboundary = zero_flux\n"
             "t_end = 1e-13\noutput_stride = 10\n" in text)
-    assert config_hash(ExperimentConfig()) == "b27e4630f3cbc17e"
+    assert config_hash(ExperimentConfig()) == "263d0ae73b46ab8b"
 
 
 def test_sections_are_the_objects_the_code_runs_on():
@@ -249,8 +250,11 @@ def test_ini_and_overrides_give_equal_configs():
     ("integrator.t_end", "-1e-15", "integrator.t_end must be >= 0"),
     ("integrator.output_stride", "0", "integrator.output_stride must be >= 1"),
     ("noise.mobility_mu", "0", "mobility_mu must be positive"),
-    ("material.mass", "0", "mass, well_depth and r_0 must be positive"),
+    ("material.mass", "0", "material.mass must be positive"),
+    ("material.well_depth", "-1", "material.well_depth must be positive"),
+    ("material.r_0", "0", "material.r_0 must be positive"),
     ("material.half_width", "-1e-10", "half_width must be positive"),
+    ("material.depth_factor", "2", "material.depth_factor must lie in (0, 1]"),
 ])
 def test_file_and_override_errors_agree(dotted, raw, message):
     with pytest.raises(ValidationError, match=re.escape(message)) as from_file:

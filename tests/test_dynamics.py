@@ -20,12 +20,14 @@ from qhydro.dynamics import (
     run,
     step_deterministic,
     step_stochastic,
+    _integral,
     _rhs,
 )
 from qhydro.errors import CflError, StepRejected, ValidationError
 from qhydro.grids import Field, Grid
 from qhydro.noise import NoiseModel, RandomStream, sample_fields
 from qhydro.potentials import harmonic_ground_density, harmonic_potential, helium_preset, lj_harmonic
+from qhydro.qpotential import DENSITY_FLOOR_FRACTION, quantum_potential
 
 HE = helium_preset()
 MASS = HE.mass
@@ -362,6 +364,20 @@ def test_wide_packet_classical_matches_quantum():
     assert mc == pytest.approx(mq, rel=0.01)
 
 
+def test_observed_vqu_is_quantum_potential():
+    # one density floor: the energy observables reports is the integral of
+    # n V_qu with quantum_potential's V_qu, also where n is exactly zero
+    grid, cfg = free_setup(n_points=201)
+    n = gaussian_state(grid, 1e-10).y[0].copy()
+    n[:40] = n[-40:] = 0.0
+    density = Field(grid, n, "1/m")
+    state = initial_state(density)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    expected = _integral(n * quantum_potential(density, MASS).values,
+                         grid.spacing, False)
+    assert observables(state, potential, MASS, cfg).e_qu == expected
+
+
 def test_run_zero_time_single_snapshot():
     grid, cfg = free_setup(n_points=301)
     state = gaussian_state(grid, 1e-10)
@@ -462,7 +478,7 @@ def reference_divergence(n, v, h, periodic):
 def reference_rhs(n, v, potential, cfg, h, quantum):
     periodic = cfg.boundary == PERIODIC
     peak = float(np.max(n))
-    nc = np.maximum(n, 0.0) + cfg.density_floor * peak
+    nc = np.maximum(n, 0.0) + DENSITY_FLOOR_FRACTION * peak
     if quantum:
         s = np.sqrt(nc)
         vqu = -(HBAR**2 / (2.0 * MASS)) * reference_derivative(
