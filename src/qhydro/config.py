@@ -31,7 +31,7 @@ from .constants import DEFAULT_CFL_SAFETY, parse_quantity
 from .errors import ValidationError
 from .grids import Grid
 from .noise import noise_amplitude
-from .potentials import FAMILIES, MaterialParams, helium_preset
+from .potentials import FAMILIES, MaterialParams, PseudoGaussianFamily, helium_preset
 from .scales import DEFAULT_RATIO_THRESHOLD
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
@@ -122,6 +122,7 @@ class ExperimentSection:
             raise ValidationError("experiment.core_width must be positive")
         if self.tail_scale <= 0:
             raise ValidationError("experiment.tail_scale must be positive")
+        PseudoGaussianFamily.check_core(self.core_width**2, self.tail_scale)
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,17 @@ boundary names are defined in ``qhydro.config``, where the [integrator]
 section extends them with the run length, and are importable from here.
 
 Layout: ``HydroState`` holds the state as one read-only (3, N) array
-[n, v, S], which the step reads as its y0 without a copy.  Each stage
-input is formed on the n and v rows at once, the rates are written into
-the rows of one (3, N) array with in-place ufuncs, and the RK4
-combination runs once over all three rows.  Every element goes through
-the same IEEE operations in the same order as the field-by-field
-textbook form, so results are bit-identical to it.  The step scans the
-new array once for non-finite values, naming the row it finds, and the
-next ``HydroState`` adopts it without a second scan; a Field of one row
-is built only when a caller reads it (a kept snapshot density, the final
-state).
+[n, v, S], which the step reads as its y0 without a copy.  The step works
+in a ``Workspace`` that ``run`` builds once: one block of rows for the stage
+[n, v], the rates and every intermediate, and each slice the stencils and
+the flux divergence read; at N = 601 slicing and allocating cost more than
+the arithmetic.  k2 is evaluated into y1, a fresh array the new state owns,
+which sums the rates as they come.  Every element goes through the same
+IEEE operations in the same order as the field-by-field textbook form, so
+results are bit-identical to it.  The step scans y1 once for non-finite
+values, naming the row it finds, and the next ``HydroState`` adopts it
+without a second scan; a Field of one row is built only when a caller
+reads it (a kept snapshot density, the final state).
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
@@ -77,9 +78,9 @@ from .config import (  # noqa: F401
 )
 from .constants import DEFAULT_CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
-from .grids import Field, Grid, periodic_derivative, stencil_derivative
+from .grids import Field, Grid, derivative_kernel
 from .noise import NoiseModel, RandomStream, sample_fields
-from .qpotential import floored_density, vqu_kernel
+from .qpotential import floored_density, vqu_from_curvature, vqu_kernel
 
 FORCE_TAPER_FRACTION = 1e-8
 
@@ -187,114 +188,118 @@ def _integral(f: np.ndarray, h: float, periodic: bool) -> float:
     return float(np.trapezoid(f, dx=h))
 
 
-def _divergence_flux(n: np.ndarray, v: np.ndarray, h: float,
-                     periodic: bool, out: np.ndarray) -> None:
-    """Conservative d(nv)/dq into ``out``.
+class Workspace:
+    """The arrays and views the RK4 steps of one grid, potential, mass and
+    ``IntegratorConfig`` work in, one step at a time (module docstring)."""
 
-    Averaged half-cell fluxes, differenced as a telescoping sum.
-    """
-    flux = n * v
-    if periodic:
-        f_right = flux + np.roll(flux, -1)
-        f_right *= 0.5
-        np.subtract(f_right, np.roll(f_right, 1), out=out)
-        out /= h
-        return
-    f_half = flux[:-1] + flux[1:]
-    f_half *= 0.5
-    # zero flux through both walls: total mass change telescopes to zero
-    inner = out[1:-1]
-    np.subtract(f_half[1:], f_half[:-1], out=inner)
-    inner /= h
-    out[0] = f_half[0] / h
-    out[-1] = -f_half[-1] / h
+    def __init__(self, grid: Grid, potential: Field, mass: float, cfg: IntegratorConfig):
+        n_points, h = grid.n_points, grid.spacing
+        self.potential, self.mass, self.cfg, self.spacing = potential.values, mass, cfg, h
+        self.quantum = cfg.scheme != CLASSICAL_LIMIT
+        self.periodic = periodic = cfg.boundary == PERIODIC
+        # one allocation: the stage n, v and V_qu + V (the force's potential),
+        # the rates, v', (V_qu + V)', the floored n, its sqrt, V_qu, taper, flux
+        block = np.empty((13, n_points))
+        (self.n, self.v, self.g, *self.rates, self.dvdq, self.grad, self.nc,
+         self.s, self.vqu, self.w, self.flux) = block
+        self.g[:] = potential.values
+        self.stage, self.k, self.k_stage = block[:2], block[3:6], block[3:5]
+        self.curvature = derivative_kernel(self.s, self.vqu, h, 2, periodic)
+        self.velocity_gradient = derivative_kernel(self.v, self.dvdq, h, 1, periodic)
+        self.force_gradient = derivative_kernel(self.g, self.grad, h, 1, periodic)
+        # faces[j] is the flux through cell j's left face; the walls hold +0
+        # and -0, the signed zeros that f / h and -f / h give at zero flux
+        faces = np.zeros(n_points + 1)
+        faces[-1] = -0.0
+        self.face_views = (self.flux[:-1], self.flux[1:], faces[1:-1],
+                           faces[1:], faces[:-1])
 
 
-def _rhs(n: np.ndarray, v: np.ndarray, potential: np.ndarray, mass: float,
-         cfg: IntegratorConfig, spacing: float, quantum: bool) -> np.ndarray:
-    """Rates [dn/dt, dv/dt, dS/dt] as the rows of one (3, N) array.
+def _rhs(ws: Workspace, rates: tuple) -> None:
+    """Rates [dn/dt, dv/dt, dS/dt] of ``ws.stage`` into the rows ``rates``.
 
     Sign flips sit only where IEEE makes them exact, (-a)*b == -(a*b) and
     x + (-y) == x - y, so every element rounds as in the textbook form
     dn = -d(nv)/dq, dv = -v dv/dq + w F/m, dS = -(m v^2/2 + V + V_qu).
     """
-    periodic = cfg.boundary == PERIODIC
-    d1 = periodic_derivative if periodic else stencil_derivative
+    n, v, mass = ws.n, ws.v, ws.mass
+    dn, dv, ds = rates
     peak = float(n.max())
     if peak <= 0:
         raise StepRejected("density collapsed to zero")
-    nc = floored_density(n, peak)
-
-    rates = np.empty((3, n.shape[0]))
-    dn, dv, ds = rates
-    if quantum:
-        vqu = vqu_kernel(np.sqrt(nc), spacing, mass, periodic)
-        grad = d1(vqu + potential, spacing, 1)
-    else:
-        grad = d1(potential, spacing, 1)
+    nc = floored_density(n, peak, out=ws.nc)
+    if ws.quantum:
+        np.sqrt(nc, out=ws.s)
+        ws.curvature()
+        vqu = vqu_from_curvature(ws.vqu, ws.s, mass)
+        np.add(vqu, ws.potential, out=ws.g)
+    ws.force_gradient()
+    ws.velocity_gradient()
 
     # shut the force off where only floor density lives; an untapered
     # force accelerates ghost fluid in the vacuum without bound
     taper_level = FORCE_TAPER_FRACTION * peak
     nc2 = np.square(nc, out=nc)      # sqrt(nc) is taken above
-    w = nc2 + taper_level**2
+    w = np.add(nc2, taper_level**2, out=ws.w)
     np.divide(nc2, w, out=w)
 
-    _divergence_flux(n, v, spacing, periodic, dn)
+    # conservative d(nv)/dq: averaged fluxes through the faces, differenced
+    # as a telescoping sum
+    flux_lo, flux_hi, inner, right, left = ws.face_views
+    np.multiply(n, v, out=ws.flux)
+    np.add(flux_lo, flux_hi, out=inner)
+    inner *= 0.5
+    if ws.periodic:
+        left[0] = right[-1] = (flux_hi.item(-1) + flux_lo.item(0)) * 0.5
+    np.subtract(right, left, out=dn)
+    dn /= ws.spacing
     np.negative(dn, out=dn)
     # dv = (-(v v')) - (w grad)/m, the force being -grad
-    np.multiply(v, d1(v, spacing, 1), out=dv)
+    np.multiply(v, ws.dvdq, out=dv)
     np.negative(dv, out=dv)
-    grad *= w
-    grad /= mass
-    dv -= grad
+    ws.grad *= w
+    ws.grad /= mass
+    dv -= ws.grad
     # the classical limit adds no V_qu: x + 0.0 == x, as x = m v^2/2 + V
     # is never -0.0
     np.square(v, out=ds)
     ds *= 0.5 * mass
-    ds += potential
-    if quantum:
+    ds += ws.potential
+    if ws.quantum:
         ds += vqu
     np.negative(ds, out=ds)
-    return rates
 
 
 _STATE_ROWS = ("density", "velocity", "action")
 
 
-def _advance(state: HydroState, potential: Field, mass: float,
-             cfg: IntegratorConfig) -> np.ndarray:
+def _advance(state: HydroState, ws: Workspace) -> np.ndarray:
     """One RK4 step on the stacked state [n, v, S]: the checked (3, N) y1.
 
     The classical limit drops the quantum force.  y1 is a fresh array the
     caller owns; its density row is clipped at zero.
     """
-    h, dt = state.grid.spacing, cfg.dt
-    vp = potential.values
-    quantum = cfg.scheme != CLASSICAL_LIMIT
-    y0 = state.y
-
-    def f(y):
-        return _rhs(y[0], y[1], vp, mass, cfg, h, quantum)
-
-    def stage(k, scale):
-        # the rates read only n and v, so S needs no stage value
-        y = k[:2] * scale
-        y += y0[:2]
-        return y
-
-    k1 = f(y0)
-    k2 = f(stage(k1, 0.5 * dt))
-    k3 = f(stage(k2, 0.5 * dt))
-    k4 = f(stage(k3, dt))
-
-    # y1 = y0 + dt/6 (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
-    y1 = k2
+    dt, y0, y0_stage, stage, k = ws.cfg.dt, state.y, state.y[:2], ws.stage, ws.k
+    # y1 = y0 + dt/6 (((k1 + 2 k2) + 2 k3) + k4), summed as the rates come:
+    # k2 is evaluated into the fresh y1, the others into ws.k.  The rates
+    # read only n and v, so S needs no stage value.
+    np.copyto(stage, y0_stage)
+    _rhs(ws, ws.rates)
+    np.multiply(ws.k_stage, 0.5 * dt, out=stage)
+    stage += y0_stage
+    y1 = np.empty_like(y0)
+    _rhs(ws, (y1[0], y1[1], y1[2]))
+    np.multiply(y1[:2], 0.5 * dt, out=stage)
+    stage += y0_stage
     y1 *= 2
-    y1 += k1
-    k3 *= 2
-    y1 += k3
-    y1 += k4
+    y1 += k
+    _rhs(ws, ws.rates)
+    np.multiply(ws.k_stage, dt, out=stage)
+    stage += y0_stage
+    k *= 2
+    y1 += k
+    _rhs(ws, ws.rates)
+    y1 += k
     y1 *= dt / 6.0
     y1 += y0
 
@@ -315,10 +320,15 @@ def _advance(state: HydroState, potential: Field, mass: float,
 
 
 def step_deterministic(state: HydroState, potential: Field, mass: float,
-                       cfg: IntegratorConfig) -> HydroState:
-    """One RK4 step without noise; ``classical_limit`` drops the quantum force."""
+                       cfg: IntegratorConfig,
+                       workspace: Workspace | None = None) -> HydroState:
+    """One RK4 step without noise; ``classical_limit`` drops the quantum force.
+
+    It works in ``workspace``, built for these arguments, or in a new one.
+    """
     check_cfl(cfg, mass, state.grid)
-    return _stepped(state, cfg.dt, _advance(state, potential, mass, cfg))
+    workspace = workspace or Workspace(state.grid, potential, mass, cfg)
+    return _stepped(state, cfg.dt, _advance(state, workspace))
 
 
 # the noise increment is gated off where the density falls below this
@@ -331,15 +341,18 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
                     noise: NoiseModel, stream: RandomStream,
                     cfg: IntegratorConfig,
                     rng: np.random.Generator | None = None, *,
-                    eta: np.ndarray | None = None) -> HydroState:
+                    eta: np.ndarray | None = None,
+                    workspace: Workspace | None = None) -> HydroState:
     """Deterministic drift plus an Euler-Maruyama density noise increment.
 
     ``eta`` is a pre-drawn noise row for this step; without it the step
     draws one row from ``rng`` (or from a fresh generator of ``stream``).
+    It works in ``workspace``, built for these arguments, or in a new one.
     """
     check_cfl(cfg, mass, state.grid)
     h, dt = state.grid.spacing, cfg.dt
-    y1 = _advance(state, potential, mass, cfg)
+    workspace = workspace or Workspace(state.grid, potential, mass, cfg)
+    y1 = _advance(state, workspace)
     amplitude = noise.amplitude
     if amplitude == 0.0:
         # deterministic limit, bit-for-bit, and no draw
@@ -350,8 +363,8 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     # n = max(n + (n^2 / (n^2 + gate_level^2) * eta) * sqrt(dt), 0)
     n = y1[0]
     gate_level = NOISE_GATE_KICKS * math.sqrt(amplitude * dt)
-    sq = np.square(n)
-    kick = sq + gate_level**2
+    sq = np.square(n, out=workspace.nc)
+    kick = np.add(sq, gate_level**2, out=workspace.w)
     np.divide(sq, kick, out=kick)
     kick *= eta
     kick *= math.sqrt(dt)
@@ -451,6 +464,7 @@ def run(initial: HydroState, potential: Field, mass: float,
     # a silent noise model draws nothing, as its step does not
     draw_ahead = (cfg.scheme == STOCHASTIC_QUANTUM
                   and noise.amplitude != 0.0)
+    workspace = Workspace(initial.grid, potential, mass, cfg)
     eta = None
     snapshots = [observables(initial, potential, mass, cfg, keep_densities)]
     state = initial
@@ -458,7 +472,7 @@ def run(initial: HydroState, potential: Field, mass: float,
     try:
         for step_index in range(1, n_steps + 1):
             if cfg.scheme != STOCHASTIC_QUANTUM:
-                state = step_deterministic(state, potential, mass, cfg)
+                state = step_deterministic(state, potential, mass, cfg, workspace)
             else:
                 if draw_ahead:
                     row = (step_index - 1) % NOISE_DRAW_ROWS
@@ -467,8 +481,8 @@ def run(initial: HydroState, potential: Field, mass: float,
                             noise, initial.grid, stream,
                             min(NOISE_DRAW_ROWS, n_steps - step_index + 1), rng)
                     eta = etas[row]
-                state = step_stochastic(state, potential, mass, noise,
-                                        stream, cfg, rng, eta=eta)
+                state = step_stochastic(state, potential, mass, noise, stream,
+                                        cfg, rng, eta=eta, workspace=workspace)
             if step_index % output_stride == 0 or step_index == n_steps:
                 snapshots.append(
                     observables(state, potential, mass, cfg, keep_densities))

@@ -1,8 +1,12 @@
 """Uniform 1-D grids, sampled fields and derivative kernels.
 
 The numeric substrate for everything else: fields are immutable numpy
-arrays tied to a grid, and derivatives are second-order central stencils
-with second-order one-sided stencils at the boundaries.
+arrays tied to a grid, and derivatives are second-order central stencils,
+one-sided at the boundaries or wrapped around.  ``derivative_kernel`` holds
+the stencils and slices its arrays once, so the integrator slices its
+workspace once per run.  Grouped differences map constant fields to exactly
+zero; the ends run on Python floats, the same IEEE doubles as numpy scalars
+without their per-operation overhead.
 """
 
 from dataclasses import dataclass
@@ -67,43 +71,54 @@ class Field:
         object.__setattr__(self, "values", values)
 
 
-def stencil_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    """Raw derivative kernel on an array (one-sided at the boundaries)."""
+def derivative_kernel(values: np.ndarray, out: np.ndarray, spacing: float,
+                      order: int, periodic: bool = False):
+    """A call that writes the derivative of what ``values`` holds into ``out``,
+    with the slices it reads taken here, once (module docstring)."""
     if order not in (1, 2):
         raise ValidationError("derivative order must be 1 or 2")
+    scale = 2 * spacing if order == 1 else spacing**2
+    hi, mid, lo, inner = values[2:], values[1:-1], values[:-2], out[1:-1]
+    head, tail = values[:order + 2], values[-order - 2:]
+    if order == 2 and not periodic:
+        step = np.empty(len(values) - 1)
+        right, left, step_hi, step_lo = values[1:], values[:-1], step[1:], step[:-1]
+
+    def kernel():
+        a, b = head.tolist(), tail.tolist()
+        if order == 1:
+            np.subtract(hi, lo, out=inner)
+            if periodic:
+                first, last = a[1] - b[2], a[0] - b[1]
+            else:
+                first = 3 * (a[1] - a[0]) + (a[1] - a[2])
+                last = 3 * (b[2] - b[1]) + (b[0] - b[1])
+        elif periodic:
+            np.multiply(mid, 2, out=inner)
+            np.subtract(hi, inner, out=inner)
+            np.add(inner, lo, out=inner)
+            first, last = (a[1] - 2 * a[0]) + b[3], (a[0] - 2 * b[3]) + b[2]
+        else:
+            np.subtract(right, left, out=step)
+            np.subtract(step_hi, step_lo, out=inner)
+            first = 2 * (a[0] - a[1]) - 3 * (a[1] - a[2]) + (a[2] - a[3])
+            last = 2 * (b[3] - b[2]) - 3 * (b[2] - b[1]) + (b[1] - b[0])
+        np.divide(inner, scale, out=inner)
+        out[0], out[-1] = first / scale, last / scale
+    return kernel
+
+
+def stencil_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
+    """Derivative of an array, one-sided at the boundaries."""
     v = np.asarray(values, dtype=float)
-    h = spacing
     out = np.empty_like(v)
-    inner = out[1:-1]
-    # stencils written as grouped differences so constant fields map to
-    # exactly zero, with no roundoff residue at the boundaries; the
-    # one-sided ends run on Python floats, the same IEEE doubles as numpy
-    # scalars without their per-operation overhead
-    if order == 1:
-        np.subtract(v[2:], v[:-2], out=inner)
-        inner /= 2 * h
-        a0, a1, a2 = v[:3].tolist()
-        b2, b1, b0 = v[-3:].tolist()
-        out[0] = (3 * (a1 - a0) + (a1 - a2)) / (2 * h)
-        out[-1] = (3 * (b0 - b1) + (b2 - b1)) / (2 * h)
-    else:
-        h2 = h**2
-        step = v[1:] - v[:-1]
-        np.subtract(step[1:], step[:-1], out=inner)
-        inner /= h2
-        a0, a1, a2, a3 = v[:4].tolist()
-        b3, b2, b1, b0 = v[-4:].tolist()
-        out[0] = (2 * (a0 - a1) - 3 * (a1 - a2) + (a2 - a3)) / h2
-        out[-1] = (2 * (b0 - b1) - 3 * (b1 - b2) + (b2 - b3)) / h2
+    derivative_kernel(v, out, spacing, order)()
     return out
 
 
 def periodic_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    """Derivative kernel with periodic wrap-around (translation equivariant)."""
+    """Derivative of an array with periodic wrap-around (translation equivariant)."""
     v = np.asarray(values, dtype=float)
-    h = spacing
-    if order == 1:
-        return (np.roll(v, -1) - np.roll(v, 1)) / (2 * h)
-    if order == 2:
-        return (np.roll(v, -1) - 2 * v + np.roll(v, 1)) / h**2
-    raise ValidationError("derivative order must be 1 or 2")
+    out = np.empty_like(v)
+    derivative_kernel(v, out, spacing, order, periodic=True)()
+    return out

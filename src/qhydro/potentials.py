@@ -236,13 +236,18 @@ class PseudoGaussianFamily:
             raise ValidationError(f"unknown family {self.family!r}")
         if self.delta_q_sq <= 0 or self.lam <= 0:
             raise ValidationError("delta_q_sq and lam must be positive")
-        # the tail must not disturb the Gaussian core
-        if self.lam**2 < 100.0 * self.delta_q_sq:
-            raise ValidationError("family requires lam^2 >= 100 delta_q_sq")
+        self.check_core(self.delta_q_sq, self.lam)
         if self.family == "power_f" and not 0.0 < self.g <= 2.0:
             raise ValidationError("power_f exponent g must lie in (0, 2]")
         if self.family == "log_f" and self.h <= 0:
             raise ValidationError("log_f exponent h must be positive")
+
+    @staticmethod
+    def check_core(delta_q_sq: float, lam: float) -> None:
+        """The tail must not disturb the Gaussian core: lam^2 >= 100 delta_q_sq."""
+        if lam**2 < 100.0 * delta_q_sq:
+            raise ValidationError("experiment.tail_scale^2 must be >= 100 "
+                                  "experiment.core_width^2")
 
     @property
     def core_length(self) -> float:

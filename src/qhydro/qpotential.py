@@ -73,9 +73,10 @@ class DecayClass:
     at_boundary: bool = False
 
 
-def floored_density(n: np.ndarray, peak: float) -> np.ndarray:
-    """max(n, 0) + DENSITY_FLOOR_FRACTION * peak, as a new array."""
-    nc = np.maximum(n, 0.0)
+def floored_density(n: np.ndarray, peak: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """max(n, 0) + DENSITY_FLOOR_FRACTION * peak, into ``out`` or a new array."""
+    nc = np.maximum(n, 0.0, out=out)
     nc += DENSITY_FLOOR_FRACTION * peak
     return nc
 
@@ -87,10 +88,14 @@ def vqu_kernel(s: np.ndarray, spacing: float, mass: float,
     s is the square root of a ``floored_density``.
     """
     d2 = periodic_derivative if periodic else stencil_derivative
-    vqu = d2(s, spacing, 2)
-    vqu *= -(HBAR**2 / (2.0 * mass))
-    vqu /= s
-    return vqu
+    return vqu_from_curvature(d2(s, spacing, 2), s, mass)
+
+
+def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarray:
+    """V_qu from s'' = ``d2s`` and s, written over ``d2s``."""
+    d2s *= -(HBAR**2 / (2.0 * mass))
+    d2s /= s
+    return d2s
 
 
 def quantum_potential(n: Field, mass: float) -> Field:

@@ -255,6 +255,8 @@ def test_ini_and_overrides_give_equal_configs():
     ("material.r_0", "0", "material.r_0 must be positive"),
     ("material.half_width", "-1e-10", "half_width must be positive"),
     ("material.depth_factor", "2", "material.depth_factor must lie in (0, 1]"),
+    ("experiment.tail_scale", "5",
+     "experiment.tail_scale^2 must be >= 100 experiment.core_width^2"),
 ])
 def test_file_and_override_errors_agree(dotted, raw, message):
     with pytest.raises(ValidationError, match=re.escape(message)) as from_file:

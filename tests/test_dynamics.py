@@ -14,6 +14,7 @@ from qhydro.dynamics import (
     STOCHASTIC_QUANTUM,
     HydroState,
     IntegratorConfig,
+    Workspace,
     cfl_limit,
     initial_state,
     observables,
@@ -65,21 +66,26 @@ def test_linearised_spectrum_inside_rk4_stability():
     # of it, and dt rho = 1.130 at the default bound, 2.824 at
     # cfl_safety = 1 against RK4's 2 sqrt 2 = 2.828 on the imaginary axis
     n_points, length = 64, 1e-9
-    h = length / n_points
+    grid = Grid(0.0, length * (n_points - 1) / n_points, n_points)
+    h = grid.spacing
     cfg = IntegratorConfig(dt=cfl_limit(MASS, h), boundary=PERIODIC)
-    potential = np.zeros(n_points)
+    workspace = Workspace(grid, Field(grid, np.zeros(n_points), "J"), MASS, cfg)
     x0 = np.concatenate((np.full(n_points, 1.0 / length), np.zeros(n_points)))
     # one relative step for n and 1e-6 m/s for v; v enters the rates at
     # most quadratically about v = 0, which the centred difference cancels
     steps = np.concatenate((np.full(n_points, 1e-6 * x0[0]),
                             np.full(n_points, 1e-6)))
+
+    def rates(x):
+        workspace.stage[:] = x.reshape(2, n_points)
+        _rhs(workspace, workspace.rates)
+        return workspace.k[:2].ravel().copy()
+
     jacobian = np.empty((2 * n_points, 2 * n_points))
     for j, step in enumerate(steps):
         e = np.zeros(2 * n_points)
         e[j] = step
-        plus, minus = (_rhs(x[:n_points], x[n_points:], potential, MASS, cfg,
-                            h, True)[:2].ravel() for x in (x0 + e, x0 - e))
-        jacobian[:, j] = (plus - minus) / (2 * step)
+        jacobian[:, j] = (rates(x0 + e) - rates(x0 - e)) / (2 * step)
     unit = HBAR / (MASS * h**2)
     eigenvalues = np.linalg.eigvals(jacobian) / unit
     rho = float(np.max(np.abs(eigenvalues)))
@@ -664,6 +670,46 @@ def test_run_draw_ahead_matches_single_draw_steps(case):
                       (final.velocity, state.velocity),
                       (final.action, state.action)):
         assert np.array_equal(bits(got.values), bits(want.values))
+
+
+@pytest.mark.parametrize("name", ["zero_flux_harmonic", "periodic_boost",
+                                  "classical_limit"])
+def test_run_matches_standalone_steps_and_owns_its_states(name):
+    # run steps on one workspace; a chain of standalone steps builds one per
+    # step.  Both must give the same bits, and a state must own its array:
+    # no later step may write into what an earlier state or snapshot holds
+    state0, potential, cfg, _ = parity_case(name)
+    steps, stride = 120, 10
+    trajectory = run(state0, potential, MASS, None, cfg, steps * cfg.dt,
+                     output_stride=stride, keep_densities=True)
+    assert trajectory.completed
+
+    chain, shared, made = [state0], [state0], [state0.y.copy()]
+    workspace = Workspace(state0.grid, potential, MASS, cfg)
+    for _ in range(steps):
+        chain.append(step_deterministic(chain[-1], potential, MASS, cfg))
+        shared.append(step_deterministic(shared[-1], potential, MASS, cfg,
+                                         workspace))
+        made.append(shared[-1].y.copy())
+    snapshots = [observables(state, potential, MASS, cfg, True)
+                 for state in chain[::stride]]
+    assert len(trajectory.snapshots) == len(snapshots) == steps // stride + 1
+    for got, want in zip(trajectory.snapshots, snapshots):
+        assert np.array_equal(snapshot_bits(got), snapshot_bits(want))
+        assert np.array_equal(bits(got.density.values),
+                              bits(want.density.values))
+    for states in (chain, shared):
+        assert np.array_equal(bits(trajectory.final_state.y), bits(states[-1].y))
+        assert bits(trajectory.final_state.time) == bits(states[-1].time)
+
+    # every state of the shared-workspace chain still holds the values it
+    # was made with, in an array of its own
+    buffers = [a for a in vars(workspace).values() if isinstance(a, np.ndarray)]
+    for j in range(1, steps + 1):
+        assert np.array_equal(bits(shared[j].y), bits(made[j]))
+        assert np.array_equal(bits(shared[j].y), bits(chain[j].y))
+        assert not np.shares_memory(shared[j].y, shared[j - 1].y)
+        assert not any(np.shares_memory(shared[j].y, a) for a in buffers)
 
 
 def test_periodic_stochastic_run_keeps_its_reported_norm():
