@@ -16,11 +16,10 @@ the name, and ``case`` writes ``dataclasses.asdict`` of the report.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .constants import HBAR, K_B
+from .constants import K_B
 from .errors import ValidationError
 from .grids import Field, Grid
 from .potentials import (
@@ -94,12 +93,11 @@ class LambdaPointReport:
 
 def helium_lambda(params: MaterialParams) -> LambdaPointReport:
     """Noise amplitude at which lambda_c reaches the dimer well width."""
-    if params.half_width is None or params.half_width <= 0:
-        raise ValidationError("helium_lambda needs a positive half_width")
+    if params.half_width is None:
+        raise ValidationError("helium_lambda needs a half_width")
     two_delta = 2.0 * params.half_width
-    # closed-form inversion of lambda_c = (pi/2)^{3/2} hbar / sqrt(2 m kB T)
-    theta_star = (math.pi / 2.0) ** 3 * HBAR**2 / (
-        2.0 * params.mass * K_B * two_delta**2)
+    # lambda_c scales as Theta^(-1/2), so it reaches 2 Delta at this Theta
+    theta_star = (correlation_length(params.mass, 1.0) / two_delta) ** 2
     return LambdaPointReport(
         theta_star_K=theta_star,
         reference_theta_K=HE4_LAMBDA_POINT_K,

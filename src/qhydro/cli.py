@@ -43,7 +43,6 @@ from .noise import (
 )
 from .output import summary_record, write_csv, write_summary
 from .potentials import (
-    PseudoGaussianFamily,
     harmonic_ground_density,
     harmonic_potential,
     lj_harmonic,
@@ -236,16 +235,13 @@ def _cmd_lambda_c(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
-    e = cfg.experiment
-    fam = PseudoGaussianFamily(
-        family=e.family, delta_q_sq=e.core_width**2, lam=e.tail_scale,
-        g=e.family_g, h=e.family_h, q_bar=0.0)
+    fam = cfg.experiment.tail_family()
     log_n = pseudo_gaussian_log_density(fam, cfg.grid)
-    profile = quantum_force_from_log(log_n, cfg.material.mass, fam.q_bar)
+    profile = quantum_force_from_log(log_n, cfg.material.mass, 0.0)
     decay = growth_exponent(profile)
     lam_c = cfg.noise.lambda_c
     if lam_c is None:
-        lam_c = 2.0 * fam.core_length
+        lam_c = 2.0 * fam.core_width
     lam_q = nonlocality_length(profile, lam_c, decay=decay)
     # below the first radial sample, np.interp in nonlocality_length can
     # only clamp F(lambda_c) to that sample

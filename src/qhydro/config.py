@@ -15,8 +15,11 @@ values when it is built, so every command rejects a bad value at load:
 [material] is the ``potentials.MaterialParams`` of the run (He-4 by
 default), [grid] the ``grids.Grid``, and [integrator] the
 ``IntegratorConfig`` that ``dynamics`` steps with, plus the run length.
-The one check that spans two sections, the noise amplitude from the
-material's mass and [noise], runs when the whole config is built.
+[experiment] builds its five family keys into the
+``potentials.PseudoGaussianFamily`` that lambda-q runs on
+(``ExperimentSection.tail_family``), and the family checks them.  The one
+check that spans two sections, the noise amplitude from the material's
+mass and [noise], runs when the whole config is built.
 ``IntegratorConfig`` and the scheme and boundary names live here, and
 ``dynamics`` re-exports them, so the scalar commands never import the
 integrator to validate its settings.
@@ -27,11 +30,11 @@ from dataclasses import asdict, dataclass, field, replace
 import io
 import math
 
-from .constants import DEFAULT_CFL_SAFETY, parse_quantity
+from .constants import parse_quantity
 from .errors import ValidationError
 from .grids import Grid
 from .noise import noise_amplitude
-from .potentials import FAMILIES, MaterialParams, PseudoGaussianFamily, helium_preset
+from .potentials import MaterialParams, PseudoGaussianFamily, helium_preset
 from .scales import DEFAULT_RATIO_THRESHOLD
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
@@ -108,21 +111,18 @@ class ExperimentSection:
                 f"experiment.initial must be one of {INITIAL_CONDITIONS}")
         if self.potential not in POTENTIALS:
             raise ValidationError(f"experiment.potential must be one of {POTENTIALS}")
-        if self.family not in FAMILIES:
-            raise ValidationError(f"experiment.family must be one of {FAMILIES}")
         if self.initial_width <= 0:
             raise ValidationError("experiment.initial_width must be positive")
         if not 0.0 < self.ratio_threshold < 1.0:
             raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
         if self.samples < 1:
             raise ValidationError("experiment.samples must be >= 1")
-        # core_width is squared into the family's core variance, so a
-        # negative width would run as its absolute value
-        if self.core_width <= 0:
-            raise ValidationError("experiment.core_width must be positive")
-        if self.tail_scale <= 0:
-            raise ValidationError("experiment.tail_scale must be positive")
-        PseudoGaussianFamily.check_core(self.core_width**2, self.tail_scale)
+        self.tail_family()
+
+    def tail_family(self) -> PseudoGaussianFamily:
+        """The density family of the family keys, which checks them."""
+        return PseudoGaussianFamily(self.family, self.core_width,
+                                    self.tail_scale, self.family_g, self.family_h)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ class IntegratorConfig:
 
     dt: float
     scheme: str = DETERMINISTIC_QUANTUM
-    cfl_safety: float = DEFAULT_CFL_SAFETY
     boundary: str = ZERO_FLUX
 
     def __post_init__(self):
@@ -139,8 +138,6 @@ class IntegratorConfig:
             raise ValidationError("integrator.dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"integrator.scheme must be one of {SCHEMES}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValidationError("integrator.cfl_safety must lie in (0, 1]")
         if self.boundary not in (ZERO_FLUX, PERIODIC):
             raise ValidationError(
                 f"integrator.boundary must be one of {(ZERO_FLUX, PERIODIC)}")
@@ -234,7 +231,6 @@ _CONVERTERS = {
     "integrator": {
         "dt": _quantity,
         "scheme": str,
-        "cfl_safety": _real,
         "boundary": str,
         "t_end": _quantity,
         "output_stride": int,

@@ -10,13 +10,13 @@ BOHR = 5.29177210903e-11      # m
 ATOMIC_MASS_UNIT = 1.66053906660e-27   # kg
 EV = 1.602176634e-19          # J
 
-# Default explicit step, as the fraction of RK4's stability limit on the
-# discretised operator that qhydro.dynamics.cfl_limit returns.  Measured
-# with the bound relaxed, the largest stable dt is 1.85 m h^2/hbar on a
-# zero-flux packet boosted to |v0| = 150 m/s (2.36 on the N = 151 free
-# packet, up to the linear limit 3.67 on a periodic boost); 0.4 puts the
-# default 1.47 m h^2/hbar, 1.26x below the smallest.
-DEFAULT_CFL_SAFETY = 0.4
+# The explicit step's bound, as the fraction of RK4's stability limit on
+# the discretised operator that qhydro.dynamics.cfl_limit returns; not a
+# config key.  Measured with the bound relaxed, the largest stable dt is
+# 1.85 m h^2/hbar on a zero-flux packet boosted to |v0| = 150 m/s (2.36 on
+# the N = 151 free packet, up to the linear limit 3.67 on a periodic
+# boost); 0.4 puts the bound at 1.47 m h^2/hbar, 1.26x below the smallest.
+CFL_SAFETY = 0.4
 
 
 # Multiplicative factors to SI for the unit suffixes accepted in configs

@@ -53,11 +53,12 @@ eigenvalues +-i omega(k), omega(k) = (hbar / (m h^2)) |sin kh sin(kh/2)|,
 all on the imaginary axis, whose largest is omega = 4 / (3 sqrt 3) *
 hbar / (m h^2) at cos(kh/2) = 1/sqrt(3).  RK4 is stable on the imaginary
 axis up to |lambda dt| = 2 sqrt 2 (Hairer & Wanner, Solving ODEs II,
-1996), so the step must satisfy dt <= cfl_safety * 2 sqrt 2 / omega,
-about 3.67 cfl_safety m h^2 / hbar.  The bound depends on the grid and
-the mass only, so a run that starts inside it stays inside it.  The
-one-sided wall stencils and the low-density fringe lie outside this
-analysis; the default cfl_safety is set from runs that include them.
+1996), so the step must satisfy dt <= CFL_SAFETY * 2 sqrt 2 / omega,
+which is 3.67 CFL_SAFETY m h^2 / hbar = 1.47 m h^2 / hbar.  The bound
+depends on the grid and the mass only, so a run that starts inside it
+stays inside it.  The one-sided wall stencils and the low-density fringe
+lie outside this analysis; the constant CFL_SAFETY = 0.4 is set from runs
+that include them.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .config import (  # noqa: F401
     ZERO_FLUX,
     IntegratorConfig,
 )
-from .constants import DEFAULT_CFL_SAFETY, HBAR
+from .constants import CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
 from .grids import Field, Grid, derivative_kernel
 from .noise import NoiseModel, RandomStream, sample_fields
@@ -153,27 +154,26 @@ RK4_IMAGINARY_LIMIT = 2.0 * math.sqrt(2.0)
 DISPERSION_RATE = 4.0 / (3.0 * math.sqrt(3.0))
 
 
-def cfl_limit(mass: float, spacing: float,
-              cfl_safety: float = DEFAULT_CFL_SAFETY) -> float:
-    """Largest dt allowed for the explicit step: ``cfl_safety`` times RK4's
+def cfl_limit(mass: float, spacing: float) -> float:
+    """Largest dt allowed for the explicit step: ``CFL_SAFETY`` times RK4's
     stability limit on the discretised dispersion.
 
     The linearised rates are +-i omega(k), the largest
     omega = 4 / (3 sqrt 3) hbar / (m h^2) (derived in the module
-    docstring).  RK4 keeps i omega dt stable up to 2 sqrt 2, so
-    cfl_safety = 1 returns 2 sqrt 2 / omega = 3.67 m h^2 / hbar, the edge
-    of stability.
+    docstring).  RK4 keeps i omega dt stable up to 2 sqrt 2, so the
+    limit itself, cfl_limit / CFL_SAFETY = 2 sqrt 2 / omega
+    = 3.67 m h^2 / hbar, is the edge of stability.
     """
     omega = DISPERSION_RATE * HBAR / (mass * spacing**2)
-    return cfl_safety * RK4_IMAGINARY_LIMIT / omega
+    return CFL_SAFETY * RK4_IMAGINARY_LIMIT / omega
 
 
 def check_cfl(cfg: IntegratorConfig, mass: float, grid: Grid) -> None:
-    limit = cfl_limit(mass, grid.spacing, cfg.cfl_safety)
+    limit = cfl_limit(mass, grid.spacing)
     if cfg.dt > limit:
         raise CflError(
             f"dt = {cfg.dt:.3e} s exceeds the stability bound {limit:.3e} s "
-            f"(cfl_safety {cfg.cfl_safety}, spacing {grid.spacing:.3e} m)")
+            f"({CFL_SAFETY} of RK4's limit, spacing {grid.spacing:.3e} m)")
 
 
 def _integral(f: np.ndarray, h: float, periodic: bool) -> float:
@@ -421,8 +421,7 @@ def observables(state: HydroState, potential: Field, mass: float,
         raise ValidationError("state has zero norm")
     mean_q = _integral(n * q, h, periodic) / norm
     variance = _integral(n * (q - mean_q) ** 2, h, periodic) / norm
-    nc = floored_density(n, float(np.max(n)))
-    vqu = vqu_kernel(np.sqrt(nc), h, mass, periodic)
+    vqu = vqu_kernel(n, h, mass, periodic)
     e_kin = _integral(0.5 * mass * n * v**2, h, periodic)
     e_pot = _integral(n * potential.values, h, periodic)
     e_qu = _integral(n * vqu, h, periodic)

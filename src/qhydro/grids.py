@@ -108,17 +108,11 @@ def derivative_kernel(values: np.ndarray, out: np.ndarray, spacing: float,
     return kernel
 
 
-def stencil_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    """Derivative of an array, one-sided at the boundaries."""
+def stencil_derivative(values: np.ndarray, spacing: float, order: int,
+                       periodic: bool = False) -> np.ndarray:
+    """Derivative of an array, one-sided at the boundaries or, if
+    ``periodic``, wrapped around (translation equivariant)."""
     v = np.asarray(values, dtype=float)
     out = np.empty_like(v)
-    derivative_kernel(v, out, spacing, order)()
-    return out
-
-
-def periodic_derivative(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    """Derivative of an array with periodic wrap-around (translation equivariant)."""
-    v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    derivative_kernel(v, out, spacing, order, periodic=True)()
+    derivative_kernel(v, out, spacing, order, periodic)()
     return out

@@ -7,9 +7,10 @@ construction that can make the nonlocality length finite.
 
 Pseudo-Gaussian densities follow
 
-    n(q) = n0 exp[ -r^2 / (Dq2 (1 + r^2 / (Lam^2 f(s)))) ],   r = q - q_bar,
+    n(q) = exp[ -q^2 / (Dq2 (1 + q^2 / (Lam^2 f(s)))) ],   Dq2 = core_width^2,
 
-with s = |r| / sqrt(Dq2) kept dimensionless and f one of
+centred on q = 0 with n(0) = 1 (a shift or a constant factor drops out of
+every derivative), with s = |q| / core_width kept dimensionless and f one of
     constant_f: f = 1
     linear_f:   f = 1 + s
     log_f:      f = 1 + ln(1 + s^h)
@@ -221,40 +222,45 @@ def square_well_density(state: SquareWellState, grid: Grid) -> Field:
 
 @dataclass(frozen=True)
 class PseudoGaussianFamily:
-    """Gaussian-core density with a family-selected slower tail."""
+    """Gaussian-core density with a family-selected slower tail.
 
-    family: str                  # constant_f | linear_f | log_f | power_f
-    delta_q_sq: float            # m^2, core variance parameter
-    lam: float                   # m, tail crossover scale Lambda
-    g: float = 2.0               # power_f exponent, 0 < g <= 2
-    h: float = 1.0               # log_f exponent
-    q_bar: float = 0.0           # m
-    n_0: float = 1.0
+    Built from the [experiment] keys named beside each field, which it
+    checks, so every command rejects a bad value when the config loads.
+    """
+
+    family: str                  # family: constant_f | linear_f | log_f | power_f
+    core_width: float            # m, core_width: sqrt of the core variance Dq2
+    lam: float                   # m, tail_scale: tail crossover scale Lambda
+    g: float = 2.0               # family_g: power_f exponent, 0 < g <= 2
+    h: float = 1.0               # family_h: log_f exponent
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-        if self.delta_q_sq <= 0 or self.lam <= 0:
-            raise ValidationError("delta_q_sq and lam must be positive")
-        self.check_core(self.delta_q_sq, self.lam)
-        if self.family == "power_f" and not 0.0 < self.g <= 2.0:
-            raise ValidationError("power_f exponent g must lie in (0, 2]")
-        if self.family == "log_f" and self.h <= 0:
-            raise ValidationError("log_f exponent h must be positive")
-
-    @staticmethod
-    def check_core(delta_q_sq: float, lam: float) -> None:
-        """The tail must not disturb the Gaussian core: lam^2 >= 100 delta_q_sq."""
-        if lam**2 < 100.0 * delta_q_sq:
+            raise ValidationError(f"experiment.family must be one of {FAMILIES}")
+        # the width is squared into Dq2, so a negative one would run as
+        # its absolute value, and one whose square underflows as Dq2 = 0
+        if self.core_width <= 0:
+            raise ValidationError("experiment.core_width must be positive")
+        if self.delta_q_sq == 0.0:
+            raise ValidationError("experiment.core_width^2 underflows to 0")
+        if self.lam <= 0:
+            raise ValidationError("experiment.tail_scale must be positive")
+        # the tail must not disturb the Gaussian core
+        if self.lam**2 < 100.0 * self.delta_q_sq:
             raise ValidationError("experiment.tail_scale^2 must be >= 100 "
                                   "experiment.core_width^2")
+        if self.family == "power_f" and not 0.0 < self.g <= 2.0:
+            raise ValidationError(
+                "experiment.family_g must lie in (0, 2] for power_f")
+        if self.family == "log_f" and self.h <= 0:
+            raise ValidationError("experiment.family_h must be positive for log_f")
 
     @property
-    def core_length(self) -> float:
-        return math.sqrt(self.delta_q_sq)
+    def delta_q_sq(self) -> float:
+        return self.core_width**2
 
     def shape_f(self, r: np.ndarray) -> np.ndarray:
-        s = np.abs(r) / self.core_length
+        s = np.abs(r) / self.core_width
         if self.family == "constant_f":
             return np.ones_like(s)
         if self.family == "linear_f":
@@ -264,11 +270,11 @@ class PseudoGaussianFamily:
         return 1.0 + s**self.g
 
     def log_density(self, q: np.ndarray) -> np.ndarray:
-        """log n(q) up to the log n_0 constant; exact in the deep tail."""
-        r = q - self.q_bar
-        f = self.shape_f(r)
-        return math.log(self.n_0) - r**2 / (
-            self.delta_q_sq * (1.0 + r**2 / (self.lam**2 * f)))
+        """log n(q), with n(0) = 1; exact in the deep tail."""
+        f = self.shape_f(q)
+        # 0.0 - x keeps the zero at q = 0 positive
+        return 0.0 - q**2 / (
+            self.delta_q_sq * (1.0 + q**2 / (self.lam**2 * f)))
 
 
 def pseudo_gaussian_log_density(fam: PseudoGaussianFamily, grid: Grid) -> Field:
@@ -308,7 +314,7 @@ def pseudo_gaussian_tail_force(fam: PseudoGaussianFamily,
             f"has one")
     pref = HBAR**2 / (2.0 * mass)
     g = fam.g
-    ell = fam.core_length
+    ell = fam.core_width
     if g == 2.0:
         beta = 1.0 / (fam.delta_q_sq * (1.0 + ell**2 / fam.lam**2))
     else:

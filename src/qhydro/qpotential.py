@@ -7,9 +7,10 @@ The quantum potential of a density n is
 computed with the stencil kernels of :mod:`qhydro.grids`.  The density
 under the square root carries one additive floor, ``floored_density``:
 max(n, 0) plus 1e-12 of the peak (the tails of any localized state
-underflow long before the grid ends).  The integrator takes V_qu through
-the same floor, so a state's V_qu here is the V_qu it is stepped and
-measured with.  For work in the deep tail, where no floating-point density
+underflow long before the grid ends).  ``vqu_kernel`` applies it to a
+density array; ``quantum_potential`` and ``dynamics.observables`` call it,
+and the integrator's step takes the same floor in its workspace, so a
+state's V_qu here is the V_qu it is stepped and measured with.  For work in the deep tail, where no floating-point density
 survives, the same operator is available on log-densities via the identity
 
     psi''/psi = (L')^2/4 + L''/2,      L = log n.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
-from .grids import Field, periodic_derivative, stencil_derivative
+from .grids import Field, stencil_derivative
 
 # the additive density floor, as a fraction of the peak density
 DENSITY_FLOOR_FRACTION = 1e-12
@@ -81,14 +82,15 @@ def floored_density(n: np.ndarray, peak: float,
     return nc
 
 
-def vqu_kernel(s: np.ndarray, spacing: float, mass: float,
+def vqu_kernel(n: np.ndarray, spacing: float, mass: float,
                periodic: bool = False) -> np.ndarray:
-    """V_qu = -(hbar^2 / 2m) s'' / s on raw arrays, s = sqrt(n) > 0.
-
-    s is the square root of a ``floored_density``.
-    """
-    d2 = periodic_derivative if periodic else stencil_derivative
-    return vqu_from_curvature(d2(s, spacing, 2), s, mass)
+    """V_qu = -(hbar^2 / 2m) s'' / s of a density array n, where s is the
+    square root of its ``floored_density``."""
+    peak = float(np.max(n))
+    if peak <= 0.0:
+        raise DegenerateDensityError("degenerate density: no positive values")
+    s = np.sqrt(floored_density(n, peak))
+    return vqu_from_curvature(stencil_derivative(s, spacing, 2, periodic), s, mass)
 
 
 def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarray:
@@ -102,11 +104,7 @@ def quantum_potential(n: Field, mass: float) -> Field:
     """V_qu of a density field, in joules."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    peak = float(np.max(n.values))
-    if peak <= 0.0:
-        raise DegenerateDensityError("degenerate density: no positive values")
-    s = np.sqrt(floored_density(n.values, peak))
-    return Field(n.grid, vqu_kernel(s, n.grid.spacing, mass), "J")
+    return Field(n.grid, vqu_kernel(n.values, n.grid.spacing, mass), "J")
 
 
 def quantum_potential_from_log(log_n: Field, mass: float) -> Field:

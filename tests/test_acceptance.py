@@ -199,11 +199,11 @@ def test_criterion_7_taxonomy_classifier(emit):
     rows = []
     ok = True
     for g, r_max, label, converges in plan:
-        fam = PseudoGaussianFamily(family="power_f", delta_q_sq=1.0,
-                                   lam=40.0, g=g, q_bar=0.0)
+        fam = PseudoGaussianFamily(family="power_f", core_width=1.0,
+                                   lam=40.0, g=g)
         grid = Grid(0.0, r_max, 120001)
         profile = quantum_force_from_log(
-            pseudo_gaussian_log_density(fam, grid), mass, fam.q_bar)
+            pseudo_gaussian_log_density(fam, grid), mass, 0.0)
         decay = growth_exponent(profile)
         symbolic = pseudo_gaussian_tail_force(fam, mass)
         target = symbolic.leading_exponent - 1.0   # force -> q^-1 F

@@ -590,7 +590,6 @@ def test_mass_moves_lambda_c_on_every_route(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("integrator.scheme", "bogus"),
     ("integrator.boundary", "wall"),
-    ("integrator.cfl_safety", "5"),
 ])
 def test_bad_integrator_value_rejected_by_every_command(key, value, capsys):
     # the integrator settings check themselves when the config loads, so a
@@ -610,6 +609,14 @@ def test_density_floor_is_not_a_config_key(capsys):
     assert err == "error: unknown key 'density_floor' in section [integrator]\n"
 
 
+def test_cfl_safety_is_not_a_config_key(capsys):
+    # the step bound's safety fraction is one constant, CFL_SAFETY
+    code, out, err = run(["lambda-c", "--set", "integrator.cfl_safety=0.4"],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: unknown key 'cfl_safety' in section [integrator]\n"
+
+
 @pytest.mark.parametrize("command", ["lambda-q", "lambda-c"])
 @pytest.mark.parametrize("key", ["experiment.core_width",
                                  "experiment.tail_scale"])
@@ -618,6 +625,15 @@ def test_nonpositive_family_length_rejected_at_load(command, key, capsys):
     code, out, err = run([command, "--set", f"{key}=-1"], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {key} must be positive\n"
+
+
+def test_bad_family_exponent_rejected_at_load(capsys):
+    # the family checks its keys when the config loads, so a command that
+    # never builds the density rejects them too
+    code, out, err = run(["lambda-c", "--theta", "2.17 K",
+                          "--set", "experiment.family_g=5"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: experiment.family_g must lie in (0, 2] for power_f\n"
 
 
 def test_unwritable_output_is_one_error_line(tmp_path, capsys):

@@ -175,8 +175,9 @@ def test_converters_match_dataclass_fields():
 def test_default_config_serialization_is_pinned():
     # the grid is a grids.Grid and the integrator section extends the
     # dynamics settings, with the keys and order of the flat sections they
-    # replaced, less the density floor, which is a qpotential constant; the
-    # material is the He-4 MaterialParams, to the last bit
+    # replaced, less the density floor, which is a qpotential constant, and
+    # the CFL safety, a constant of the bound; the material is the He-4
+    # MaterialParams, to the last bit
     text = serialize_config(ExperimentConfig())
     assert ("[material]\nmass = 6.6465e-27\nwell_depth = 1.50490741e-22\n"
             "r_0 = 4.1804999661337003e-10\nsigma = none\n"
@@ -184,9 +185,9 @@ def test_default_config_serialization_is_pinned():
     assert ("[grid]\nq_min = -2e-09\nq_max = 2e-09\nn_points = 801\n"
             in text)
     assert ("[integrator]\ndt = 1e-16\nscheme = deterministic_quantum\n"
-            "cfl_safety = 0.4\nboundary = zero_flux\n"
+            "boundary = zero_flux\n"
             "t_end = 1e-13\noutput_stride = 10\n" in text)
-    assert config_hash(ExperimentConfig()) == "263d0ae73b46ab8b"
+    assert config_hash(ExperimentConfig()) == "4127a92868523705"
 
 
 def test_sections_are_the_objects_the_code_runs_on():
@@ -231,6 +232,9 @@ def test_ini_and_overrides_give_equal_configs():
     assert from_ini != ExperimentConfig()
 
 
+ALSO_SET = {"experiment.family_h": {"experiment.family": "log_f"}}
+
+
 @pytest.mark.parametrize("dotted, raw, message", [
     ("mystery.x", "1", "unknown config section [mystery]"),
     ("experiment.kind", "simulate", "unknown key 'kind' in section [experiment]"),
@@ -257,10 +261,17 @@ def test_ini_and_overrides_give_equal_configs():
     ("material.depth_factor", "2", "material.depth_factor must lie in (0, 1]"),
     ("experiment.tail_scale", "5",
      "experiment.tail_scale^2 must be >= 100 experiment.core_width^2"),
+    ("experiment.core_width", "1e-170", "experiment.core_width^2 underflows to 0"),
+    ("experiment.family_g", "5",
+     "experiment.family_g must lie in (0, 2] for power_f"),
+    ("experiment.family_h", "0",
+     "experiment.family_h must be positive for log_f"),
 ])
 def test_file_and_override_errors_agree(dotted, raw, message):
+    # a family exponent is checked for the family that reads it
+    pairs = {**ALSO_SET.get(dotted, {}), dotted: raw}
     with pytest.raises(ValidationError, match=re.escape(message)) as from_file:
-        parse_config(_ini({dotted: raw}))
+        parse_config(_ini(pairs))
     with pytest.raises(ValidationError) as from_override:
-        apply_overrides(ExperimentConfig(), {dotted: raw})
+        apply_overrides(ExperimentConfig(), pairs)
     assert str(from_file.value) == str(from_override.value)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from qhydro.constants import HBAR
+from qhydro.constants import CFL_SAFETY, HBAR
 from qhydro.dynamics import (
     CLASSICAL_LIMIT,
     FORCE_TAPER_FRACTION,
@@ -63,8 +63,8 @@ def test_linearised_spectrum_inside_rk4_stability():
     # state at rest; S feeds back into neither.  Measured: spectral radius
     # 0.76862 hbar/(m h^2) against the bound 4/(3 sqrt 3) = 0.76980 (the
     # maximising k lies between modes at N = 64), max |Re lambda| 7.6e-16
-    # of it, and dt rho = 1.130 at the default bound, 2.824 at
-    # cfl_safety = 1 against RK4's 2 sqrt 2 = 2.828 on the imaginary axis
+    # of it, and dt rho = 1.130 at the bound, 2.824 at the unscaled limit
+    # against RK4's 2 sqrt 2 = 2.828 on the imaginary axis
     n_points, length = 64, 1e-9
     grid = Grid(0.0, length * (n_points - 1) / n_points, n_points)
     h = grid.spacing
@@ -92,7 +92,7 @@ def test_linearised_spectrum_inside_rk4_stability():
     assert 0.995 * 4 / (3 * math.sqrt(3)) < rho <= 4 / (3 * math.sqrt(3))
     assert float(np.max(np.abs(eigenvalues.real))) < 1e-12 * rho
     assert cfl_limit(MASS, h) * unit * rho <= 2 * math.sqrt(2)
-    assert cfl_limit(MASS, h, 1.0) * unit * rho <= 2 * math.sqrt(2)
+    assert cfl_limit(MASS, h) / CFL_SAFETY * unit * rho <= 2 * math.sqrt(2)
 
 
 def test_state_fields_must_share_one_grid():

@@ -213,13 +213,14 @@ def test_square_well_zero_force_inside():
     assert np.max(np.abs(profile.force.values[interior])) < 1e-6 * core_force
 
 
-def make_family(family, g=2.0, h=1.0, dq2=1.0, lam=20.0):
-    return PseudoGaussianFamily(family=family, delta_q_sq=dq2, lam=lam, g=g, h=h)
+def make_family(family, g=2.0, h=1.0, core_width=1.0, lam=20.0):
+    return PseudoGaussianFamily(family=family, core_width=core_width, lam=lam,
+                                g=g, h=h)
 
 
 def test_family_validation():
     with pytest.raises(ValidationError):
-        make_family("power_f", lam=5.0)         # lam^2 < 100 dq2
+        make_family("power_f", lam=5.0)         # lam^2 < 100 core_width^2
     with pytest.raises(ValidationError):
         make_family("power_f", g=2.5)
     with pytest.raises(ValidationError):
@@ -230,8 +231,8 @@ def test_center_value():
     fam = make_family("power_f")
     grid = Grid(-5.0, 5.0, 1001)
     n = np.exp(fam.log_density(grid.points))
-    center = np.argmin(np.abs(grid.points - fam.q_bar))
-    assert n[center] == pytest.approx(fam.n_0)
+    center = np.argmin(np.abs(grid.points))
+    assert n[center] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("family", ["constant_f", "linear_f", "log_f", "power_f"])
@@ -249,10 +250,10 @@ def test_core_indistinguishable_from_gaussian(family):
 def test_log_family_power_law_tail():
     # f = 1 + ln(1 + s^h) gives an approximate power law with slope
     # -h lam^2 / dq2 in log n vs log s
-    fam = make_family("log_f", h=1.0, dq2=1.0, lam=20.0)
+    fam = make_family("log_f", h=1.0, core_width=1.0, lam=20.0)
     grid = Grid(1e20, 1e24, 2001)
     log_n = pseudo_gaussian_log_density(fam, grid)
-    s = grid.points / fam.core_length
+    s = grid.points / fam.core_width
     slope = np.polyfit(np.log(s), log_n.values, 1)[0]
     assert slope == pytest.approx(-fam.lam**2 / fam.delta_q_sq, rel=0.05)
 
@@ -290,7 +291,7 @@ def test_numeric_tail_fit_nonpower(family):
     fam = make_family(family)
     grid = Grid(0.0, 1.2e6, 2001)
     log_n = pseudo_gaussian_log_density(fam, grid)
-    decay = growth_exponent(quantum_force_from_log(log_n, 1.0, fam.q_bar))
+    decay = growth_exponent(quantum_force_from_log(log_n, 1.0, 0.0))
     assert math.isfinite(decay.fitted_exponent)
     assert decay.fitted_exponent == pytest.approx(-4.0, abs=0.15)
     assert decay.label == ASYMPTOTICALLY_VANISHING
@@ -304,7 +305,7 @@ def test_numeric_fit_matches_symbolic_exponent(g):
     r_max = {1.0: 1.2e6, 1.2: 3e6, 1.4: 3e6, 1.8: 1e16, 2.0: 3e6}[g]
     grid = Grid(0.0, r_max, 3001)
     log_n = pseudo_gaussian_log_density(fam, grid)
-    profile = quantum_force_from_log(log_n, 1.0, fam.q_bar)
+    profile = quantum_force_from_log(log_n, 1.0, 0.0)
     decay = growth_exponent(profile)
     desc = pseudo_gaussian_tail_force(fam, mass=1.0)
     # numeric fit is of |F / r|, symbolic exponent is of F itself
