@@ -69,13 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhydro",
         description="1-D quantum hydrodynamics laboratory")
-    parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
-                        help="override one config value (repeatable)")
-    parser.add_argument("--seed", dest="experiment.seed", help="random seed override")
-    parser.add_argument("--csv", dest="output.csv", help="CSV output path override")
-    parser.add_argument("--json", dest="output.json", help="JSON summary path override")
-
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--mass", dest="material.mass",
                         help="particle mass, e.g. '4.0026 u'")
@@ -84,12 +77,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # accept the global flags after the subcommand as well; SUPPRESS keeps
     # the subparser from clobbering values parsed before the subcommand
     for flag, kwargs in (
-            ("--config", {}),
-            ("--set", {"action": "append", "metavar": "SEC.KEY=VAL"}),
-            ("--seed", {"dest": "experiment.seed"}),
-            ("--csv", {"dest": "output.csv"}),
-            ("--json", {"dest": "output.json"})):
-        shared.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+            ("--config", {"help": "INI config file"}),
+            ("--set", {"action": "append", "default": [], "metavar": "SEC.KEY=VAL",
+                       "help": "override one config value (repeatable)"}),
+            ("--seed", {"dest": "experiment.seed", "help": "random seed override"}),
+            ("--csv", {"dest": "output.csv", "help": "CSV output path override"}),
+            ("--json", {"dest": "output.json",
+                        "help": "JSON summary path override"})):
+        parser.add_argument(flag, **kwargs)
+        shared.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
 
     sub = parser.add_subparsers(dest="command", required=True)
 

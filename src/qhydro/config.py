@@ -2,9 +2,13 @@
 
 Configs are INI-style documents with sections [experiment], [material],
 [grid], [integrator], [noise], [output].  Every key has a documented
-default; unknown sections or keys are rejected by name.  Values carrying
-units accept a suffix ("7.9 Bohr", "10.9 kB", "2.17K") and are converted
-to SI at this boundary.
+default; unknown sections or keys are rejected by name.  Each key is
+declared once, as a field of its section's dataclass, and is read by the
+converter of the field's type: a float takes a unit suffix ("7.9 Bohr",
+"10.9 kB", "2.17K") and is converted to SI at this boundary, and an
+optional value reads "" and "none" as unset.  ``_KEY_CONVERTERS`` names
+the seven keys whose type does not say how to read them: the six plain
+numbers, which take no suffix, and lambda_q_override, which reads "inf".
 
 A value reaches a config by one route: ``apply_overrides`` looks up each
 "section.key", converts its text and names the key in any error.  A parsed
@@ -26,7 +30,7 @@ integrator to validate its settings.
 """
 
 import configparser
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 import io
 import math
 
@@ -194,58 +198,33 @@ class ExperimentConfig:
                         self.noise.mobility_mu)
 
 
-# key -> converter, per section; the dataclass defaults are the default table
-_CONVERTERS = {
-    "experiment": {
-        "seed": int,
-        "initial": str,
-        "initial_width": _quantity,
-        "initial_center": _quantity,
-        "initial_velocity": _quantity,
-        "potential": str,
-        "delta_l": _optional(_quantity),
-        "lambda_q_override": _optional(_length_or_inf),
-        "ratio_threshold": _real,
-        "decay_h": _optional(_real),
-        "family": str,
-        "family_g": _real,
-        "family_h": _real,
-        "core_width": _quantity,
-        "tail_scale": _quantity,
-        "samples": int,
-        "truncate_force": _boolean,
-    },
-    "material": {
-        "mass": _quantity,
-        "well_depth": _quantity,
-        "r_0": _quantity,
-        "sigma": _optional(_quantity),
-        "half_width": _optional(_quantity),
-        "depth_factor": _real,
-    },
-    "grid": {
-        "q_min": _quantity,
-        "q_max": _quantity,
-        "n_points": int,
-    },
-    "integrator": {
-        "dt": _quantity,
-        "scheme": str,
-        "boundary": str,
-        "t_end": _quantity,
-        "output_stride": int,
-    },
-    "noise": {
-        "theta": _quantity,
-        "lambda_c": _optional(_quantity),
-        "mobility_mu": _real,
-        "conserving": _boolean,
-    },
-    "output": {
-        "csv": _optional(str.strip),
-        "json": _optional(str.strip),
-    },
+# a key is read by the converter of its field's type, unless named here:
+# the plain numbers take no unit suffix, and lambda_q_override reads "inf"
+_KEY_CONVERTERS = {
+    "experiment.ratio_threshold": _real,
+    "experiment.decay_h": _optional(_real),
+    "experiment.family_g": _real,
+    "experiment.family_h": _real,
+    "material.depth_factor": _real,
+    "noise.mobility_mu": _real,
+    "experiment.lambda_q_override": _optional(_length_or_inf),
 }
+_TYPE_CONVERTERS = {
+    int: int,
+    str: str,
+    bool: _boolean,
+    float: _quantity,
+    float | None: _optional(_quantity),
+    str | None: _optional(str.strip),
+}
+# section -> key -> converter; the dataclass defaults are the default table,
+# and a field of a type without a converter fails this import
+_CONVERTERS = {
+    section.name: {
+        key.name: _KEY_CONVERTERS.get(f"{section.name}.{key.name}",
+                                      _TYPE_CONVERTERS[key.type])
+        for key in fields(section.type)}
+    for section in fields(ExperimentConfig)}
 
 
 def _section_converters(section: str) -> dict:

@@ -19,8 +19,11 @@ Layout: ``HydroState`` holds the state as one read-only (3, N) array
 in a ``Workspace`` that ``run`` builds once: one block of rows for the stage
 [n, v], the rates and every intermediate, and each slice the stencils and
 the flux divergence read; at N = 601 slicing and allocating cost more than
-the arithmetic.  k2 is evaluated into y1, a fresh array the new state owns,
-which sums the rates as they come.  Every element goes through the same
+the arithmetic.  Building it checks the step bound (``check_cfl``), so a
+run checks it once, and a step takes dt, the spacing and the boundary from
+the workspace it works in; a step called without one builds its own.  k2
+is evaluated into y1, a fresh array the new state owns, which sums the
+rates as they come.  Every element goes through the same
 IEEE operations in the same order as the field-by-field textbook form, so
 results are bit-identical to it.  The step scans y1 once for non-finite
 values, naming the row it finds, and the next ``HydroState`` adopts it
@@ -193,6 +196,7 @@ class Workspace:
     ``IntegratorConfig`` work in, one step at a time (module docstring)."""
 
     def __init__(self, grid: Grid, potential: Field, mass: float, cfg: IntegratorConfig):
+        check_cfl(cfg, mass, grid)
         n_points, h = grid.n_points, grid.spacing
         self.potential, self.mass, self.cfg, self.spacing = potential.values, mass, cfg, h
         self.quantum = cfg.scheme != CLASSICAL_LIMIT
@@ -326,9 +330,8 @@ def step_deterministic(state: HydroState, potential: Field, mass: float,
 
     It works in ``workspace``, built for these arguments, or in a new one.
     """
-    check_cfl(cfg, mass, state.grid)
     workspace = workspace or Workspace(state.grid, potential, mass, cfg)
-    return _stepped(state, cfg.dt, _advance(state, workspace))
+    return _stepped(state, workspace.cfg.dt, _advance(state, workspace))
 
 
 # the noise increment is gated off where the density falls below this
@@ -349,9 +352,8 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     draws one row from ``rng`` (or from a fresh generator of ``stream``).
     It works in ``workspace``, built for these arguments, or in a new one.
     """
-    check_cfl(cfg, mass, state.grid)
-    h, dt = state.grid.spacing, cfg.dt
     workspace = workspace or Workspace(state.grid, potential, mass, cfg)
+    dt = workspace.cfg.dt
     y1 = _advance(state, workspace)
     amplitude = noise.amplitude
     if amplitude == 0.0:
@@ -372,7 +374,7 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     np.maximum(n, 0.0, out=n)
     if noise.conserving:
         # the norm observables reports, so a periodic run keeps it exactly
-        periodic = cfg.boundary == PERIODIC
+        h, periodic = workspace.spacing, workspace.periodic
         norm = _integral(n, h, periodic)
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
@@ -457,13 +459,12 @@ def run(initial: HydroState, potential: Field, mass: float,
             raise ValidationError(
                 "stochastic scheme needs a noise model and a random stream")
         rng = stream.generator()
-    check_cfl(cfg, mass, initial.grid)
+    workspace = Workspace(initial.grid, potential, mass, cfg)
 
     n_steps = int(round(t_end / cfg.dt))
     # a silent noise model draws nothing, as its step does not
     draw_ahead = (cfg.scheme == STOCHASTIC_QUANTUM
                   and noise.amplitude != 0.0)
-    workspace = Workspace(initial.grid, potential, mass, cfg)
     eta = None
     snapshots = [observables(initial, potential, mass, cfg, keep_densities)]
     state = initial

@@ -17,10 +17,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-class GridError(ValidationError):
-    pass
-
-
 @dataclass(frozen=True)
 class Grid:
     q_min: float
@@ -29,11 +25,11 @@ class Grid:
 
     def __post_init__(self):
         if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)):
-            raise GridError("grid bounds must be finite")
+            raise ValidationError("grid bounds must be finite")
         if self.q_max <= self.q_min:
-            raise GridError("empty domain: q_max must exceed q_min")
+            raise ValidationError("empty domain: q_max must exceed q_min")
         if self.n_points < 8:
-            raise GridError("n_points must be at least 8")
+            raise ValidationError("n_points must be at least 8")
 
     @property
     def spacing(self) -> float:

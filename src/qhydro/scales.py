@@ -34,8 +34,8 @@ NONLOCAL_STOCHASTIC = "nonlocal_stochastic"
 LOCAL_STOCHASTIC = "local_stochastic"
 INDETERMINATE = "indeterminate"
 
-# operationalizes "much smaller than"; labels within a factor ~2 of the
-# threshold should be read with the near_threshold flag in mind
+# operationalizes "much smaller than" in classify_regime: one length is
+# much smaller than another when it is at most this fraction of it
 DEFAULT_RATIO_THRESHOLD = 0.1
 
 

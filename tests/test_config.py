@@ -6,6 +6,7 @@ import pytest
 
 from qhydro.config import (
     _CONVERTERS,
+    _KEY_CONVERTERS,
     SCHEMES,
     ExperimentConfig,
     IntegratorConfig,
@@ -164,12 +165,38 @@ def test_non_finite_value_rejected(dotted, raw):
 
 
 def test_converters_match_dataclass_fields():
-    # every field is settable and every converter sets a field
+    # every field is settable, every converter sets a field, and every key
+    # the per-key table names is a field
     cfg = ExperimentConfig()
     sections = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}
     assert set(_CONVERTERS) == set(sections)
     for name, section in sections.items():
         assert set(_CONVERTERS[name]) == {f.name for f in fields(section)}
+    for dotted in _KEY_CONVERTERS:
+        section, key = dotted.split(".")
+        assert key in _CONVERTERS[section]
+
+
+PLAIN_NUMBERS = ("experiment.ratio_threshold", "experiment.decay_h",
+                 "experiment.family_g", "experiment.family_h",
+                 "material.depth_factor", "noise.mobility_mu")
+QUANTITIES = [
+    f"{section.name}.{key.name}"
+    for section in fields(ExperimentConfig) for key in fields(section.type)
+    if key.type in (float, float | None)
+    and f"{section.name}.{key.name}" not in PLAIN_NUMBERS]
+
+
+@pytest.mark.parametrize("dotted", QUANTITIES)
+def test_float_key_takes_a_unit_suffix(dotted):
+    section, key = dotted.split(".")
+    assert _CONVERTERS[section][key]("2 nm") == 2e-9
+
+
+@pytest.mark.parametrize("dotted", PLAIN_NUMBERS)
+def test_plain_number_key_rejects_a_unit_suffix(dotted):
+    with pytest.raises(ValidationError, match=re.escape(f"bad value for {dotted}")):
+        apply_overrides(ExperimentConfig(), {dotted: "2 K"})
 
 
 def test_default_config_serialization_is_pinned():

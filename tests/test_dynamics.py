@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from qhydro import dynamics
 from qhydro.constants import CFL_SAFETY, HBAR
 from qhydro.dynamics import (
     CLASSICAL_LIMIT,
@@ -56,6 +57,47 @@ def test_cfl_violation_rejected():
     potential = Field(grid, np.zeros(grid.n_points), "J")
     with pytest.raises(CflError):
         step_deterministic(state, potential, MASS, bad)
+
+
+def test_workspace_checks_the_step_bound():
+    grid, _ = free_setup()
+    bad = IntegratorConfig(dt=1.01 * cfl_limit(MASS, grid.spacing))
+    with pytest.raises(CflError):
+        Workspace(grid, Field(grid, np.zeros(grid.n_points), "J"), MASS, bad)
+
+
+def test_run_checks_the_step_bound_once(monkeypatch):
+    grid, cfg = free_setup(n_points=201)
+    calls = []
+    checked = dynamics.check_cfl
+
+    def counting(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(dynamics, "check_cfl", counting)
+    state = gaussian_state(grid, 1e-10)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    trajectory = run(state, potential, MASS, None, cfg, 40 * cfg.dt)
+    assert trajectory.completed
+    assert len(trajectory.snapshots) == 41
+    assert len(calls) == 1
+
+
+def test_run_names_a_missing_stream_then_the_bound_before_a_snapshot(monkeypatch):
+    grid, _ = free_setup(n_points=201)
+    state = gaussian_state(grid, 1e-10)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    dt = 10 * cfl_limit(MASS, grid.spacing)
+    with pytest.raises(ValidationError, match="needs a noise model"):
+        run(state, potential, MASS, None,
+            IntegratorConfig(dt=dt, scheme=STOCHASTIC_QUANTUM), 4 * dt)
+    snapshots = []
+    monkeypatch.setattr(dynamics, "observables",
+                        lambda *args: snapshots.append(args))
+    with pytest.raises(CflError):
+        run(state, potential, MASS, None, IntegratorConfig(dt=dt), 4 * dt)
+    assert snapshots == []
 
 
 def test_linearised_spectrum_inside_rk4_stability():
