@@ -78,14 +78,18 @@ def _build_parser() -> argparse.ArgumentParser:
     # the subparser from clobbering values parsed before the subcommand
     for flag, kwargs in (
             ("--config", {"help": "INI config file"}),
-            ("--set", {"action": "append", "default": [], "metavar": "SEC.KEY=VAL",
-                       "help": "override one config value (repeatable)"}),
             ("--seed", {"dest": "experiment.seed", "help": "random seed override"}),
             ("--csv", {"dest": "output.csv", "help": "CSV output path override"}),
             ("--json", {"dest": "output.json",
                         "help": "JSON summary path override"})):
         parser.add_argument(flag, **kwargs)
         shared.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
+    # the subparser's namespace replaces a list the main parser built, so
+    # each level appends to its own, and _load joins them
+    set_kwargs = {"action": "append", "default": [], "metavar": "SEC.KEY=VAL",
+                  "help": "override one config value (repeatable)"}
+    parser.add_argument("--set", **set_kwargs)
+    shared.add_argument("--set", dest="set_after", **set_kwargs)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -122,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    for item in args.set:
+    for item in args.set + args.set_after:
         if "=" not in item:
             raise ValidationError(f"--set expects SEC.KEY=VAL, got {item!r}")
         dotted, value = item.split("=", 1)

@@ -6,16 +6,17 @@ The deterministic core advances
     dv/dt = -v dv/dq - (1/m) d(V + V_qu)/dq
 
 with classic fourth-order Runge-Kutta, the quantum potential recomputed
-at every stage.  The action S accumulates -(m v^2/2 + V + V_qu) as a
-diagnostic.  Three schemes share the core: deterministic_quantum (full
-force), classical_limit (quantum force dropped), and stochastic_quantum
-(deterministic drift plus an Euler-Maruyama noise increment on the
-density).  The step's settings, ``IntegratorConfig``, and the scheme and
-boundary names are defined in ``qhydro.config``, where the [integrator]
-section extends them with the run length, and are importable from here.
+at every stage.  V_qu depends on n alone, so (n, v) is the whole state and
+every observable is a function of it.  Three schemes share the core:
+deterministic_quantum (full force), classical_limit (quantum force
+dropped), and stochastic_quantum (deterministic drift plus an
+Euler-Maruyama noise increment on the density).  The step's settings,
+``IntegratorConfig``, and the scheme and boundary names are defined in
+``qhydro.config``, where the [integrator] section extends them with the
+run length, and are importable from here.
 
-Layout: ``HydroState`` holds the state as one read-only (3, N) array
-[n, v, S], which the step reads as its y0 without a copy.  The step works
+Layout: ``HydroState`` holds the state as one read-only (2, N) array
+[n, v], which the step reads as its y0 without a copy.  The step works
 in a ``Workspace`` that ``run`` builds once: one block of rows for the stage
 [n, v], the rates and every intermediate, and each slice the stencils and
 the flux divergence read; at N = 601 slicing and allocating cost more than
@@ -28,7 +29,8 @@ IEEE operations in the same order as the field-by-field textbook form, so
 results are bit-identical to it.  The step scans y1 once for non-finite
 values, naming the row it finds, and the next ``HydroState`` adopts it
 without a second scan; a Field of one row is built only when a caller
-reads it (a kept snapshot density, the final state).
+reads it (the final state).  A diverging run overflows to inf, which that
+scan names; ``run`` silences numpy's overflow warnings once for the run.
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
@@ -91,10 +93,10 @@ FORCE_TAPER_FRACTION = 1e-8
 
 @dataclass(frozen=True)
 class HydroState:
-    """Density, velocity and accumulated action at one instant.
+    """Density and velocity at one instant.
 
-    ``y`` is the (3, N) array of rows [n (1/m), v (m/s), S (J s)] that the
-    step advances; it is checked once, here or by the step that made it,
+    ``y`` is the (2, N) array of rows [n (1/m), v (m/s)] that the step
+    advances; it is checked once, here or by the step that made it,
     and made read-only.  The rows are built into Fields only when read.
     """
 
@@ -104,9 +106,9 @@ class HydroState:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        if y.shape != (3, self.grid.n_points):
+        if y.shape != (2, self.grid.n_points):
             raise ValidationError(
-                f"state has {y.shape} values for 3 rows on a "
+                f"state has {y.shape} values for 2 rows on a "
                 f"{self.grid.n_points}-point grid")
         if not np.isfinite(y).all():
             raise ValidationError("field values must be finite")
@@ -121,13 +123,9 @@ class HydroState:
     def velocity(self) -> Field:
         return Field(self.grid, self.y[1], "m/s")
 
-    @property
-    def action(self) -> Field:
-        return Field(self.grid, self.y[2], "J s")
-
 
 def _stepped(state: HydroState, dt: float, y1: np.ndarray) -> HydroState:
-    """The state dt after ``state``, holding the step's own (3, N) y1.
+    """The state dt after ``state``, holding the step's own (2, N) y1.
 
     The step has already scanned y1 for non-finite values, so the
     constructor's scan is skipped rather than repeated.
@@ -142,7 +140,7 @@ def _stepped(state: HydroState, dt: float, y1: np.ndarray) -> HydroState:
 
 def initial_state(density: Field, velocity: Field | None = None) -> HydroState:
     grid = density.grid
-    y = np.zeros((3, grid.n_points))
+    y = np.zeros((2, grid.n_points))
     y[0] = density.values
     if velocity is not None:
         if velocity.grid != grid:
@@ -203,11 +201,11 @@ class Workspace:
         self.periodic = periodic = cfg.boundary == PERIODIC
         # one allocation: the stage n, v and V_qu + V (the force's potential),
         # the rates, v', (V_qu + V)', the floored n, its sqrt, V_qu, taper, flux
-        block = np.empty((13, n_points))
+        block = np.empty((12, n_points))
         (self.n, self.v, self.g, *self.rates, self.dvdq, self.grad, self.nc,
          self.s, self.vqu, self.w, self.flux) = block
         self.g[:] = potential.values
-        self.stage, self.k, self.k_stage = block[:2], block[3:6], block[3:5]
+        self.stage, self.k = block[:2], block[3:5]
         self.curvature = derivative_kernel(self.s, self.vqu, h, 2, periodic)
         self.velocity_gradient = derivative_kernel(self.v, self.dvdq, h, 1, periodic)
         self.force_gradient = derivative_kernel(self.g, self.grad, h, 1, periodic)
@@ -219,15 +217,15 @@ class Workspace:
                            faces[1:], faces[:-1])
 
 
-def _rhs(ws: Workspace, rates: tuple) -> None:
-    """Rates [dn/dt, dv/dt, dS/dt] of ``ws.stage`` into the rows ``rates``.
+def _rhs(ws: Workspace, rates) -> None:
+    """Rates [dn/dt, dv/dt] of ``ws.stage`` into the two rows ``rates``.
 
     Sign flips sit only where IEEE makes them exact, (-a)*b == -(a*b) and
     x + (-y) == x - y, so every element rounds as in the textbook form
-    dn = -d(nv)/dq, dv = -v dv/dq + w F/m, dS = -(m v^2/2 + V + V_qu).
+    dn = -d(nv)/dq, dv = -v dv/dq + w F/m.
     """
     n, v, mass = ws.n, ws.v, ws.mass
-    dn, dv, ds = rates
+    dn, dv = rates
     peak = float(n.max())
     if peak <= 0:
         raise StepRejected("density collapsed to zero")
@@ -241,8 +239,10 @@ def _rhs(ws: Workspace, rates: tuple) -> None:
     ws.velocity_gradient()
 
     # shut the force off where only floor density lives; an untapered
-    # force accelerates ghost fluid in the vacuum without bound
-    taper_level = FORCE_TAPER_FRACTION * peak
+    # force accelerates ghost fluid in the vacuum without bound.  A numpy
+    # scalar's ** is the C pow a float's is, bit for bit, but it overflows
+    # to inf where a float's raises
+    taper_level = np.float64(FORCE_TAPER_FRACTION * peak)
     nc2 = np.square(nc, out=nc)      # sqrt(nc) is taken above
     w = np.add(nc2, taper_level**2, out=ws.w)
     np.divide(nc2, w, out=w)
@@ -264,42 +264,33 @@ def _rhs(ws: Workspace, rates: tuple) -> None:
     ws.grad *= w
     ws.grad /= mass
     dv -= ws.grad
-    # the classical limit adds no V_qu: x + 0.0 == x, as x = m v^2/2 + V
-    # is never -0.0
-    np.square(v, out=ds)
-    ds *= 0.5 * mass
-    ds += ws.potential
-    if ws.quantum:
-        ds += vqu
-    np.negative(ds, out=ds)
 
 
-_STATE_ROWS = ("density", "velocity", "action")
+_STATE_ROWS = ("density", "velocity")
 
 
 def _advance(state: HydroState, ws: Workspace) -> np.ndarray:
-    """One RK4 step on the stacked state [n, v, S]: the checked (3, N) y1.
+    """One RK4 step on the stacked state [n, v]: the checked (2, N) y1.
 
     The classical limit drops the quantum force.  y1 is a fresh array the
     caller owns; its density row is clipped at zero.
     """
-    dt, y0, y0_stage, stage, k = ws.cfg.dt, state.y, state.y[:2], ws.stage, ws.k
+    dt, y0, stage, k = ws.cfg.dt, state.y, ws.stage, ws.k
     # y1 = y0 + dt/6 (((k1 + 2 k2) + 2 k3) + k4), summed as the rates come:
-    # k2 is evaluated into the fresh y1, the others into ws.k.  The rates
-    # read only n and v, so S needs no stage value.
-    np.copyto(stage, y0_stage)
+    # k2 is evaluated into the fresh y1, the others into ws.k
+    np.copyto(stage, y0)
     _rhs(ws, ws.rates)
-    np.multiply(ws.k_stage, 0.5 * dt, out=stage)
-    stage += y0_stage
+    np.multiply(k, 0.5 * dt, out=stage)
+    stage += y0
     y1 = np.empty_like(y0)
-    _rhs(ws, (y1[0], y1[1], y1[2]))
-    np.multiply(y1[:2], 0.5 * dt, out=stage)
-    stage += y0_stage
+    _rhs(ws, y1)
+    np.multiply(y1, 0.5 * dt, out=stage)
+    stage += y0
     y1 *= 2
     y1 += k
     _rhs(ws, ws.rates)
-    np.multiply(ws.k_stage, dt, out=stage)
-    stage += y0_stage
+    np.multiply(k, dt, out=stage)
+    stage += y0
     k *= 2
     y1 += k
     _rhs(ws, ws.rates)
@@ -395,7 +386,6 @@ class Snapshot:
     e_kin: float
     e_pot: float
     e_qu: float
-    density: Field | None = None
 
 
 @dataclass(frozen=True)
@@ -411,11 +401,11 @@ class Trajectory:
 
 
 def observables(state: HydroState, potential: Field, mass: float,
-                cfg: IntegratorConfig, keep_density: bool = False) -> Snapshot:
+                cfg: IntegratorConfig) -> Snapshot:
     grid = state.grid
     h = grid.spacing
     q = grid.points
-    n, v, _ = state.y
+    n, v = state.y
     periodic = cfg.boundary == PERIODIC
 
     norm = _integral(n, h, periodic)
@@ -427,8 +417,7 @@ def observables(state: HydroState, potential: Field, mass: float,
     e_kin = _integral(0.5 * mass * n * v**2, h, periodic)
     e_pot = _integral(n * potential.values, h, periodic)
     e_qu = _integral(n * vqu, h, periodic)
-    return Snapshot(state.time, norm, mean_q, variance, e_kin, e_pot, e_qu,
-                    state.density if keep_density else None)
+    return Snapshot(state.time, norm, mean_q, variance, e_kin, e_pot, e_qu)
 
 
 def _near_boundary_mass(state: HydroState) -> bool:
@@ -445,10 +434,12 @@ def _near_boundary_mass(state: HydroState) -> bool:
 NOISE_DRAW_ROWS = 8
 
 
+# a diverging run overflows to inf or nan, which the step's scan names;
+# numpy's warnings would only repeat it, step after step
+@np.errstate(over="ignore", invalid="ignore")
 def run(initial: HydroState, potential: Field, mass: float,
         noise: NoiseModel | None, cfg: IntegratorConfig, t_end: float,
-        output_stride: int = 1, stream: RandomStream | None = None,
-        keep_densities: bool = False) -> Trajectory:
+        output_stride: int = 1, stream: RandomStream | None = None) -> Trajectory:
     """Step to t_end, emitting observables every ``output_stride`` steps."""
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
@@ -466,7 +457,7 @@ def run(initial: HydroState, potential: Field, mass: float,
     draw_ahead = (cfg.scheme == STOCHASTIC_QUANTUM
                   and noise.amplitude != 0.0)
     eta = None
-    snapshots = [observables(initial, potential, mass, cfg, keep_densities)]
+    snapshots = [observables(initial, potential, mass, cfg)]
     state = initial
     warned = _near_boundary_mass(state) if cfg.boundary == ZERO_FLUX else False
     try:
@@ -484,8 +475,7 @@ def run(initial: HydroState, potential: Field, mass: float,
                 state = step_stochastic(state, potential, mass, noise, stream,
                                         cfg, rng, eta=eta, workspace=workspace)
             if step_index % output_stride == 0 or step_index == n_steps:
-                snapshots.append(
-                    observables(state, potential, mass, cfg, keep_densities))
+                snapshots.append(observables(state, potential, mass, cfg))
                 if cfg.boundary == ZERO_FLUX and _near_boundary_mass(state):
                     warned = True
     except StepRejected as exc:

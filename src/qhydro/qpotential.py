@@ -101,7 +101,8 @@ def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarra
 
 
 def quantum_potential(n: Field, mass: float) -> Field:
-    """V_qu of a density field, in joules."""
+    """V_qu of a density field, in joules, with the wall (one-sided)
+    stencils at the ends; ``vqu_kernel`` takes the periodic ones."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
     return Field(n.grid, vqu_kernel(n.values, n.grid.spacing, mass), "J")

@@ -135,10 +135,11 @@ def test_criterion_5_eigenstate_stationarity(emit):
     period = 2.0 * math.pi / math.sqrt(approx.k / mass)
     dt = 0.98 * cfl_limit(mass, grid.spacing)
     cfg = IntegratorConfig(dt=dt, scheme=DETERMINISTIC_QUANTUM)
-    traj = run(initial_state(density), potential, mass, None, cfg, period,
-               output_stride=10**9, keep_densities=True)
-    n0 = traj.snapshots[0].density.values
-    n1 = traj.snapshots[-1].density.values
+    initial = initial_state(density)
+    traj = run(initial, potential, mass, None, cfg, period,
+               output_stride=10**9)
+    n0 = initial.y[0]
+    n1 = traj.final_state.y[0]
     drift = float(np.linalg.norm(n1 - n0) / np.linalg.norm(n0))
     ok = traj.completed and drift < 1e-3 and flatness < 0.01
     assert emit(ok, 5,

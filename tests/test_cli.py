@@ -62,6 +62,21 @@ def test_global_flags_after_subcommand(capsys):
     assert before == after
 
 
+def test_set_on_both_levels_joins_in_order(capsys):
+    # argparse copies the subcommand's namespace over the top level's, so
+    # one shared --set list would lose what was parsed before the subcommand
+    code, out, _ = run(["--set", "noise.theta=3 K", "lambda-c",
+                        "--set", "material.mass=4.0026 u"], capsys)
+    assert (code, out) == (0, "lambda_c = 2.797970e-10 m\n")
+    both = _config(["--set", "noise.theta=3 K", "lambda-c",
+                    "--set", "material.mass=6e-27"])
+    assert both == _config(["lambda-c", "--set", "noise.theta=3 K",
+                            "--set", "material.mass=6e-27"])
+    # the top level comes first, so the subcommand's value wins
+    assert _config(["--set", "noise.theta=3 K", "lambda-c",
+                    "--set", "noise.theta=1 K"]).noise.theta == 1.0
+
+
 # command, flag, config key, value, another value
 SHORTHAND_FLAGS = [
     ("lambda-c", "--seed", "experiment.seed", "7", "8"),
@@ -156,6 +171,23 @@ def test_numerical_exit_code(capsys):
         ["simulate", *FAST_SIM, "--set", "integrator.dt=1e-12"], capsys)
     assert code == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("velocity", ["1e60", "1e80", "1e100", "1e150",
+                                      "1e160", "1e200", "1e300"])
+def test_diverging_run_is_one_named_line(velocity, capsys):
+    # the first step overflows: from 1e60 m/s a stage's peak density passes
+    # 1e162 1/m, where a float's square of the taper level would raise
+    # OverflowError, and the ufuncs overflow before the step's scan names it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["simulate",
+                              "--set", f"experiment.initial_velocity={velocity}",
+                              "--set", "integrator.t_end=1e-15 s"], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"numerical failure: run aborted: non-finite "
+                        r"(density|velocity) after step at t = 0\.000e\+00 s\n",
+                        err)
 
 
 def test_step_inside_derived_bound_runs(capsys):
