@@ -8,7 +8,6 @@ lambda_q.  Prints an ASCII map (one letter per cell) plus the legend.
 """
 
 import argparse
-import math
 
 import numpy as np
 
@@ -47,7 +46,7 @@ def main() -> None:
     args = ap.parse_args()
 
     mass = parse_quantity(args.mass)
-    lam_q = math.inf if args.lambda_q.strip() == "inf" else parse_quantity(args.lambda_q)
+    lam_q = parse_quantity(args.lambda_q)
     thetas = np.geomspace(args.theta_min, args.theta_max, args.n_theta)
     dls = np.geomspace(parse_quantity(args.dl_min), parse_quantity(args.dl_max),
                        args.n_dl)

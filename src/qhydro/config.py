@@ -117,6 +117,12 @@ class ExperimentSection:
             raise ValidationError(f"experiment.potential must be one of {POTENTIALS}")
         if self.initial_width <= 0:
             raise ValidationError("experiment.initial_width must be positive")
+        if self.delta_l is not None and self.delta_l <= 0:
+            raise ValidationError("experiment.delta_l must be positive")
+        if self.lambda_q_override is not None and self.lambda_q_override < 0:
+            raise ValidationError("experiment.lambda_q_override must be >= 0")
+        if self.decay_h is not None and self.decay_h <= 0:
+            raise ValidationError("experiment.decay_h must be positive")
         if not 0.0 < self.ratio_threshold < 1.0:
             raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
         if self.samples < 1:

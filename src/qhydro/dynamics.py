@@ -31,6 +31,8 @@ values, naming the row it finds, and the next ``HydroState`` adopts it
 without a second scan; a Field of one row is built only when a caller
 reads it (the final state).  A diverging run overflows to inf, which that
 scan names; ``run`` silences numpy's overflow warnings once for the run.
+A scalar can overflow while n and v stay finite (m v^2 / 2), so a run
+that reaches t_end fails on its first non-finite snapshot scalar.
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
@@ -420,6 +422,19 @@ def observables(state: HydroState, potential: Field, mass: float,
     return Snapshot(state.time, norm, mean_q, variance, e_kin, e_pot, e_qu)
 
 
+def _non_finite_scalar(snapshots: list[Snapshot]) -> str | None:
+    """The first non-finite snapshot scalar, named, or None.
+
+    n and v can stay finite while a scalar overflows (m v^2 / 2 passes the
+    float range above about 1e154 m/s), which the step's scan cannot see.
+    """
+    for snap in snapshots:
+        for name, value in vars(snap).items():
+            if not math.isfinite(value):
+                return f"non-finite {name} at t = {snap.time:.3e} s"
+    return None
+
+
 def _near_boundary_mass(state: HydroState) -> bool:
     n = state.y[0]
     peak = float(np.max(n))
@@ -481,4 +496,5 @@ def run(initial: HydroState, potential: Field, mass: float,
     except StepRejected as exc:
         return Trajectory(snapshots, state, failure=str(exc),
                           boundary_warning=warned)
-    return Trajectory(snapshots, state, boundary_warning=warned)
+    return Trajectory(snapshots, state, failure=_non_finite_scalar(snapshots),
+                      boundary_warning=warned)

@@ -293,6 +293,10 @@ ALSO_SET = {"experiment.family_h": {"experiment.family": "log_f"}}
      "experiment.family_g must lie in (0, 2] for power_f"),
     ("experiment.family_h", "0",
      "experiment.family_h must be positive for log_f"),
+    ("experiment.delta_l", "-1", "experiment.delta_l must be positive"),
+    ("experiment.lambda_q_override", "-1e-9",
+     "experiment.lambda_q_override must be >= 0"),
+    ("experiment.decay_h", "0", "experiment.decay_h must be positive"),
 ])
 def test_file_and_override_errors_agree(dotted, raw, message):
     # a family exponent is checked for the family that reads it

@@ -807,6 +807,22 @@ def test_diverging_step_named():
     assert trajectory.final_state is state and len(trajectory.snapshots) == 1
 
 
+def test_non_finite_snapshot_scalar_named():
+    # a uniform periodic flow keeps n and v finite at 1e155 m/s, where
+    # m v^2 / 2 overflows, so every snapshot's e_kin is inf
+    grid = Grid(0.0, 1e-9, 128)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                           boundary=PERIODIC)
+    state = initial_state(Field(grid, np.full(128, 1e9), "1/m"),
+                          Field(grid, np.full(128, 1e155), "m/s"))
+    potential = Field(grid, np.zeros(128), "J")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajectory = run(state, potential, MASS, None, cfg, 3 * cfg.dt)
+    assert math.isinf(trajectory.snapshots[-1].e_kin)
+    assert trajectory.failure == "non-finite e_kin at t = 0.000e+00 s"
+
+
 # --- invariants over packet width and boost --------------------------------
 # A span of 108 m h^2/hbar on the criterion-4 grid (601 points over 3 nm),
 # run in steps of at most 0.9 of the default bound; the span is 300 steps
