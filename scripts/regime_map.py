@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from qhydro.constants import parse_quantity
+from qhydro.config import length_or_inf, quantity
 from qhydro.scales import (
     DEFAULT_RATIO_THRESHOLD,
     INDETERMINATE,
@@ -32,24 +32,24 @@ LETTERS = {
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--mass", default="4.0026 u")
-    ap.add_argument("--lambda-q", default="1e-8 m",
+    # the quantities are read as the CLI reads their config keys, so a
+    # malformed one is a usage error
+    ap.add_argument("--mass", type=quantity, default="4.0026 u")
+    ap.add_argument("--lambda-q", type=length_or_inf, default="1e-8 m",
                     help="nonlocality length; 'inf' for an unbounded force range")
     ap.add_argument("--theta-min", type=float, default=0.05, help="K")
     ap.add_argument("--theta-max", type=float, default=50.0, help="K")
-    ap.add_argument("--dl-min", default="1e-12 m")
-    ap.add_argument("--dl-max", default="1e-6 m")
+    ap.add_argument("--dl-min", type=quantity, default="1e-12 m")
+    ap.add_argument("--dl-max", type=quantity, default="1e-6 m")
     ap.add_argument("--n-theta", type=int, default=24)
     ap.add_argument("--n-dl", type=int, default=32)
     ap.add_argument("--ratio", type=float, default=DEFAULT_RATIO_THRESHOLD,
                     help="threshold standing in for 'much smaller than'")
     args = ap.parse_args()
 
-    mass = parse_quantity(args.mass)
-    lam_q = parse_quantity(args.lambda_q)
+    mass, lam_q = args.mass, args.lambda_q
     thetas = np.geomspace(args.theta_min, args.theta_max, args.n_theta)
-    dls = np.geomspace(parse_quantity(args.dl_min), parse_quantity(args.dl_max),
-                       args.n_dl)
+    dls = np.geomspace(args.dl_min, args.dl_max, args.n_dl)
 
     print(f"mass = {mass:.4e} kg, lambda_q = {lam_q}, ratio = {args.ratio}")
     print("rows: Theta (K, descending); columns: Delta L (m, ascending)")

@@ -3,7 +3,8 @@
 Subcommands: simulate, lambda-c, lambda-q, classify, case {lindemann,
 helium}, noise-audit.  Each experiment is described by one INI config
 file (see qhydro.config); command-line overrides win over the file.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error (a usage error included),
+2 numerical failure.
 
 The scalar commands (lambda-c, lambda-q, classify, case) are dominated by
 import cost, so the integrator is imported only by simulate, numpy.random
@@ -63,10 +64,22 @@ if TYPE_CHECKING:
     from . import dynamics
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, a validation error.
+
+    argparse exits 2, which this CLI keeps for a numerical failure.  Its
+    subparsers are of the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # a shorthand flag's dest is the config key it sets, so _load turns
     # every dotted dest into an override
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhydro",
         description="1-D quantum hydrodynamics laboratory")
     shared = argparse.ArgumentParser(add_help=False)

@@ -63,7 +63,8 @@ def _finite(parse):
     return finite
 
 
-_quantity = _finite(parse_quantity)
+# a quantity with an optional unit suffix, converted to SI
+quantity = _finite(parse_quantity)
 _real = _finite(float)
 
 
@@ -83,10 +84,11 @@ def _optional(convert):
     return optional
 
 
-def _length_or_inf(text: str) -> float:
+def length_or_inf(text: str) -> float:
+    """A finite length, or "inf" / "infinite" for an unbounded one."""
     if text.strip().lower() in ("inf", "infinite"):
         return math.inf
-    return _quantity(text)
+    return quantity(text)
 
 
 @dataclass(frozen=True)
@@ -213,14 +215,14 @@ _KEY_CONVERTERS = {
     "experiment.family_h": _real,
     "material.depth_factor": _real,
     "noise.mobility_mu": _real,
-    "experiment.lambda_q_override": _optional(_length_or_inf),
+    "experiment.lambda_q_override": _optional(length_or_inf),
 }
 _TYPE_CONVERTERS = {
     int: int,
     str: str,
     bool: _boolean,
-    float: _quantity,
-    float | None: _optional(_quantity),
+    float: quantity,
+    float | None: _optional(quantity),
     str | None: _optional(str.strip),
 }
 # section -> key -> converter; the dataclass defaults are the default table,

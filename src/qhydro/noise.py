@@ -8,27 +8,34 @@ sampled exactly by circulant embedding (Wood & Chan 1994; Dietrich &
 Newsam 1997): the stationary kernel, extended periodically to length M,
 is diagonalized by the FFT, so a field with that covariance is the
 inverse transform of a Hermitian spectrum whose mode j is complex normal
-with variance set by the kernel's eigenvalue eig_j.  M is the smallest
-2^a 3^b 5^c >= 2 (n_points - 1): every length from there on holds the
-kernel at each grid lag exactly, and the FFT is fastest on a 5-smooth
-length (the default 801-point grid uses 1,600, while 2 x 801 = 1,602 has
-the prime factor 89).  The spectrum of a Gaussian kernel is itself a
-Gaussian, so past a few lambda_c-dependent modes the eigenvalues are
-rounding noise; only the prefix above a roundoff floor is drawn (43 of
-the 801 modes for the default audit).  Each field takes a fixed block
-of 2J - 1 normals from the generator, the real parts of modes 0..J-1 and
-the imaginary parts of modes 1..J-1, goes through one irfft, and its
-first n_points entries are the field.  The filter is computed once per
-(model, grid) and kept in a small cache.  A batch is drawn on the
-caller's thread in fixed row chunks into one output array; each row's
+with variance set by the kernel's eigenvalue eig_j.  The kernel's reach r
+is the smallest grid lag at which G has fallen to 2^-53 G(0), a float's
+resolution: r = ceil((lambda_c / h) sqrt(53 ln 2)), about 6.06 lambda_c.
+M is the smallest 2^a 3^b 5^c >= (n_points - 1) + min(n_points - 1, r):
+the embedding holds G at every grid lag up to M / 2 exactly, and past it
+holds G((M - d) h) with M - d >= r, so there both it and G(d h) are at or
+below 2^-53 G(0).  A kernel whose reach spans the grid gets
+2 (n_points - 1), so every grid lag is held exactly.  The FFT is fastest
+on a 5-smooth length.  The default audit's 801-point grid, with
+lambda_c = 65.8 h and r = 399, uses 1,200 where 2 (n_points - 1) would
+give 1,600.  The spectrum of a Gaussian kernel is itself a Gaussian, so
+past a few lambda_c-dependent modes the eigenvalues are rounding noise;
+only the prefix above a roundoff floor is drawn (32 of the 601 modes for
+the default audit).  Each field takes a fixed block of 2J - 1 normals
+from the generator (63 for the default audit), the real parts of modes
+0..J-1 and the imaginary parts of modes 1..J-1, goes through one irfft,
+and its first n_points entries are the field.  The filter is computed
+once per (model, grid) and kept in a small cache.  A batch is drawn on
+the caller's thread in fixed row chunks into one output array; each row's
 bits depend on its own normals alone, so they are those of a one-shot
 batch whatever the chunking.  Peak memory is the output array plus one
 set of chunk buffers.  A caller that needs only a summary of each field
-(noise-audit's lag means) passes ``reduce``: each chunk is reduced as it
-is drawn, and the output holds the summaries, so a batch of any size
-costs the chunk buffers plus the summaries.  The delta(tau) time factor
-is the integrator's contract (fields are scaled by sqrt(dt) there); the
-sampler produces unit-time-density fields.
+(noise-audit's lag means) passes ``reduce``: each chunk is reduced in the
+transform's buffer as soon as it is drawn, and the output holds the
+summaries, so a batch of any size costs the chunk buffers plus the
+summaries.  The delta(tau) time factor is the integrator's contract
+(fields are scaled by sqrt(dt) there); the sampler produces
+unit-time-density fields.
 """
 
 from __future__ import annotations
@@ -113,16 +120,14 @@ CHUNK_ROWS = 32
 # the audit's kernel (tests/test_noise.py bounds it at 1e-13 G(0))
 SPECTRUM_FLOOR = 1e-13
 
+# G(x) is at or below 2^-53 G(0), a float's resolution, from x =
+# REACH_LAMBDA_C lambda_c (about 6.06 lambda_c) on
+REACH_LAMBDA_C = math.sqrt(53 * math.log(2))
+
 
 @lru_cache(maxsize=8)
-def _embedding_length(n_points: int) -> int:
-    """Smallest 2^a 3^b 5^c >= 2 (n_points - 1), the circulant length M.
-
-    For every grid lag d <= n_points - 1, M - d >= d, so the row's
-    distance min(d, M - d) is d itself and the embedding holds G(d h)
-    exactly; the cache spares each sample_fields call the search.
-    """
-    target = 2 * (n_points - 1)
+def _smooth_length(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target; the cache spares each draw the search."""
     best = 1 << (target - 1).bit_length()        # a power of two >= target
     odd = 1
     while odd < best:                            # odd = 5^c
@@ -137,16 +142,40 @@ def _embedding_length(n_points: int) -> int:
     return best
 
 
+def _embedding_length(model: NoiseModel, grid: Grid) -> int:
+    """The circulant length M: smallest 2^a 3^b 5^c >= (n - 1) + min(n - 1, r).
+
+    n is n_points and r = ceil((lambda_c / h) REACH_LAMBDA_C) the kernel's
+    reach, the smallest grid lag d with G(d h) <= 2^-53 G(0).  Each grid
+    lag d <= M / 2 is held exactly.  A lag d > M / 2 wraps to M - d >=
+    min(n - 1, r); a reach below n - 1 puts both G(d h) and the held
+    G((M - d) h) at or below 2^-53 G(0), and a reach of n - 1 or more
+    gives M >= 2 (n - 1), so no grid lag wraps.  The default audit (n =
+    801, lambda_c = 65.8 h, r = 399) gets 1,200.
+    """
+    edge = grid.n_points - 1
+    reach = model.lambda_c / grid.spacing * REACH_LAMBDA_C
+    # capped before ceil, which a ratio that overflows to inf would fail
+    return _smooth_length(edge + math.ceil(min(reach, edge)))
+
+
+def _kernel_at_lags(model: NoiseModel, grid: Grid,
+                    lags: np.ndarray) -> np.ndarray:
+    """G(lags h), the kernel at integer grid lags."""
+    return model.amplitude * np.exp(
+        -((lags * grid.spacing / model.lambda_c) ** 2))
+
+
 def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
     """First row of the circulant extension of the kernel.
 
-    Its length is ``_embedding_length(n_points)``, and its first n_points
-    entries are G at lags 0, h, ..., (n_points - 1) h.
+    Entry j of its ``_embedding_length`` M entries is G(min(j, M - j) h):
+    G(d h) itself at every grid lag d <= M / 2, and at or below
+    2^-53 G(0) at the grid lags past it, as G(d h) is there.
     """
-    m = _embedding_length(grid.n_points)
+    m = _embedding_length(model, grid)
     j = np.arange(m)
-    dist = np.minimum(j, m - j) * grid.spacing
-    return model.amplitude * np.exp(-((dist / model.lambda_c) ** 2))
+    return _kernel_at_lags(model, grid, np.minimum(j, m - j))
 
 
 @lru_cache(maxsize=8)
@@ -159,11 +188,11 @@ def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
     real and imaginary parts of variance eig_j M / 2, except that modes 0
     and M / 2 (for even M) are real and carry eig_j M.  Only the prefix
     of modes before the first eig_j <= SPECTRUM_FLOOR eig_0 is kept, so
-    every kept eigenvalue is positive.  An amplitude near overflow can
-    overflow the transform or eig_j M; such a filter is rejected by name.
-    Read-only.
+    every kept eigenvalue is positive: 32 of the 601 modes of the default
+    audit's M = 1,200.  An amplitude near overflow can overflow the
+    transform or eig_j M; such a filter is rejected by name.  Read-only.
     """
-    m = _embedding_length(grid.n_points)
+    m = _embedding_length(model, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         eig = np.fft.rfft(_kernel_row(model, grid)).real
         below = np.flatnonzero(eig[1:] <= SPECTRUM_FLOOR * eig[0])
@@ -182,21 +211,23 @@ def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
 
 
 def _filter_chunk(normals: np.ndarray, spectrum: np.ndarray,
-                  field: np.ndarray, rows: np.ndarray, filt: np.ndarray,
-                  model: NoiseModel, grid: Grid) -> None:
-    """Turn each row of ``normals`` into a field in ``rows``.
+                  field: np.ndarray, filt: np.ndarray, model: NoiseModel,
+                  grid: Grid) -> None:
+    """Turn each row of ``normals`` into a field in that row of ``field``.
 
-    ``spectrum`` holds the scaled modes, zero past the kept ones and in
-    the imaginary part of mode 0, and ``field`` the irfft; both are
-    overwritten.  The imaginary part of a kept Nyquist mode is drawn but
-    irfft ignores it, so the block per row stays 2J - 1 normals.
+    The field is the first n_points entries of the row, projected in
+    place when the model conserves.  ``spectrum`` holds the scaled modes,
+    zero past the kept ones and in the imaginary part of mode 0, and
+    ``field`` the irfft; both are overwritten.  The imaginary part of a
+    kept Nyquist mode is drawn but irfft ignores it, so the block per row
+    stays 2J - 1 normals.
     """
     kept = filt.size
     np.multiply(normals[:, :kept], filt, out=spectrum.real[:, :kept])
     np.multiply(normals[:, kept:], filt[1:], out=spectrum.imag[:, 1:kept])
     np.fft.irfft(spectrum, n=field.shape[1], axis=1, out=field)
-    rows[:] = field[:, :rows.shape[1]]
     if model.conserving:
+        rows = field[:, :grid.n_points]
         rows -= (np.trapezoid(rows, dx=grid.spacing, axis=1)
                  / grid.length)[:, None]
 
@@ -211,13 +242,14 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     fresh generator is built from the stream seed (deterministic per call).
 
     Pass ``reduce`` to keep a summary of each sample instead of the sample:
-    each chunk ``rows`` of shape (k, n_points) is replaced by
-    ``reduce(rows)``, of shape (k, m), as soon as it is drawn, and the call
-    returns shape (count, m), sized from the first reduced chunk.  No
-    (count, n_points) array is held, so peak memory is the chunk buffers
-    plus the result.  ``reduce`` must treat rows independently and keep no
-    reference to ``rows``, whose buffer is reused; then the result is
-    ``reduce`` of the unreduced batch, bit for bit, whatever the chunking.
+    each chunk ``rows`` of shape (k, n_points), a view of the transform's
+    buffer, is replaced by ``reduce(rows)``, of shape (k, m), as soon as it
+    is drawn, and the call returns shape (count, m), sized from the first
+    reduced chunk.  No (count, n_points) array is held, so peak memory is
+    the chunk buffers plus the result.  ``reduce`` must treat rows
+    independently and keep no reference to ``rows``, whose buffer is
+    reused; then the result is ``reduce`` of the unreduced batch, bit for
+    bit, whatever the chunking.
     """
     if grid.spacing >= model.lambda_c / 2.0:
         raise UnderResolvedKernelError(
@@ -232,26 +264,26 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     filt = _spectral_filter(model, grid)
     if rng is None:
         rng = stream.generator()
-    m = _embedding_length(n)
+    m = _embedding_length(model, grid)
     # one set of chunk buffers, reused by every chunk; the transform writes
     # into them instead of allocating, and the spectrum's zeros stay put
     chunk = min(count, CHUNK_ROWS)
     normals = np.empty((chunk, 2 * filt.size - 1))
     spectrum = np.zeros((chunk, m // 2 + 1), dtype=complex)
     field = np.empty((chunk, m))
-    rows_buffer = None if reduce is None else np.empty((chunk, n))
     samples = np.empty((count, n)) if reduce is None else None
     for start in range(0, count, CHUNK_ROWS):
         k = min(CHUNK_ROWS, count - start)
         rng.standard_normal(out=normals[:k])
-        rows = samples[start:start + k] if reduce is None else rows_buffer[:k]
-        _filter_chunk(normals[:k], spectrum[:k], field[:k], rows, filt,
-                      model, grid)
-        if reduce is not None:
-            reduced = reduce(rows)
-            if samples is None:
-                samples = np.empty((count, *reduced.shape[1:]), reduced.dtype)
-            samples[start:start + k] = reduced
+        _filter_chunk(normals[:k], spectrum[:k], field[:k], filt, model, grid)
+        rows = field[:k, :n]
+        if reduce is None:
+            samples[start:start + k] = rows
+            continue
+        reduced = reduce(rows)
+        if samples is None:
+            samples = np.empty((count, *reduced.shape[1:]), reduced.dtype)
+        samples[start:start + k] = reduced
     return samples
 
 
@@ -262,13 +294,15 @@ def sampled_covariance(model: NoiseModel, grid: Grid, lag: int) -> float:
     y = x - (w.x / L) 1, with w the trapezoid weights and C the kernel
     matrix, gives cov(y)_ij = C_ij - a_i - a_j + b with a = Cw/L and
     b = w.Cw/L^2, so the mean along the lag is
-    G(lag h) - mean(a[:n-lag]) - mean(a[lag:]) + b.
+    G(lag h) - mean(a[:n-lag]) - mean(a[lag:]) + b.  C is built from G at
+    the grid lags 0..n-1 itself, not from the kernel row: the default
+    audit's M = 1,200 holds G only up to lag 600 of its 800.
     """
     target = covariance(model, lag * grid.spacing)
     if not model.conserving:
         return target
     n = grid.n_points
-    g = _kernel_row(model, grid)[:n]
+    g = _kernel_at_lags(model, grid, np.arange(n))
     weights = np.full(n, grid.spacing)
     weights[[0, -1]] = grid.spacing / 2.0
     # C is the symmetric Toeplitz matrix of g, so Cw is a convolution

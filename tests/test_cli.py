@@ -48,7 +48,10 @@ TAIL_GRID = ["--set", "grid.q_max=3e6 m", "--set", "grid.n_points=120001",
 
 
 def run(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:           # argparse's usage error or --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -59,13 +62,23 @@ def run_script(argv, capsys, monkeypatch):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(sys, "argv", argv)
-    script.main()
+    try:
+        script.main()
+        code = 0
+    except SystemExit as exc:           # argparse's usage error
+        code = exc.code
     captured = capsys.readouterr()
-    return 0, captured.out, captured.err
+    return code, captured.out, captured.err
 
 
 def bad_value(message):
     return f"error: bad value for {message}\n"
+
+
+def usage_error(prog, message):
+    """argparse's usage lines, wrapped to the terminal's width, then its error."""
+    return re.compile(rf"usage: {prog} .*\n{prog}: error: {re.escape(message)}\n",
+                      re.DOTALL)
 
 
 LAMBDA_C_LINE = "lambda_c = 3.289826e-10 m\n"
@@ -129,6 +142,16 @@ OUTCOMES = [
     ("plain-number-with-unit", ["lambda-c", "--set", "noise.mobility_mu=1 K"], 1,
      "", bad_value("noise.mobility_mu: could not convert string to float: "
                    "'1 K'")),
+    ("help", ["lambda-c", "--help"], 0, re.compile(r"usage: qhydro lambda-c .*",
+                                                   re.DOTALL), ""),
+    # a usage error is a validation error, not the numerical failure's 2;
+    # argparse takes the "-1e-9" after --lambda-q for a flag
+    ("unknown-flag", ["lambda-c", "--bogus"], 1, "",
+     usage_error("qhydro", "unrecognized arguments: --bogus")),
+    ("negative-number-as-flag",
+     ["classify", "--theta", "2.17 K", "--delta-L", "2e-11", "--lambda-q",
+      "-1e-9"], 1, "",
+     usage_error("qhydro classify", "argument --lambda-q: expected one argument")),
     ("classify-missing-delta-l", ["classify"], 1, "",
      "error: classify needs --delta-L (experiment.delta_l)\n"),
     ("classify-line", ["classify", "--theta", "2.17 K", "--delta-L", "2e-11",
@@ -232,6 +255,14 @@ OUTCOMES = [
     # with an unbounded force range no point is local
     ("regime-map-lambda-q-inf", ["scripts/regime_map.py", "--lambda-q", "inf"], 0,
      re.compile(REGIME_MAP % ("inf", r"DDDDD\.{5}S{22}", "DS.")), ""),
+    # --lambda-q is read as experiment.lambda_q_override is, so its header
+    # prints the same inf and its map is the inf map
+    ("regime-map-lambda-q-infinite",
+     ["scripts/regime_map.py", "--lambda-q", "infinite"], 0,
+     re.compile(REGIME_MAP % ("inf", r"DDDDD\.{5}S{22}", "DS.")), ""),
+    ("regime-map-malformed-mass", ["scripts/regime_map.py", "--mass", "abc"], 2,
+     "", usage_error("regime_map.py", "argument --mass: invalid finite value: "
+                                      "'abc'")),
 ]
 
 

@@ -158,11 +158,28 @@ def is_5_smooth(m):
     return m == 1
 
 
-def test_embedding_length_is_the_smallest_5_smooth_from_2n_minus_2():
+def reach(lambda_over_h):
+    """The smallest grid lag d with exp(-(d h / lambda_c)^2) <= 2^-53."""
+    d = 1
+    while math.exp(-((d / lambda_over_h) ** 2)) > 2.0**-53:
+        d += 1
+    return d
+
+
+def test_embedding_length_is_the_smallest_5_smooth_past_the_reach():
     smooth = sorted(m for m in range(1, 8001) if is_5_smooth(m))
-    for n in range(2, 4001):
-        m = noise._embedding_length(n)
-        assert m == next(s for s in smooth if s >= 2 * (n - 1)), n
+    # lambda_c / h from just resolved to a kernel whose reach spans the grid
+    for lambda_over_h in (2.1, 4.0, 6.8, 65.8, 130.0, 400.0):
+        model = make_model(lambda_c=lambda_over_h)
+        r = reach(lambda_over_h)
+        for n in range(8, 4001):
+            grid = Grid(0.0, n - 1.0, n)     # h = 1
+            m = noise._embedding_length(model, grid)
+            assert m == next(s for s in smooth
+                             if s >= n - 1 + min(n - 1, r)), (lambda_over_h, n)
+            # a kernel whose reach spans the grid keeps 2 (n - 1)
+            if r >= n - 1:
+                assert m == next(s for s in smooth if s >= 2 * (n - 1)), n
 
 
 @pytest.mark.parametrize("n_points", [64, 200, 201, 602, 801])
@@ -170,11 +187,22 @@ def test_kernel_row_holds_the_kernel_at_every_grid_lag(n_points):
     model = make_model()
     grid = Grid(0.0, 50.0, n_points)
     row = noise._kernel_row(model, grid)
-    m = noise._embedding_length(n_points)
+    m = noise._embedding_length(model, grid)
     assert row.shape == (m,)
-    lags = np.arange(n_points) * grid.spacing
-    assert np.array_equal(row[:n_points], model.amplitude
-                          * np.exp(-((lags / model.lambda_c) ** 2)))
+
+    def g(d):
+        return model.amplitude * np.exp(-((d * grid.spacing / model.lambda_c)
+                                          ** 2))
+
+    j = np.arange(m)
+    assert np.array_equal(row, g(np.minimum(j, m - j)))
+    lags = np.arange(n_points)
+    held = lags <= m / 2
+    assert np.array_equal(row[lags[held]], g(lags[held]))
+    # past M / 2 neither the wrapped entry nor G itself exceeds 2^-53 G(0)
+    floor = 2.0**-53 * model.amplitude
+    assert np.all(row[lags[~held]] <= floor)
+    assert np.all(g(lags[~held]) <= floor)
     # symmetric, so its eigenvalues are real
     assert np.array_equal(row[1:], row[:0:-1])
 
@@ -208,21 +236,24 @@ class BasisNormals:
 
 
 @pytest.mark.parametrize("lambda_c, n_points", [
-    # the audit's kernel; at N = 602 the embedding length is the odd 1,215
+    # the audit's kernel, whose reach of 6.06 lambda_c is shorter than the
+    # grid: at N = 801 the embedding length is 1,200 where 2 (N - 1) is 1,600
     *((3.289826e-10, n) for n in (64, 201, 602, 801, 8001)),
     # 2.1 h on this grid: barely resolved, so no mode is dropped and the
     # Nyquist mode is kept
-    (1.05e-11, 801)])
+    (1.05e-11, 801),
+    # a reach of 813 lags, past the grid's 800, keeps the length 1,600
+    (6.7e-10, 801)])
 def test_drawn_modes_hold_the_kernel_at_every_grid_lag(lambda_c, n_points):
     model = NoiseModel(theta=2.17, lambda_c=lambda_c, mass=6.6465e-27,
                        conserving=False)
     grid = Grid(-2e-9, 2e-9, n_points)
-    n, m = n_points, noise._embedding_length(n_points)
+    n, m = n_points, noise._embedding_length(model, grid)
     filt = noise._spectral_filter(model, grid)
     kept = filt.size
     assert (kept == m // 2 + 1) == (lambda_c < 3 * grid.spacing)
     tolerance = 1e-13 * model.amplitude
-    target = noise._kernel_row(model, grid)[:n]
+    target = noise._kernel_at_lags(model, grid, np.arange(n))
     # the kept eigenvalues: each part of a mode has variance eig M / 2,
     # the real modes 0 and M / 2 variance eig M
     weight = np.full(m // 2 + 1, m / 2)
@@ -252,7 +283,7 @@ def spectral_reference(model, grid, rng, count):
     Row i takes normals [i (2J - 1), (i + 1)(2J - 1)) of the generator: the
     real parts of modes 0..J-1, then the imaginary parts of modes 1..J-1.
     """
-    n, m = grid.n_points, noise._embedding_length(grid.n_points)
+    n, m = grid.n_points, noise._embedding_length(model, grid)
     filt = noise._spectral_filter(model, grid)
     kept = filt.size
     normals = rng.standard_normal((count, 2 * kept - 1))
@@ -271,9 +302,8 @@ CHUNKED_COUNTS = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
 
 
 @pytest.mark.parametrize("conserving", [False, True])
-# embedding lengths: 400 = 2 N at N = 200, the minimal 400 = 2 (N - 1) at
-# N = 201, and at N = 602 the padded 1,215, the next 5-smooth length above
-# 1,202
+# odd embedding lengths: 225 at N = 200 (>= 199 + 25) and at N = 201
+# (>= 200 + 25), and 675 at N = 602 (>= 601 + 73)
 @pytest.mark.parametrize("count, n_points", [
     pytest.param(count, n_points,
                  id=str(count) if n_points == 200 else f"{count}-n{n_points}")
@@ -304,7 +334,7 @@ def test_real_fft_filter_matches_complex_fft_filter(conserving):
     grid = Grid(-2e-9, 2e-9, 801)
     count = 3 * CHUNK_ROWS + 5
     fields = sample_fields(model, grid, RandomStream(4), count)
-    n, m = grid.n_points, noise._embedding_length(grid.n_points)
+    n, m = grid.n_points, noise._embedding_length(model, grid)
     filt = noise._spectral_filter(model, grid)
     kept = filt.size
     normals = np.random.default_rng(4).standard_normal((count, 2 * kept - 1))
@@ -450,8 +480,8 @@ def test_reduced_batch_peak_memory_is_the_chunk_buffers(conserving):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one set of normals, spectrum, field and rows buffers, 32 rows each:
-    # 1.0 MB, against 12.8 MB for the unreduced batch
+    # one set of normals, spectrum and field buffers, 32 rows each, reduced
+    # in place: 0.8 MB, against 12.8 MB for the unreduced batch
     assert peak < 4 * 2**20
 
 
@@ -461,10 +491,10 @@ def test_spectral_filter_cached_read_only_and_keyed():
     filt = noise._spectral_filter(model, grid)
     assert noise._spectral_filter(make_model(), Grid(0.0, 50.0, 256)) is filt
     # the modes before the first eigenvalue at or below the floor, fewer
-    # than the 257 non-negative frequencies of the length 512 = 2 N
+    # than the 145 non-negative frequencies of the length 288
     eig = np.fft.rfft(noise._kernel_row(model, grid)).real
     kept = filt.size
-    assert kept < grid.n_points + 1
+    assert kept < noise._embedding_length(model, grid) // 2 + 1
     assert np.all(eig[1:kept] > noise.SPECTRUM_FLOOR * eig[0])
     assert eig[kept] <= noise.SPECTRUM_FLOOR * eig[0]
     assert not filt.flags.writeable
