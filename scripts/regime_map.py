@@ -30,17 +30,28 @@ LETTERS = {
 }
 
 
+def _argument(convert):
+    """``convert``, whose ValueError argparse prints as its message."""
+    def argument(text: str) -> float:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return argument
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     # the quantities are read as the CLI reads their config keys, so a
-    # malformed one is a usage error
-    ap.add_argument("--mass", type=quantity, default="4.0026 u")
-    ap.add_argument("--lambda-q", type=length_or_inf, default="1e-8 m",
+    # malformed one is a usage error that says what is wrong with it
+    quantity_arg = _argument(quantity)
+    ap.add_argument("--mass", type=quantity_arg, default="4.0026 u")
+    ap.add_argument("--lambda-q", type=_argument(length_or_inf), default="1e-8 m",
                     help="nonlocality length; 'inf' for an unbounded force range")
     ap.add_argument("--theta-min", type=float, default=0.05, help="K")
     ap.add_argument("--theta-max", type=float, default=50.0, help="K")
-    ap.add_argument("--dl-min", type=quantity, default="1e-12 m")
-    ap.add_argument("--dl-max", type=quantity, default="1e-6 m")
+    ap.add_argument("--dl-min", type=quantity_arg, default="1e-12 m")
+    ap.add_argument("--dl-max", type=quantity_arg, default="1e-6 m")
     ap.add_argument("--n-theta", type=int, default=24)
     ap.add_argument("--n-dl", type=int, default=32)
     ap.add_argument("--ratio", type=float, default=DEFAULT_RATIO_THRESHOLD,

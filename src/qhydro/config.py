@@ -18,7 +18,8 @@ Each section is the object the code runs on, and each checks its own
 values when it is built, so every command rejects a bad value at load:
 [material] is the ``potentials.MaterialParams`` of the run (He-4 by
 default), [grid] the ``grids.Grid``, and [integrator] the
-``IntegratorConfig`` that ``dynamics`` steps with, plus the run length.
+``IntegratorConfig`` that ``dynamics`` steps with, plus the run length,
+a whole number of steps.
 [experiment] builds its five family keys into the
 ``potentials.PseudoGaussianFamily`` that lambda-q runs on
 (``ExperimentSection.tail_family``), and the family checks them.  The one
@@ -127,8 +128,9 @@ class ExperimentSection:
             raise ValidationError("experiment.decay_h must be positive")
         if not 0.0 < self.ratio_threshold < 1.0:
             raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
-        if self.samples < 1:
-            raise ValidationError("experiment.samples must be >= 1")
+        # a single field has no spread, so no standard error
+        if self.samples < 2:
+            raise ValidationError("experiment.samples must be >= 2")
         self.tail_family()
 
     def tail_family(self) -> PseudoGaussianFamily:
@@ -167,6 +169,11 @@ class IntegratorSection(IntegratorConfig):
         super().__post_init__()
         if self.t_end < 0:
             raise ValidationError("integrator.t_end must be >= 0")
+        # the run takes round(t_end / dt) steps, so any other t_end would
+        # end the run short of it or past it; remainder is exact
+        if abs(math.remainder(self.t_end, self.dt)) > 1e-9 * self.dt:
+            raise ValidationError(
+                "integrator.t_end must be a whole number of integrator.dt steps")
         if self.output_stride < 1:
             raise ValidationError("integrator.output_stride must be >= 1")
 

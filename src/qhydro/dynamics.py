@@ -455,7 +455,8 @@ NOISE_DRAW_ROWS = 8
 def run(initial: HydroState, potential: Field, mass: float,
         noise: NoiseModel | None, cfg: IntegratorConfig, t_end: float,
         output_stride: int = 1, stream: RandomStream | None = None) -> Trajectory:
-    """Step to t_end, emitting observables every ``output_stride`` steps."""
+    """Step to t_end in round(t_end / dt) steps, emitting observables
+    every ``output_stride`` steps."""
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
     if output_stride < 1:

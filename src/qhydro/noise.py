@@ -4,45 +4,46 @@ The equal-time spatial covariance is
 
     G(lambda) = A exp[-(lambda/lambda_c)^2],   A = mu 8 m (k_B Theta)^2 / (pi^3 hbar^2),
 
-sampled exactly by circulant embedding (Wood & Chan 1994; Dietrich &
-Newsam 1997): the stationary kernel, extended periodically to length M,
-is diagonalized by the FFT, so a field with that covariance is the
-inverse transform of a Hermitian spectrum whose mode j is complex normal
-with variance set by the kernel's eigenvalue eig_j.  The kernel's reach r
-is the smallest grid lag at which G has fallen to 2^-53 G(0), a float's
-resolution: r = ceil((lambda_c / h) sqrt(53 ln 2)), about 6.06 lambda_c.
-M is the smallest 2^a 3^b 5^c >= (n_points - 1) + min(n_points - 1, r):
-the embedding holds G at every grid lag up to M / 2 exactly, and past it
-holds G((M - d) h) with M - d >= r, so there both it and G(d h) are at or
-below 2^-53 G(0).  A kernel whose reach spans the grid gets
+written once, as ``covariance``; a ``NoiseModel`` computes and checks A
+once, when it is built.  Fields are sampled exactly by circulant
+embedding (Wood & Chan 1994; Dietrich & Newsam 1997): the stationary
+kernel, extended periodically to length M, is diagonalized by the FFT,
+so a field with that covariance is the inverse transform of a Hermitian
+spectrum whose mode j is complex normal with variance set by the
+kernel's eigenvalue eig_j.  The kernel's reach r is the smallest grid
+lag at which G has fallen to 2^-53 G(0), a float's resolution:
+r = ceil((lambda_c / h) sqrt(53 ln 2)), about 6.06 lambda_c.  M is the
+smallest 2^a 3^b 5^c >= (n_points - 1) + min(n_points - 1, r): the
+embedding holds G at every grid lag up to M / 2 exactly, and past it
+holds G((M - d) h) with M - d >= r, so there both it and G(d h) are at
+or below 2^-53 G(0).  A kernel whose reach spans the grid gets
 2 (n_points - 1), so every grid lag is held exactly.  The FFT is fastest
 on a 5-smooth length.  The default audit's 801-point grid, with
-lambda_c = 65.8 h and r = 399, uses 1,200 where 2 (n_points - 1) would
-give 1,600.  The spectrum of a Gaussian kernel is itself a Gaussian, so
-past a few lambda_c-dependent modes the eigenvalues are rounding noise;
-only the prefix above a roundoff floor is drawn (32 of the 601 modes for
-the default audit).  Each field takes a fixed block of 2J - 1 normals
-from the generator (63 for the default audit), the real parts of modes
-0..J-1 and the imaginary parts of modes 1..J-1, goes through one irfft,
-and its first n_points entries are the field.  The filter is computed
-once per (model, grid) and kept in a small cache.  A batch is drawn on
-the caller's thread in fixed row chunks into one output array; each row's
-bits depend on its own normals alone, so they are those of a one-shot
-batch whatever the chunking.  Peak memory is the output array plus one
-set of chunk buffers.  A caller that needs only a summary of each field
-(noise-audit's lag means) passes ``reduce``: each chunk is reduced in the
-transform's buffer as soon as it is drawn, and the output holds the
-summaries, so a batch of any size costs the chunk buffers plus the
-summaries.  The delta(tau) time factor is the integrator's contract
-(fields are scaled by sqrt(dt) there); the sampler produces
-unit-time-density fields.
+lambda_c = 65.8 h and r = 399, uses 1,200.  The spectrum of a Gaussian
+kernel is itself a Gaussian, so past a few lambda_c-dependent modes the
+eigenvalues are rounding noise; only the prefix above a roundoff floor
+is drawn (32 of the 601 modes for the default audit).  Each field takes
+a fixed block of 2J - 1 normals from the generator (63 for the default
+audit), the real parts of modes 0..J-1 and the imaginary parts of modes
+1..J-1, goes through one irfft, and its first n_points entries are the
+field.  The filter is computed once per (model, grid) and kept in a
+small cache.  A batch is drawn on the caller's thread in fixed row
+chunks into one output array; each row's bits depend on its own normals
+alone, so they are those of a one-shot batch whatever the chunking.
+Peak memory is the output array plus one set of chunk buffers.  A caller
+that needs only a summary of each field (noise-audit's lag means) passes
+``reduce``: each chunk is reduced in the transform's buffer as soon as
+it is drawn, and the output holds the summaries, so a batch of any size
+costs the chunk buffers plus the summaries.  The delta(tau) time factor
+is the integrator's contract (fields are scaled by sqrt(dt) there); the
+sampler produces unit-time-density fields.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -93,19 +94,19 @@ class NoiseModel:
     conserving: bool = True      # project each sample to zero spatial integral
 
     def __post_init__(self):
-        # validates parameter signs as a side effect
-        noise_amplitude(self.mass, self.theta, self.mobility_mu)
+        self.amplitude                   # computed and checked here, once
         if self.lambda_c <= 0:
             raise ValidationError("lambda_c must be positive")
 
-    @property
+    @cached_property
     def amplitude(self) -> float:
         return noise_amplitude(self.mass, self.theta, self.mobility_mu)
 
 
-def covariance(model: NoiseModel, separation: float) -> float:
-    """Equal-time spatial covariance density at the given separation."""
-    return model.amplitude * math.exp(-((separation / model.lambda_c) ** 2))
+def covariance(model: NoiseModel, separation: float | np.ndarray
+               ) -> float | np.ndarray:
+    """G, the equal-time spatial covariance density, at each separation."""
+    return model.amplitude * np.exp(-((separation / model.lambda_c) ** 2))
 
 
 # rows per chunk in sample_fields: the working set beyond the output is a
@@ -159,13 +160,6 @@ def _embedding_length(model: NoiseModel, grid: Grid) -> int:
     return _smooth_length(edge + math.ceil(min(reach, edge)))
 
 
-def _kernel_at_lags(model: NoiseModel, grid: Grid,
-                    lags: np.ndarray) -> np.ndarray:
-    """G(lags h), the kernel at integer grid lags."""
-    return model.amplitude * np.exp(
-        -((lags * grid.spacing / model.lambda_c) ** 2))
-
-
 def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
     """First row of the circulant extension of the kernel.
 
@@ -175,7 +169,7 @@ def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
     """
     m = _embedding_length(model, grid)
     j = np.arange(m)
-    return _kernel_at_lags(model, grid, np.minimum(j, m - j))
+    return covariance(model, np.minimum(j, m - j) * grid.spacing)
 
 
 @lru_cache(maxsize=8)
@@ -298,11 +292,11 @@ def sampled_covariance(model: NoiseModel, grid: Grid, lag: int) -> float:
     the grid lags 0..n-1 itself, not from the kernel row: the default
     audit's M = 1,200 holds G only up to lag 600 of its 800.
     """
-    target = covariance(model, lag * grid.spacing)
+    target = float(covariance(model, lag * grid.spacing))
     if not model.conserving:
         return target
     n = grid.n_points
-    g = _kernel_at_lags(model, grid, np.arange(n))
+    g = covariance(model, np.arange(n) * grid.spacing)
     weights = np.full(n, grid.spacing)
     weights[[0, -1]] = grid.spacing / 2.0
     # C is the symmetric Toeplitz matrix of g, so Cw is a convolution

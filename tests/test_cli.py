@@ -39,6 +39,8 @@ FAST_SIM = [
     "--set", "experiment.initial_width=0.15 nm",
 ]
 SHORT_RUN = ["--set", "integrator.t_end=2e-15"]
+# dt far above FAST_SIM's CFL limit, and a run of that one step
+ONE_LONG_STEP = ["--set", "integrator.dt=1e-12", "--set", "integrator.t_end=1e-12"]
 # lambda_c = 1e-11 m is below twice the 1e-11 m spacing of FAST_SIM
 UNDER_RESOLVED_NOISE = ["simulate", *FAST_SIM,
                         "--set", "integrator.scheme=stochastic_quantum",
@@ -138,6 +140,14 @@ OUTCOMES = [
      1, "", bad_value("experiment.decay_h: 'nan' is not finite")),
     ("non-finite-t-end", ["simulate", "--set", "integrator.t_end=1e999"], 1, "",
      bad_value("integrator.t_end: '1e999' is not finite")),
+    # the run takes round(t_end / dt) steps, which would stop at 1e-15 s
+    ("t-end-between-steps", ["simulate", "--set", "integrator.t_end=1.05e-15"],
+     1, "", "error: integrator.t_end must be a whole number of integrator.dt "
+            "steps\n"),
+    # one field has no spread, so no standard error or z-score
+    ("one-audit-sample",
+     ["noise-audit", "--theta", "2.17 K", "--set", "experiment.samples=1"], 1,
+     "", "error: experiment.samples must be >= 2\n"),
     # the six plain numbers take no unit suffix
     ("plain-number-with-unit", ["lambda-c", "--set", "noise.mobility_mu=1 K"], 1,
      "", bad_value("noise.mobility_mu: could not convert string to float: "
@@ -220,10 +230,10 @@ OUTCOMES = [
     ("short-tail-scale",
      ["lambda-c", "--theta", "2.17 K", "--set", "experiment.tail_scale=5"], 1, "",
      "error: experiment.tail_scale^2 must be >= 100 experiment.core_width^2\n"),
-    # dt far above the CFL limit for this grid
-    ("step-above-the-bound", ["simulate", *FAST_SIM, "--set", "integrator.dt=1e-12"],
-     2, "", "numerical failure: dt = 1.000e-12 s exceeds the stability bound "
-            "9.263e-15 s (0.4 of RK4's limit, spacing 1.000e-11 m)\n"),
+    # dt far above the CFL limit for this grid; t_end is one whole step
+    ("step-above-the-bound", ["simulate", *FAST_SIM, *ONE_LONG_STEP], 2, "",
+     "numerical failure: dt = 1.000e-12 s exceeds the stability bound "
+     "9.263e-15 s (0.4 of RK4's limit, spacing 1.000e-11 m)\n"),
     # on the default grid 1e-15 s lies above 0.4 m h^2/hbar = 6.3e-16 s,
     # the bound before it was derived, and inside the derived 2.3e-15 s
     ("step-inside-the-derived-bound",
@@ -260,9 +270,14 @@ OUTCOMES = [
     ("regime-map-lambda-q-infinite",
      ["scripts/regime_map.py", "--lambda-q", "infinite"], 0,
      re.compile(REGIME_MAP % ("inf", r"DDDDD\.{5}S{22}", "DS.")), ""),
+    # argparse prints the converter's own message
     ("regime-map-malformed-mass", ["scripts/regime_map.py", "--mass", "abc"], 2,
-     "", usage_error("regime_map.py", "argument --mass: invalid finite value: "
+     "", usage_error("regime_map.py", "argument --mass: malformed number in "
                                       "'abc'")),
+    ("regime-map-unknown-unit",
+     ["scripts/regime_map.py", "--lambda-q", "3 furlong"], 2, "",
+     usage_error("regime_map.py", "argument --lambda-q: unknown unit suffix "
+                                  "'furlong' in '3 furlong'")),
 ]
 
 
@@ -462,8 +477,8 @@ def record_audit_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("conserving", [False, True])
-# one chunk, and batches whose last chunk has 31, 32, 1 and 3 rows
-@pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 2051])
+# batches whose last chunk has 31, 32, 1 and 3 rows
+@pytest.mark.parametrize("samples", [1023, 1024, 1025, 2051])
 def test_streamed_audit_matches_one_batch_reference(
         tmp_path, capsys, monkeypatch, conserving, samples):
     argv = [*SMALL_AUDIT, "--seed", "5",
@@ -490,24 +505,14 @@ def test_streamed_audit_matches_one_batch_reference(
         products = batch[:, :grid.n_points - k] * batch[:, k:]
         assert row["empirical"] == pytest.approx(float(np.mean(products)),
                                                  rel=1e-12)
-        if samples == 1:
-            assert row["standard_error"] is None and row["z_score"] is None
-        else:
-            per_field = np.mean(products, axis=1)
-            se = float(np.std(per_field, ddof=1)) / np.sqrt(samples)
-            assert row["standard_error"] == pytest.approx(se, rel=1e-9)
-            assert row["z_score"] == pytest.approx(
-                (row["empirical"] - row["target"]) / se, rel=1e-9)
-    z_scores = [row["z_score"] for row in results["covariance"]]
-    if samples == 1:
-        assert results["worst_abs_z"] is None
-        assert out.endswith(", worst |z| n/a\n")
-    else:
-        assert results["worst_abs_z"] == max(abs(z) for z in z_scores)
-        assert out.endswith(f", worst |z| {results['worst_abs_z']:.2f}\n")
-    assert out.startswith(
-        f"noise-audit: worst covariance error "
-        f"{results['worst_relative_error']:.3%} over {samples} samples")
+        per_field = np.mean(products, axis=1)
+        se = float(np.std(per_field, ddof=1)) / np.sqrt(samples)
+        assert row["standard_error"] == pytest.approx(se, rel=1e-9)
+        assert row["z_score"] == pytest.approx(
+            (row["empirical"] - row["target"]) / se, rel=1e-9)
+    worst_z = max(abs(row["z_score"]) for row in results["covariance"])
+    assert results["worst_abs_z"] == worst_z
+    assert out == f"noise-audit: worst |z| {worst_z:.2f} over {samples} samples\n"
 
 
 def test_audit_rejects_short_grid_before_drawing(monkeypatch, capsys):
@@ -824,8 +829,8 @@ def test_case_json_result_keys_are_pinned(tmp_path, capsys, study):
 def test_failed_run_leaves_no_summary(tmp_path, capsys):
     json_path = tmp_path / "broken.json"
     code, _, _ = run(
-        ["simulate", *FAST_SIM, "--set", "integrator.dt=1e-12",
-         "--json", str(json_path)], capsys)
+        ["simulate", *FAST_SIM, *ONE_LONG_STEP, "--json", str(json_path)],
+        capsys)
     assert code == 2
     assert not json_path.exists()
 

@@ -276,9 +276,13 @@ ALSO_SET = {"experiment.family_h": {"experiment.family": "log_f"}}
     ("experiment.initial_width", "0", "experiment.initial_width must be positive"),
     ("experiment.ratio_threshold", "1",
      "experiment.ratio_threshold must lie in (0, 1)"),
-    ("experiment.samples", "0", "experiment.samples must be >= 1"),
+    ("experiment.samples", "0", "experiment.samples must be >= 2"),
     ("noise.lambda_c", "-1e-10", "noise.lambda_c must be positive"),
     ("integrator.t_end", "-1e-15", "integrator.t_end must be >= 0"),
+    # half a step past ten steps, and less than the default 0.1 fs step
+    *(("integrator.t_end", raw,
+       "integrator.t_end must be a whole number of integrator.dt steps")
+      for raw in ("1.05 fs", "0.05 fs")),
     ("integrator.output_stride", "0", "integrator.output_stride must be >= 1"),
     ("noise.mobility_mu", "0", "mobility_mu must be positive"),
     ("material.mass", "0", "material.mass must be positive"),
@@ -306,3 +310,11 @@ def test_file_and_override_errors_agree(dotted, raw, message):
     with pytest.raises(ValidationError) as from_override:
         apply_overrides(ExperimentConfig(), pairs)
     assert str(from_file.value) == str(from_override.value)
+
+
+# no steps, and 7 and 1,000 steps of the default dt; 0.1 fs is not a
+# float, and 7 dt rounds to one ulp below 7e-16
+@pytest.mark.parametrize("t_end", ["0", repr(7 * 1e-16), "7e-16", "1e-13"])
+def test_whole_step_t_end_accepted(t_end):
+    cfg = apply_overrides(ExperimentConfig(), {"integrator.t_end": t_end})
+    assert cfg.integrator.t_end == float(t_end)

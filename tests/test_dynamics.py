@@ -28,7 +28,7 @@ from qhydro.dynamics import (
 )
 from qhydro.errors import CflError, StepRejected, ValidationError
 from qhydro.grids import Field, Grid
-from qhydro.noise import NoiseModel, RandomStream, sample_fields
+from qhydro.noise import NoiseModel, RandomStream, noise_amplitude, sample_fields
 from qhydro.potentials import harmonic_ground_density, harmonic_potential, helium_preset, lj_harmonic
 from qhydro.qpotential import DENSITY_FLOOR_FRACTION, quantum_potential, vqu_kernel
 
@@ -788,6 +788,25 @@ def test_periodic_stochastic_run_keeps_its_reported_norm():
     norms = np.array([snap.norm for snap in trajectory.snapshots])
     assert norms.size == 101
     assert np.max(np.abs(norms / norms[0] - 1.0)) <= 1e-13
+
+
+def test_stochastic_run_computes_the_noise_amplitude_once(monkeypatch):
+    # the model computes its amplitude when it is built, and every step and
+    # draw reads it, so a run twice as long computes it no more often
+    calls = []
+    monkeypatch.setattr(
+        "qhydro.noise.noise_amplitude",
+        lambda *args: calls.append(args) or noise_amplitude(*args))
+
+    def count(steps):
+        calls.clear()
+        state, potential, cfg, model = parity_case("stochastic_periodic")
+        trajectory = run(state, potential, MASS, model, cfg, steps * cfg.dt,
+                         stream=RandomStream(7))
+        assert trajectory.completed
+        return len(calls)
+
+    assert count(20) == count(40) == 1
 
 
 def test_diverging_step_named():

@@ -191,8 +191,7 @@ def test_kernel_row_holds_the_kernel_at_every_grid_lag(n_points):
     assert row.shape == (m,)
 
     def g(d):
-        return model.amplitude * np.exp(-((d * grid.spacing / model.lambda_c)
-                                          ** 2))
+        return covariance(model, d * grid.spacing)
 
     j = np.arange(m)
     assert np.array_equal(row, g(np.minimum(j, m - j)))
@@ -253,7 +252,7 @@ def test_drawn_modes_hold_the_kernel_at_every_grid_lag(lambda_c, n_points):
     kept = filt.size
     assert (kept == m // 2 + 1) == (lambda_c < 3 * grid.spacing)
     tolerance = 1e-13 * model.amplitude
-    target = noise._kernel_at_lags(model, grid, np.arange(n))
+    target = covariance(model, np.arange(n) * grid.spacing)
     # the kept eigenvalues: each part of a mode has variance eig M / 2,
     # the real modes 0 and M / 2 variance eig M
     weight = np.full(m // 2 + 1, m / 2)
