@@ -3,6 +3,7 @@
 Subcommands: simulate, lambda-c, lambda-q, classify, case {lindemann,
 helium}, noise-audit.  Each experiment is described by one INI config
 file (see qhydro.config); command-line overrides win over the file.
+output.csv is for simulate alone; any other command rejects it at load.
 Exit codes: 0 success, 1 validation error (a usage error included),
 2 numerical failure.
 
@@ -45,6 +46,7 @@ from .noise import (
 )
 from .output import summary_record, write_csv, write_summary
 from .potentials import (
+    free_gaussian_density,
     harmonic_ground_density,
     harmonic_potential,
     lj_harmonic,
@@ -153,7 +155,7 @@ def _load(args) -> ExperimentConfig:
 
 def _emit(cfg: ExperimentConfig, results: dict, line: str,
           trajectory=None) -> None:
-    if trajectory is not None and cfg.output.csv:
+    if cfg.output.csv:
         write_csv(trajectory, cfg.output.csv)
     if cfg.output.json:
         write_summary(summary_record(cfg, results), cfg.output.json)
@@ -189,10 +191,7 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
     e = cfg.experiment
     params = cfg.material
     if e.initial == "free_gaussian":
-        q = grid.points
-        n = np.exp(-((q - e.initial_center) ** 2) / (2.0 * e.initial_width**2))
-        n /= np.trapezoid(n, dx=grid.spacing)
-        density = Field(grid, n, "1/m")
+        density = free_gaussian_density(e.initial_center, e.initial_width, grid)
     elif e.initial == "harmonic_ground":
         density = harmonic_ground_density(lj_harmonic(params), grid)
     else:
@@ -382,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
+        if cfg.output.csv and args.command != "simulate":
+            raise ValidationError(
+                f"output.csv is for simulate only; {args.command} writes no CSV")
         if args.command == "simulate":
             _cmd_simulate(cfg)
         elif args.command == "lambda-c":

@@ -28,10 +28,12 @@ mass and [noise], runs when the whole config is built.
 ``IntegratorConfig`` and the scheme and boundary names live here, and
 ``dynamics`` re-exports them, so the scalar commands never import the
 integrator to validate its settings.
+A config is written out in one form, ``dataclasses.asdict`` of it: the
+``config`` block of a JSON summary, which ``output.config_hash`` hashes.
 """
 
 import configparser
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 import io
 import math
 
@@ -292,21 +294,3 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
         section: replace(getattr(cfg, section), **values)
         for section, values in staged.items()})
 
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render back to the INI schema (SI values, no unit suffixes)."""
-    lines = []
-    for name, values in asdict(cfg).items():
-        lines.append(f"[{name}]")
-        for key, value in values.items():
-            if value is None:
-                rendered = "none"
-            elif isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{key} = {rendered}")
-        lines.append("")
-    return "\n".join(lines)

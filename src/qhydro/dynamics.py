@@ -219,6 +219,16 @@ class Workspace:
                            faces[1:], faces[:-1])
 
 
+def _vacuum_gate(x: np.ndarray, level: float, ws: Workspace) -> np.ndarray:
+    """x^2 / (x^2 + level^2) into ``ws.w``, x^2 into ``ws.nc`` (x may be it).
+
+    A numpy scalar's ** is the C pow a float's is, bit for bit, but it
+    overflows to inf where a float's raises."""
+    sq = np.square(x, out=ws.nc)
+    w = np.add(sq, np.float64(level)**2, out=ws.w)
+    return np.divide(sq, w, out=w)
+
+
 def _rhs(ws: Workspace, rates) -> None:
     """Rates [dn/dt, dv/dt] of ``ws.stage`` into the two rows ``rates``.
 
@@ -240,14 +250,9 @@ def _rhs(ws: Workspace, rates) -> None:
     ws.force_gradient()
     ws.velocity_gradient()
 
-    # shut the force off where only floor density lives; an untapered
-    # force accelerates ghost fluid in the vacuum without bound.  A numpy
-    # scalar's ** is the C pow a float's is, bit for bit, but it overflows
-    # to inf where a float's raises
-    taper_level = np.float64(FORCE_TAPER_FRACTION * peak)
-    nc2 = np.square(nc, out=nc)      # sqrt(nc) is taken above
-    w = np.add(nc2, taper_level**2, out=ws.w)
-    np.divide(nc2, w, out=w)
+    # shut the force off where only floor density lives (sqrt(nc) is taken
+    # above); an untapered force accelerates ghost fluid without bound
+    w = _vacuum_gate(nc, FORCE_TAPER_FRACTION * peak, ws)
 
     # conservative d(nv)/dq: averaged fluxes through the faces, differenced
     # as a telescoping sum
@@ -355,12 +360,10 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     if eta is None:
         eta = sample_fields(noise, state.grid, stream, 1, rng)[0]
     # gate, kick, clip and renormalise row 0 in place:
-    # n = max(n + (n^2 / (n^2 + gate_level^2) * eta) * sqrt(dt), 0)
+    # n = max(n + (n^2 / (n^2 + L^2) * eta) * sqrt(dt), 0), L the gate level
     n = y1[0]
-    gate_level = NOISE_GATE_KICKS * math.sqrt(amplitude * dt)
-    sq = np.square(n, out=workspace.nc)
-    kick = np.add(sq, gate_level**2, out=workspace.w)
-    np.divide(sq, kick, out=kick)
+    kick = _vacuum_gate(n, NOISE_GATE_KICKS * math.sqrt(amplitude * dt),
+                        workspace)
     kick *= eta
     kick *= math.sqrt(dt)
     n += kick

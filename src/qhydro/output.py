@@ -5,8 +5,10 @@ columns time, norm, mean_q, variance, E_kin, E_pot, E_qu.  All numbers
 use shortest round-trip representation.  JSON summaries carry the keys
 {config, results, provenance}; the provenance block records the constants,
 package, numpy and Python versions, the platform, seed and a config hash
-(of everything but the output paths) so result tables stay auditable and
-comparable across machines.
+so result tables stay auditable and comparable across machines.  The hash
+is the first 16 hex digits of the SHA-256 of the record's own config block
+with both [output] paths set to null, as canonical JSON (sorted keys, ","
+and ":" separators), so a reader can recompute it from the record alone.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind, and a path that cannot be written is a
 ValidationError naming it, as an unreadable config is.
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS_UNIT, BOHR, HBAR, K_B
-from .config import ExperimentConfig, OutputSection, serialize_config
+from .config import ExperimentConfig, OutputSection
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -53,9 +55,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the config without its output paths, so the same run written
     to two paths hashes the same (the record's config block keeps them)."""
     import hashlib
+    import json
 
-    unplaced = replace(cfg, output=OutputSection())
-    return hashlib.sha256(serialize_config(unplaced).encode()).hexdigest()[:16]
+    unplaced = asdict(replace(cfg, output=OutputSection()))
+    text = json.dumps(unplaced, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def provenance_block(cfg: ExperimentConfig) -> dict:

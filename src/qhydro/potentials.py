@@ -1,9 +1,11 @@
-"""Analytic model potentials and wave-function-modulus density families.
+"""Analytic model potentials, start densities and density families.
 
 Covers the harmonic approximation of a Lennard-Jones pair well, the
-hard-wall square well used for the helium dimer, and the pseudo-Gaussian
-density families: Gaussians in the core with slower-decaying tails, the
-construction that can make the nonlocality length finite.
+hard-wall square well used for the helium dimer, a run's three start
+densities (free Gaussian, harmonic and square-well ground states, each
+normalised by ``_unit_mass``), and the pseudo-Gaussian density families:
+Gaussians in the core with slower-decaying tails, the construction that
+can make the nonlocality length finite.
 
 Pseudo-Gaussian densities follow
 
@@ -71,7 +73,6 @@ class HarmonicApprox:
     E_0: float                   # J, ground level measured from V = 0
     delta: float                 # m, quantum-force truncation distance
     K_0: float                   # 1/m, Gaussian state exponent scale
-    shallow_well: bool = False   # ground level sits above the well rim
 
 
 def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
@@ -88,8 +89,21 @@ def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
         E_0=e0,
         delta=DELTA_OVER_R0 * r0,
         K_0=k0,
-        shallow_well=half_hbar_omega >= u,
     )
+
+
+def _unit_mass(n: np.ndarray, grid: Grid, what: str) -> Field:
+    """n over its trapezoid integral; a grid without its mass names ``what``."""
+    norm = np.trapezoid(n, dx=grid.spacing)
+    if norm <= 0:
+        raise ValidationError(f"grid does not overlap {what}")
+    return Field(grid, n / norm, "1/m")
+
+
+def free_gaussian_density(center: float, width: float, grid: Grid) -> Field:
+    """n ~ exp[-(q - center)^2 / (2 width^2)], unit integral."""
+    n = np.exp(-((grid.points - center) ** 2) / (2.0 * width**2))
+    return _unit_mass(n, grid, f"the initial Gaussian at {center:.3e} m")
 
 
 def harmonic_potential(approx: HarmonicApprox, grid: Grid,
@@ -110,8 +124,7 @@ def harmonic_ground_density(approx: HarmonicApprox, grid: Grid) -> Field:
             f"{approx.q_bar:.3e} m")
     r = grid.points - approx.q_bar
     n = np.exp(-2.0 * approx.K_0**2 * r**2)
-    n /= np.trapezoid(n, dx=grid.spacing)
-    return Field(grid, n, "1/m")
+    return _unit_mass(n, grid, "the harmonic ground state")
 
 
 @dataclass(frozen=True)
@@ -213,11 +226,7 @@ def square_well_density(state: SquareWellState, grid: Grid) -> Field:
     psi[inside] = np.sin(state.K_0 * x[inside])
     amp_out = math.sin(state.K_0 * state.width)
     psi[outside] = amp_out * np.exp(-state.kappa * (x[outside] - state.width))
-    n = psi**2
-    norm = np.trapezoid(n, dx=grid.spacing)
-    if norm <= 0:
-        raise ValidationError("grid does not overlap the well")
-    return Field(grid, n / norm, "1/m")
+    return _unit_mass(psi**2, grid, "the well")
 
 
 @dataclass(frozen=True)

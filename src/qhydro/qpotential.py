@@ -18,7 +18,8 @@ survives, the same operator is available on log-densities via the identity
 A :class:`QuantumForceProfile` is the force field and the origin of radial
 distance.  The force-growth classifier fits the exponent a of
 |q^-1 dV_qu/dq| ~ q^a over an outer radial window and maps it onto the four
-expansion classes.  A density family reaches the nonlocality length by one
+expansion classes (the nonlocality integral converges in the asymptotically
+vanishing one).  A density family reaches the nonlocality length by one
 route: ``quantum_force_from_log`` -> ``growth_exponent`` ->
 ``scales.nonlocality_length``.
 """
@@ -37,8 +38,7 @@ DENSITY_FLOOR_FRACTION = 1e-12
 
 # Fitted-exponent class boundaries sit at 0 (ballistic) and -1
 # (convergence of the nonlocality integral); finite-window fits cannot
-# resolve exact exponents, so a +-0.1 band around each boundary is
-# reported with a boundary flag.
+# resolve exact exponents: ballistic is |a| <= 0.1, convergent a < -1.1.
 EXPONENT_TOLERANCE = 0.1
 
 # growth_exponent fits radial distances in [0.75 r_max, 0.95 r_max]: the last
@@ -71,7 +71,6 @@ class DecayClass:
     label: str
     fitted_exponent: float       # a in |q^-1 dV_qu/dq| ~ q^a (-inf for zero force)
     coefficient: float = 0.0     # C in C * q^a over the fit window
-    at_boundary: bool = False
 
 
 def floored_density(n: np.ndarray, peak: float,
@@ -146,7 +145,7 @@ def growth_exponent(profile: QuantumForceProfile) -> DecayClass:
         raise TailFitError(
             f"fewer than {MIN_TAIL_POINTS} usable points in the tail window")
     rw, fw = r[window], f[window]
-    peak_all = float(np.max(f)) if f.size else 0.0
+    peak_all = float(np.max(f))
     # force indistinguishable from zero on the window: vanishing class
     if peak_all == 0.0 or float(np.max(fw)) <= 1e-12 * peak_all:
         return DecayClass(ASYMPTOTICALLY_VANISHING, -math.inf, 0.0)
@@ -160,7 +159,6 @@ def growth_exponent(profile: QuantumForceProfile) -> DecayClass:
 
 def _classify_exponent(a: float, coeff: float) -> DecayClass:
     tol = EXPONENT_TOLERANCE
-    near = min(abs(a - 0.0), abs(a + 1.0)) <= tol
     if a > tol:
         label = SUPER_BALLISTIC
     elif a >= -tol:
@@ -169,4 +167,4 @@ def _classify_exponent(a: float, coeff: float) -> DecayClass:
         label = UNDER_BALLISTIC
     else:
         label = ASYMPTOTICALLY_VANISHING
-    return DecayClass(label, a, coeff, at_boundary=near)
+    return DecayClass(label, a, coeff)

@@ -9,7 +9,8 @@ and the characteristic physical length Delta_L of the problem at hand.
 Comparing Delta_L against lambda_c and lambda_q selects one of three
 dynamical regimes; a separate classifier maps the tail-decay exponent h
 of the wave function modulus onto the same four force-growth classes used
-by the numeric tail fit.
+by the numeric tail fit.  lambda_q is finite exactly when that fit's
+class is asymptotically vanishing (``convergence_test``).
 """
 
 import math
@@ -21,7 +22,6 @@ from .errors import NumericalError, ValidationError
 from .qpotential import (
     ASYMPTOTICALLY_VANISHING,
     BALLISTIC,
-    EXPONENT_TOLERANCE,
     SUPER_BALLISTIC,
     UNDER_BALLISTIC,
     DecayClass,
@@ -54,14 +54,10 @@ def correlation_length(mass: float, theta: float) -> float:
 def convergence_test(decay: DecayClass) -> bool:
     """True iff the weighted-range integral of the force converges.
 
-    The integrand |q^-1 dV_qu/dq| must fall off faster than q^-1, i.e. the
-    fitted tail exponent must be below -1; fits inside the
-    EXPONENT_TOLERANCE boundary band count as non-convergent.
+    The integrand |q^-1 dV_qu/dq| must fall off faster than q^-1, which is
+    the asymptotically vanishing class that ``growth_exponent`` assigns.
     """
-    a = decay.fitted_exponent
-    if a == -math.inf:
-        return True
-    return a < -1.0 - EXPONENT_TOLERANCE
+    return decay.label == ASYMPTOTICALLY_VANISHING
 
 
 def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -140,6 +141,17 @@ OUTCOMES = [
      1, "", bad_value("experiment.decay_h: 'nan' is not finite")),
     ("non-finite-t-end", ["simulate", "--set", "integrator.t_end=1e999"], 1, "",
      bad_value("integrator.t_end: '1e999' is not finite")),
+    # a start density with no mass on the grid is named, not divided by zero
+    ("gaussian-off-the-grid",
+     ["simulate", "--set", "experiment.initial_center=1 m",
+      "--set", "integrator.t_end=1e-15 s"], 1, "",
+     "error: grid does not overlap the initial Gaussian at 1.000e+00 m\n"),
+    # only simulate writes a CSV, so output.csv would do nothing elsewhere
+    *((f"csv-on-{argv[0]}", [*argv, "--csv", "{tmp}/x.csv"], 1, "",
+       f"error: output.csv is for simulate only; {argv[0]} writes no CSV\n")
+      for argv in (["lambda-c", "--theta", "2.17 K"],
+                   ["noise-audit", "--theta", "2.17 K",
+                    "--set", "experiment.samples=4"])),
     # the run takes round(t_end / dt) steps, which would stop at 1e-15 s
     ("t-end-between-steps", ["simulate", "--set", "integrator.t_end=1.05e-15"],
      1, "", "error: integrator.t_end must be a whole number of integrator.dt "
@@ -846,6 +858,19 @@ def test_config_hash_tracks_content():
     record = summary_record(base, {"x": 1})
     assert record["provenance"]["config_sha256_16"] == config_hash(base)
     assert len(config_hash(base)) == 16
+
+
+def test_config_hash_recomputes_from_the_record(tmp_path, capsys):
+    # the hash is of the record's own config block, [output] paths nulled,
+    # as canonical JSON
+    path = tmp_path / "lc.json"
+    assert run(["lambda-c", "--theta", "2.17 K", "--set", "grid.n_points=401",
+                "--json", str(path)], capsys)[0] == 0
+    record = json.loads(path.read_text())
+    config = {**record["config"], "output": {"csv": None, "json": None}}
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    assert (record["provenance"]["config_sha256_16"]
+            == hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
 @pytest.mark.parametrize("key", ["output.csv", "output.json"])

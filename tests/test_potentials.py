@@ -63,11 +63,6 @@ def test_harmonic_consistency_identity():
     assert lhs == pytest.approx(approx.k, rel=1e-12)
 
 
-def test_shallow_well_flag():
-    tiny = MaterialParams(mass=1e-30, well_depth=1e-25, r_0=1e-10)
-    assert lj_harmonic(tiny).shallow_well
-
-
 def test_ground_density_peak_and_norm():
     approx = lj_harmonic(HE)
     grid = Grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 2001)
