@@ -32,6 +32,7 @@ import numpy as np
 
 from . import cases
 from .config import (
+    PERIODIC,
     ExperimentConfig,
     apply_overrides,
     load_config,
@@ -190,12 +191,16 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
 
     e = cfg.experiment
     params = cfg.material
+    periodic = cfg.integrator.boundary == PERIODIC
     if e.initial == "free_gaussian":
-        density = free_gaussian_density(e.initial_center, e.initial_width, grid)
+        density = free_gaussian_density(e.initial_center, e.initial_width, grid,
+                                        periodic=periodic)
     elif e.initial == "harmonic_ground":
-        density = harmonic_ground_density(lj_harmonic(params), grid)
+        density = harmonic_ground_density(lj_harmonic(params), grid,
+                                          periodic=periodic)
     else:
-        density = square_well_density(square_well_solve(params), grid)
+        density = square_well_density(square_well_solve(params), grid,
+                                      periodic=periodic)
     velocity = Field(grid, np.full(grid.n_points, e.initial_velocity), "m/s")
     return dynamics.initial_state(density, velocity)
 

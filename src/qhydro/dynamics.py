@@ -37,19 +37,20 @@ that reaches t_end fails on its first non-finite snapshot scalar.
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
 order, and scans that row again.  ``run`` draws the noise rows 8 steps ahead
-in one ``sample_fields`` call and hands row j to step j; the rows equal
-single-row draws bit for bit, and 8 rows keep most of the per-call
-saving while the batch stays small next to the run's memory (a 64-row
-batch adds about 5 MB to the peak at N = 801).
+in one ``sample_fields`` call, projected on the run's boundary, and hands
+row j to step j; the rows equal single-row draws bit for bit, and 8 rows
+keep most of the per-call saving while the batch stays small next to the
+run's memory (a 64-row batch adds about 5 MB to the peak at N = 801).
 
 Vacuum handling: the density under the square root carries the additive
 floor of ``qpotential.floored_density``, 1e-12 of the peak, so the step,
-``observables`` and ``qpotential.quantum_potential`` take V_qu alike.  The
-total force is multiplied by a smooth taper that shuts it off where the
-density is at floor level.  Without the taper the floor region hosts
-unbounded parasitic accelerations; tapering only the quantum force leaves
-the classical force to accelerate ghost fluid, so the taper multiplies
-the sum.
+``observables`` and ``qpotential.quantum_potential`` take V_qu alike on a
+zero-flux grid; on a periodic one the first two wrap the stencils and
+``quantum_potential`` keeps the walls'.  The total force is multiplied by
+a smooth taper that shuts it off where the density is at floor level.
+Without the taper the floor region hosts unbounded parasitic
+accelerations; tapering only the quantum force leaves the classical force
+to accelerate ghost fluid, so the taper multiplies the sum.
 
 Stability: the quantum term behaves like free-particle dispersion.
 Linearised about a uniform periodic state n0 at rest, the rates read
@@ -86,7 +87,7 @@ from .config import (  # noqa: F401
 )
 from .constants import CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
-from .grids import Field, Grid, derivative_kernel
+from .grids import Field, Grid, derivative_kernel, integral
 from .noise import NoiseModel, RandomStream, sample_fields
 from .qpotential import floored_density, vqu_from_curvature, vqu_kernel
 
@@ -177,18 +178,6 @@ def check_cfl(cfg: IntegratorConfig, mass: float, grid: Grid) -> None:
         raise CflError(
             f"dt = {cfg.dt:.3e} s exceeds the stability bound {limit:.3e} s "
             f"({CFL_SAFETY} of RK4's limit, spacing {grid.spacing:.3e} m)")
-
-
-def _integral(f: np.ndarray, h: float, periodic: bool) -> float:
-    """The integral of f over the grid.
-
-    A periodic grid's N points each own one cell of width h, the
-    wrap-around interval included; the trapezoid rule would leave that
-    interval out.
-    """
-    if periodic:
-        return float(np.sum(f)) * h
-    return float(np.trapezoid(f, dx=h))
 
 
 class Workspace:
@@ -358,7 +347,8 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
         # deterministic limit, bit-for-bit, and no draw
         return _stepped(state, dt, y1)
     if eta is None:
-        eta = sample_fields(noise, state.grid, stream, 1, rng)[0]
+        eta = sample_fields(noise, state.grid, stream, 1, rng,
+                            periodic=workspace.periodic)[0]
     # gate, kick, clip and renormalise row 0 in place:
     # n = max(n + (n^2 / (n^2 + L^2) * eta) * sqrt(dt), 0), L the gate level
     n = y1[0]
@@ -369,12 +359,13 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     n += kick
     np.maximum(n, 0.0, out=n)
     if noise.conserving:
-        # the norm observables reports, so a periodic run keeps it exactly
+        # eta has zero integral, but the gate and the clip change the mass;
+        # rescale to the norm observables reports, on either boundary
         h, periodic = workspace.spacing, workspace.periodic
-        norm = _integral(n, h, periodic)
+        norm = float(integral(n, h, periodic))
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
-        n *= _integral(state.y[0], h, periodic) / norm
+        n *= float(integral(state.y[0], h, periodic)) / norm
     # a non-finite noise row (a caller's eta; the sampler rejects a spectrum
     # that overflows) is invalid input, not a failed step
     if not np.isfinite(n).all():
@@ -413,15 +404,18 @@ def observables(state: HydroState, potential: Field, mass: float,
     n, v = state.y
     periodic = cfg.boundary == PERIODIC
 
-    norm = _integral(n, h, periodic)
+    def integrate(f: np.ndarray) -> float:
+        return float(integral(f, h, periodic))
+
+    norm = integrate(n)
     if norm <= 0:
         raise ValidationError("state has zero norm")
-    mean_q = _integral(n * q, h, periodic) / norm
-    variance = _integral(n * (q - mean_q) ** 2, h, periodic) / norm
+    mean_q = integrate(n * q) / norm
+    variance = integrate(n * (q - mean_q) ** 2) / norm
     vqu = vqu_kernel(n, h, mass, periodic)
-    e_kin = _integral(0.5 * mass * n * v**2, h, periodic)
-    e_pot = _integral(n * potential.values, h, periodic)
-    e_qu = _integral(n * vqu, h, periodic)
+    e_kin = integrate(0.5 * mass * n * v**2)
+    e_pot = integrate(n * potential.values)
+    e_qu = integrate(n * vqu)
     return Snapshot(state.time, norm, mean_q, variance, e_kin, e_pot, e_qu)
 
 
@@ -489,7 +483,8 @@ def run(initial: HydroState, potential: Field, mass: float,
                     if row == 0:
                         etas = sample_fields(
                             noise, initial.grid, stream,
-                            min(NOISE_DRAW_ROWS, n_steps - step_index + 1), rng)
+                            min(NOISE_DRAW_ROWS, n_steps - step_index + 1), rng,
+                            periodic=workspace.periodic)
                     eta = etas[row]
                 state = step_stochastic(state, potential, mass, noise, stream,
                                         cfg, rng, eta=eta, workspace=workspace)

@@ -1,4 +1,4 @@
-"""Uniform 1-D grids, sampled fields and derivative kernels.
+"""Uniform 1-D grids, sampled fields, derivative kernels and the quadrature.
 
 The numeric substrate for everything else: fields are immutable numpy
 arrays tied to a grid, and derivatives are second-order central stencils,
@@ -7,6 +7,11 @@ the stencils and slices its arrays once, so the integrator slices its
 workspace once per run.  Grouped differences map constant fields to exactly
 zero; the ends run on Python floats, the same IEEE doubles as numpy scalars
 without their per-operation overhead.
+
+The quadrature, ``integral``, takes the stencils' ``periodic`` flag: the
+trapezoid rule between walls; the cell sum on a periodic grid, whose N
+points each own a cell of width h, the wrap-around one included, so its
+period is N h.  ``quadrature_weights`` gives its w: integral(f) = w . f.
 """
 
 from dataclasses import dataclass
@@ -112,3 +117,21 @@ def stencil_derivative(values: np.ndarray, spacing: float, order: int,
     out = np.empty_like(v)
     derivative_kernel(v, out, spacing, order, periodic)()
     return out
+
+
+def quadrature_weights(n_points: int, spacing: float,
+                       periodic: bool = False) -> np.ndarray:
+    """The weights w of ``integral``: h on every point, h / 2 at the walls."""
+    weights = np.full(n_points, spacing)
+    if not periodic:
+        weights[[0, -1]] = spacing / 2.0
+    return weights
+
+
+def integral(values: np.ndarray, spacing: float, periodic: bool = False,
+             axis: int = -1):
+    """The integral of ``values`` along ``axis``: the cell sum on a periodic
+    grid, the trapezoid rule between walls (module docstring)."""
+    if periodic:
+        return np.sum(values, axis=axis) * spacing
+    return np.trapezoid(values, dx=spacing, axis=axis)

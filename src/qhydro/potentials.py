@@ -3,9 +3,10 @@
 Covers the harmonic approximation of a Lennard-Jones pair well, the
 hard-wall square well used for the helium dimer, a run's three start
 densities (free Gaussian, harmonic and square-well ground states, each
-normalised by ``_unit_mass``), and the pseudo-Gaussian density families:
-Gaussians in the core with slower-decaying tails, the construction that
-can make the nonlocality length finite.
+normalised by ``_unit_mass`` with the quadrature of the run's boundary),
+and the pseudo-Gaussian density families: Gaussians in the core with
+slower-decaying tails, the construction that can make the nonlocality
+length finite.
 
 Pseudo-Gaussian densities follow
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .constants import BOHR, HBAR, K_B
 from .errors import NoBoundStateError, ValidationError
-from .grids import Field, Grid
+from .grids import Field, Grid, integral
 
 # the documented truncation constant delta / r_0 of the harmonic quantum force
 DELTA_OVER_R0 = 0.11785
@@ -92,18 +93,21 @@ def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
     )
 
 
-def _unit_mass(n: np.ndarray, grid: Grid, what: str) -> Field:
-    """n over its trapezoid integral; a grid without its mass names ``what``."""
-    norm = np.trapezoid(n, dx=grid.spacing)
+def _unit_mass(n: np.ndarray, grid: Grid, what: str, periodic: bool) -> Field:
+    """n over its ``grids.integral`` on the boundary; a grid without its mass
+    names ``what``."""
+    norm = integral(n, grid.spacing, periodic)
     if norm <= 0:
         raise ValidationError(f"grid does not overlap {what}")
     return Field(grid, n / norm, "1/m")
 
 
-def free_gaussian_density(center: float, width: float, grid: Grid) -> Field:
+def free_gaussian_density(center: float, width: float, grid: Grid, *,
+                          periodic: bool = False) -> Field:
     """n ~ exp[-(q - center)^2 / (2 width^2)], unit integral."""
     n = np.exp(-((grid.points - center) ** 2) / (2.0 * width**2))
-    return _unit_mass(n, grid, f"the initial Gaussian at {center:.3e} m")
+    return _unit_mass(n, grid, f"the initial Gaussian at {center:.3e} m",
+                      periodic)
 
 
 def harmonic_potential(approx: HarmonicApprox, grid: Grid,
@@ -113,7 +117,8 @@ def harmonic_potential(approx: HarmonicApprox, grid: Grid,
     return Field(grid, -well_depth + 0.5 * approx.k * r**2, "J")
 
 
-def harmonic_ground_density(approx: HarmonicApprox, grid: Grid) -> Field:
+def harmonic_ground_density(approx: HarmonicApprox, grid: Grid, *,
+                            periodic: bool = False) -> Field:
     """n = |psi_0|^2 with psi_0 ~ exp[-K_0^2 (q - q_bar)^2], unit integral."""
     span_lo = approx.q_bar - grid.q_min
     span_hi = grid.q_max - approx.q_bar
@@ -124,7 +129,7 @@ def harmonic_ground_density(approx: HarmonicApprox, grid: Grid) -> Field:
             f"{approx.q_bar:.3e} m")
     r = grid.points - approx.q_bar
     n = np.exp(-2.0 * approx.K_0**2 * r**2)
-    return _unit_mass(n, grid, "the harmonic ground state")
+    return _unit_mass(n, grid, "the harmonic ground state", periodic)
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,8 @@ def square_well_potential(state: SquareWellState, grid: Grid) -> Field:
     return Field(grid, v, "J")
 
 
-def square_well_density(state: SquareWellState, grid: Grid) -> Field:
+def square_well_density(state: SquareWellState, grid: Grid, *,
+                        periodic: bool = False) -> Field:
     """|psi_0|^2 of the bound state: sine inside the well, exponential tail."""
     q = grid.points
     x = q - state.sigma
@@ -226,7 +232,7 @@ def square_well_density(state: SquareWellState, grid: Grid) -> Field:
     psi[inside] = np.sin(state.K_0 * x[inside])
     amp_out = math.sin(state.K_0 * state.width)
     psi[outside] = amp_out * np.exp(-state.kappa * (x[outside] - state.width))
-    return _unit_mass(psi**2, grid, "the well")
+    return _unit_mass(psi**2, grid, "the well", periodic)
 
 
 @dataclass(frozen=True)
@@ -288,59 +294,3 @@ class PseudoGaussianFamily:
 
 def pseudo_gaussian_log_density(fam: PseudoGaussianFamily, grid: Grid) -> Field:
     return Field(grid, fam.log_density(grid.points), "1")
-
-
-@dataclass(frozen=True)
-class TailForceDescriptor:
-    """Leading term C r^e of the asymptotic quantum force of power_f."""
-
-    leading_exponent: float
-    leading_coefficient: float
-    vanishing_force: bool        # force -> 0 at infinity
-    boundary_case: bool = False  # leading exponent within 0.1 of a class edge
-
-
-def pseudo_gaussian_tail_force(fam: PseudoGaussianFamily,
-                               mass: float) -> TailForceDescriptor:
-    """Asymptotic quantum-force expansion for the power_f family.
-
-    For power_f with tail log n ~ -beta r^g the force expands as
-
-        F = (hbar^2/2m) [ beta^2 g^2 (g-1)/2 * r^(2g-3)
-                          - beta g (g-1)(g-2)/2 * r^(g-3) ] + ...
-
-    and the descriptor keeps the leading term.  At g = 1 both displayed
-    coefficients vanish and the expansion is degenerate; the next order
-    gives F ~ (hbar^2/2m) c^4 r^-3 with c = Lambda^2 / Dq^2.  Other
-    families have no closed form: fit them with
-    ``growth_exponent(quantum_force_from_log(...))``.
-    """
-    if mass <= 0:
-        raise ValidationError("mass must be positive")
-    if fam.family != "power_f":
-        raise ValidationError(
-            f"no symbolic tail force for family {fam.family!r}: only power_f "
-            f"has one")
-    pref = HBAR**2 / (2.0 * mass)
-    g = fam.g
-    ell = fam.core_width
-    if g == 2.0:
-        beta = 1.0 / (fam.delta_q_sq * (1.0 + ell**2 / fam.lam**2))
-    else:
-        beta = fam.lam**2 / (fam.delta_q_sq * ell**g)
-
-    if abs(g - 1.0) < 1e-12:
-        # degenerate branch: leading terms cancel, force decays as r^-3
-        c = fam.lam**2 / fam.delta_q_sq
-        return TailForceDescriptor(
-            leading_exponent=-3.0,
-            leading_coefficient=pref * c**4,
-            vanishing_force=True,
-        )
-
-    return TailForceDescriptor(
-        leading_exponent=2.0 * g - 3.0,
-        leading_coefficient=pref * beta**2 * g**2 * (g - 1.0) / 2.0,
-        vanishing_force=g < 1.5,
-        boundary_case=abs(g - 1.5) <= 0.05,
-    )

@@ -9,9 +9,13 @@ under the square root carries one additive floor, ``floored_density``:
 max(n, 0) plus 1e-12 of the peak (the tails of any localized state
 underflow long before the grid ends).  ``vqu_kernel`` applies it to a
 density array; ``quantum_potential`` and ``dynamics.observables`` call it,
-and the integrator's step takes the same floor in its workspace, so a
-state's V_qu here is the V_qu it is stepped and measured with.  For work in the deep tail, where no floating-point density
-survives, the same operator is available on log-densities via the identity
+and the integrator's step takes the same floor in its workspace.  On a
+zero-flux grid a state's V_qu here is the V_qu it is stepped and measured
+with.  On a periodic grid it is not: the step and ``observables`` take the
+wrapped stencils, while ``quantum_potential`` always takes the wall ones,
+as its one caller, ``quantum_force``, works on wall-bounded tails.  For
+work in the deep tail, where no floating-point density survives, the same
+operator is available on log-densities via the identity
 
     psi''/psi = (L')^2/4 + L''/2,      L = log n.
 

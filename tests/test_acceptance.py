@@ -32,7 +32,6 @@ from qhydro.potentials import (
     helium_preset,
     lj_harmonic,
     pseudo_gaussian_log_density,
-    pseudo_gaussian_tail_force,
     square_well_solve,
 )
 from qhydro.qpotential import growth_exponent, quantum_force_from_log, quantum_potential
@@ -206,8 +205,9 @@ def test_criterion_7_taxonomy_classifier(emit):
         profile = quantum_force_from_log(
             pseudo_gaussian_log_density(fam, grid), mass, 0.0)
         decay = growth_exponent(profile)
-        symbolic = pseudo_gaussian_tail_force(fam, mass)
-        target = symbolic.leading_exponent - 1.0   # force -> q^-1 F
+        # the symbolic leading exponent of power_f's tail force, 2g - 3
+        # (r^-3 at g = 1, where that term vanishes), less 1 for q^-1 F
+        target = (-3.0 if g == 1.0 else 2.0 * g - 3.0) - 1.0
         dev = abs(decay.fitted_exponent - target)
         ok = ok and (dev <= 0.15 and decay.label == label
                      and convergence_test(decay) is converges)

@@ -254,6 +254,13 @@ OUTCOMES = [
                          *SHORT_RUN], 0, SIMULATED, ""),
     ("periodic", ["simulate", "--set", "integrator.boundary=periodic", *SHORT_RUN],
      0, SIMULATED, ""),
+    # a start density wide enough to reach the ends is normalised by the
+    # periodic grid's cell sum, the rule its norm is observed with
+    ("periodic-wide-start-norm",
+     ["simulate", "--set", "integrator.boundary=periodic",
+      "--set", "experiment.initial_width=1e-9", "--set", "integrator.t_end=1e-15"],
+     0, "simulate: t = 1.000000e-15 s, norm = 1.000000000, "
+        "variance = 7.746529e-19 m^2\n", ""),
     ("stochastic-non-conserving",
      ["simulate", "--set", "integrator.scheme=stochastic_quantum",
       "--set", "noise.theta=2.17 K", "--set", "noise.conserving=false",

@@ -14,6 +14,7 @@ from qhydro.dynamics import (
     PERIODIC,
     SCHEMES,
     STOCHASTIC_QUANTUM,
+    ZERO_FLUX,
     HydroState,
     IntegratorConfig,
     Workspace,
@@ -23,13 +24,18 @@ from qhydro.dynamics import (
     run,
     step_deterministic,
     step_stochastic,
-    _integral,
     _rhs,
 )
 from qhydro.errors import CflError, StepRejected, ValidationError
-from qhydro.grids import Field, Grid
+from qhydro.grids import Field, Grid, integral
 from qhydro.noise import NoiseModel, RandomStream, noise_amplitude, sample_fields
-from qhydro.potentials import harmonic_ground_density, harmonic_potential, helium_preset, lj_harmonic
+from qhydro.potentials import (
+    free_gaussian_density,
+    harmonic_ground_density,
+    harmonic_potential,
+    helium_preset,
+    lj_harmonic,
+)
 from qhydro.qpotential import DENSITY_FLOOR_FRACTION, quantum_potential, vqu_kernel
 
 HE = helium_preset()
@@ -375,6 +381,21 @@ def test_periodic_observables_weigh_every_cell():
     assert abs(observables(state, potential, MASS, cfg).norm - norm0) <= 1e-13
 
 
+@pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
+def test_start_density_reports_unit_norm(boundary):
+    # the start density is brought to unit mass by the rule observables
+    # integrate with; at this width the density reaches the ends, where the
+    # trapezoid rule and the cell sum differ by 2.8e-4
+    grid = Grid(-2e-9, 2e-9, 801)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                           boundary=boundary)
+    density = free_gaussian_density(0.0, 1e-9, grid,
+                                    periodic=boundary == PERIODIC)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    norm = observables(initial_state(density), potential, MASS, cfg).norm
+    assert abs(norm - 1.0) <= 4 * np.spacing(1.0)
+
+
 def reversal_error(dt_scale):
     grid, state = periodic_wave_state()
     # an asymmetric initial velocity so the round trip is nontrivial
@@ -460,8 +481,8 @@ def test_observed_vqu_is_quantum_potential():
     density = Field(grid, n, "1/m")
     state = initial_state(density)
     potential = Field(grid, np.zeros(grid.n_points), "J")
-    expected = _integral(n * quantum_potential(density, MASS).values,
-                         grid.spacing, False)
+    expected = float(integral(n * quantum_potential(density, MASS).values,
+                              grid.spacing))
     assert observables(state, potential, MASS, cfg).e_qu == expected
 
 
@@ -597,7 +618,8 @@ def reference_rk4(n0, v0, potential, cfg, h, quantum):
 
 def reference_kick(n0, n, grid, noise, stream, cfg, rng):
     h = grid.spacing
-    eta = sample_fields(noise, grid, stream, 1, rng)[0]
+    eta = sample_fields(noise, grid, stream, 1, rng,
+                        periodic=cfg.boundary == PERIODIC)[0]
     gate_level = NOISE_GATE_KICKS * math.sqrt(noise.amplitude * cfg.dt)
     gate = n**2 / (n**2 + gate_level**2)
     n = np.maximum(n + gate * eta * math.sqrt(cfg.dt), 0.0)

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhydro.errors import ValidationError
-from qhydro.dynamics import _integral
-from qhydro.grids import Field, Grid, stencil_derivative
+from qhydro.grids import (
+    Field,
+    Grid,
+    integral,
+    quadrature_weights,
+    stencil_derivative,
+)
 
 
 def test_spacing_simple():
@@ -84,14 +89,24 @@ def test_derivative_bad_order():
         stencil_derivative(np.zeros(11), grid.spacing, 3)
 
 
-# the trapezoid rule over a zero-flux grid is dynamics._integral's
-def integrate(values, grid):
-    return _integral(values, grid.spacing, periodic=False)
+BOUNDARIES = pytest.mark.parametrize("periodic", [False, True])
+
+
+def integrate(values, grid, periodic=False):
+    return float(integral(values, grid.spacing, periodic))
 
 
 def test_integrate_constant():
     grid = Grid(0, 1, 101)
     assert integrate(np.ones(101), grid) == pytest.approx(1.0)
+
+
+def test_integrate_constant_over_the_period():
+    # a periodic grid's N points each own a cell: the period is N h, not
+    # the q_max - q_min between the first and the last point
+    grid = Grid(0, 1, 101)
+    assert integrate(np.ones(101), grid, periodic=True) == pytest.approx(
+        101 * grid.spacing, rel=1e-15)
 
 
 def test_integrate_normalized_gaussian():
@@ -100,9 +115,22 @@ def test_integrate_normalized_gaussian():
     assert integrate(n, grid) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_periodic_integral_of_a_whole_period_of_sine():
+    # the wrap-around cell closes the period, so a whole period of sine
+    # integrates to zero and of sin^2 to half the period
+    n_points = 256
+    period = 2 * np.pi
+    grid = Grid(0, period * (n_points - 1) / n_points, n_points)
+    q = grid.points
+    assert abs(integrate(np.sin(q), grid, periodic=True)) < 1e-13
+    assert integrate(np.sin(q) ** 2, grid, periodic=True) == pytest.approx(
+        period / 2, rel=1e-13)
+
+
 def test_integrate_odd_function():
     grid = Grid(-1, 1, 201)
-    assert abs(integrate(grid.points, grid)) < 1e-12
+    for periodic in (False, True):
+        assert abs(integrate(grid.points, grid, periodic)) < 1e-12
 
 
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10))
@@ -110,9 +138,31 @@ def test_integrate_linear(a, b):
     grid = Grid(0, 2, 101)
     f = np.sin(grid.points)
     g = np.cos(3 * grid.points)
-    combined = integrate(a * f + b * g, grid)
-    split = a * integrate(f, grid) + b * integrate(g, grid)
-    assert combined == pytest.approx(split, abs=1e-12)
+    for periodic in (False, True):
+        combined = integrate(a * f + b * g, grid, periodic)
+        split = (a * integrate(f, grid, periodic)
+                 + b * integrate(g, grid, periodic))
+        assert combined == pytest.approx(split, abs=1e-12)
+
+
+@BOUNDARIES
+@pytest.mark.parametrize("n_points", [8, 101, 801])
+def test_integral_is_weights_dot_values(periodic, n_points):
+    # the two sum in different orders, so they agree to a few ulps of the
+    # sum of |w f|
+    grid = Grid(-1.5, 2.5, n_points)
+    f = np.random.default_rng(n_points).uniform(0.5, 2.0, n_points)
+    w = quadrature_weights(n_points, grid.spacing, periodic)
+    scale = float(np.abs(w) @ np.abs(f))
+    assert abs(integrate(f, grid, periodic) - float(w @ f)) <= 4 * np.spacing(scale)
+
+
+@BOUNDARIES
+def test_integral_along_an_axis_is_the_integral_of_each_row(periodic):
+    grid = Grid(0, 1, 33)
+    rows = np.random.default_rng(0).standard_normal((5, 33))
+    each = [integral(row, grid.spacing, periodic) for row in rows]
+    assert np.array_equal(integral(rows, grid.spacing, periodic, axis=1), each)
 
 
 def test_repeated_first_derivative_matches_second():

@@ -17,7 +17,6 @@ from qhydro.potentials import (
     helium_preset,
     lj_harmonic,
     pseudo_gaussian_log_density,
-    pseudo_gaussian_tail_force,
     square_well_density,
     square_well_solve,
     _bisect_root,
@@ -253,33 +252,6 @@ def test_log_family_power_law_tail():
     assert slope == pytest.approx(-fam.lam**2 / fam.delta_q_sq, rel=0.05)
 
 
-def test_tail_force_g2_linear_coefficient():
-    fam = make_family("power_f", g=2.0)
-    desc = pseudo_gaussian_tail_force(fam, mass=1.0)
-    assert desc.leading_exponent == pytest.approx(1.0)
-    expected = (HBAR**2 / 2.0) * 2.0 / fam.delta_q_sq**2
-    assert desc.leading_coefficient == pytest.approx(expected, rel=0.03)
-    assert not desc.vanishing_force
-
-
-def test_tail_force_g1_degenerate():
-    desc = pseudo_gaussian_tail_force(make_family("power_f", g=1.0), mass=1.0)
-    assert desc.leading_exponent == pytest.approx(-3.0)
-    assert desc.vanishing_force
-
-
-def test_tail_force_g15_boundary():
-    desc = pseudo_gaussian_tail_force(make_family("power_f", g=1.5), mass=1.0)
-    assert desc.leading_exponent == pytest.approx(0.0)
-    assert desc.boundary_case
-
-
-@pytest.mark.parametrize("family", ["constant_f", "linear_f", "log_f"])
-def test_tail_force_nonpower_rejected(family):
-    with pytest.raises(ValidationError, match=f"family '{family}'"):
-        pseudo_gaussian_tail_force(make_family(family), mass=1.0)
-
-
 @pytest.mark.parametrize("family", ["linear_f", "log_f"])
 def test_numeric_tail_fit_nonpower(family):
     # both tails give a force ~ r^-3, so |F / r| ~ r^-4
@@ -292,6 +264,15 @@ def test_numeric_tail_fit_nonpower(family):
     assert decay.label == ASYMPTOTICALLY_VANISHING
 
 
+def power_f_force_exponent(g):
+    """Leading exponent e of the power_f tail force F ~ C r^e.
+
+    With log n ~ -beta r^g, F = (hbar^2/2m) beta^2 g^2 (g-1)/2 r^(2g-3)
+    + ...; at g = 1 that term vanishes and the next order gives r^-3.
+    """
+    return -3.0 if g == 1.0 else 2.0 * g - 3.0
+
+
 @pytest.mark.parametrize("g", [1.0, 1.2, 1.4, 1.8, 2.0])
 def test_numeric_fit_matches_symbolic_exponent(g):
     fam = make_family("power_f", g=g)
@@ -302,7 +283,6 @@ def test_numeric_fit_matches_symbolic_exponent(g):
     log_n = pseudo_gaussian_log_density(fam, grid)
     profile = quantum_force_from_log(log_n, 1.0, 0.0)
     decay = growth_exponent(profile)
-    desc = pseudo_gaussian_tail_force(fam, mass=1.0)
     # numeric fit is of |F / r|, symbolic exponent is of F itself
     assert decay.fitted_exponent == pytest.approx(
-        desc.leading_exponent - 1.0, abs=0.15)
+        power_f_force_exponent(g) - 1.0, abs=0.15)
