@@ -76,7 +76,7 @@ ROWS = {
         "--set", "experiment.potential=harmonic",
         "--set", "experiment.initial=harmonic_ground"], False),
     "periodic-boost-csv": ("csv", ["simulate",
-                                   "--set", "integrator.boundary=periodic",
+                                   "--set", "grid.periodic=true",
                                    "--set", "experiment.initial_velocity=50"],
                            False),
     "audit-seed-11": ("audit", ["noise-audit", "--theta", "2.17 K",

@@ -31,12 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import cases
-from .config import (
-    PERIODIC,
-    ExperimentConfig,
-    apply_overrides,
-    load_config,
-)
+from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import NumericalError, ValidationError
 from .grids import Field, Grid
 from .noise import (
@@ -191,16 +186,12 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
 
     e = cfg.experiment
     params = cfg.material
-    periodic = cfg.integrator.boundary == PERIODIC
     if e.initial == "free_gaussian":
-        density = free_gaussian_density(e.initial_center, e.initial_width, grid,
-                                        periodic=periodic)
+        density = free_gaussian_density(e.initial_center, e.initial_width, grid)
     elif e.initial == "harmonic_ground":
-        density = harmonic_ground_density(lj_harmonic(params), grid,
-                                          periodic=periodic)
+        density = harmonic_ground_density(lj_harmonic(params), grid)
     else:
-        density = square_well_density(square_well_solve(params), grid,
-                                      periodic=periodic)
+        density = square_well_density(square_well_solve(params), grid)
     velocity = Field(grid, np.full(grid.n_points, e.initial_velocity), "m/s")
     return dynamics.initial_state(density, velocity)
 
@@ -253,6 +244,11 @@ def _cmd_lambda_c(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
+    # the tail is fitted out to the grid's last points, which a periodic
+    # grid's wrapped stencils join to its first
+    if cfg.grid.periodic:
+        raise ValidationError("lambda-q fits the tail out to a wall; "
+                              "it needs grid.periodic = false")
     fam = cfg.experiment.tail_family()
     log_n = pseudo_gaussian_log_density(fam, cfg.grid)
     profile = quantum_force_from_log(log_n, cfg.material.mass, 0.0)

@@ -17,7 +17,8 @@ INI file, ``--set`` and the CLI's shorthand flags all pass through it.
 Each section is the object the code runs on, and each checks its own
 values when it is built, so every command rejects a bad value at load:
 [material] is the ``potentials.MaterialParams`` of the run (He-4 by
-default), [grid] the ``grids.Grid``, and [integrator] the
+default), [grid] the ``grids.Grid``, whose ``periodic`` key is the one
+statement of the boundary, and [integrator] the
 ``IntegratorConfig`` that ``dynamics`` steps with, plus the run length,
 a whole number of steps.
 [experiment] builds its five family keys into the
@@ -25,9 +26,9 @@ a whole number of steps.
 (``ExperimentSection.tail_family``), and the family checks them.  The one
 check that spans two sections, the noise amplitude from the material's
 mass and [noise], runs when the whole config is built.
-``IntegratorConfig`` and the scheme and boundary names live here, and
-``dynamics`` re-exports them, so the scalar commands never import the
-integrator to validate its settings.
+``IntegratorConfig`` and the scheme names live here, and ``dynamics``
+re-exports them, so the scalar commands never import the integrator to
+validate its settings.
 A config is written out in one form, ``dataclasses.asdict`` of it: the
 ``config`` block of a JSON summary, which ``output.config_hash`` hashes.
 """
@@ -51,9 +52,6 @@ DETERMINISTIC_QUANTUM = "deterministic_quantum"
 STOCHASTIC_QUANTUM = "stochastic_quantum"
 CLASSICAL_LIMIT = "classical_limit"
 SCHEMES = (DETERMINISTIC_QUANTUM, STOCHASTIC_QUANTUM, CLASSICAL_LIMIT)
-
-ZERO_FLUX = "zero_flux"
-PERIODIC = "periodic"
 
 
 def _finite(parse):
@@ -147,16 +145,12 @@ class IntegratorConfig:
 
     dt: float
     scheme: str = DETERMINISTIC_QUANTUM
-    boundary: str = ZERO_FLUX
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError("integrator.dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"integrator.scheme must be one of {SCHEMES}")
-        if self.boundary not in (ZERO_FLUX, PERIODIC):
-            raise ValidationError(
-                f"integrator.boundary must be one of {(ZERO_FLUX, PERIODIC)}")
 
 
 @dataclass(frozen=True)

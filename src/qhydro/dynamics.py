@@ -11,9 +11,11 @@ every observable is a function of it.  Three schemes share the core:
 deterministic_quantum (full force), classical_limit (quantum force
 dropped), and stochastic_quantum (deterministic drift plus an
 Euler-Maruyama noise increment on the density).  The step's settings,
-``IntegratorConfig``, and the scheme and boundary names are defined in
+``IntegratorConfig``, and the scheme names are defined in
 ``qhydro.config``, where the [integrator] section extends them with the
-run length, and are importable from here.
+run length, and are importable from here.  The boundary is the grid's:
+``Grid.periodic`` picks the stencils, the flux through the end faces and
+the quadrature of the step, ``observables`` and the noise projection.
 
 Layout: ``HydroState`` holds the state as one read-only (2, N) array
 [n, v], which the step reads as its y0 without a copy.  The step works
@@ -21,12 +23,12 @@ in a ``Workspace`` that ``run`` builds once: one block of rows for the stage
 [n, v], the rates and every intermediate, and each slice the stencils and
 the flux divergence read; at N = 601 slicing and allocating cost more than
 the arithmetic.  Building it checks the step bound (``check_cfl``), so a
-run checks it once, and a step takes dt, the spacing and the boundary from
-the workspace it works in; a step called without one builds its own.  k2
-is evaluated into y1, a fresh array the new state owns, which sums the
-rates as they come.  Every element goes through the same
-IEEE operations in the same order as the field-by-field textbook form, so
-results are bit-identical to it.  The step scans y1 once for non-finite
+run checks it once, and a step takes dt and the grid from the workspace
+it works in; a step called without one builds its own.  k2 is evaluated
+into y1, a fresh array the new state owns, which sums the rates as they
+come.  Every element goes through the same IEEE operations in the same
+order as the field-by-field textbook form, so results are bit-identical
+to it.  The step scans y1 once for non-finite
 values, naming the row it finds, and the next ``HydroState`` adopts it
 without a second scan; a Field of one row is built only when a caller
 reads it (the final state).  A diverging run overflows to inf, which that
@@ -37,20 +39,19 @@ that reaches t_end fails on its first non-finite snapshot scalar.
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
 order, and scans that row again.  ``run`` draws the noise rows 8 steps ahead
-in one ``sample_fields`` call, projected on the run's boundary, and hands
+in one ``sample_fields`` call, projected on the run's grid, and hands
 row j to step j; the rows equal single-row draws bit for bit, and 8 rows
 keep most of the per-call saving while the batch stays small next to the
 run's memory (a 64-row batch adds about 5 MB to the peak at N = 801).
 
 Vacuum handling: the density under the square root carries the additive
 floor of ``qpotential.floored_density``, 1e-12 of the peak, so the step,
-``observables`` and ``qpotential.quantum_potential`` take V_qu alike on a
-zero-flux grid; on a periodic one the first two wrap the stencils and
-``quantum_potential`` keeps the walls'.  The total force is multiplied by
-a smooth taper that shuts it off where the density is at floor level.
-Without the taper the floor region hosts unbounded parasitic
-accelerations; tapering only the quantum force leaves the classical force
-to accelerate ghost fluid, so the taper multiplies the sum.
+``observables`` and ``qpotential.quantum_potential`` take V_qu alike.
+The total force is multiplied by a smooth taper that shuts it off where
+the density is at floor level.  Without the taper the floor region hosts
+unbounded parasitic accelerations; tapering only the quantum force leaves
+the classical force to accelerate ghost fluid, so the taper multiplies
+the sum.
 
 Stability: the quantum term behaves like free-particle dispersion.
 Linearised about a uniform periodic state n0 at rest, the rates read
@@ -79,10 +80,8 @@ import numpy as np
 from .config import (  # noqa: F401
     CLASSICAL_LIMIT,
     DETERMINISTIC_QUANTUM,
-    PERIODIC,
     SCHEMES,
     STOCHASTIC_QUANTUM,
-    ZERO_FLUX,
     IntegratorConfig,
 )
 from .constants import CFL_SAFETY, HBAR
@@ -186,10 +185,10 @@ class Workspace:
 
     def __init__(self, grid: Grid, potential: Field, mass: float, cfg: IntegratorConfig):
         check_cfl(cfg, mass, grid)
-        n_points, h = grid.n_points, grid.spacing
-        self.potential, self.mass, self.cfg, self.spacing = potential.values, mass, cfg, h
+        n_points = grid.n_points
+        self.potential, self.mass, self.cfg = potential.values, mass, cfg
+        self.grid, self.spacing = grid, grid.spacing
         self.quantum = cfg.scheme != CLASSICAL_LIMIT
-        self.periodic = periodic = cfg.boundary == PERIODIC
         # one allocation: the stage n, v and V_qu + V (the force's potential),
         # the rates, v', (V_qu + V)', the floored n, its sqrt, V_qu, taper, flux
         block = np.empty((12, n_points))
@@ -197,9 +196,9 @@ class Workspace:
          self.s, self.vqu, self.w, self.flux) = block
         self.g[:] = potential.values
         self.stage, self.k = block[:2], block[3:5]
-        self.curvature = derivative_kernel(self.s, self.vqu, h, 2, periodic)
-        self.velocity_gradient = derivative_kernel(self.v, self.dvdq, h, 1, periodic)
-        self.force_gradient = derivative_kernel(self.g, self.grad, h, 1, periodic)
+        self.curvature = derivative_kernel(self.s, self.vqu, grid, 2)
+        self.velocity_gradient = derivative_kernel(self.v, self.dvdq, grid, 1)
+        self.force_gradient = derivative_kernel(self.g, self.grad, grid, 1)
         # faces[j] is the flux through cell j's left face; the walls hold +0
         # and -0, the signed zeros that f / h and -f / h give at zero flux
         faces = np.zeros(n_points + 1)
@@ -249,7 +248,7 @@ def _rhs(ws: Workspace, rates) -> None:
     np.multiply(n, v, out=ws.flux)
     np.add(flux_lo, flux_hi, out=inner)
     inner *= 0.5
-    if ws.periodic:
+    if ws.grid.periodic:
         left[0] = right[-1] = (flux_hi.item(-1) + flux_lo.item(0)) * 0.5
     np.subtract(right, left, out=dn)
     dn /= ws.spacing
@@ -347,8 +346,7 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
         # deterministic limit, bit-for-bit, and no draw
         return _stepped(state, dt, y1)
     if eta is None:
-        eta = sample_fields(noise, state.grid, stream, 1, rng,
-                            periodic=workspace.periodic)[0]
+        eta = sample_fields(noise, state.grid, stream, 1, rng)[0]
     # gate, kick, clip and renormalise row 0 in place:
     # n = max(n + (n^2 / (n^2 + L^2) * eta) * sqrt(dt), 0), L the gate level
     n = y1[0]
@@ -361,11 +359,10 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     if noise.conserving:
         # eta has zero integral, but the gate and the clip change the mass;
         # rescale to the norm observables reports, on either boundary
-        h, periodic = workspace.spacing, workspace.periodic
-        norm = float(integral(n, h, periodic))
+        norm = float(integral(n, state.grid))
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
-        n *= float(integral(state.y[0], h, periodic)) / norm
+        n *= float(integral(state.y[0], state.grid)) / norm
     # a non-finite noise row (a caller's eta; the sampler rejects a spectrum
     # that overflows) is invalid input, not a failed step
     if not np.isfinite(n).all():
@@ -398,21 +395,20 @@ class Trajectory:
 
 def observables(state: HydroState, potential: Field, mass: float,
                 cfg: IntegratorConfig) -> Snapshot:
+    # cfg is not read: perfbench calls observables with four arguments
     grid = state.grid
-    h = grid.spacing
     q = grid.points
     n, v = state.y
-    periodic = cfg.boundary == PERIODIC
 
     def integrate(f: np.ndarray) -> float:
-        return float(integral(f, h, periodic))
+        return float(integral(f, grid))
 
     norm = integrate(n)
     if norm <= 0:
         raise ValidationError("state has zero norm")
     mean_q = integrate(n * q) / norm
     variance = integrate(n * (q - mean_q) ** 2) / norm
-    vqu = vqu_kernel(n, h, mass, periodic)
+    vqu = vqu_kernel(n, grid, mass)
     e_kin = integrate(0.5 * mass * n * v**2)
     e_pot = integrate(n * potential.values)
     e_qu = integrate(n * vqu)
@@ -433,6 +429,9 @@ def _non_finite_scalar(snapshots: list[Snapshot]) -> str | None:
 
 
 def _near_boundary_mass(state: HydroState) -> bool:
+    """Whether mass sits by a wall; a periodic grid has none."""
+    if state.grid.periodic:
+        return False
     n = state.y[0]
     peak = float(np.max(n))
     edge = max(float(np.max(n[:5])), float(np.max(n[-5:])))
@@ -472,7 +471,7 @@ def run(initial: HydroState, potential: Field, mass: float,
     eta = None
     snapshots = [observables(initial, potential, mass, cfg)]
     state = initial
-    warned = _near_boundary_mass(state) if cfg.boundary == ZERO_FLUX else False
+    warned = _near_boundary_mass(state)
     try:
         for step_index in range(1, n_steps + 1):
             if cfg.scheme != STOCHASTIC_QUANTUM:
@@ -483,14 +482,13 @@ def run(initial: HydroState, potential: Field, mass: float,
                     if row == 0:
                         etas = sample_fields(
                             noise, initial.grid, stream,
-                            min(NOISE_DRAW_ROWS, n_steps - step_index + 1), rng,
-                            periodic=workspace.periodic)
+                            min(NOISE_DRAW_ROWS, n_steps - step_index + 1), rng)
                     eta = etas[row]
                 state = step_stochastic(state, potential, mass, noise, stream,
                                         cfg, rng, eta=eta, workspace=workspace)
             if step_index % output_stride == 0 or step_index == n_steps:
                 snapshots.append(observables(state, potential, mass, cfg))
-                if cfg.boundary == ZERO_FLUX and _near_boundary_mass(state):
+                if _near_boundary_mass(state):
                     warned = True
     except StepRejected as exc:
         return Trajectory(snapshots, state, failure=str(exc),

@@ -2,16 +2,20 @@
 
 The numeric substrate for everything else: fields are immutable numpy
 arrays tied to a grid, and derivatives are second-order central stencils,
-one-sided at the boundaries or wrapped around.  ``derivative_kernel`` holds
-the stencils and slices its arrays once, so the integrator slices its
-workspace once per run.  Grouped differences map constant fields to exactly
-zero; the ends run on Python floats, the same IEEE doubles as numpy scalars
-without their per-operation overhead.
+one-sided at the walls or wrapped around a periodic grid.
+``derivative_kernel`` holds the stencils and slices its arrays once, so the
+integrator slices its workspace once per run.  Grouped differences map
+constant fields to exactly zero; the ends run on Python floats, the same
+IEEE doubles as numpy scalars without their per-operation overhead.
 
-The quadrature, ``integral``, takes the stencils' ``periodic`` flag: the
-trapezoid rule between walls; the cell sum on a periodic grid, whose N
-points each own a cell of width h, the wrap-around one included, so its
-period is N h.  ``quadrature_weights`` gives its w: integral(f) = w . f.
+The grid owns its boundary: ``Grid.periodic`` is the one place it is
+stated, and the stencils, the quadrature and every caller of them read it
+there.  The quadrature, ``integral``, is the trapezoid rule between walls
+and the cell sum on a periodic grid, whose N points each own a cell of
+width h, the wrap-around one included.  ``Grid.length`` is the measure
+the quadrature integrates over: q_max - q_min between walls, the period
+N h on a periodic grid.  ``quadrature_weights`` gives its w:
+integral(f) = w . f.
 """
 
 from dataclasses import dataclass
@@ -27,6 +31,7 @@ class Grid:
     q_min: float
     q_max: float
     n_points: int
+    periodic: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)):
@@ -48,6 +53,10 @@ class Grid:
 
     @property
     def length(self) -> float:
+        """The domain's measure: q_max - q_min between walls, the period
+        N h on a periodic grid."""
+        if self.periodic:
+            return self.n_points * self.spacing
         return self.q_max - self.q_min
 
 
@@ -72,12 +81,13 @@ class Field:
         object.__setattr__(self, "values", values)
 
 
-def derivative_kernel(values: np.ndarray, out: np.ndarray, spacing: float,
-                      order: int, periodic: bool = False):
+def derivative_kernel(values: np.ndarray, out: np.ndarray, grid: Grid,
+                      order: int):
     """A call that writes the derivative of what ``values`` holds into ``out``,
     with the slices it reads taken here, once (module docstring)."""
     if order not in (1, 2):
         raise ValidationError("derivative order must be 1 or 2")
+    spacing, periodic = grid.spacing, grid.periodic
     scale = 2 * spacing if order == 1 else spacing**2
     hi, mid, lo, inner = values[2:], values[1:-1], values[:-2], out[1:-1]
     head, tail = values[:order + 2], values[-order - 2:]
@@ -109,29 +119,26 @@ def derivative_kernel(values: np.ndarray, out: np.ndarray, spacing: float,
     return kernel
 
 
-def stencil_derivative(values: np.ndarray, spacing: float, order: int,
-                       periodic: bool = False) -> np.ndarray:
-    """Derivative of an array, one-sided at the boundaries or, if
-    ``periodic``, wrapped around (translation equivariant)."""
+def stencil_derivative(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
+    """Derivative of an array on ``grid``, one-sided at the walls or, on a
+    periodic grid, wrapped around (translation equivariant)."""
     v = np.asarray(values, dtype=float)
     out = np.empty_like(v)
-    derivative_kernel(v, out, spacing, order, periodic)()
+    derivative_kernel(v, out, grid, order)()
     return out
 
 
-def quadrature_weights(n_points: int, spacing: float,
-                       periodic: bool = False) -> np.ndarray:
+def quadrature_weights(grid: Grid) -> np.ndarray:
     """The weights w of ``integral``: h on every point, h / 2 at the walls."""
-    weights = np.full(n_points, spacing)
-    if not periodic:
-        weights[[0, -1]] = spacing / 2.0
+    weights = np.full(grid.n_points, grid.spacing)
+    if not grid.periodic:
+        weights[[0, -1]] = grid.spacing / 2.0
     return weights
 
 
-def integral(values: np.ndarray, spacing: float, periodic: bool = False,
-             axis: int = -1):
+def integral(values: np.ndarray, grid: Grid, axis: int = -1):
     """The integral of ``values`` along ``axis``: the cell sum on a periodic
     grid, the trapezoid rule between walls (module docstring)."""
-    if periodic:
-        return np.sum(values, axis=axis) * spacing
-    return np.trapezoid(values, dx=spacing, axis=axis)
+    if grid.periodic:
+        return np.sum(values, axis=axis) * grid.spacing
+    return np.trapezoid(values, dx=grid.spacing, axis=axis)

@@ -35,11 +35,11 @@ that needs only a summary of each field (noise-audit's lag means) passes
 ``reduce``: each chunk is reduced in the transform's buffer as soon as
 it is drawn, and the output holds the summaries, so a batch of any size
 costs the chunk buffers plus the summaries.  A conserving model projects
-each field to zero integral by ``grids.integral`` on the boundary the
-caller names: the trapezoid rule between walls (the default), the cell
-sum over the period N h on a periodic grid.  The delta(tau) time factor
-is the integrator's contract (fields are scaled by sqrt(dt) there); the
-sampler produces unit-time-density fields.
+each field to zero ``grids.integral`` on the grid it is drawn on, over
+the grid's ``length``: the trapezoid rule over q_max - q_min between
+walls, the cell sum over the period N h on a periodic grid.  The
+delta(tau) time factor is the integrator's contract (fields are scaled by
+sqrt(dt) there); the sampler produces unit-time-density fields.
 """
 
 from __future__ import annotations
@@ -209,17 +209,16 @@ def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
 
 def _filter_chunk(normals: np.ndarray, spectrum: np.ndarray,
                   field: np.ndarray, filt: np.ndarray, model: NoiseModel,
-                  grid: Grid, periodic: bool) -> None:
+                  grid: Grid) -> None:
     """Turn each row of ``normals`` into a field in that row of ``field``.
 
     The field is the first n_points entries of the row, projected in
-    place when the model conserves: its integral on the boundary over the
-    domain's measure (the period N h, or the length between walls) is
-    subtracted from every point.  ``spectrum`` holds the scaled modes,
-    zero past the kept ones and in the imaginary part of mode 0, and
-    ``field`` the irfft; both are overwritten.  The imaginary part of a
-    kept Nyquist mode is drawn but irfft ignores it, so the block per row
-    stays 2J - 1 normals.
+    place when the model conserves: its integral on the grid over the
+    grid's ``length`` is subtracted from every point.  ``spectrum`` holds
+    the scaled modes, zero past the kept ones and in the imaginary part of
+    mode 0, and ``field`` the irfft; both are overwritten.  The imaginary
+    part of a kept Nyquist mode is drawn but irfft ignores it, so the block
+    per row stays 2J - 1 normals.
     """
     kept = filt.size
     np.multiply(normals[:, :kept], filt, out=spectrum.real[:, :kept])
@@ -227,22 +226,18 @@ def _filter_chunk(normals: np.ndarray, spectrum: np.ndarray,
     np.fft.irfft(spectrum, n=field.shape[1], axis=1, out=field)
     if model.conserving:
         rows = field[:, :grid.n_points]
-        measure = grid.n_points * grid.spacing if periodic else grid.length
-        rows -= (integral(rows, grid.spacing, periodic, axis=1)
-                 / measure)[:, None]
+        rows -= (integral(rows, grid, axis=1) / grid.length)[:, None]
 
 
 def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
                   count: int, rng: np.random.Generator | None = None, *,
-                  periodic: bool = False,
                   reduce: Callable[[np.ndarray], np.ndarray] | None = None
                   ) -> np.ndarray:
     """``count`` independent samples, shape (count, n_points).
 
     Pass ``rng`` to draw a sequence of batches from one stream; otherwise a
     fresh generator is built from the stream seed (deterministic per call).
-    ``periodic`` picks the boundary whose integral a conserving model's
-    projection zeroes, the walls by default.
+    A conserving model's projection zeroes each sample's integral on ``grid``.
 
     Pass ``reduce`` to keep a summary of each sample instead of the sample:
     each chunk ``rows`` of shape (k, n_points), a view of the transform's
@@ -278,8 +273,7 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     for start in range(0, count, CHUNK_ROWS):
         k = min(CHUNK_ROWS, count - start)
         rng.standard_normal(out=normals[:k])
-        _filter_chunk(normals[:k], spectrum[:k], field[:k], filt, model, grid,
-                      periodic)
+        _filter_chunk(normals[:k], spectrum[:k], field[:k], filt, model, grid)
         rows = field[:k, :n]
         if reduce is None:
             samples[start:start + k] = rows
@@ -293,11 +287,11 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
 
 def sampled_covariance(model: NoiseModel, grid: Grid, lag: int) -> float:
     """Expected mean of x_i x_(i+lag) along the grid for ``sample_fields`` rows
-    drawn between walls, its default.
+    drawn on ``grid``.
 
     Without the conserving projection this is G(lag h).  The projection
-    y = x - (w.x / L) 1, with w the wall ``grids.quadrature_weights`` (the
-    trapezoid rule's), L the grid's length and C the kernel matrix, gives
+    y = x - (w.x / L) 1, with w the grid's ``grids.quadrature_weights``,
+    L its ``length`` and C the kernel matrix, gives
     cov(y)_ij = C_ij - a_i - a_j + b with a = Cw/L and b = w.Cw/L^2, so
     the mean along the lag is
     G(lag h) - mean(a[:n-lag]) - mean(a[lag:]) + b.  C is built from G at
@@ -309,7 +303,7 @@ def sampled_covariance(model: NoiseModel, grid: Grid, lag: int) -> float:
         return target
     n = grid.n_points
     g = covariance(model, np.arange(n) * grid.spacing)
-    weights = quadrature_weights(n, grid.spacing)
+    weights = quadrature_weights(grid)
     # C is the symmetric Toeplitz matrix of g, so Cw is a convolution
     a = np.convolve(np.concatenate((g[:0:-1], g)), weights,
                     mode="valid") / grid.length

@@ -3,7 +3,7 @@
 Covers the harmonic approximation of a Lennard-Jones pair well, the
 hard-wall square well used for the helium dimer, a run's three start
 densities (free Gaussian, harmonic and square-well ground states, each
-normalised by ``_unit_mass`` with the quadrature of the run's boundary),
+normalised by ``_unit_mass`` with the quadrature of their grid),
 and the pseudo-Gaussian density families: Gaussians in the core with
 slower-decaying tails, the construction that can make the nonlocality
 length finite.
@@ -93,21 +93,19 @@ def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
     )
 
 
-def _unit_mass(n: np.ndarray, grid: Grid, what: str, periodic: bool) -> Field:
-    """n over its ``grids.integral`` on the boundary; a grid without its mass
+def _unit_mass(n: np.ndarray, grid: Grid, what: str) -> Field:
+    """n over its ``grids.integral`` on ``grid``; a grid without its mass
     names ``what``."""
-    norm = integral(n, grid.spacing, periodic)
+    norm = integral(n, grid)
     if norm <= 0:
         raise ValidationError(f"grid does not overlap {what}")
     return Field(grid, n / norm, "1/m")
 
 
-def free_gaussian_density(center: float, width: float, grid: Grid, *,
-                          periodic: bool = False) -> Field:
+def free_gaussian_density(center: float, width: float, grid: Grid) -> Field:
     """n ~ exp[-(q - center)^2 / (2 width^2)], unit integral."""
     n = np.exp(-((grid.points - center) ** 2) / (2.0 * width**2))
-    return _unit_mass(n, grid, f"the initial Gaussian at {center:.3e} m",
-                      periodic)
+    return _unit_mass(n, grid, f"the initial Gaussian at {center:.3e} m")
 
 
 def harmonic_potential(approx: HarmonicApprox, grid: Grid,
@@ -117,8 +115,7 @@ def harmonic_potential(approx: HarmonicApprox, grid: Grid,
     return Field(grid, -well_depth + 0.5 * approx.k * r**2, "J")
 
 
-def harmonic_ground_density(approx: HarmonicApprox, grid: Grid, *,
-                            periodic: bool = False) -> Field:
+def harmonic_ground_density(approx: HarmonicApprox, grid: Grid) -> Field:
     """n = |psi_0|^2 with psi_0 ~ exp[-K_0^2 (q - q_bar)^2], unit integral."""
     span_lo = approx.q_bar - grid.q_min
     span_hi = grid.q_max - approx.q_bar
@@ -129,7 +126,7 @@ def harmonic_ground_density(approx: HarmonicApprox, grid: Grid, *,
             f"{approx.q_bar:.3e} m")
     r = grid.points - approx.q_bar
     n = np.exp(-2.0 * approx.K_0**2 * r**2)
-    return _unit_mass(n, grid, "the harmonic ground state", periodic)
+    return _unit_mass(n, grid, "the harmonic ground state")
 
 
 @dataclass(frozen=True)
@@ -221,8 +218,7 @@ def square_well_potential(state: SquareWellState, grid: Grid) -> Field:
     return Field(grid, v, "J")
 
 
-def square_well_density(state: SquareWellState, grid: Grid, *,
-                        periodic: bool = False) -> Field:
+def square_well_density(state: SquareWellState, grid: Grid) -> Field:
     """|psi_0|^2 of the bound state: sine inside the well, exponential tail."""
     q = grid.points
     x = q - state.sigma
@@ -232,7 +228,7 @@ def square_well_density(state: SquareWellState, grid: Grid, *,
     psi[inside] = np.sin(state.K_0 * x[inside])
     amp_out = math.sin(state.K_0 * state.width)
     psi[outside] = amp_out * np.exp(-state.kappa * (x[outside] - state.width))
-    return _unit_mass(psi**2, grid, "the well", periodic)
+    return _unit_mass(psi**2, grid, "the well")
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,11 @@ under the square root carries one additive floor, ``floored_density``:
 max(n, 0) plus 1e-12 of the peak (the tails of any localized state
 underflow long before the grid ends).  ``vqu_kernel`` applies it to a
 density array; ``quantum_potential`` and ``dynamics.observables`` call it,
-and the integrator's step takes the same floor in its workspace.  On a
-zero-flux grid a state's V_qu here is the V_qu it is stepped and measured
-with.  On a periodic grid it is not: the step and ``observables`` take the
-wrapped stencils, while ``quantum_potential`` always takes the wall ones,
-as its one caller, ``quantum_force``, works on wall-bounded tails.  For
-work in the deep tail, where no floating-point density survives, the same
-operator is available on log-densities via the identity
+and the integrator's step takes the same floor in its workspace.  Every
+stencil is the grid's own, so a state's V_qu here is the V_qu it is
+stepped and measured with, on either boundary.  For work in the deep
+tail, where no floating-point density survives, the same operator is
+available on log-densities via the identity
 
     psi''/psi = (L')^2/4 + L''/2,      L = log n.
 
@@ -35,7 +33,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
-from .grids import Field, stencil_derivative
+from .grids import Field, Grid, stencil_derivative
 
 # the additive density floor, as a fraction of the peak density
 DENSITY_FLOOR_FRACTION = 1e-12
@@ -85,15 +83,14 @@ def floored_density(n: np.ndarray, peak: float,
     return nc
 
 
-def vqu_kernel(n: np.ndarray, spacing: float, mass: float,
-               periodic: bool = False) -> np.ndarray:
-    """V_qu = -(hbar^2 / 2m) s'' / s of a density array n, where s is the
-    square root of its ``floored_density``."""
+def vqu_kernel(n: np.ndarray, grid: Grid, mass: float) -> np.ndarray:
+    """V_qu = -(hbar^2 / 2m) s'' / s of a density array n on ``grid``, where
+    s is the square root of its ``floored_density``."""
     peak = float(np.max(n))
     if peak <= 0.0:
         raise DegenerateDensityError("degenerate density: no positive values")
     s = np.sqrt(floored_density(n, peak))
-    return vqu_from_curvature(stencil_derivative(s, spacing, 2, periodic), s, mass)
+    return vqu_from_curvature(stencil_derivative(s, grid, 2), s, mass)
 
 
 def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarray:
@@ -104,26 +101,24 @@ def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarra
 
 
 def quantum_potential(n: Field, mass: float) -> Field:
-    """V_qu of a density field, in joules, with the wall (one-sided)
-    stencils at the ends; ``vqu_kernel`` takes the periodic ones."""
+    """V_qu of a density field, in joules, with the stencils of its grid."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    return Field(n.grid, vqu_kernel(n.values, n.grid.spacing, mass), "J")
+    return Field(n.grid, vqu_kernel(n.values, n.grid, mass), "J")
 
 
 def quantum_potential_from_log(log_n: Field, mass: float) -> Field:
     """V_qu evaluated from log n; stable arbitrarily deep in the tail."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    h = log_n.grid.spacing
-    d1 = stencil_derivative(log_n.values, h, 1)
-    d2 = stencil_derivative(log_n.values, h, 2)
+    d1 = stencil_derivative(log_n.values, log_n.grid, 1)
+    d2 = stencil_derivative(log_n.values, log_n.grid, 2)
     curv_over_psi = d1**2 / 4.0 + d2 / 2.0
     return Field(log_n.grid, -(HBAR**2 / (2 * mass)) * curv_over_psi, "J")
 
 
 def _force_from_potential(vqu: Field, origin: float) -> QuantumForceProfile:
-    grad = stencil_derivative(vqu.values, vqu.grid.spacing, 1)
+    grad = stencil_derivative(vqu.values, vqu.grid, 1)
     return QuantumForceProfile(Field(vqu.grid, -grad, "N"), origin)
 
 

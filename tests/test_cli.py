@@ -199,6 +199,9 @@ OUTCOMES = [
                         *TAIL_GRID], 0,
      re.compile(r"lambda_q = \S+ m \(asymptotically_vanishing, exponent -inf\)\n"),
      UNRESOLVED_PROBE),
+    # a tail has no end on a periodic grid, whose stencils wrap around
+    ("lambda-q-needs-walls", ["lambda-q", "--set", "grid.periodic=true"], 1, "",
+     "error: lambda-q fits the tail out to a wall; it needs grid.periodic = false\n"),
     # (k_B theta)^2 overflows; every command validates the amplitude
     ("overflowing-theta", ["lambda-c", "--theta", "1e200 K"], 1, "",
      "error: noise amplitude overflows at theta = 1e+200 K and mobility_mu = 1\n"),
@@ -215,9 +218,13 @@ OUTCOMES = [
      ["lambda-c", "--theta", "2.17 K", "--set", "integrator.scheme=bogus"], 1,
      "", "error: integrator.scheme must be one of ('deterministic_quantum', "
          "'stochastic_quantum', 'classical_limit')\n"),
-    ("bad-integrator-boundary",
-     ["lambda-c", "--theta", "2.17 K", "--set", "integrator.boundary=wall"], 1,
-     "", "error: integrator.boundary must be one of ('zero_flux', 'periodic')\n"),
+    # the boundary is the grid's, one boolean key
+    ("bad-grid-periodic",
+     ["lambda-c", "--theta", "2.17 K", "--set", "grid.periodic=wall"], 1,
+     "", "error: bad value for grid.periodic: expected a boolean, got 'wall'\n"),
+    ("boundary-is-not-an-integrator-key",
+     ["lambda-c", "--theta", "2.17 K", "--set", "integrator.boundary=periodic"],
+     1, "", "error: unknown key 'boundary' in section [integrator]\n"),
     # the floor under V_qu is one qpotential constant, shared by the
     # integrator and quantum_potential
     ("density-floor-is-not-a-key",
@@ -252,12 +259,12 @@ OUTCOMES = [
      ["simulate", "--set", "integrator.dt=1e-15", *SHORT_RUN], 0, SIMULATED, ""),
     ("classical-limit", ["simulate", "--set", "integrator.scheme=classical_limit",
                          *SHORT_RUN], 0, SIMULATED, ""),
-    ("periodic", ["simulate", "--set", "integrator.boundary=periodic", *SHORT_RUN],
+    ("periodic", ["simulate", "--set", "grid.periodic=true", *SHORT_RUN],
      0, SIMULATED, ""),
     # a start density wide enough to reach the ends is normalised by the
     # periodic grid's cell sum, the rule its norm is observed with
     ("periodic-wide-start-norm",
-     ["simulate", "--set", "integrator.boundary=periodic",
+     ["simulate", "--set", "grid.periodic=true",
       "--set", "experiment.initial_width=1e-9", "--set", "integrator.t_end=1e-15"],
      0, "simulate: t = 1.000000e-15 s, norm = 1.000000000, "
         "variance = 7.746529e-19 m^2\n", ""),

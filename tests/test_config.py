@@ -204,19 +204,20 @@ def test_default_config_is_pinned():
     # the grid is a grids.Grid and the integrator section extends the
     # dynamics settings, with the keys and order of the flat sections they
     # replaced, less the density floor, which is a qpotential constant, and
-    # the CFL safety, a constant of the bound; the material is the He-4
-    # MaterialParams, to the last bit
+    # the CFL safety, a constant of the bound; the boundary is the grid's
+    # periodic key; the material is the He-4 MaterialParams, to the last bit
     record = asdict(ExperimentConfig())
     assert list(record["material"].items()) == [
         ("mass", 6.6465e-27), ("well_depth", 1.50490741e-22),
         ("r_0", 4.1804999661337003e-10), ("sigma", None),
         ("half_width", 1.54e-10), ("depth_factor", 0.82)]
     assert list(record["grid"].items()) == [
-        ("q_min", -2e-09), ("q_max", 2e-09), ("n_points", 801)]
+        ("q_min", -2e-09), ("q_max", 2e-09), ("n_points", 801),
+        ("periodic", False)]
     assert list(record["integrator"].items()) == [
         ("dt", 1e-16), ("scheme", "deterministic_quantum"),
-        ("boundary", "zero_flux"), ("t_end", 1e-13), ("output_stride", 10)]
-    assert config_hash(ExperimentConfig()) == "fc2f8e7b2defa9e3"
+        ("t_end", 1e-13), ("output_stride", 10)]
+    assert config_hash(ExperimentConfig()) == "bae196a6b80aa61b"
 
 
 def test_sections_are_the_objects_the_code_runs_on():
@@ -239,6 +240,7 @@ NON_DEFAULT = {
     "material.sigma": "2.6e-10 m",
     "grid.n_points": "401",
     "grid.q_max": "1.5 nm",
+    "grid.periodic": "yes",
     "integrator.dt": "0.5 fs",
     "noise.theta": "2.17 K",
     "noise.conserving": "false",

@@ -11,10 +11,8 @@ from qhydro.dynamics import (
     CLASSICAL_LIMIT,
     FORCE_TAPER_FRACTION,
     NOISE_GATE_KICKS,
-    PERIODIC,
     SCHEMES,
     STOCHASTIC_QUANTUM,
-    ZERO_FLUX,
     HydroState,
     IntegratorConfig,
     Workspace,
@@ -115,9 +113,9 @@ def test_linearised_spectrum_inside_rk4_stability():
     # dt rho = 1.130 at the bound, 2.824 at the unscaled limit against
     # RK4's 2 sqrt 2 = 2.828 on the imaginary axis
     n_points, length = 64, 1e-9
-    grid = Grid(0.0, length * (n_points - 1) / n_points, n_points)
+    grid = Grid(0.0, length * (n_points - 1) / n_points, n_points, periodic=True)
     h = grid.spacing
-    cfg = IntegratorConfig(dt=cfl_limit(MASS, h), boundary=PERIODIC)
+    cfg = IntegratorConfig(dt=cfl_limit(MASS, h))
     workspace = Workspace(grid, Field(grid, np.zeros(n_points), "J"), MASS, cfg)
     x0 = np.concatenate((np.full(n_points, 1.0 / length), np.zeros(n_points)))
     # one relative step for n and 1e-6 m/s for v; v enters the rates at
@@ -168,9 +166,8 @@ def test_state_array_checked_and_read_only():
 
 
 def test_uniform_density_fixed_point():
-    grid = Grid(0.0, 1e-9, 128)
-    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
-                           boundary=PERIODIC)
+    grid = Grid(0.0, 1e-9, 128, periodic=True)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing))
     n = Field(grid, np.full(128, 1e9), "1/m")
     state = initial_state(n)
     potential = Field(grid, np.zeros(128), "J")
@@ -242,22 +239,20 @@ PT_MEAN_BOUND = 5e-4
 PT_DRIFT_BOUND = 1e-3
 
 
-@pytest.mark.parametrize("boundary", ["zero_flux", PERIODIC])
+@pytest.mark.parametrize("boundary", ["zero_flux", "periodic"])
 def test_poschl_teller_ground_state_stationary_one_period(boundary):
-    grid = Grid(-2e-9, 2e-9, 601)
+    grid = Grid(-2e-9, 2e-9, 601, periodic=boundary == "periodic")
     q, a = grid.points, PT_WIDTH
     sech2 = 1.0 / np.cosh(q / a) ** 2
     n0 = sech2 / (2 * a)
     potential = Field(grid, -(HBAR**2 / (MASS * a**2)) * sech2, "J")
     energy = -HBAR**2 / (2 * MASS * a**2)
-    total = potential.values + vqu_kernel(n0, grid.spacing, MASS,
-                                          boundary == PERIODIC)
+    total = potential.values + vqu_kernel(n0, grid, MASS)
     core = total[np.abs(q) <= 2 * a]
     assert np.ptp(core) < PT_FLATNESS_BOUND * abs(energy)
     assert abs(np.mean(core) - energy) < PT_MEAN_BOUND * abs(energy)
 
-    cfg = IntegratorConfig(dt=0.98 * cfl_limit(MASS, grid.spacing),
-                           boundary=boundary)
+    cfg = IntegratorConfig(dt=0.98 * cfl_limit(MASS, grid.spacing))
     trajectory = run(initial_state(Field(grid, n0, "1/m")), potential, MASS,
                      None, cfg, 2 * math.pi * HBAR / abs(energy),
                      output_stride=10**9)
@@ -343,7 +338,7 @@ def test_stochastic_ensemble_mean_tracks_deterministic():
 
 def periodic_wave_state(n_points=256, length=1e-9):
     h = length / n_points
-    grid = Grid(0.0, (n_points - 1) * h, n_points)
+    grid = Grid(0.0, (n_points - 1) * h, n_points, periodic=True)
     j = np.arange(n_points)
     n = (1.0 + 0.5 * np.cos(2 * math.pi * j / n_points)) / length
     return grid, initial_state(Field(grid, n, "1/m"))
@@ -351,8 +346,7 @@ def periodic_wave_state(n_points=256, length=1e-9):
 
 def test_galilean_shift_periodic():
     grid, state = periodic_wave_state()
-    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
-                           boundary=PERIODIC)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing))
     potential = Field(grid, np.zeros(grid.n_points), "J")
     shifted0 = initial_state(
         Field(grid, np.roll(state.density.values, 1), "1/m"))
@@ -369,8 +363,7 @@ def test_periodic_observables_weigh_every_cell():
     # the wave state's density sums to 1 over the N cells of the periodic
     # grid, wrap-around included, and the RK4 step keeps that sum
     grid, state = periodic_wave_state()
-    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
-                           boundary=PERIODIC)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing))
     potential = Field(grid, np.zeros(grid.n_points), "J")
     assert abs(observables(state, potential, MASS, cfg).norm - 1.0) <= 1e-14
     state = initial_state(state.density,
@@ -381,16 +374,14 @@ def test_periodic_observables_weigh_every_cell():
     assert abs(observables(state, potential, MASS, cfg).norm - norm0) <= 1e-13
 
 
-@pytest.mark.parametrize("boundary", [ZERO_FLUX, PERIODIC])
+@pytest.mark.parametrize("boundary", ["zero_flux", "periodic"])
 def test_start_density_reports_unit_norm(boundary):
     # the start density is brought to unit mass by the rule observables
     # integrate with; at this width the density reaches the ends, where the
     # trapezoid rule and the cell sum differ by 2.8e-4
-    grid = Grid(-2e-9, 2e-9, 801)
-    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
-                           boundary=boundary)
-    density = free_gaussian_density(0.0, 1e-9, grid,
-                                    periodic=boundary == PERIODIC)
+    grid = Grid(-2e-9, 2e-9, 801, periodic=boundary == "periodic")
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing))
+    density = free_gaussian_density(0.0, 1e-9, grid)
     potential = Field(grid, np.zeros(grid.n_points), "J")
     norm = observables(initial_state(density), potential, MASS, cfg).norm
     assert abs(norm - 1.0) <= 4 * np.spacing(1.0)
@@ -402,8 +393,7 @@ def reversal_error(dt_scale):
     j = np.arange(grid.n_points)
     state = HydroState(0.0, grid, np.array(
         (state.y[0], 30.0 * np.sin(4 * math.pi * j / grid.n_points))))
-    cfg = IntegratorConfig(dt=dt_scale * 0.5 * cfl_limit(MASS, grid.spacing),
-                           boundary=PERIODIC)
+    cfg = IntegratorConfig(dt=dt_scale * 0.5 * cfl_limit(MASS, grid.spacing))
     potential = Field(grid, np.zeros(grid.n_points), "J")
     forward = step_deterministic(state, potential, MASS, cfg)
     flipped = HydroState(forward.time, grid,
@@ -482,8 +472,21 @@ def test_observed_vqu_is_quantum_potential():
     state = initial_state(density)
     potential = Field(grid, np.zeros(grid.n_points), "J")
     expected = float(integral(n * quantum_potential(density, MASS).values,
-                              grid.spacing))
+                              grid))
     assert observables(state, potential, MASS, cfg).e_qu == expected
+
+
+def test_periodic_observed_vqu_is_quantum_potential():
+    # quantum_potential takes the stencils of its grid, so on a periodic one
+    # it wraps them as the step and observables do; with the wall stencils
+    # the two energies of this state differed by 1.76e-5 of e_qu
+    grid, state = periodic_wave_state()
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing))
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    vqu = quantum_potential(state.density, MASS).values
+    expected = float(integral(state.y[0] * vqu, grid))
+    e_qu = observables(state, potential, MASS, cfg).e_qu
+    assert abs(e_qu - expected) <= 4 * np.spacing(abs(expected))
 
 
 def test_run_zero_time_single_snapshot():
@@ -583,8 +586,8 @@ def reference_divergence(n, v, h, periodic):
     return div
 
 
-def reference_rhs(n, v, potential, cfg, h, quantum):
-    periodic = cfg.boundary == PERIODIC
+def reference_rhs(n, v, potential, grid, quantum):
+    h, periodic = grid.spacing, grid.periodic
     peak = float(np.max(n))
     nc = np.maximum(n, 0.0) + DENSITY_FLOOR_FRACTION * peak
     if quantum:
@@ -601,11 +604,11 @@ def reference_rhs(n, v, potential, cfg, h, quantum):
     return dn, dv
 
 
-def reference_rk4(n0, v0, potential, cfg, h, quantum):
+def reference_rk4(n0, v0, potential, cfg, grid, quantum):
     dt = cfg.dt
 
     def f(n, v):
-        return reference_rhs(n, v, potential, cfg, h, quantum)
+        return reference_rhs(n, v, potential, grid, quantum)
 
     k1n, k1v = f(n0, v0)
     k2n, k2v = f(n0 + 0.5 * dt * k1n, v0 + 0.5 * dt * k1v)
@@ -618,15 +621,14 @@ def reference_rk4(n0, v0, potential, cfg, h, quantum):
 
 def reference_kick(n0, n, grid, noise, stream, cfg, rng):
     h = grid.spacing
-    eta = sample_fields(noise, grid, stream, 1, rng,
-                        periodic=cfg.boundary == PERIODIC)[0]
+    eta = sample_fields(noise, grid, stream, 1, rng)[0]
     gate_level = NOISE_GATE_KICKS * math.sqrt(noise.amplitude * cfg.dt)
     gate = n**2 / (n**2 + gate_level**2)
     n = np.maximum(n + gate * eta * math.sqrt(cfg.dt), 0.0)
     if noise.conserving:
         # renormalised to the norm observables reports: cell sums on a
         # periodic grid, the trapezoid rule between walls
-        if cfg.boundary == PERIODIC:
+        if grid.periodic:
             n = n * ((float(np.sum(n0)) * h) / (float(np.sum(n)) * h))
         else:
             n = n * (np.trapezoid(n0, dx=h) / np.trapezoid(n, dx=h))
@@ -643,8 +645,7 @@ def parity_case(name):
         return initial_state(state.density, velocity), potential, cfg, None
     if name == "periodic_boost":
         grid, state = periodic_wave_state()
-        cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
-                               boundary=PERIODIC)
+        cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing))
         velocity = Field(grid, np.full(grid.n_points, 40.0), "m/s")
         potential = Field(grid, np.zeros(grid.n_points), "J")
         return initial_state(state.density, velocity), potential, cfg, None
@@ -659,7 +660,7 @@ def parity_case(name):
     if name == "stochastic_periodic":
         grid, state = periodic_wave_state()
         cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
-                               scheme=STOCHASTIC_QUANTUM, boundary=PERIODIC)
+                               scheme=STOCHASTIC_QUANTUM)
         potential = Field(grid, np.zeros(grid.n_points), "J")
         noise = NoiseModel(theta=2.17, lambda_c=1e-10, mass=MASS,
                            mobility_mu=1e22)
@@ -692,8 +693,7 @@ def test_step_matches_reference_bit_for_bit(name):
                                     cfg, rng)
         else:
             state = step_deterministic(state, potential, MASS, cfg)
-        n_det, v = reference_rk4(n, v, potential.values, cfg, grid.spacing,
-                                 quantum)
+        n_det, v = reference_rk4(n, v, potential.values, cfg, grid, quantum)
         if noise is not None:
             n_det = reference_kick(n, n_det, grid, noise, stream, cfg,
                                    ref_rng)
@@ -728,9 +728,9 @@ def snapshot_bits(snap):
 ])
 def test_run_draw_ahead_matches_single_draw_steps(case):
     boundary, conserving, mu, steps = case
-    grid = Grid(-1.5e-9, 1.5e-9, 301)
+    grid = Grid(-1.5e-9, 1.5e-9, 301, periodic=boundary == "periodic")
     cfg = IntegratorConfig(dt=0.9 * cfl_limit(MASS, grid.spacing),
-                           scheme=STOCHASTIC_QUANTUM, boundary=boundary)
+                           scheme=STOCHASTIC_QUANTUM)
     noise = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=MASS,
                        mobility_mu=mu, conserving=conserving)
     potential = Field(grid, np.zeros(grid.n_points), "J")
@@ -851,9 +851,8 @@ def test_diverging_step_named():
 def test_non_finite_snapshot_scalar_named():
     # a uniform periodic flow keeps n and v finite at 1e155 m/s, where
     # m v^2 / 2 overflows, so every snapshot's e_kin is inf
-    grid = Grid(0.0, 1e-9, 128)
-    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
-                           boundary=PERIODIC)
+    grid = Grid(0.0, 1e-9, 128, periodic=True)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing))
     state = initial_state(Field(grid, np.full(128, 1e9), "1/m"),
                           Field(grid, np.full(128, 1e155), "m/s"))
     potential = Field(grid, np.zeros(128), "J")

@@ -65,35 +65,35 @@ def test_field_values_immutable():
 def test_derivative_quadratic_exact():
     grid = Grid(-1, 1, 201)
     f = Field(grid, grid.points**2)
-    d = stencil_derivative(f.values, grid.spacing, 1)
+    d = stencil_derivative(f.values, grid, 1)
     assert np.max(np.abs(d[1:-1] - 2 * grid.points[1:-1])) < 1e-10
 
 
 def test_second_derivative_sine():
     grid = Grid(0, 2 * np.pi, 401)
     f = Field(grid, np.sin(grid.points))
-    d2 = stencil_derivative(f.values, grid.spacing, 2)
+    d2 = stencil_derivative(f.values, grid, 2)
     assert np.max(np.abs(d2 + np.sin(grid.points))) < 2 * grid.spacing**2
 
 
 def test_derivative_constant_is_zero():
     grid = Grid(0, 1, 64)
     f = Field(grid, np.full(64, 3.7))
-    assert np.all(stencil_derivative(f.values, grid.spacing, 1) == 0)
-    assert np.all(stencil_derivative(f.values, grid.spacing, 2) == 0)
+    assert np.all(stencil_derivative(f.values, grid, 1) == 0)
+    assert np.all(stencil_derivative(f.values, grid, 2) == 0)
 
 
 def test_derivative_bad_order():
     grid = Grid(0, 1, 11)
     with pytest.raises(ValidationError):
-        stencil_derivative(np.zeros(11), grid.spacing, 3)
+        stencil_derivative(np.zeros(11), grid, 3)
 
 
 BOUNDARIES = pytest.mark.parametrize("periodic", [False, True])
 
 
-def integrate(values, grid, periodic=False):
-    return float(integral(values, grid.spacing, periodic))
+def integrate(values, grid):
+    return float(integral(values, grid))
 
 
 def test_integrate_constant():
@@ -104,9 +104,19 @@ def test_integrate_constant():
 def test_integrate_constant_over_the_period():
     # a periodic grid's N points each own a cell: the period is N h, not
     # the q_max - q_min between the first and the last point
-    grid = Grid(0, 1, 101)
-    assert integrate(np.ones(101), grid, periodic=True) == pytest.approx(
+    grid = Grid(0, 1, 101, periodic=True)
+    assert integrate(np.ones(101), grid) == pytest.approx(
         101 * grid.spacing, rel=1e-15)
+
+
+@BOUNDARIES
+def test_length_is_the_measure_of_the_quadrature(periodic):
+    # q_max - q_min between walls, the period N h on a periodic grid: the
+    # integral of a constant over the domain, to the last bit or two
+    grid = Grid(-1.5, 2.5, 101, periodic=periodic)
+    assert grid.length == (101 * grid.spacing if periodic else 4.0)
+    assert integrate(np.ones(101), grid) == pytest.approx(grid.length,
+                                                          rel=1e-15)
 
 
 def test_integrate_normalized_gaussian():
@@ -120,28 +130,27 @@ def test_periodic_integral_of_a_whole_period_of_sine():
     # integrates to zero and of sin^2 to half the period
     n_points = 256
     period = 2 * np.pi
-    grid = Grid(0, period * (n_points - 1) / n_points, n_points)
+    grid = Grid(0, period * (n_points - 1) / n_points, n_points, periodic=True)
     q = grid.points
-    assert abs(integrate(np.sin(q), grid, periodic=True)) < 1e-13
-    assert integrate(np.sin(q) ** 2, grid, periodic=True) == pytest.approx(
+    assert abs(integrate(np.sin(q), grid)) < 1e-13
+    assert integrate(np.sin(q) ** 2, grid) == pytest.approx(
         period / 2, rel=1e-13)
 
 
 def test_integrate_odd_function():
-    grid = Grid(-1, 1, 201)
     for periodic in (False, True):
-        assert abs(integrate(grid.points, grid, periodic)) < 1e-12
+        grid = Grid(-1, 1, 201, periodic=periodic)
+        assert abs(integrate(grid.points, grid)) < 1e-12
 
 
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10))
 def test_integrate_linear(a, b):
-    grid = Grid(0, 2, 101)
-    f = np.sin(grid.points)
-    g = np.cos(3 * grid.points)
     for periodic in (False, True):
-        combined = integrate(a * f + b * g, grid, periodic)
-        split = (a * integrate(f, grid, periodic)
-                 + b * integrate(g, grid, periodic))
+        grid = Grid(0, 2, 101, periodic=periodic)
+        f = np.sin(grid.points)
+        g = np.cos(3 * grid.points)
+        combined = integrate(a * f + b * g, grid)
+        split = a * integrate(f, grid) + b * integrate(g, grid)
         assert combined == pytest.approx(split, abs=1e-12)
 
 
@@ -150,27 +159,26 @@ def test_integrate_linear(a, b):
 def test_integral_is_weights_dot_values(periodic, n_points):
     # the two sum in different orders, so they agree to a few ulps of the
     # sum of |w f|
-    grid = Grid(-1.5, 2.5, n_points)
+    grid = Grid(-1.5, 2.5, n_points, periodic=periodic)
     f = np.random.default_rng(n_points).uniform(0.5, 2.0, n_points)
-    w = quadrature_weights(n_points, grid.spacing, periodic)
+    w = quadrature_weights(grid)
     scale = float(np.abs(w) @ np.abs(f))
-    assert abs(integrate(f, grid, periodic) - float(w @ f)) <= 4 * np.spacing(scale)
+    assert abs(integrate(f, grid) - float(w @ f)) <= 4 * np.spacing(scale)
 
 
 @BOUNDARIES
 def test_integral_along_an_axis_is_the_integral_of_each_row(periodic):
-    grid = Grid(0, 1, 33)
+    grid = Grid(0, 1, 33, periodic=periodic)
     rows = np.random.default_rng(0).standard_normal((5, 33))
-    each = [integral(row, grid.spacing, periodic) for row in rows]
-    assert np.array_equal(integral(rows, grid.spacing, periodic, axis=1), each)
+    each = [integral(row, grid) for row in rows]
+    assert np.array_equal(integral(rows, grid, axis=1), each)
 
 
 def test_repeated_first_derivative_matches_second():
     grid = Grid(0, 3, 601)
     f = Field(grid, np.exp(-grid.points) * np.sin(4 * grid.points))
-    h = grid.spacing
-    dd = stencil_derivative(stencil_derivative(f.values, h, 1), h, 1)
-    d2 = stencil_derivative(f.values, h, 2)
+    dd = stencil_derivative(stencil_derivative(f.values, grid, 1), grid, 1)
+    d2 = stencil_derivative(f.values, grid, 2)
     interior = slice(4, -4)
     assert np.max(np.abs(dd[interior] - d2[interior])) < 100 * grid.spacing**2
 

@@ -99,8 +99,8 @@ def test_conserving_projection_zero_integral():
     # on a periodic grid the projection zeroes the cell sum, the integral
     # the integrator's observables take there; the trapezoid rule's
     # projection left up to 3e-3 of sum |eta| h in it
-    grid = Grid(0.0, 100.0, 801)
-    samples = sample_fields(model, grid, RandomStream(7), 200, periodic=True)
+    grid = Grid(0.0, 100.0, 801, periodic=True)
+    samples = sample_fields(model, grid, RandomStream(7), 200)
     cell_sums = np.sum(samples, axis=1) * grid.spacing
     scale = np.sum(np.abs(samples), axis=1) * grid.spacing
     assert np.max(np.abs(cell_sums) / scale) < 1e-14
@@ -522,19 +522,25 @@ def test_under_resolved_kernel_rejected_on_cache_hit():
             sample_fields(model, grid, RandomStream(0), 1)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("conserving", [False, True])
-def test_sampled_covariance_matches_dense_projection(conserving):
+def test_sampled_covariance_matches_dense_projection(conserving, periodic):
     # reference: cov(P x) = P C P^T with P = I - 1 w^T / L, averaged along
-    # each lag diagonal
+    # each lag diagonal; w and L are the trapezoid rule's weights and
+    # q_max - q_min between walls, h on every point and N h on a
+    # periodic grid
     model = make_model(conserving=conserving)
-    grid = Grid(0.0, 6.0, 61)
+    grid = Grid(0.0, 6.0, 61, periodic=periodic)
     q = grid.points
     kernel = model.amplitude * np.exp(-(((q[:, None] - q[None, :])
                                          / model.lambda_c) ** 2))
     if conserving:
         w = np.full(grid.n_points, grid.spacing)
-        w[[0, -1]] = grid.spacing / 2.0
-        proj = np.eye(grid.n_points) - np.outer(np.ones(grid.n_points), w) / grid.length
+        measure = grid.n_points * grid.spacing
+        if not periodic:
+            w[[0, -1]] = grid.spacing / 2.0
+            measure = grid.q_max - grid.q_min
+        proj = np.eye(grid.n_points) - np.outer(np.ones(grid.n_points), w) / measure
         kernel = proj @ kernel @ proj.T
     for k in (0, 1, 10, 20, 60):
         expected = float(np.mean(np.diagonal(kernel, k)))

@@ -79,7 +79,8 @@ def _periodic_vqu_error(n_points):
     s_ratio = -0.25 * k**2 * np.cos(k * q) / n \
         - (0.5 * k * np.sin(k * q)) ** 2 / (4 * n**2)
     expected = -(HBAR**2 / (2 * MASS)) * s_ratio
-    vqu = vqu_kernel(n, h, MASS, periodic=True)
+    grid = Grid(0.0, (n_points - 1) * h, n_points, periodic=True)
+    vqu = vqu_kernel(n, grid, MASS)
     return np.max(np.abs(vqu - expected)) / np.max(np.abs(expected))
 
 
@@ -90,7 +91,7 @@ def _zero_flux_vqu_error(n_points):
     grid = Grid(-4e-10, 4e-10, n_points)
     r = grid.points
     expected = -(HBAR**2 / (2 * MASS)) * (r**2 / dq2**2 - 1.0 / dq2)
-    vqu = vqu_kernel(np.exp(-(r**2) / dq2), grid.spacing, MASS)
+    vqu = vqu_kernel(np.exp(-(r**2) / dq2), grid, MASS)
     return np.max(np.abs(vqu - expected)) / np.max(np.abs(expected))
 
 
