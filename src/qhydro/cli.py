@@ -3,7 +3,9 @@
 Subcommands: simulate, lambda-c, lambda-q, classify, case {lindemann,
 helium}, noise-audit.  Each experiment is described by one INI config
 file (see qhydro.config); command-line overrides win over the file.
-output.csv is for simulate alone; any other command rejects it at load.
+``COMMAND_KEYS`` declares the keys each command reads and records; a
+--set or flag of another key is a usage error, but one file serves every
+command, so a file's other keys are only checked at load.
 Exit codes: 0 success, 1 validation error (a usage error included),
 2 numerical failure.
 
@@ -135,6 +137,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keys(**sections: str) -> frozenset[str]:
+    return frozenset(f"{section}.{key}" for section, keys in sections.items()
+                     for key in keys.split())
+
+
+_GRID = "q_min q_max n_points periodic"
+_NOISE = "theta lambda_c mobility_mu conserving"
+_MATERIAL = "mass well_depth r_0 sigma half_width depth_factor"
+# command -> the config keys it reads, over every scheme, start density and
+# potential; together they are every key, and the README's table is this one
+COMMAND_KEYS = {
+    "simulate": _keys(experiment="seed initial initial_width initial_center "
+                                 "initial_velocity potential", material=_MATERIAL,
+                      grid=_GRID, integrator="dt scheme t_end output_stride",
+                      noise=_NOISE, output="csv json"),
+    "lambda-c": _keys(material="mass", noise="theta", output="json"),
+    "lambda-q": _keys(experiment="family family_g family_h core_width tail_scale",
+                      material="mass", grid=_GRID, noise="lambda_c", output="json"),
+    "classify": _keys(experiment="delta_l lambda_q_override ratio_threshold decay_h",
+                      material="mass", noise="theta lambda_c", output="json"),
+    "case lindemann": _keys(experiment="truncate_force",
+                            material="mass well_depth r_0", output="json"),
+    "case helium": _keys(material=_MATERIAL, output="json"),
+    "noise-audit": _keys(experiment="seed samples", material="mass", grid=_GRID,
+                         noise=_NOISE, output="json"),
+}
+
+
+def _command(args) -> str:
+    # the parsed command line's entry in COMMAND_KEYS
+    return f"case {args.study}" if args.command == "case" else args.command
+
+
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
@@ -146,16 +181,13 @@ def _load(args) -> ExperimentConfig:
     # shorthand flags win over --set; an empty flag value sets nothing
     overrides.update((dest, value) for dest, value in vars(args).items()
                      if "." in dest and value not in (None, ""))
+    # a key that no command reads is unknown, which apply_overrides names
+    command = _command(args)
+    for dotted in overrides:
+        if (dotted not in COMMAND_KEYS[command]
+                and any(dotted in keys for keys in COMMAND_KEYS.values())):
+            raise ValidationError(f"{command} does not read {dotted}")
     return apply_overrides(cfg, overrides)
-
-
-def _emit(cfg: ExperimentConfig, results: dict, line: str,
-          trajectory=None) -> None:
-    if cfg.output.csv:
-        write_csv(trajectory, cfg.output.csv)
-    if cfg.output.json:
-        write_summary(summary_record(cfg, results), cfg.output.json)
-    print(line)
 
 
 def _lambda_c(cfg: ExperimentConfig, command: str) -> float:
@@ -204,7 +236,7 @@ def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
                       conserving=cfg.noise.conserving)
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> None:
+def _cmd_simulate(cfg: ExperimentConfig) -> tuple[dict, str]:
     from . import dynamics
 
     grid = cfg.grid
@@ -219,6 +251,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> None:
                               i.t_end, i.output_stride, stream)
     if not trajectory.completed:
         raise NumericalError(f"run aborted: {trajectory.failure}")
+    if cfg.output.csv:
+        write_csv(trajectory, cfg.output.csv)
     last = trajectory.snapshots[-1]
     results = {
         "final_time_s": last.time,
@@ -228,22 +262,21 @@ def _cmd_simulate(cfg: ExperimentConfig) -> None:
         "snapshots": len(trajectory.snapshots),
         "boundary_warning": trajectory.boundary_warning,
     }
-    _emit(cfg, results,
-          f"simulate: t = {last.time:.6e} s, norm = {last.norm:.9f}, "
-          f"variance = {last.variance:.6e} m^2", trajectory)
+    return results, (f"simulate: t = {last.time:.6e} s, norm = {last.norm:.9f}, "
+                     f"variance = {last.variance:.6e} m^2")
 
 
-def _cmd_lambda_c(cfg: ExperimentConfig) -> None:
+def _cmd_lambda_c(cfg: ExperimentConfig) -> tuple[dict, str]:
     params = cfg.material
     lam_c = correlation_length(params.mass, cfg.noise.theta)
     results = {"lambda_c_m": None if math.isinf(lam_c) else lam_c,
                "lambda_c_infinite": math.isinf(lam_c),
                "mass_kg": params.mass, "theta_K": cfg.noise.theta}
     rendered = "infinite" if math.isinf(lam_c) else f"{lam_c:.6e} m"
-    _emit(cfg, results, f"lambda_c = {rendered}")
+    return results, f"lambda_c = {rendered}"
 
 
-def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
+def _cmd_lambda_q(cfg: ExperimentConfig) -> tuple[dict, str]:
     # the tail is fitted out to the grid's last points, which a periodic
     # grid's wrapped stencils join to its first
     if cfg.grid.periodic:
@@ -276,12 +309,11 @@ def _cmd_lambda_q(cfg: ExperimentConfig) -> None:
         "family": fam.family,
     }
     rendered = "infinite" if math.isinf(lam_q) else f"{lam_q:.6e} m"
-    _emit(cfg, results,
-          f"lambda_q = {rendered} ({decay.label}, exponent "
-          f"{decay.fitted_exponent:+.3f})")
+    return results, (f"lambda_q = {rendered} ({decay.label}, exponent "
+                     f"{decay.fitted_exponent:+.3f})")
 
 
-def _cmd_classify(cfg: ExperimentConfig) -> None:
+def _cmd_classify(cfg: ExperimentConfig) -> tuple[dict, str]:
     e = cfg.experiment
     if e.delta_l is None:
         raise ValidationError("classify needs --delta-L (experiment.delta_l)")
@@ -301,26 +333,25 @@ def _cmd_classify(cfg: ExperimentConfig) -> None:
         label = classify_decay(e.decay_h)
         results["decay_label"] = label
         line += f", decay class = {label}"
-    _emit(cfg, results, line)
+    return results, line
 
 
-def _cmd_case(cfg: ExperimentConfig, study: str) -> None:
-    params = cfg.material
-    if study == "lindemann":
-        report = cases.lindemann(params, truncate=cfg.experiment.truncate_force)
-        _emit(cfg, asdict(report),
-              f"lindemann: lambda_q / r_0 = {report.lambda_q_over_r0:.5f} "
-              f"(band {cases.LINDEMANN_BAND[0]}-{cases.LINDEMANN_BAND[1]}: "
-              f"{'inside' if report.within_empirical_band else 'outside'})")
-        return
-    lam_report = cases.helium_lambda(params)
-    state_report = cases.helium_state_check(params)
+def _cmd_lindemann(cfg: ExperimentConfig) -> tuple[dict, str]:
+    report = cases.lindemann(cfg.material, truncate=cfg.experiment.truncate_force)
+    return asdict(report), (
+        f"lindemann: lambda_q / r_0 = {report.lambda_q_over_r0:.5f} "
+        f"(band {cases.LINDEMANN_BAND[0]}-{cases.LINDEMANN_BAND[1]}: "
+        f"{'inside' if report.within_empirical_band else 'outside'})")
+
+
+def _cmd_helium(cfg: ExperimentConfig) -> tuple[dict, str]:
+    lam_report = cases.helium_lambda(cfg.material)
+    state_report = cases.helium_state_check(cfg.material)
     results = {"lambda_point": asdict(lam_report),
                "bound_state": asdict(state_report)}
-    _emit(cfg, results,
-          f"helium: theta* = {lam_report.theta_star_K:.4f} K "
-          f"(reference {lam_report.reference_theta_K} K), "
-          f"E0 = {state_report.E0_over_kB:.4f} kB")
+    return results, (f"helium: theta* = {lam_report.theta_star_K:.4f} K "
+                     f"(reference {lam_report.reference_theta_K} K), "
+                     f"E0 = {state_report.E0_over_kB:.4f} kB")
 
 
 def _lag_means(rows: np.ndarray, lags: list[int]) -> np.ndarray:
@@ -337,7 +368,7 @@ def _lag_means(rows: np.ndarray, lags: list[int]) -> np.ndarray:
 # to inf or nan; numpy stays quiet, and the audit's finiteness check names
 # the failure
 @np.errstate(over="ignore", invalid="ignore")
-def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
+def _cmd_noise_audit(cfg: ExperimentConfig) -> tuple[dict, str]:
     model = _noise_model(cfg)
     # a silent noise has no spread, so no z-score
     if model.amplitude == 0.0:
@@ -373,30 +404,26 @@ def _cmd_noise_audit(cfg: ExperimentConfig) -> None:
     results = {"samples": count, "lambda_c_m": model.lambda_c,
                "amplitude": model.amplitude, "conserving": model.conserving,
                "covariance": rows, "worst_abs_z": worst_z}
-    _emit(cfg, results,
-          f"noise-audit: worst |z| {worst_z:.2f} over {count} samples")
+    return results, f"noise-audit: worst |z| {worst_z:.2f} over {count} samples"
+
+
+# command -> its function, which returns (JSON results, stdout line)
+_COMMANDS = {"simulate": _cmd_simulate, "lambda-c": _cmd_lambda_c,
+             "lambda-q": _cmd_lambda_q, "classify": _cmd_classify,
+             "case lindemann": _cmd_lindemann, "case helium": _cmd_helium,
+             "noise-audit": _cmd_noise_audit}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = _command(args)
     try:
         cfg = _load(args)
-        if cfg.output.csv and args.command != "simulate":
-            raise ValidationError(
-                f"output.csv is for simulate only; {args.command} writes no CSV")
-        if args.command == "simulate":
-            _cmd_simulate(cfg)
-        elif args.command == "lambda-c":
-            _cmd_lambda_c(cfg)
-        elif args.command == "lambda-q":
-            _cmd_lambda_q(cfg)
-        elif args.command == "classify":
-            _cmd_classify(cfg)
-        elif args.command == "case":
-            _cmd_case(cfg, args.study)
-        else:
-            _cmd_noise_audit(cfg)
+        results, line = _COMMANDS[command](cfg)
+        if cfg.output.json:
+            write_summary(summary_record(cfg, command, COMMAND_KEYS[command],
+                                         results), cfg.output.json)
+        print(line)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

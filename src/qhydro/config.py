@@ -15,22 +15,22 @@ A value reaches a config by one route: ``apply_overrides`` looks up each
 INI file, ``--set`` and the CLI's shorthand flags all pass through it.
 
 Each section is the object the code runs on, and each checks its own
-values when it is built, so every command rejects a bad value at load:
-[material] is the ``potentials.MaterialParams`` of the run (He-4 by
-default), [grid] the ``grids.Grid``, whose ``periodic`` key is the one
-statement of the boundary, and [integrator] the
-``IntegratorConfig`` that ``dynamics`` steps with, plus the run length,
-a whole number of steps.
+values when it is built, so a config file's bad value fails at load
+whichever command reads the file: [material] is the
+``potentials.MaterialParams`` of the run (He-4 by default), [grid] the
+``grids.Grid``, whose ``periodic`` key is the one statement of the
+boundary, and [integrator] the ``IntegratorConfig`` that ``dynamics``
+steps with, plus the run length, a whole number of steps.
 [experiment] builds its five family keys into the
 ``potentials.PseudoGaussianFamily`` that lambda-q runs on
-(``ExperimentSection.tail_family``), and the family checks them.  The one
-check that spans two sections, the noise amplitude from the material's
-mass and [noise], runs when the whole config is built.
-``IntegratorConfig`` and the scheme names live here, and ``dynamics``
+(``ExperimentSection.tail_family``), and the family checks them.  The
+noise amplitude, from the material's mass and [noise], spans two
+sections; the ``noise.NoiseModel`` of the commands that draw noise checks
+it.  ``IntegratorConfig`` and the scheme names live here, and ``dynamics``
 re-exports them, so the scalar commands never import the integrator to
 validate its settings.
-A config is written out in one form, ``dataclasses.asdict`` of it: the
-``config`` block of a JSON summary, which ``output.config_hash`` hashes.
+Which keys a command reads is the CLI's table, ``cli.COMMAND_KEYS``, and
+a JSON summary records those keys alone (``output.summary_record``).
 """
 
 import configparser
@@ -41,7 +41,6 @@ import math
 from .constants import parse_quantity
 from .errors import ValidationError
 from .grids import Grid
-from .noise import noise_amplitude
 from .potentials import MaterialParams, PseudoGaussianFamily, helium_preset
 from .scales import DEFAULT_RATIO_THRESHOLD
 
@@ -184,8 +183,12 @@ class NoiseSection:
     conserving: bool = True
 
     def __post_init__(self):
+        if self.theta < 0:
+            raise ValidationError("noise.theta must be >= 0")
         if self.lambda_c is not None and self.lambda_c <= 0:
             raise ValidationError("noise.lambda_c must be positive")
+        if self.mobility_mu <= 0:
+            raise ValidationError("noise.mobility_mu must be positive")
 
 
 @dataclass(frozen=True)
@@ -202,11 +205,6 @@ class ExperimentConfig:
     integrator: IntegratorSection = field(default_factory=IntegratorSection)
     noise: NoiseSection = field(default_factory=NoiseSection)
     output: OutputSection = field(default_factory=OutputSection)
-
-    def __post_init__(self):
-        # the amplitude's owner raises on a bad theta or mu, or an overflow
-        noise_amplitude(self.material.mass, self.noise.theta,
-                        self.noise.mobility_mu)
 
 
 # a key is read by the converter of its field's type, unless named here:
@@ -269,7 +267,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
     """Convert "section.key" -> text pairs and merge them into cfg; each
-    rebuilt section, and the new config, checks itself."""
+    rebuilt section checks itself."""
     staged: dict[str, dict[str, object]] = {}
     for dotted, raw in overrides.items():
         section, dot, key = dotted.partition(".")

@@ -3,12 +3,15 @@
 CSV: comma separated, header mandatory, LF endings, one row per snapshot,
 columns time, norm, mean_q, variance, E_kin, E_pot, E_qu.  All numbers
 use shortest round-trip representation.  JSON summaries carry the keys
-{config, results, provenance}; the provenance block records the constants,
-package, numpy and Python versions, the platform, seed and a config hash
-so result tables stay auditable and comparable across machines.  The hash
-is the first 16 hex digits of the SHA-256 of the record's own config block
-with both [output] paths set to null, as canonical JSON (sorted keys, ","
-and ":" separators), so a reader can recompute it from the record alone.
+{config, results, provenance}.  The config block is the command and the
+config keys it reads, {section: {key: value}}, so it re-runs as that
+command with one --set per key; the provenance block records the
+constants, package, numpy and Python versions, the platform, the seed of
+a command that reads one, and a config hash.  The hash is the first 16
+hex digits of the SHA-256 of the record's own config block with its
+[output] paths set to null, as canonical JSON (sorted keys, "," and ":"
+separators).  A record is strict JSON: a non-finite number is written as
+its text ("inf", "-inf"), which float() and the converters read back.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind, and a path that cannot be written is a
 ValidationError naming it, as an unreadable config is.
@@ -16,7 +19,7 @@ ValidationError naming it, as an unreadable config is.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+import math
 import os
 import platform
 from typing import TYPE_CHECKING
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS_UNIT, BOHR, HBAR, K_B
-from .config import ExperimentConfig, OutputSection
+from .config import ExperimentConfig
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -51,19 +54,35 @@ def write_csv(trajectory: Trajectory, path: str) -> None:
     _write_text(path, trajectory_csv(trajectory))
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the config without its output paths, so the same run written
-    to two paths hashes the same (the record's config block keeps them)."""
+def _strict(value):
+    """``value`` with each non-finite float replaced by its text."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else str(float(value))
+
+
+def config_hash(config: dict) -> str:
+    """Hash of a config block without its output paths, so the same run
+    written to two paths hashes the same (the block keeps them)."""
     import hashlib
     import json
 
-    unplaced = asdict(replace(cfg, output=OutputSection()))
+    unplaced = {**config, "output": dict.fromkeys(config["output"])}
     text = json.dumps(unplaced, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def provenance_block(cfg: ExperimentConfig) -> dict:
-    return {
+def summary_record(cfg: ExperimentConfig, command: str, keys,
+                   results: dict) -> dict:
+    """The summary of ``command``, whose config block holds ``keys``."""
+    config = {"command": command}
+    for section, _, key in (dotted.partition(".") for dotted in keys):
+        config.setdefault(section, {})[key] = getattr(getattr(cfg, section), key)
+    config = _strict(config)
+    provenance = {
         "package": "qhydro",
         "version": __version__,
         "numpy": np.__version__,
@@ -75,23 +94,19 @@ def provenance_block(cfg: ExperimentConfig) -> dict:
             "bohr_m": BOHR,
             "atomic_mass_unit_kg": ATOMIC_MASS_UNIT,
         },
-        "seed": cfg.experiment.seed,
-        "config_sha256_16": config_hash(cfg),
+        "config_sha256_16": config_hash(config),
     }
-
-
-def summary_record(cfg: ExperimentConfig, results: dict) -> dict:
-    return {
-        "config": asdict(cfg),
-        "results": results,
-        "provenance": provenance_block(cfg),
-    }
+    if "experiment.seed" in keys:
+        provenance["seed"] = cfg.experiment.seed
+    return {"config": config, "results": _strict(results),
+            "provenance": provenance}
 
 
 def write_summary(record: dict, path: str) -> None:
     import json
 
-    _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(record, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -236,7 +236,7 @@ class PseudoGaussianFamily:
     """Gaussian-core density with a family-selected slower tail.
 
     Built from the [experiment] keys named beside each field, which it
-    checks, so every command rejects a bad value when the config loads.
+    checks, so a config file's bad value fails when the config loads.
     """
 
     family: str                  # family: constant_f | linear_f | log_f | power_f

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import platform
 import re
@@ -16,8 +17,8 @@ import pytest
 
 import qhydro
 from qhydro import cli
-from qhydro.cli import _build_parser, _lag_means, _load, main
-from qhydro.config import ExperimentConfig, apply_overrides
+from qhydro.cli import COMMAND_KEYS, _build_parser, _lag_means, _load, main
+from qhydro.config import _CONVERTERS, ExperimentConfig, apply_overrides
 from qhydro.constants import parse_quantity
 from qhydro.dynamics import Trajectory
 from qhydro.grids import Grid
@@ -99,11 +100,30 @@ REGIME_MAP = (r"mass = 6\.6465e-27 kg, lambda_q = %s, ratio = 0\.1\n"
               r" {12}1\.0e-12 1\.2e-09 1\.0e-06\nlegend: D nonlocal_deterministic, "
               r"S nonlocal_stochastic, L local_stochastic, \. indeterminate\n")
 
+# the config files of the test's directory, "{tmp}/<name>.ini"; a file may
+# hold keys of any command, and each is checked at load
+INI_FILES = {
+    "theta": "[noise]\ntheta = 2.17 K\n",
+    "infinite-grid": "[grid]\nq_max = 1e999\n",
+    "bogus-scheme": "[integrator]\nscheme = bogus\n",
+    "negative-core_width": "[experiment]\ncore_width = -1\n",
+    "negative-tail_scale": "[experiment]\ntail_scale = -1\n",
+    "family-g-5": "[experiment]\nfamily_g = 5\n",
+    "short-tail-scale": "[experiment]\ntail_scale = 5\n",
+    "overflowing-mu": "[noise]\ntheta = 2.17 K\nmobility_mu = 1e308\n",
+}
+LINDEMANN_LINE = "lindemann: lambda_q / r_0 = 0.23570 (band 0.2-0.25: inside)\n"
+
+
+def unread(command, key):
+    return f"error: {command} does not read {key}\n"
+
+
 # (id, argv, exit code, stdout, stderr): a str is the exact text, a
 # pattern must match all of it.  Each row runs in-process with warnings as
-# errors; "{tmp}" in an argument is the test's directory, whose theta.ini
-# sets noise.theta = 2.17 K.  The README scalar commands themselves are
-# rows of tests/golden.json.
+# errors; "{tmp}" in an argument is the test's directory, which holds the
+# INI_FILES.  The README scalar commands themselves are rows of
+# tests/golden.json.
 OUTCOMES = [
     ("lambda-c-line", ["lambda-c", "--theta", "2.17 K"], 0, LAMBDA_C_LINE, ""),
     # a config file gives the line its flag gives
@@ -122,14 +142,15 @@ OUTCOMES = [
      bad_value("noise.theta: 'inf' is not finite")),
     ("bare-word", ["lambda-c", "--theta", "abc"], 1, "",
      bad_value("noise.theta: malformed number in 'abc'")),
-    ("bare-empty", ["lambda-c", "--set", "grid.q_max="], 1, "",
-     bad_value("grid.q_max: malformed number in ''")),
-    # every subcommand validates the grid, also those that never build it
+    ("bare-empty", ["lambda-c", "--set", "noise.theta="], 1, "",
+     bad_value("noise.theta: malformed number in ''")),
+    # a config file's grid is checked at load, also by a command that never
+    # builds it
     ("non-finite-grid-bound-lambda-c",
-     ["lambda-c", "--theta", "2.17 K", "--set", "grid.q_max=1e999"], 1, "",
-     bad_value("grid.q_max: '1e999' is not finite")),
+     ["--config", "{tmp}/infinite-grid.ini", "lambda-c", "--theta", "2.17 K"],
+     1, "", bad_value("grid.q_max: '1e999' is not finite")),
     ("non-finite-grid-bound-case-helium",
-     ["case", "helium", "--set", "grid.q_max=1e999"], 1, "",
+     ["--config", "{tmp}/infinite-grid.ini", "case", "helium"], 1, "",
      bad_value("grid.q_max: '1e999' is not finite")),
     ("non-finite-theta", ["lambda-c", "--theta", "1e999"], 1, "",
      bad_value("noise.theta: '1e999' is not finite")),
@@ -148,7 +169,7 @@ OUTCOMES = [
      "error: grid does not overlap the initial Gaussian at 1.000e+00 m\n"),
     # only simulate writes a CSV, so output.csv would do nothing elsewhere
     *((f"csv-on-{argv[0]}", [*argv, "--csv", "{tmp}/x.csv"], 1, "",
-       f"error: output.csv is for simulate only; {argv[0]} writes no CSV\n")
+       unread(argv[0], "output.csv"))
       for argv in (["lambda-c", "--theta", "2.17 K"],
                    ["noise-audit", "--theta", "2.17 K",
                     "--set", "experiment.samples=4"])),
@@ -161,7 +182,7 @@ OUTCOMES = [
      ["noise-audit", "--theta", "2.17 K", "--set", "experiment.samples=1"], 1,
      "", "error: experiment.samples must be >= 2\n"),
     # the six plain numbers take no unit suffix
-    ("plain-number-with-unit", ["lambda-c", "--set", "noise.mobility_mu=1 K"], 1,
+    ("plain-number-with-unit", ["noise-audit", "--set", "noise.mobility_mu=1 K"], 1,
      "", bad_value("noise.mobility_mu: could not convert string to float: "
                    "'1 K'")),
     ("help", ["lambda-c", "--help"], 0, re.compile(r"usage: qhydro lambda-c .*",
@@ -182,11 +203,28 @@ OUTCOMES = [
      ""),
     ("case-helium-line", ["case", "helium"], 0,
      "helium: theta* = 2.4757 K (reference 2.17 K), E0 = -5.1558 kB\n", ""),
-    # the case study integrates on its own grid, so a coarse [grid] that is
-    # valid for the config leaves its line unchanged
+    # the case study integrates on its own grid, so it reads no [grid] key,
+    # and setting one is a usage error
     ("case-lindemann-ignores-the-grid",
-     ["case", "lindemann", "--set", "grid.n_points=9"], 0,
-     "lindemann: lambda_q / r_0 = 0.23570 (band 0.2-0.25: inside)\n", ""),
+     ["case", "lindemann", "--set", "grid.n_points=9"], 1, "",
+     unread("case lindemann", "grid.n_points")),
+    # a key the command never reads fails by name, before any value is
+    # converted or checked
+    ("lambda-c-unread-keys",
+     ["lambda-c", "--theta", "2.17 K", "--set", "grid.n_points=9",
+      "--set", "integrator.dt=1e-15", "--set", "experiment.initial_width=1e-30"],
+     1, "", unread("lambda-c", "grid.n_points")),
+    ("lambda-c-unread-t-end",
+     ["lambda-c", "--theta", "2.17 K", "--set", "integrator.t_end=1.05e-15"], 1,
+     "", unread("lambda-c", "integrator.t_end")),
+    ("case-lindemann-unread-mobility-mu",
+     ["case", "lindemann", "--theta", "2.17 K", "--set", "noise.mobility_mu=1e308"],
+     1, "", unread("case lindemann", "noise.mobility_mu")),
+    # only the commands that draw noise check the amplitude, so a file's
+    # overflowing mu leaves the case study's line unchanged
+    ("case-lindemann-ignores-a-files-noise",
+     ["--config", "{tmp}/overflowing-mu.ini", "case", "lindemann"], 0,
+     LINDEMANN_LINE, ""),
     ("lambda-q-finite-family",
      ["lambda-q", "--set", "experiment.family=power_f",
       "--set", "experiment.family_g=1.4", "--set", "experiment.core_width=1.0 m",
@@ -202,9 +240,12 @@ OUTCOMES = [
     # a tail has no end on a periodic grid, whose stencils wrap around
     ("lambda-q-needs-walls", ["lambda-q", "--set", "grid.periodic=true"], 1, "",
      "error: lambda-q fits the tail out to a wall; it needs grid.periodic = false\n"),
-    # (k_B theta)^2 overflows; every command validates the amplitude
-    ("overflowing-theta", ["lambda-c", "--theta", "1e200 K"], 1, "",
+    # (k_B theta)^2 overflows; the commands that draw noise validate the
+    # amplitude, and lambda_c needs no amplitude
+    ("overflowing-theta", ["noise-audit", "--theta", "1e200 K"], 1, "",
      "error: noise amplitude overflows at theta = 1e+200 K and mobility_mu = 1\n"),
+    ("lambda-c-at-overflowing-theta", ["lambda-c", "--theta", "1e200 K"], 0,
+     "lambda_c = 4.846217e-110 m\n", ""),
     # mu = 1e308 overflows the noise amplitude, which the config rejects
     # before any step is taken
     ("overflowing-amplitude",
@@ -213,14 +254,13 @@ OUTCOMES = [
      "error: noise amplitude overflows at theta = 2.17 K and "
      "mobility_mu = 1e+308\n"),
     # the integrator settings check themselves when the config loads, so a
-    # command that never integrates rejects them too
+    # command that never integrates rejects a file's bad value too
     ("bad-integrator-scheme",
-     ["lambda-c", "--theta", "2.17 K", "--set", "integrator.scheme=bogus"], 1,
+     ["--config", "{tmp}/bogus-scheme.ini", "lambda-c", "--theta", "2.17 K"], 1,
      "", "error: integrator.scheme must be one of ('deterministic_quantum', "
          "'stochastic_quantum', 'classical_limit')\n"),
     # the boundary is the grid's, one boolean key
-    ("bad-grid-periodic",
-     ["lambda-c", "--theta", "2.17 K", "--set", "grid.periodic=wall"], 1,
+    ("bad-grid-periodic", ["lambda-q", "--set", "grid.periodic=wall"], 1,
      "", "error: bad value for grid.periodic: expected a boolean, got 'wall'\n"),
     ("boundary-is-not-an-integrator-key",
      ["lambda-c", "--theta", "2.17 K", "--set", "integrator.boundary=periodic"],
@@ -236,19 +276,22 @@ OUTCOMES = [
     # the material is one MaterialParams; the He-4 preset is its default
     ("material-preset-is-not-a-key", ["lambda-c", "--set", "material.preset=he4"],
      1, "", "error: unknown key 'preset' in section [material]\n"),
-    # core_width is squared, so a negative width would run as its absolute value
-    *((f"nonpositive-{key.split('.')[1]}-{command}", [command, "--set", f"{key}=-1"],
-       1, "", f"error: {key} must be positive\n")
-      for command in ("lambda-q", "lambda-c")
-      for key in ("experiment.core_width", "experiment.tail_scale")),
-    # the family checks its keys when the config loads, so a command that
-    # never builds the density rejects them too
+    # core_width is squared, so a negative width would run as its absolute
+    # value; the family checks its keys when the config loads, so a command
+    # that never builds the density rejects a file's bad value too
+    *((f"nonpositive-{key}-{command}", [*source, command], 1, "",
+       f"error: experiment.{key} must be positive\n")
+      for key in ("core_width", "tail_scale")
+      for command, source in (
+          ("lambda-q", ["--set", f"experiment.{key}=-1"]),
+          ("lambda-c", ["--config", f"{{tmp}}/negative-{key}.ini"]))),
     ("bad-family-exponent",
-     ["lambda-c", "--theta", "2.17 K", "--set", "experiment.family_g=5"], 1, "",
+     ["--config", "{tmp}/family-g-5.ini", "lambda-c", "--theta", "2.17 K"], 1, "",
      "error: experiment.family_g must lie in (0, 2] for power_f\n"),
     ("short-tail-scale",
-     ["lambda-c", "--theta", "2.17 K", "--set", "experiment.tail_scale=5"], 1, "",
-     "error: experiment.tail_scale^2 must be >= 100 experiment.core_width^2\n"),
+     ["--config", "{tmp}/short-tail-scale.ini", "lambda-c", "--theta", "2.17 K"],
+     1, "", "error: experiment.tail_scale^2 must be >= 100 "
+            "experiment.core_width^2\n"),
     # dt far above the CFL limit for this grid; t_end is one whole step
     ("step-above-the-bound", ["simulate", *FAST_SIM, *ONE_LONG_STEP], 2, "",
      "numerical failure: dt = 1.000e-12 s exceeds the stability bound "
@@ -310,7 +353,8 @@ OUTCOMES = [
 @pytest.mark.parametrize("argv, code, out, err", [row[1:] for row in OUTCOMES],
                          ids=[row[0] for row in OUTCOMES])
 def test_cli_outcome(tmp_path, capsys, monkeypatch, argv, code, out, err):
-    (tmp_path / "theta.ini").write_text("[noise]\ntheta = 2.17 K\n")
+    for name, text in INI_FILES.items():
+        (tmp_path / f"{name}.ini").write_text(text)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -345,8 +389,8 @@ def test_set_on_both_levels_joins_in_order():
 
 # command, flag, config key, value, another value
 SHORTHAND_FLAGS = [
-    ("lambda-c", "--seed", "experiment.seed", "7", "8"),
-    ("lambda-c", "--csv", "output.csv", "a.csv", "b.csv"),
+    ("noise-audit", "--seed", "experiment.seed", "7", "8"),
+    ("simulate", "--csv", "output.csv", "a.csv", "b.csv"),
     ("lambda-c", "--json", "output.json", "a.json", "b.json"),
     ("lambda-c", "--mass", "material.mass", "4.0026 u", "6e-27"),
     ("lambda-c", "--theta", "noise.theta", "2.17 K", "1 K"),
@@ -374,7 +418,7 @@ def test_shorthand_flag_is_its_set_form(command, flag, key, value, other):
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["lambda-c", "--seed"], "experiment.seed"),
+    (["noise-audit", "--seed"], "experiment.seed"),
     (["classify", "--delta-L", "2e-11", "--decay-h"], "experiment.decay_h"),
 ])
 def test_malformed_shorthand_flag_fails_as_its_set_form(argv, key, capsys):
@@ -866,10 +910,16 @@ def test_empty_trajectory_csv_is_header_only():
     assert text == ",".join(CSV_COLUMNS) + "\n"
 
 
+def simulate_block(cfg):
+    return summary_record(cfg, "simulate", COMMAND_KEYS["simulate"], {})["config"]
+
+
 def test_config_hash_tracks_content():
-    base = ExperimentConfig()
-    assert config_hash(base) == config_hash(ExperimentConfig())
-    record = summary_record(base, {"x": 1})
+    base = simulate_block(ExperimentConfig())
+    assert config_hash(base) == config_hash(simulate_block(ExperimentConfig()))
+    record = summary_record(ExperimentConfig(), "simulate",
+                            COMMAND_KEYS["simulate"], {"x": 1})
+    assert record["config"] == base
     assert record["provenance"]["config_sha256_16"] == config_hash(base)
     assert len(config_hash(base)) == 16
 
@@ -878,10 +928,11 @@ def test_config_hash_recomputes_from_the_record(tmp_path, capsys):
     # the hash is of the record's own config block, [output] paths nulled,
     # as canonical JSON
     path = tmp_path / "lc.json"
-    assert run(["lambda-c", "--theta", "2.17 K", "--set", "grid.n_points=401",
+    assert run(["lambda-c", "--theta", "2.17 K", "--mass", "1 u",
                 "--json", str(path)], capsys)[0] == 0
     record = json.loads(path.read_text())
-    config = {**record["config"], "output": {"csv": None, "json": None}}
+    assert record["config"]["output"] == {"json": str(path)}
+    config = {**record["config"], "output": {"json": None}}
     text = json.dumps(config, sort_keys=True, separators=(",", ":"))
     assert (record["provenance"]["config_sha256_16"]
             == hashlib.sha256(text.encode()).hexdigest()[:16])
@@ -893,11 +944,12 @@ def test_config_hash_ignores_output_paths(key):
     # config block still records the path
     a = apply_overrides(ExperimentConfig(), {key: "a.out"})
     b = apply_overrides(ExperimentConfig(), {key: "b.out"})
-    assert config_hash(a) == config_hash(b) == config_hash(ExperimentConfig())
+    assert (config_hash(simulate_block(a)) == config_hash(simulate_block(b))
+            == config_hash(simulate_block(ExperimentConfig())))
     section, name = key.split(".")
-    assert summary_record(a, {})["config"][section][name] == "a.out"
+    assert simulate_block(a)[section][name] == "a.out"
     finer = apply_overrides(a, {"grid.n_points": "401"})
-    assert config_hash(finer) != config_hash(a)
+    assert config_hash(simulate_block(finer)) != config_hash(simulate_block(a))
 
 
 LAMBDA_Q_ARGS = [
@@ -940,3 +992,168 @@ def test_provenance_records_versions_and_platform(tmp_path, capsys):
     assert provenance["numpy"] == np.__version__
     assert provenance["python"] == platform.python_version()
     assert provenance["platform"] == platform.platform()
+
+
+def traced_reads(argv):
+    """The "section.key" names that ``main(argv)`` read after load."""
+    reads = set()
+    load = cli._load
+
+    def traced_load(args):
+        cfg = load(args)
+        for name in _CONVERTERS:
+            section = getattr(cfg, name)
+            cls = type(section)
+
+            def getattribute(obj, key, section=section, name=name,
+                             get=cls.__getattribute__):
+                if obj is section and key in _CONVERTERS[name]:
+                    reads.add(f"{name}.{key}")
+                return get(obj, key)
+
+            patch.setattr(cls, "__getattribute__", getattribute)
+        return cfg
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_load", traced_load)
+        main(argv)
+    return reads
+
+
+# every scheme, start density and potential, one step each
+SIMULATE_VARIANTS = [
+    ["simulate", "--theta", "2.17 K", "--set", "integrator.t_end=1e-16",
+     "--set", f"integrator.scheme={scheme}",
+     "--set", f"experiment.initial={initial}",
+     "--set", f"experiment.potential={potential}", "--csv", "{tmp}/run.csv"]
+    for scheme in ("deterministic_quantum", "stochastic_quantum", "classical_limit")
+    for initial in ("free_gaussian", "harmonic_ground", "square_well")
+    for potential in ("none", "harmonic", "square_well")]
+TRACED_RUNS = {
+    "simulate": SIMULATE_VARIANTS,
+    "lambda-c": [SCALAR_COMMANDS["lambda-c"]],
+    "lambda-q": [SCALAR_COMMANDS["lambda-q"]],
+    "classify": [SCALAR_COMMANDS["classify"]],
+    "case lindemann": [SCALAR_COMMANDS["case-lindemann"]],
+    "case helium": [SCALAR_COMMANDS["case-helium"]],
+    "noise-audit": [[*SMALL_AUDIT, "--set", "experiment.samples=40"]],
+}
+
+
+@pytest.mark.parametrize("command", TRACED_RUNS)
+def test_command_keys_are_the_keys_each_command_reads(tmp_path, capsys,
+                                                     command):
+    # the load-time checks read every key; what counts is what the command
+    # reads after load.  No --json: the record reads the table's keys
+    read = set()
+    for argv in TRACED_RUNS[command]:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        read |= traced_reads(argv)
+    capsys.readouterr()
+    assert read == COMMAND_KEYS[command]
+
+
+def test_every_config_key_is_read_by_a_command():
+    assert set(COMMAND_KEYS) == set(cli._COMMANDS)
+    assert set().union(*COMMAND_KEYS.values()) == {
+        f"{section}.{key}" for section, keys in _CONVERTERS.items() for key in keys}
+
+
+def test_readme_key_table_is_command_keys():
+    # the README's "Keys each command reads" table: one row per command,
+    # one column per section, the keys space-separated
+    section = (ROOT / "README.md").read_text().split(
+        "### Keys each command reads", 1)[1].split("\n#", 1)[0]
+    header, _, *rows = [line for line in section.splitlines()
+                        if line.startswith("|")]
+    sections = [cell.strip(" []`") for cell in header.split("|")[2:-1]]
+    documented = {}
+    for row in rows:
+        command, *cells = [cell.strip() for cell in row.split("|")[1:-1]]
+        documented[command.strip("`")] = {
+            f"{section}.{key}" for section, cell in zip(sections, cells)
+            for key in cell.replace("`", "").split()}
+    assert documented == COMMAND_KEYS
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("argv, where, text", [
+    (["classify", "--theta", "2.17 K", "--delta-L", "2e-11", "--lambda-q", "inf"],
+     ("config", "experiment", "lambda_q_override"), "inf"),
+    # a zero-force tail fits an exponent of -inf
+    (["lambda-q", "--set", "experiment.family=log_f", *TAIL_GRID],
+     ("results", "fitted_exponent"), "-inf"),
+], ids=["lambda-q-override-inf", "fitted-exponent-minus-inf"])
+def test_records_with_infinities_are_strict_json(tmp_path, capsys, argv, where,
+                                                 text):
+    # a non-finite number is written as text that float() reads back
+    path = tmp_path / "record.json"
+    assert run([*argv, "--json", str(path)], capsys)[0] == 0
+    value = json.loads(path.read_text(), parse_constant=_refuse)
+    for key in where:
+        value = value[key]
+    assert value == text and math.isinf(float(value))
+
+
+def as_setting(value) -> str:
+    """A record's config value as the text of its --set."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+# one run of each command, with non-default values where it has them
+RERUN_ARGVS = [
+    ["simulate", *FAST_SIM, "--seed", "3", "--set",
+     "integrator.scheme=stochastic_quantum", "--theta", "2.17 K",
+     "--set", "noise.mobility_mu=1e22", "--csv", "{tmp}/run.csv"],
+    ["lambda-c", "--theta", "2.17 K", "--mass", "1 u"],
+    SCALAR_COMMANDS["lambda-q"],
+    ["classify", "--theta", "2.17 K", "--delta-L", "2e-11", "--lambda-q", "inf",
+     "--decay-h", "1.2"],
+    ["case", "lindemann", "--set", "experiment.truncate_force=false"],
+    ["case", "helium", "--set", "material.depth_factor=0.8"],
+    [*SMALL_AUDIT, "--seed", "5", "--set", "experiment.samples=64"],
+]
+
+
+@pytest.mark.parametrize("argv", RERUN_ARGVS, ids=[
+    " ".join(argv[:2]) if argv[0] == "case" else argv[0] for argv in RERUN_ARGVS])
+def test_a_record_reruns_from_itself(tmp_path, capsys, argv):
+    # the config block's command, plus one --set per key it records, is
+    # the run again: the same results and the same hash
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert run([*argv, "--json", str(first)], capsys)[0] == 0
+    record = json.loads(first.read_text(), parse_constant=_refuse)
+    config = dict(record["config"])
+    rerun = config.pop("command").split()
+    config["output"] = {**config["output"], "json": str(again)}
+    for section, values in config.items():
+        for key, value in values.items():
+            rerun += ["--set", f"{section}.{key}={as_setting(value)}"]
+    assert run(rerun, capsys)[0] == 0
+    repeat = json.loads(again.read_text(), parse_constant=_refuse)
+    assert repeat["results"] == record["results"]
+    assert (repeat["provenance"]["config_sha256_16"]
+            == record["provenance"]["config_sha256_16"])
+
+
+def test_an_unread_file_key_leaves_the_hash(tmp_path, capsys):
+    # one file serves every command: a lambda-c record holds the keys
+    # lambda-c reads, so a grid key in its file does not move its hash
+    records = []
+    for n_points in (401, 801):
+        ini, path = tmp_path / f"{n_points}.ini", tmp_path / f"{n_points}.json"
+        ini.write_text(f"[noise]\ntheta = 2.17 K\n[grid]\nn_points = {n_points}\n")
+        assert run(["--config", str(ini), "lambda-c", "--json", str(path)],
+                   capsys) == (0, LAMBDA_C_LINE, "")
+        records.append(json.loads(path.read_text()))
+    assert "grid" not in records[0]["config"]
+    assert (records[0]["provenance"]["config_sha256_16"]
+            == records[1]["provenance"]["config_sha256_16"])

@@ -16,7 +16,8 @@ from qhydro.config import (
 from qhydro.constants import parse_quantity
 from qhydro.errors import ValidationError
 from qhydro.grids import Grid
-from qhydro.output import config_hash
+from qhydro.cli import COMMAND_KEYS
+from qhydro.output import config_hash, summary_record
 from qhydro.potentials import helium_preset, square_well_solve
 
 
@@ -217,7 +218,9 @@ def test_default_config_is_pinned():
     assert list(record["integrator"].items()) == [
         ("dt", 1e-16), ("scheme", "deterministic_quantum"),
         ("t_end", 1e-13), ("output_stride", 10)]
-    assert config_hash(ExperimentConfig()) == "bae196a6b80aa61b"
+    record = summary_record(ExperimentConfig(), "simulate",
+                            COMMAND_KEYS["simulate"], {})
+    assert record["provenance"]["config_sha256_16"] == "7f817fe2994c8651"
 
 
 def test_sections_are_the_objects_the_code_runs_on():
