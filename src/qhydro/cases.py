@@ -53,12 +53,12 @@ class LindemannReport:
     band: tuple[float, float] = LINDEMANN_BAND
 
 
-def lindemann(params: MaterialParams, truncate: bool = True) -> LindemannReport:
+def lindemann(params: MaterialParams) -> LindemannReport:
     """Nonlocality length of the harmonically bound pair, over r_0.
 
     The Gaussian ground state of the harmonic well exerts the linear
     quantum force k (q - q_bar); beyond the distance delta the force is
-    negligible and, when ``truncate`` is set, dropped entirely.  The
+    negligible and is dropped entirely.  The
     weighted-range quadrature then gives lambda_q = 2 delta regardless of
     k, the material constants, or the probe length lambda_c (delta / 2 here).
     """
@@ -69,9 +69,7 @@ def lindemann(params: MaterialParams, truncate: bool = True) -> LindemannReport:
     n = CASE_GRID_POINTS + (2 - (CASE_GRID_POINTS - 1) % 4) % 4
     grid = Grid(approx.q_bar - 2.0 * delta, approx.q_bar + 2.0 * delta, n)
     r = grid.points - approx.q_bar
-    force = approx.k * r
-    if truncate:
-        force = np.where(np.abs(r) > delta, 0.0, force)
+    force = np.where(np.abs(r) > delta, 0.0, approx.k * r)
     profile = QuantumForceProfile(Field(grid, force, "N"), approx.q_bar)
     lam_q = nonlocality_length(profile, delta / 2.0)
     ratio = lam_q / params.r_0

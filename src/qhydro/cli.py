@@ -55,6 +55,7 @@ from .potentials import (
 )
 from .qpotential import growth_exponent, quantum_force_from_log
 from .scales import (
+    DEFAULT_RATIO_THRESHOLD,
     classify_decay,
     classify_regime,
     correlation_length,
@@ -155,10 +156,9 @@ COMMAND_KEYS = {
     "lambda-c": _keys(material="mass", noise="theta", output="json"),
     "lambda-q": _keys(experiment="family family_g family_h core_width tail_scale",
                       material="mass", grid=_GRID, noise="lambda_c", output="json"),
-    "classify": _keys(experiment="delta_l lambda_q_override ratio_threshold decay_h",
+    "classify": _keys(experiment="delta_l lambda_q_override decay_h",
                       material="mass", noise="theta lambda_c", output="json"),
-    "case lindemann": _keys(experiment="truncate_force",
-                            material="mass well_depth r_0", output="json"),
+    "case lindemann": _keys(material="mass well_depth r_0", output="json"),
     "case helium": _keys(material=_MATERIAL, output="json"),
     "noise-audit": _keys(experiment="seed samples", material="mass", grid=_GRID,
                          noise=_NOISE, output="json"),
@@ -319,14 +319,14 @@ def _cmd_classify(cfg: ExperimentConfig) -> tuple[dict, str]:
         raise ValidationError("classify needs --delta-L (experiment.delta_l)")
     lam_c = _lambda_c(cfg, "classify")
     lam_q = e.lambda_q_override if e.lambda_q_override is not None else math.inf
-    regime = classify_regime(e.delta_l, lam_c, lam_q, e.ratio_threshold)
+    regime = classify_regime(e.delta_l, lam_c, lam_q)
     results = {
         "regime": regime,
         "delta_L_m": e.delta_l,
         "lambda_c_m": lam_c,
         "lambda_q_m": None if math.isinf(lam_q) else lam_q,
         "lambda_q_infinite": math.isinf(lam_q),
-        "ratio_threshold": e.ratio_threshold,
+        "ratio_threshold": DEFAULT_RATIO_THRESHOLD,
     }
     line = f"regime = {regime}"
     if e.decay_h is not None:
@@ -337,7 +337,7 @@ def _cmd_classify(cfg: ExperimentConfig) -> tuple[dict, str]:
 
 
 def _cmd_lindemann(cfg: ExperimentConfig) -> tuple[dict, str]:
-    report = cases.lindemann(cfg.material, truncate=cfg.experiment.truncate_force)
+    report = cases.lindemann(cfg.material)
     return asdict(report), (
         f"lindemann: lambda_q / r_0 = {report.lambda_q_over_r0:.5f} "
         f"(band {cases.LINDEMANN_BAND[0]}-{cases.LINDEMANN_BAND[1]}: "

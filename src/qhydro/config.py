@@ -7,7 +7,7 @@ declared once, as a field of its section's dataclass, and is read by the
 converter of the field's type: a float takes a unit suffix ("7.9 Bohr",
 "10.9 kB", "2.17K") and is converted to SI at this boundary, and an
 optional value reads "" and "none" as unset.  ``_KEY_CONVERTERS`` names
-the seven keys whose type does not say how to read them: the six plain
+the six keys whose type does not say how to read them: the five plain
 numbers, which take no suffix, and lambda_q_override, which reads "inf".
 
 A value reaches a config by one route: ``apply_overrides`` looks up each
@@ -42,7 +42,6 @@ from .constants import parse_quantity
 from .errors import ValidationError
 from .grids import Grid
 from .potentials import MaterialParams, PseudoGaussianFamily, helium_preset
-from .scales import DEFAULT_RATIO_THRESHOLD
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
 POTENTIALS = ("none", "harmonic", "square_well")
@@ -101,7 +100,6 @@ class ExperimentSection:
     potential: str = "none"
     delta_l: float | None = None        # m, physical length for classify
     lambda_q_override: float | None = None
-    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD
     decay_h: float | None = None
     family: str = "power_f"
     family_g: float = 2.0
@@ -109,7 +107,6 @@ class ExperimentSection:
     core_width: float = 1.0             # m, sqrt of the core variance parameter
     tail_scale: float = 20.0            # m, Lambda of the pseudo-Gaussian
     samples: int = 10000                # noise-audit sample count
-    truncate_force: bool = True         # melting-ratio truncation at delta
 
     def __post_init__(self):
         if self.initial not in INITIAL_CONDITIONS:
@@ -125,8 +122,6 @@ class ExperimentSection:
             raise ValidationError("experiment.lambda_q_override must be >= 0")
         if self.decay_h is not None and self.decay_h <= 0:
             raise ValidationError("experiment.decay_h must be positive")
-        if not 0.0 < self.ratio_threshold < 1.0:
-            raise ValidationError("experiment.ratio_threshold must lie in (0, 1)")
         # a single field has no spread, so no standard error
         if self.samples < 2:
             raise ValidationError("experiment.samples must be >= 2")
@@ -210,7 +205,6 @@ class ExperimentConfig:
 # a key is read by the converter of its field's type, unless named here:
 # the plain numbers take no unit suffix, and lambda_q_override reads "inf"
 _KEY_CONVERTERS = {
-    "experiment.ratio_threshold": _real,
     "experiment.decay_h": _optional(_real),
     "experiment.family_g": _real,
     "experiment.family_h": _real,

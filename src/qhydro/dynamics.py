@@ -335,7 +335,7 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     """Deterministic drift plus an Euler-Maruyama density noise increment.
 
     ``eta`` is a pre-drawn noise row for this step; without it the step
-    draws one row from ``rng`` (or from a fresh generator of ``stream``).
+    draws one row from ``rng``, and a step that draws needs one of the two.
     It works in ``workspace``, built for these arguments, or in a new one.
     """
     workspace = workspace or Workspace(state.grid, potential, mass, cfg)
@@ -346,6 +346,8 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
         # deterministic limit, bit-for-bit, and no draw
         return _stepped(state, dt, y1)
     if eta is None:
+        if rng is None:
+            raise ValidationError("a noisy step_stochastic needs rng or eta")
         eta = sample_fields(noise, state.grid, stream, 1, rng)[0]
     # gate, kick, clip and renormalise row 0 in place:
     # n = max(n + (n^2 / (n^2 + L^2) * eta) * sqrt(dt), 0), L the gate level

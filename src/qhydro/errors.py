@@ -16,8 +16,8 @@ class DegenerateDensityError(ValidationError):
     """Density is everywhere zero (or negative): no quantum potential."""
 
 
-class UnderResolvedKernelError(ValidationError):
-    """Grid spacing too coarse to resolve the noise correlation kernel."""
+class UnderResolvedError(ValidationError):
+    """Grid spacing too coarse to resolve a length the run samples."""
 
 
 class CflError(NumericalError):

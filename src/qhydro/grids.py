@@ -15,7 +15,8 @@ and the cell sum on a periodic grid, whose N points each own a cell of
 width h, the wrap-around one included.  ``Grid.length`` is the measure
 the quadrature integrates over: q_max - q_min between walls, the period
 N h on a periodic grid.  ``quadrature_weights`` gives its w:
-integral(f) = w . f.
+integral(f) = w . f.  ``check_length`` is the one rule for a length that a
+start density or the noise sampler samples, checked before it samples.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UnderResolvedError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,21 @@ class Grid:
         if self.periodic:
             return self.n_points * self.spacing
         return self.q_max - self.q_min
+
+
+def check_length(name: str, length: float, grid: Grid,
+                 support: tuple[str, float, float] | None = None, *, what: str):
+    """Reject the ``what``'s ``length``, named ``name``, unless h < length / 2,
+    and its ``support`` (keys, lo, hi) unless it lies in [q_min, q_max]."""
+    if not grid.spacing < length / 2.0:
+        raise UnderResolvedError(
+            f"under-resolved {what}: spacing {grid.spacing:.3e} m must be "
+            f"below {name}/2 = {length / 2.0:.3e} m")
+    keys, lo, hi = support or ("", grid.q_min, grid.q_max)
+    if not grid.q_min <= lo <= hi <= grid.q_max:     # the ends included
+        raise ValidationError(
+            f"{what} needs [{lo:.3e}, {hi:.3e}] m ({keys}) inside the grid "
+            f"[{grid.q_min:.3e}, {grid.q_max:.3e}] m")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ each field to zero ``grids.integral`` on the grid it is drawn on, over
 the grid's ``length``: the trapezoid rule over q_max - q_min between
 walls, the cell sum over the period N h on a periodic grid.  The
 delta(tau) time factor is the integrator's contract (fields are scaled by
-sqrt(dt) there); the sampler produces unit-time-density fields.
+sqrt(dt) there); the sampler produces unit-time-density fields, on a grid
+that ``grids.check_length`` finds resolves lambda_c: h < lambda_c / 2.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ import math
 import numpy as np
 
 from .constants import HBAR, K_B
-from .errors import UnderResolvedKernelError, ValidationError
-from .grids import Grid, integral, quadrature_weights
+from .errors import ValidationError
+from .grids import Grid, check_length, integral, quadrature_weights
 
 
 @dataclass(frozen=True)
@@ -249,10 +250,7 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     reused; then the result is ``reduce`` of the unreduced batch, bit for
     bit, whatever the chunking.
     """
-    if grid.spacing >= model.lambda_c / 2.0:
-        raise UnderResolvedKernelError(
-            f"under-resolved kernel: spacing {grid.spacing:.3e} m must be "
-            f"below lambda_c/2 = {model.lambda_c / 2.0:.3e} m")
+    check_length("lambda_c", model.lambda_c, grid, what="kernel")
     n = grid.n_points
     if model.amplitude == 0.0 or count == 0:
         # nothing to draw: every row is zero, or there is no row

@@ -3,9 +3,9 @@
 Covers the harmonic approximation of a Lennard-Jones pair well, the
 hard-wall square well used for the helium dimer, a run's three start
 densities (free Gaussian, harmonic and square-well ground states, each
-normalised by ``_unit_mass`` with the quadrature of their grid),
-and the pseudo-Gaussian density families: Gaussians in the core with
-slower-decaying tails, the construction that can make the nonlocality
+checked by ``grids.check_length`` and normalised by the quadrature of their
+grid), and the pseudo-Gaussian density families: Gaussians in the core
+with slower-decaying tails, the construction that can make the nonlocality
 length finite.
 
 Pseudo-Gaussian densities follow
@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import BOHR, HBAR, K_B
 from .errors import NoBoundStateError, ValidationError
-from .grids import Field, Grid, integral
+from .grids import Field, Grid, check_length, integral
 
 # the documented truncation constant delta / r_0 of the harmonic quantum force
 DELTA_OVER_R0 = 0.11785
@@ -93,19 +93,15 @@ def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
     )
 
 
-def _unit_mass(n: np.ndarray, grid: Grid, what: str) -> Field:
-    """n over its ``grids.integral`` on ``grid``; a grid without its mass
-    names ``what``."""
-    norm = integral(n, grid)
-    if norm <= 0:
-        raise ValidationError(f"grid does not overlap {what}")
-    return Field(grid, n / norm, "1/m")
-
-
 def free_gaussian_density(center: float, width: float, grid: Grid) -> Field:
-    """n ~ exp[-(q - center)^2 / (2 width^2)], unit integral."""
+    """n ~ exp[-(q - center)^2 / (2 width^2)], unit integral; center +- 2 width
+    holds 95% of the mass."""
+    check_length("experiment.initial_width", width, grid,
+                 ("experiment.initial_center +- 2 experiment.initial_width",
+                  center - 2.0 * width, center + 2.0 * width),
+                 what="initial Gaussian")
     n = np.exp(-((grid.points - center) ** 2) / (2.0 * width**2))
-    return _unit_mass(n, grid, f"the initial Gaussian at {center:.3e} m")
+    return Field(grid, n / integral(n, grid), "1/m")
 
 
 def harmonic_potential(approx: HarmonicApprox, grid: Grid,
@@ -117,16 +113,12 @@ def harmonic_potential(approx: HarmonicApprox, grid: Grid,
 
 def harmonic_ground_density(approx: HarmonicApprox, grid: Grid) -> Field:
     """n = |psi_0|^2 with psi_0 ~ exp[-K_0^2 (q - q_bar)^2], unit integral."""
-    span_lo = approx.q_bar - grid.q_min
-    span_hi = grid.q_max - approx.q_bar
-    required = 4.0 / approx.K_0
-    if span_lo < required or span_hi < required:
-        raise ValidationError(
-            f"grid too narrow: needs at least +-{required:.3e} m around "
-            f"{approx.q_bar:.3e} m")
+    q_bar, reach = approx.q_bar, 4.0 / approx.K_0
+    check_length("1/(2 K_0)", 0.5 / approx.K_0, grid, ("material.r_0/2 +- 4/K_0",
+                 q_bar - reach, q_bar + reach), what="harmonic ground state")
     r = grid.points - approx.q_bar
     n = np.exp(-2.0 * approx.K_0**2 * r**2)
-    return _unit_mass(n, grid, "the harmonic ground state")
+    return Field(grid, n / integral(n, grid), "1/m")
 
 
 @dataclass(frozen=True)
@@ -220,6 +212,10 @@ def square_well_potential(state: SquareWellState, grid: Grid) -> Field:
 
 def square_well_density(state: SquareWellState, grid: Grid) -> Field:
     """|psi_0|^2 of the bound state: sine inside the well, exponential tail."""
+    check_length("2 material.half_width", state.width, grid,
+                 ("material.sigma + [0, 2 material.half_width]", state.sigma,
+                  state.sigma + state.width), what="square well")
+    check_length("1/kappa", 1.0 / state.kappa, grid, what="square well")
     q = grid.points
     x = q - state.sigma
     inside = (x >= 0.0) & (x <= state.width)
@@ -228,7 +224,8 @@ def square_well_density(state: SquareWellState, grid: Grid) -> Field:
     psi[inside] = np.sin(state.K_0 * x[inside])
     amp_out = math.sin(state.K_0 * state.width)
     psi[outside] = amp_out * np.exp(-state.kappa * (x[outside] - state.width))
-    return _unit_mass(psi**2, grid, "the well")
+    n = psi**2
+    return Field(grid, n / integral(n, grid), "1/m")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 from dataclasses import asdict
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,14 +32,6 @@ def test_lindemann_invariant_across_materials(log_u, log_m):
                             r_0=4e-10)
     report = lindemann(params)
     assert report.lambda_q_over_r0 == pytest.approx(0.23570, abs=0.001)
-
-
-def test_lindemann_full_tail_is_infinite():
-    # without the truncation the linear force never lets the weighted
-    # range converge
-    report = lindemann(HE, truncate=False)
-    assert math.isinf(report.lambda_q_m)
-    assert not report.within_empirical_band
 
 
 def test_lindemann_band_constant():

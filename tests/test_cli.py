@@ -32,6 +32,10 @@ from qhydro.output import (
 from qhydro.scales import correlation_length
 
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("golden",
+                                               ROOT / "scripts" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 FAST_SIM = [
     "--set", "grid.n_points=201",
     "--set", "grid.q_min=-1.0 nm",
@@ -166,7 +170,22 @@ OUTCOMES = [
     ("gaussian-off-the-grid",
      ["simulate", "--set", "experiment.initial_center=1 m",
       "--set", "integrator.t_end=1e-15 s"], 1, "",
-     "error: grid does not overlap the initial Gaussian at 1.000e+00 m\n"),
+     "error: initial Gaussian needs [1.000e+00, 1.000e+00] m "
+     "(experiment.initial_center +- 2 experiment.initial_width) inside the "
+     "grid [-2.000e-09, 2.000e-09] m\n"),
+    # a start width the grid cannot resolve would sit on one point, and one
+    # it cannot hold would fill it like a box; both are named before step 1
+    ("gaussian-under-resolved",
+     ["simulate", "--set", "experiment.initial_width=1e-14m",
+      "--set", "integrator.t_end=1e-15s"], 1, "",
+     "error: under-resolved initial Gaussian: spacing 5.000e-12 m must be "
+     "below experiment.initial_width/2 = 5.000e-15 m\n"),
+    ("gaussian-wider-than-the-grid",
+     ["simulate", "--set", "experiment.initial_width=1e-6m",
+      "--set", "integrator.t_end=1e-15s"], 1, "",
+     "error: initial Gaussian needs [-2.000e-06, 2.000e-06] m "
+     "(experiment.initial_center +- 2 experiment.initial_width) inside the "
+     "grid [-2.000e-09, 2.000e-09] m\n"),
     # only simulate writes a CSV, so output.csv would do nothing elsewhere
     *((f"csv-on-{argv[0]}", [*argv, "--csv", "{tmp}/x.csv"], 1, "",
        unread(argv[0], "output.csv"))
@@ -181,7 +200,7 @@ OUTCOMES = [
     ("one-audit-sample",
      ["noise-audit", "--theta", "2.17 K", "--set", "experiment.samples=1"], 1,
      "", "error: experiment.samples must be >= 2\n"),
-    # the six plain numbers take no unit suffix
+    # the five plain numbers take no unit suffix
     ("plain-number-with-unit", ["noise-audit", "--set", "noise.mobility_mu=1 K"], 1,
      "", bad_value("noise.mobility_mu: could not convert string to float: "
                    "'1 K'")),
@@ -440,17 +459,9 @@ def test_case_lindemann_json(tmp_path, capsys):
     assert record["provenance"]["package"] == "qhydro"
 
 
-# the README scalar commands, as tests/golden.json runs them
-SCALAR_COMMANDS = {
-    "lambda-c": ["lambda-c", "--theta", "2.17 K"],
-    "case-lindemann": ["case", "lindemann"],
-    "case-helium": ["case", "helium"],
-    "classify": ["classify", "--theta", "2.17 K", "--delta-L", "2e-11",
-                 "--lambda-q", "inf"],
-    "lambda-q": ["lambda-q", "--set", "experiment.family=power_f",
-                 "--set", "experiment.family_g=1.4", "--set", "grid.q_max=3e6 m",
-                 "--set", "grid.n_points=120001", "--set", "noise.lambda_c=2.0 m"],
-}
+# the README scalar commands: the golden table's text rows but simulate's
+SCALAR_COMMANDS = {name: argv for name, (kind, argv, _) in golden.ROWS.items()
+                   if kind == "text" and argv[0] != "simulate"}
 SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
                     "--set", "noise.theta=2.17 K", "--set", "integrator.t_end=2e-15"]
 # modules a cold command must not load unless its row allows them: the
@@ -1116,7 +1127,7 @@ RERUN_ARGVS = [
     SCALAR_COMMANDS["lambda-q"],
     ["classify", "--theta", "2.17 K", "--delta-L", "2e-11", "--lambda-q", "inf",
      "--decay-h", "1.2"],
-    ["case", "lindemann", "--set", "experiment.truncate_force=false"],
+    ["case", "lindemann", "--mass", "4.0026 u"],
     ["case", "helium", "--set", "material.depth_factor=0.8"],
     [*SMALL_AUDIT, "--seed", "5", "--set", "experiment.samples=64"],
 ]

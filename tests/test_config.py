@@ -1,5 +1,6 @@
 from dataclasses import asdict, fields
 import math
+from pathlib import Path
 import re
 
 import pytest
@@ -13,7 +14,7 @@ from qhydro.config import (
     apply_overrides,
     parse_config,
 )
-from qhydro.constants import parse_quantity
+from qhydro.constants import UNIT_FACTORS, parse_quantity
 from qhydro.errors import ValidationError
 from qhydro.grids import Grid
 from qhydro.cli import COMMAND_KEYS
@@ -28,6 +29,14 @@ def test_parse_quantity_units():
     assert parse_quantity("2.17K") == pytest.approx(2.17)
     assert parse_quantity("1e-22") == pytest.approx(1e-22)
     assert parse_quantity("1.5 eV") == pytest.approx(2.403e-19, rel=1e-3)
+
+
+def test_readme_unit_suffixes_are_unit_factors():
+    # the README's sentence lists every suffix, each in backticks; the
+    # empty suffix is a bare number
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("accept unit suffixes:", 1)[1].split(". ", 1)[0]
+    assert set(re.findall(r"`([^`]+)`", sentence)) == set(UNIT_FACTORS) - {""}
 
 
 def test_parse_quantity_rejects_unknown_unit():
@@ -179,8 +188,7 @@ def test_converters_match_dataclass_fields():
         assert key in _CONVERTERS[section]
 
 
-PLAIN_NUMBERS = ("experiment.ratio_threshold", "experiment.decay_h",
-                 "experiment.family_g", "experiment.family_h",
+PLAIN_NUMBERS = ("experiment.decay_h", "experiment.family_g", "experiment.family_h",
                  "material.depth_factor", "noise.mobility_mu")
 QUANTITIES = [
     f"{section.name}.{key.name}"
@@ -238,7 +246,7 @@ NON_DEFAULT = {
     "experiment.initial": "harmonic_ground",
     "experiment.lambda_q_override": "inf",
     "experiment.decay_h": "1.2",
-    "experiment.truncate_force": "off",
+    "experiment.samples": "64",
     "material.mass": "4.0026 u",
     "material.sigma": "2.6e-10 m",
     "grid.n_points": "401",
@@ -281,8 +289,6 @@ ALSO_SET = {"experiment.family_h": {"experiment.family": "log_f"}}
     ("experiment.potential", "bogus", "experiment.potential must be one of"),
     ("experiment.family", "bogus", "experiment.family must be one of"),
     ("experiment.initial_width", "0", "experiment.initial_width must be positive"),
-    ("experiment.ratio_threshold", "1",
-     "experiment.ratio_threshold must lie in (0, 1)"),
     ("experiment.samples", "0", "experiment.samples must be >= 2"),
     ("noise.lambda_c", "-1e-10", "noise.lambda_c must be positive"),
     ("integrator.t_end", "-1e-15", "integrator.t_end must be >= 0"),

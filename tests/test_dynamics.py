@@ -296,6 +296,19 @@ def test_non_finite_noise_row_rejected():
                         cfg, eta=eta)
 
 
+def test_noisy_step_needs_a_generator_or_a_row():
+    # a fresh generator of the stream's seed in every step would apply one
+    # noise field step after step
+    grid, _ = free_setup(n_points=201)
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                           scheme=STOCHASTIC_QUANTUM)
+    state = gaussian_state(grid, 2e-10)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    with pytest.raises(ValidationError, match="needs rng or eta"):
+        step_stochastic(state, potential, MASS, loud_noise(), RandomStream(1),
+                        cfg)
+
+
 def test_stochastic_norm_conserved_exactly():
     grid, _ = free_setup(n_points=601)
     cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),

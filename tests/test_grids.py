@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qhydro.errors import ValidationError
+from qhydro.errors import UnderResolvedError, ValidationError
 from qhydro.grids import (
     Field,
     Grid,
+    check_length,
     integral,
     quadrature_weights,
     stencil_derivative,
@@ -39,6 +40,28 @@ def test_points_uniform():
     grid = Grid(-2.0, 3.0, 101)
     diffs = np.diff(grid.points)
     assert np.allclose(diffs, grid.spacing, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_check_length_needs_two_cells(periodic):
+    grid = Grid(0.0, 1.0, 11, periodic)          # h = 0.1
+    check_length("w", 0.2000001, grid, what="x")
+    for length in (0.2, 0.1, 0.0):
+        with pytest.raises(UnderResolvedError, match=(
+                r"^under-resolved x: spacing 1\.000e-01 m must be below "
+                r"w/2 = ")):
+            check_length("w", length, grid, what="x")
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_check_length_support_includes_the_ends(periodic):
+    grid = Grid(-2.0, 2.0, 401, periodic)
+    check_length("w", 1.0, grid, ("c +- 2 w", -2.0, 2.0), what="x")
+    for lo, hi in ((-2.0 - 1e-9, 0.0), (0.0, 2.0 + 1e-9), (3.0, 4.0)):
+        with pytest.raises(ValidationError, match=(
+                r"^x needs \[.*\] m \(c \+- 2 w\) inside the grid "
+                r"\[-2\.000e\+00, 2\.000e\+00\] m$")):
+            check_length("w", 1.0, grid, ("c +- 2 w", lo, hi), what="x")
 
 
 def test_field_shape_mismatch():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import tracemalloc
 
 from qhydro.constants import HBAR, K_B
-from qhydro.errors import UnderResolvedKernelError, ValidationError
+from qhydro.errors import UnderResolvedError, ValidationError
 from qhydro.grids import Grid
 from qhydro import noise
 from qhydro.noise import (
@@ -85,7 +85,7 @@ def test_different_seeds_differ():
 def test_under_resolved_kernel_rejected():
     model = make_model(lambda_c=0.1)
     grid = Grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
-    with pytest.raises(UnderResolvedKernelError):
+    with pytest.raises(UnderResolvedError):
         sample_fields(model, grid, RandomStream(0), 1)
 
 
@@ -518,7 +518,7 @@ def test_under_resolved_kernel_rejected_on_cache_hit():
     grid = Grid(0.0, 50.0, 256)   # spacing ~0.2 > lambda_c / 2
     noise._spectral_filter(model, grid)
     for _ in range(2):
-        with pytest.raises(UnderResolvedKernelError):
+        with pytest.raises(UnderResolvedError):
             sample_fields(model, grid, RandomStream(0), 1)
 
 

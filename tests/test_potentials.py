@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qhydro.constants import BOHR, HBAR, K_B
-from qhydro.errors import NoBoundStateError, ValidationError
+from qhydro.errors import NoBoundStateError, UnderResolvedError, ValidationError
 from qhydro.grids import Grid
 from qhydro.potentials import (
     DELTA_OVER_R0,
@@ -83,8 +84,32 @@ def test_ground_density_variance():
 def test_ground_density_narrow_grid_rejected():
     approx = lj_harmonic(HE)
     grid = Grid(approx.q_bar - 1 / approx.K_0, approx.q_bar + 1 / approx.K_0, 64)
-    with pytest.raises(ValidationError, match="grid too narrow"):
+    with pytest.raises(ValidationError, match=re.escape(
+            "harmonic ground state needs [")):
         harmonic_ground_density(approx, grid)
+
+
+def test_ground_density_coarse_grid_rejected():
+    # h = 1/(2 K_0): the width 1/(2 K_0) spans one cell, not two
+    approx = lj_harmonic(HE)
+    grid = Grid(approx.q_bar - 8 / approx.K_0, approx.q_bar + 8 / approx.K_0, 33)
+    with pytest.raises(UnderResolvedError, match=re.escape(
+            "under-resolved harmonic ground state: spacing")):
+        harmonic_ground_density(approx, grid)
+
+
+def test_square_well_density_checks_each_length():
+    state = square_well_solve(HE)
+    span = state.width + 6 / state.kappa
+    # nine points resolve the well's width but not its decay length
+    coarse = Grid(state.sigma, state.sigma + span, 9)
+    with pytest.raises(UnderResolvedError, match=re.escape("below 1/kappa/2")):
+        square_well_density(state, coarse)
+    # a grid that starts inside the well misses part of its mass
+    inside = Grid(state.sigma + state.width / 2, state.sigma + span, 4001)
+    with pytest.raises(ValidationError, match=re.escape(
+            "square well needs [")):
+        square_well_density(state, inside)
 
 
 def test_eigenstate_stationarity_of_potentials():
