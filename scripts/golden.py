@@ -32,7 +32,7 @@ import numpy as np
 from qhydro.cli import main
 from qhydro.grids import Grid
 from qhydro.noise import CHUNK_ROWS, NoiseModel, RandomStream, sample_fields
-from qhydro.potentials import helium_preset
+from qhydro.params import helium_preset
 from qhydro.scales import correlation_length
 
 TABLE = Path(__file__).resolve().parent.parent / "tests" / "golden.json"

@@ -13,22 +13,17 @@ Two desk-scale results fall out of the length-scale machinery:
 
 Each report's fields are the keys of its JSON results, with the unit in
 the name, and ``case`` writes ``dataclasses.asdict`` of the report.
+
+The lambda point is a closed form; the two studies that sample a force
+profile import numpy and the array modules when they run, so importing
+this module loads no numpy.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import K_B
 from .errors import ValidationError
-from .grids import Field, Grid
-from .potentials import (
-    MaterialParams,
-    lj_harmonic,
-    square_well_density,
-    square_well_solve,
-)
-from .qpotential import QuantumForceProfile, quantum_force
+from .params import Grid, MaterialParams, lj_harmonic, square_well_solve
 from .scales import correlation_length, nonlocality_length
 
 LINDEMANN_BAND = (0.20, 0.25)
@@ -62,6 +57,11 @@ def lindemann(params: MaterialParams) -> LindemannReport:
     weighted-range quadrature then gives lambda_q = 2 delta regardless of
     k, the material constants, or the probe length lambda_c (delta / 2 here).
     """
+    import numpy as np
+
+    from .grids import Field
+    from .qpotential import QuantumForceProfile
+
     approx = lj_harmonic(params)
     delta = approx.delta
     # place the truncation radius delta exactly halfway between two grid
@@ -122,6 +122,11 @@ class HeliumStateReport:
 
 def helium_state_check(params: MaterialParams) -> HeliumStateReport:
     """Solve the dimer square well and audit the flat-force interior."""
+    import numpy as np
+
+    from .potentials import square_well_density
+    from .qpotential import quantum_force
+
     state = square_well_solve(params)
     # sample the bound state from the hard wall out past the decay length
     span = state.width + 6.0 / state.kappa

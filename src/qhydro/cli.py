@@ -10,8 +10,17 @@ Exit codes: 0 success, 1 validation error (a usage error included),
 2 numerical failure.
 
 The scalar commands (lambda-c, lambda-q, classify, case) are dominated by
-import cost, so the integrator is imported only by simulate, numpy.random
-only on the first noise draw, and hashlib and json only by a --json summary.
+import cost, so each command loads only the code it runs.  This module
+imports only the scalar layer, none of which imports numpy: ``config``,
+``params``, the closed forms of ``scales`` and ``cases`` (whose two array
+studies import what they sample with when they run; it is loaded with
+the CLI so that perfbench's tracer finds it).  lambda-c and classify
+therefore never load numpy.  Everything else is imported inside the
+command that uses it: numpy and the array modules (``grids``,
+``potentials``, ``qpotential``, ``noise``) by the commands that sample a
+grid, the integrator by simulate alone, numpy.random on the first noise
+draw, ``output`` with hashlib and json only for a --csv or --json file,
+and configparser only for a --config file.
 
 noise-audit draws all its fields in one sample_fields call that reduces
 each filtered chunk to per-field lag means (its ``reduce`` argument), so
@@ -30,30 +39,10 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import cases
 from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import NumericalError, ValidationError
-from .grids import Field, Grid
-from .noise import (
-    NoiseModel,
-    RandomStream,
-    sample_fields,
-    sampled_covariance,
-)
-from .output import summary_record, write_csv, write_summary
-from .potentials import (
-    free_gaussian_density,
-    harmonic_ground_density,
-    harmonic_potential,
-    lj_harmonic,
-    pseudo_gaussian_log_density,
-    square_well_density,
-    square_well_potential,
-    square_well_solve,
-)
-from .qpotential import growth_exponent, quantum_force_from_log
+from .params import Grid, lj_harmonic, square_well_solve
 from .scales import (
     DEFAULT_RATIO_THRESHOLD,
     classify_decay,
@@ -63,7 +52,11 @@ from .scales import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import dynamics
+    from .grids import Field
+    from .noise import NoiseModel
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,6 +195,11 @@ def _lambda_c(cfg: ExperimentConfig, command: str) -> float:
 
 
 def _potential_field(cfg: ExperimentConfig, grid: Grid) -> Field:
+    import numpy as np
+
+    from .grids import Field
+    from .potentials import harmonic_potential, square_well_potential
+
     kind = cfg.experiment.potential
     params = cfg.material
     if kind == "none":
@@ -214,7 +212,15 @@ def _potential_field(cfg: ExperimentConfig, grid: Grid) -> Field:
 
 
 def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
+    import numpy as np
+
     from . import dynamics
+    from .grids import Field
+    from .potentials import (
+        free_gaussian_density,
+        harmonic_ground_density,
+        square_well_density,
+    )
 
     e = cfg.experiment
     params = cfg.material
@@ -229,6 +235,8 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
 
 
 def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
+    from .noise import NoiseModel
+
     lam_c = _lambda_c(cfg, "noise model")
     return NoiseModel(theta=cfg.noise.theta, lambda_c=lam_c,
                       mass=cfg.material.mass,
@@ -238,6 +246,7 @@ def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
 
 def _cmd_simulate(cfg: ExperimentConfig) -> tuple[dict, str]:
     from . import dynamics
+    from .noise import RandomStream
 
     grid = cfg.grid
     i = cfg.integrator
@@ -252,6 +261,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> tuple[dict, str]:
     if not trajectory.completed:
         raise NumericalError(f"run aborted: {trajectory.failure}")
     if cfg.output.csv:
+        from .output import write_csv
+
         write_csv(trajectory, cfg.output.csv)
     last = trajectory.snapshots[-1]
     results = {
@@ -282,6 +293,9 @@ def _cmd_lambda_q(cfg: ExperimentConfig) -> tuple[dict, str]:
     if cfg.grid.periodic:
         raise ValidationError("lambda-q fits the tail out to a wall; "
                               "it needs grid.periodic = false")
+    from .potentials import pseudo_gaussian_log_density
+    from .qpotential import growth_exponent, quantum_force_from_log
+
     fam = cfg.experiment.tail_family()
     log_n = pseudo_gaussian_log_density(fam, cfg.grid)
     profile = quantum_force_from_log(log_n, cfg.material.mass, 0.0)
@@ -359,16 +373,18 @@ def _lag_means(rows: np.ndarray, lags: list[int]) -> np.ndarray:
 
     einsum over the lagged views builds no product temporary.
     """
+    import numpy as np
+
     n = rows.shape[1]
     return np.stack([np.einsum("ij,ij->i", rows[:, :n - k], rows[:, k:])
                      / (n - k) for k in lags], axis=1)
 
 
-# an amplitude near overflow can overflow the lag products or their spread
-# to inf or nan; numpy stays quiet, and the audit's finiteness check names
-# the failure
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_noise_audit(cfg: ExperimentConfig) -> tuple[dict, str]:
+    import numpy as np
+
+    from .noise import RandomStream, sample_fields, sampled_covariance
+
     model = _noise_model(cfg)
     # a silent noise has no spread, so no z-score
     if model.amplitude == 0.0:
@@ -382,24 +398,28 @@ def _cmd_noise_audit(cfg: ExperimentConfig) -> tuple[dict, str]:
     if lags[-1] >= grid.n_points:
         raise ValidationError("grid too short for the 2 lambda_c lag")
     count = cfg.experiment.samples
-    # one call, one generator: each filtered chunk is reduced to its lag
-    # means at once, so no (count, n_points) array is ever held
-    means = sample_fields(model, grid, RandomStream(cfg.experiment.seed),
-                          count, reduce=lambda rows: _lag_means(rows, lags)).T
-    rows = []
-    for lag_factor, k, per_field in zip(lag_factors, lags, means):
-        empirical = float(np.mean(per_field))
-        # the conserving projection makes the target negative at long lags
-        target = sampled_covariance(model, grid, k)
-        se = float(np.std(per_field, ddof=1)) / math.sqrt(count)
-        z = (empirical - target) / se
-        if not all(math.isfinite(x) for x in (empirical, se, z)):
-            raise NumericalError(
-                f"covariance statistics at lag {lag_factor:g} lambda_c are not "
-                f"finite at noise amplitude {model.amplitude:.3e}")
-        rows.append({"lag_over_lambda_c": lag_factor, "lag_m": k * h,
-                     "empirical": empirical, "target": target,
-                     "standard_error": se, "z_score": z})
+    # an amplitude near overflow can overflow the lag products or their
+    # spread to inf or nan; numpy stays quiet, and the audit's finiteness
+    # check names the failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one call, one generator: each filtered chunk is reduced to its lag
+        # means at once, so no (count, n_points) array is ever held
+        means = sample_fields(model, grid, RandomStream(cfg.experiment.seed),
+                              count, reduce=lambda rows: _lag_means(rows, lags)).T
+        rows = []
+        for lag_factor, k, per_field in zip(lag_factors, lags, means):
+            empirical = float(np.mean(per_field))
+            # the conserving projection makes the target negative at long lags
+            target = sampled_covariance(model, grid, k)
+            se = float(np.std(per_field, ddof=1)) / math.sqrt(count)
+            z = (empirical - target) / se
+            if not all(math.isfinite(x) for x in (empirical, se, z)):
+                raise NumericalError(
+                    f"covariance statistics at lag {lag_factor:g} lambda_c are "
+                    f"not finite at noise amplitude {model.amplitude:.3e}")
+            rows.append({"lag_over_lambda_c": lag_factor, "lag_m": k * h,
+                         "empirical": empirical, "target": target,
+                         "standard_error": se, "z_score": z})
     worst_z = max(abs(row["z_score"]) for row in rows)
     results = {"samples": count, "lambda_c_m": model.lambda_c,
                "amplitude": model.amplitude, "conserving": model.conserving,
@@ -421,6 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load(args)
         results, line = _COMMANDS[command](cfg)
         if cfg.output.json:
+            from .output import summary_record, write_summary
+
             write_summary(summary_record(cfg, command, COMMAND_KEYS[command],
                                          results), cfg.output.json)
         print(line)

@@ -17,31 +17,31 @@ INI file, ``--set`` and the CLI's shorthand flags all pass through it.
 Each section is the object the code runs on, and each checks its own
 values when it is built, so a config file's bad value fails at load
 whichever command reads the file: [material] is the
-``potentials.MaterialParams`` of the run (He-4 by default), [grid] the
-``grids.Grid``, whose ``periodic`` key is the one statement of the
+``params.MaterialParams`` of the run (He-4 by default), [grid] the
+``params.Grid``, whose ``periodic`` key is the one statement of the
 boundary, and [integrator] the ``IntegratorConfig`` that ``dynamics``
 steps with, plus the run length, a whole number of steps.
 [experiment] builds its five family keys into the
-``potentials.PseudoGaussianFamily`` that lambda-q runs on
+``params.PseudoGaussianFamily`` that lambda-q runs on
 (``ExperimentSection.tail_family``), and the family checks them.  The
 noise amplitude, from the material's mass and [noise], spans two
 sections; the ``noise.NoiseModel`` of the commands that draw noise checks
 it.  ``IntegratorConfig`` and the scheme names live here, and ``dynamics``
 re-exports them, so the scalar commands never import the integrator to
-validate its settings.
+validate its settings.  Like ``qhydro.params``, whose objects the sections
+are, this module imports no numpy, and it imports ``configparser`` only
+when a config file is read (``parse_config``).
 Which keys a command reads is the CLI's table, ``cli.COMMAND_KEYS``, and
 a JSON summary records those keys alone (``output.summary_record``).
 """
 
-import configparser
 from dataclasses import dataclass, field, fields, replace
 import io
 import math
 
 from .constants import parse_quantity
 from .errors import ValidationError
-from .grids import Grid
-from .potentials import MaterialParams, PseudoGaussianFamily, helium_preset
+from .params import Grid, MaterialParams, PseudoGaussianFamily, helium_preset
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
 POTENTIALS = ("none", "harmonic", "square_well")
@@ -238,6 +238,8 @@ def _section_converters(section: str) -> dict:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; unknown keys are rejected."""
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(io.StringIO(text))

@@ -86,8 +86,9 @@ from .config import (  # noqa: F401
 )
 from .constants import CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
-from .grids import Field, Grid, derivative_kernel, integral
+from .grids import Field, derivative_kernel, integral
 from .noise import NoiseModel, RandomStream, sample_fields
+from .params import Grid
 from .qpotential import floored_density, vqu_from_curvature, vqu_kernel
 
 FORCE_TAPER_FRACTION = 1e-8

@@ -1,8 +1,8 @@
-"""Uniform 1-D grids, sampled fields, derivative kernels and the quadrature.
+"""Sampled fields, derivative kernels and the quadrature on a uniform grid.
 
 The numeric substrate for everything else: fields are immutable numpy
-arrays tied to a grid, and derivatives are second-order central stencils,
-one-sided at the walls or wrapped around a periodic grid.
+arrays tied to a ``params.Grid``, and derivatives are second-order central
+stencils, one-sided at the walls or wrapped around a periodic grid.
 ``derivative_kernel`` holds the stencils and slices its arrays once, so the
 integrator slices its workspace once per run.  Grouped differences map
 constant fields to exactly zero; the ends run on Python floats, the same
@@ -12,68 +12,19 @@ The grid owns its boundary: ``Grid.periodic`` is the one place it is
 stated, and the stencils, the quadrature and every caller of them read it
 there.  The quadrature, ``integral``, is the trapezoid rule between walls
 and the cell sum on a periodic grid, whose N points each own a cell of
-width h, the wrap-around one included.  ``Grid.length`` is the measure
-the quadrature integrates over: q_max - q_min between walls, the period
-N h on a periodic grid.  ``quadrature_weights`` gives its w:
-integral(f) = w . f.  ``check_length`` is the one rule for a length that a
-start density or the noise sampler samples, checked before it samples.
+width h, the wrap-around one included; it integrates over
+``Grid.length``.  ``quadrature_weights`` gives its w:
+integral(f) = w . f.  ``Grid`` and ``params.check_length``, the rule for a
+length a run samples, hold no array, so they live in the scalar layer,
+``qhydro.params``.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .errors import UnderResolvedError, ValidationError
-
-
-@dataclass(frozen=True)
-class Grid:
-    q_min: float
-    q_max: float
-    n_points: int
-    periodic: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)):
-            raise ValidationError("grid bounds must be finite")
-        if self.q_max <= self.q_min:
-            raise ValidationError("empty domain: q_max must exceed q_min")
-        if self.n_points < 8:
-            raise ValidationError("n_points must be at least 8")
-
-    @property
-    def spacing(self) -> float:
-        return (self.q_max - self.q_min) / (self.n_points - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        q = np.linspace(self.q_min, self.q_max, self.n_points)
-        q.flags.writeable = False
-        return q
-
-    @property
-    def length(self) -> float:
-        """The domain's measure: q_max - q_min between walls, the period
-        N h on a periodic grid."""
-        if self.periodic:
-            return self.n_points * self.spacing
-        return self.q_max - self.q_min
-
-
-def check_length(name: str, length: float, grid: Grid,
-                 support: tuple[str, float, float] | None = None, *, what: str):
-    """Reject the ``what``'s ``length``, named ``name``, unless h < length / 2,
-    and its ``support`` (keys, lo, hi) unless it lies in [q_min, q_max]."""
-    if not grid.spacing < length / 2.0:
-        raise UnderResolvedError(
-            f"under-resolved {what}: spacing {grid.spacing:.3e} m must be "
-            f"below {name}/2 = {length / 2.0:.3e} m")
-    keys, lo, hi = support or ("", grid.q_min, grid.q_max)
-    if not grid.q_min <= lo <= hi <= grid.q_max:     # the ends included
-        raise ValidationError(
-            f"{what} needs [{lo:.3e}, {hi:.3e}] m ({keys}) inside the grid "
-            f"[{grid.q_min:.3e}, {grid.q_max:.3e}] m")
+from .errors import ValidationError
+from .params import Grid
 
 
 @dataclass(frozen=True)

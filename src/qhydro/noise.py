@@ -12,24 +12,28 @@ so a field with that covariance is the inverse transform of a Hermitian
 spectrum whose mode j is complex normal with variance set by the
 kernel's eigenvalue eig_j.  The kernel's reach r is the smallest grid
 lag at which G has fallen to 2^-53 G(0), a float's resolution:
-r = ceil((lambda_c / h) sqrt(53 ln 2)), about 6.06 lambda_c.  M is the
-smallest 2^a 3^b 5^c >= (n_points - 1) + min(n_points - 1, r): the
-embedding holds G at every grid lag up to M / 2 exactly, and past it
-holds G((M - d) h) with M - d >= r, so there both it and G(d h) are at
+r = ceil((lambda_c / h) sqrt(53 ln 2)), about 6.06 lambda_c.  Between
+walls M is the smallest 2^a 3^b 5^c >= (n_points - 1) + min(n_points - 1,
+r): the embedding holds G at every grid lag up to M / 2 exactly, and past
+it holds G((M - d) h) with M - d >= r, so there both it and G(d h) are at
 or below 2^-53 G(0).  A kernel whose reach spans the grid gets
 2 (n_points - 1), so every grid lag is held exactly.  The FFT is fastest
 on a 5-smooth length.  The default audit's 801-point grid, with
-lambda_c = 65.8 h and r = 399, uses 1,200.  The spectrum of a Gaussian
-kernel is itself a Gaussian, so past a few lambda_c-dependent modes the
-eigenvalues are rounding noise; only the prefix above a roundoff floor
-is drawn (32 of the 601 modes for the default audit).  Each field takes
-a fixed block of 2J - 1 normals from the generator (63 for the default
-audit), the real parts of modes 0..J-1 and the imaginary parts of modes
-1..J-1, goes through one irfft, and its first n_points entries are the
-field.  The filter is computed once per (model, grid) and kept in a
-small cache.  A batch is drawn on the caller's thread in fixed row
-chunks into one output array; each row's bits depend on its own normals
-alone, so they are those of a one-shot batch whatever the chunking.
+lambda_c = 65.8 h and r = 399, uses 1,200.  On a periodic grid the field
+is periodic, so M = n_points and the kernel is taken at the wrapped lag
+min(d, n_points - d): the periodized kernel to within 2^-53 G(0) while the
+reach is under n_points / 2 (the default grid, periodic, uses 801).  The
+spectrum of a Gaussian kernel is itself a Gaussian, so past a few
+lambda_c-dependent modes the eigenvalues are rounding noise; only the
+prefix above a roundoff floor is drawn (32 of the 601 modes for the
+default audit).  Each field takes a fixed block of 2J - 1 normals from
+the generator (63 for the default audit), the real parts of modes
+0..J-1 and the imaginary parts of modes 1..J-1, goes through one irfft,
+and its first n_points entries are the field.  The filter is computed
+once per (model, grid) and kept in a small cache.  A batch is drawn on
+the caller's thread in fixed row chunks into one output array; each
+row's bits depend on its own normals alone, so they are those of a
+one-shot batch whatever the chunking.
 Peak memory is the output array plus one set of chunk buffers.  A caller
 that needs only a summary of each field (noise-audit's lag means) passes
 ``reduce``: each chunk is reduced in the transform's buffer as soon as
@@ -40,7 +44,7 @@ the grid's ``length``: the trapezoid rule over q_max - q_min between
 walls, the cell sum over the period N h on a periodic grid.  The
 delta(tau) time factor is the integrator's contract (fields are scaled by
 sqrt(dt) there); the sampler produces unit-time-density fields, on a grid
-that ``grids.check_length`` finds resolves lambda_c: h < lambda_c / 2.
+that ``params.check_length`` finds resolves lambda_c: h < lambda_c / 2.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ValidationError
-from .grids import Grid, check_length, integral, quadrature_weights
+from .grids import integral, quadrature_weights
+from .params import Grid, check_length
 
 
 @dataclass(frozen=True)
@@ -148,16 +153,20 @@ def _smooth_length(target: int) -> int:
 
 
 def _embedding_length(model: NoiseModel, grid: Grid) -> int:
-    """The circulant length M: smallest 2^a 3^b 5^c >= (n - 1) + min(n - 1, r).
+    """The circulant length M: n_points on a periodic grid, and between
+    walls the smallest 2^a 3^b 5^c >= (n - 1) + min(n - 1, r).
 
-    n is n_points and r = ceil((lambda_c / h) REACH_LAMBDA_C) the kernel's
-    reach, the smallest grid lag d with G(d h) <= 2^-53 G(0).  Each grid
-    lag d <= M / 2 is held exactly.  A lag d > M / 2 wraps to M - d >=
-    min(n - 1, r); a reach below n - 1 puts both G(d h) and the held
-    G((M - d) h) at or below 2^-53 G(0), and a reach of n - 1 or more
-    gives M >= 2 (n - 1), so no grid lag wraps.  The default audit (n =
-    801, lambda_c = 65.8 h, r = 399) gets 1,200.
+    A periodic grid's field is periodic itself, so the circulant is the
+    grid: M = n.  Between walls, n is n_points and r = ceil((lambda_c / h)
+    REACH_LAMBDA_C) the kernel's reach, the smallest grid lag d with
+    G(d h) <= 2^-53 G(0).  Each grid lag d <= M / 2 is held exactly.  A lag
+    d > M / 2 wraps to M - d >= min(n - 1, r); a reach below n - 1 puts
+    both G(d h) and the held G((M - d) h) at or below 2^-53 G(0), and a
+    reach of n - 1 or more gives M >= 2 (n - 1), so no grid lag wraps.  The
+    default audit (n = 801, lambda_c = 65.8 h, r = 399) gets 1,200.
     """
+    if grid.periodic:
+        return grid.n_points
     edge = grid.n_points - 1
     reach = model.lambda_c / grid.spacing * REACH_LAMBDA_C
     # capped before ceil, which a ratio that overflows to inf would fail
@@ -167,9 +176,12 @@ def _embedding_length(model: NoiseModel, grid: Grid) -> int:
 def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
     """First row of the circulant extension of the kernel.
 
-    Entry j of its ``_embedding_length`` M entries is G(min(j, M - j) h):
-    G(d h) itself at every grid lag d <= M / 2, and at or below
-    2^-53 G(0) at the grid lags past it, as G(d h) is there.
+    Entry j of its ``_embedding_length`` M entries is G(min(j, M - j) h).
+    Between walls that is G(d h) itself at every grid lag d <= M / 2, and
+    at or below 2^-53 G(0) at the grid lags past it, as G(d h) is there.
+    On a periodic grid (M = n) it is G at the wrapped lag, which is the
+    periodized kernel sum_m G((j - m n) h) to within 2^-53 G(0) while the
+    reach is under n / 2.
     """
     m = _embedding_length(model, grid)
     j = np.arange(m)
@@ -287,20 +299,25 @@ def sampled_covariance(model: NoiseModel, grid: Grid, lag: int) -> float:
     """Expected mean of x_i x_(i+lag) along the grid for ``sample_fields`` rows
     drawn on ``grid``.
 
-    Without the conserving projection this is G(lag h).  The projection
+    Without the conserving projection this is G(lag h), at the wrapped lag
+    min(lag, n - lag) on a periodic grid.  The projection
     y = x - (w.x / L) 1, with w the grid's ``grids.quadrature_weights``,
     L its ``length`` and C the kernel matrix, gives
     cov(y)_ij = C_ij - a_i - a_j + b with a = Cw/L and b = w.Cw/L^2, so
     the mean along the lag is
     G(lag h) - mean(a[:n-lag]) - mean(a[lag:]) + b.  C is built from G at
     the grid lags 0..n-1 itself, not from the kernel row: the default
-    audit's M = 1,200 holds G only up to lag 600 of its 800.
+    audit's M = 1,200 holds G only up to lag 600 of its 800.  On a periodic
+    grid C is the circulant of the kernel row, G at the same wrapped lags.
     """
-    target = float(covariance(model, lag * grid.spacing))
+    n = grid.n_points
+    lags, wrapped = np.arange(n), lag
+    if grid.periodic:
+        lags, wrapped = np.minimum(lags, n - lags), min(lag, n - lag)
+    target = float(covariance(model, wrapped * grid.spacing))
     if not model.conserving:
         return target
-    n = grid.n_points
-    g = covariance(model, np.arange(n) * grid.spacing)
+    g = covariance(model, lags * grid.spacing)
     weights = quadrature_weights(grid)
     # C is the symmetric Toeplitz matrix of g, so Cw is a convolution
     a = np.convolve(np.concatenate((g[:0:-1], g)), weights,

@@ -6,12 +6,14 @@ use shortest round-trip representation.  JSON summaries carry the keys
 {config, results, provenance}.  The config block is the command and the
 config keys it reads, {section: {key: value}}, so it re-runs as that
 command with one --set per key; the provenance block records the
-constants, package, numpy and Python versions, the platform, the seed of
-a command that reads one, and a config hash.  The hash is the first 16
-hex digits of the SHA-256 of the record's own config block with its
-[output] paths set to null, as canonical JSON (sorted keys, "," and ":"
-separators).  A record is strict JSON: a non-finite number is written as
-its text ("inf", "-inf"), which float() and the converters read back.
+constants, package, numpy and Python versions (numpy's from its package
+metadata, so a scalar command's record imports no numpy), the platform,
+the seed of a command that reads one, and a config hash.  The hash is
+the first 16 hex digits of the SHA-256 of the record's own config block
+with its [output] paths set to null, as canonical JSON (sorted keys, ","
+and ":" separators).  A record is strict JSON: a non-finite number is
+written as its text ("inf", "-inf"), which float() and the converters
+read back.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind, and a path that cannot be written is a
 ValidationError naming it, as an unreadable config is.
@@ -19,12 +21,11 @@ ValidationError naming it, as an unreadable config is.
 
 from __future__ import annotations
 
+from functools import cache
 import math
 import os
 import platform
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS_UNIT, BOHR, HBAR, K_B
@@ -75,6 +76,14 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+@cache
+def _numpy_version() -> str:
+    """numpy's version, from its package metadata; read once a process."""
+    from importlib import metadata
+
+    return metadata.version("numpy")
+
+
 def summary_record(cfg: ExperimentConfig, command: str, keys,
                    results: dict) -> dict:
     """The summary of ``command``, whose config block holds ``keys``."""
@@ -85,7 +94,7 @@ def summary_record(cfg: ExperimentConfig, command: str, keys,
     provenance = {
         "package": "qhydro",
         "version": __version__,
-        "numpy": np.__version__,
+        "numpy": _numpy_version(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "constants": {

@@ -20,7 +20,8 @@ available on log-densities via the identity
 A :class:`QuantumForceProfile` is the force field and the origin of radial
 distance.  The force-growth classifier fits the exponent a of
 |q^-1 dV_qu/dq| ~ q^a over an outer radial window and maps it onto the four
-expansion classes (the nonlocality integral converges in the asymptotically
+expansion classes, whose labels ``scales`` defines beside its closed-form
+decay classifier (the nonlocality integral converges in the asymptotically
 vanishing one).  A density family reaches the nonlocality length by one
 route: ``quantum_force_from_log`` -> ``growth_exponent`` ->
 ``scales.nonlocality_length``.
@@ -33,7 +34,14 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
-from .grids import Field, Grid, stencil_derivative
+from .grids import Field, stencil_derivative
+from .params import Grid
+from .scales import (
+    ASYMPTOTICALLY_VANISHING,
+    BALLISTIC,
+    SUPER_BALLISTIC,
+    UNDER_BALLISTIC,
+)
 
 # the additive density floor, as a fraction of the peak density
 DENSITY_FLOOR_FRACTION = 1e-12
@@ -47,11 +55,6 @@ EXPONENT_TOLERANCE = 0.1
 # few percent stay out because the one-sided boundary stencils contaminate them
 TAIL_WINDOW = (0.25, 0.05)
 MIN_TAIL_POINTS = 8
-
-SUPER_BALLISTIC = "super_ballistic"
-BALLISTIC = "ballistic"
-UNDER_BALLISTIC = "under_ballistic"
-ASYMPTOTICALLY_VANISHING = "asymptotically_vanishing"
 
 
 @dataclass(frozen=True)

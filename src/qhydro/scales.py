@@ -11,28 +11,35 @@ dynamical regimes; a separate classifier maps the tail-decay exponent h
 of the wave function modulus onto the same four force-growth classes used
 by the numeric tail fit.  lambda_q is finite exactly when that fit's
 class is asymptotically vanishing (``convergence_test``).
+
+lambda_c, the two classifiers and the class labels are closed forms, so
+this module imports no numpy: lambda-c and classify run on it alone.
+``nonlocality_length`` integrates a force profile, and imports numpy and
+the tail fit of ``qhydro.qpotential`` when it is called.
 """
 
-import math
+from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
 
 from .constants import HBAR, K_B
 from .errors import NumericalError, ValidationError
-from .qpotential import (
-    ASYMPTOTICALLY_VANISHING,
-    BALLISTIC,
-    SUPER_BALLISTIC,
-    UNDER_BALLISTIC,
-    DecayClass,
-    QuantumForceProfile,
-    growth_exponent,
-)
+
+if TYPE_CHECKING:
+    from .qpotential import DecayClass, QuantumForceProfile
 
 NONLOCAL_DETERMINISTIC = "nonlocal_deterministic"
 NONLOCAL_STOCHASTIC = "nonlocal_stochastic"
 LOCAL_STOCHASTIC = "local_stochastic"
 INDETERMINATE = "indeterminate"
+
+# the four force-growth classes, shared by classify_decay and the tail fit
+# (qpotential.growth_exponent)
+SUPER_BALLISTIC = "super_ballistic"
+BALLISTIC = "ballistic"
+UNDER_BALLISTIC = "under_ballistic"
+ASYMPTOTICALLY_VANISHING = "asymptotically_vanishing"
 
 # operationalizes "much smaller than" in classify_regime: one length is
 # much smaller than another when it is at most this fraction of it
@@ -69,6 +76,10 @@ def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,
     power-law tail from the fitted exponent.  Returns ``math.inf`` when the
     integral diverges (convergence test fails).
     """
+    import numpy as np
+
+    from .qpotential import growth_exponent
+
     if lambda_c <= 0:
         raise ValidationError("lambda_c must be positive")
     r, f = profile.radial()

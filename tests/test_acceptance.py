@@ -24,15 +24,17 @@ from qhydro.dynamics import (
 )
 from qhydro.grids import Field, Grid
 from qhydro.noise import NoiseModel, RandomStream, covariance, sample_fields
-from qhydro.potentials import (
+from qhydro.params import (
     MaterialParams,
     PseudoGaussianFamily,
-    harmonic_ground_density,
-    harmonic_potential,
     helium_preset,
     lj_harmonic,
-    pseudo_gaussian_log_density,
     square_well_solve,
+)
+from qhydro.potentials import (
+    harmonic_ground_density,
+    harmonic_potential,
+    pseudo_gaussian_log_density,
 )
 from qhydro.qpotential import growth_exponent, quantum_force_from_log, quantum_potential
 from qhydro.scales import convergence_test, correlation_length

@@ -11,7 +11,7 @@ from qhydro.cases import (
     lindemann,
 )
 from qhydro.errors import ValidationError
-from qhydro.potentials import MaterialParams, helium_preset
+from qhydro.params import MaterialParams, helium_preset
 from qhydro.scales import correlation_length
 
 HE = helium_preset()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qhydro
-from qhydro import cli
+from qhydro import cli, noise
 from qhydro.cli import COMMAND_KEYS, _build_parser, _lag_means, _load, main
 from qhydro.config import _CONVERTERS, ExperimentConfig, apply_overrides
 from qhydro.constants import parse_quantity
@@ -117,6 +117,7 @@ INI_FILES = {
     "overflowing-mu": "[noise]\ntheta = 2.17 K\nmobility_mu = 1e308\n",
 }
 LINDEMANN_LINE = "lindemann: lambda_q / r_0 = 0.23570 (band 0.2-0.25: inside)\n"
+CLASSIFY_WITHOUT_LAMBDA_Q = ["classify", "--theta", "2.17 K", "--delta-L", "2e-11"]
 
 
 def unread(command, key):
@@ -220,6 +221,10 @@ OUTCOMES = [
                        "--lambda-q", "inf", "--decay-h", "1.2"], 0,
      "regime = nonlocal_deterministic, decay class = asymptotically_vanishing\n",
      ""),
+    # an unset lambda_q is infinite, so the README call's --lambda-q inf
+    # changes nothing
+    ("classify-without-lambda-q", CLASSIFY_WITHOUT_LAMBDA_Q, 0,
+     "regime = nonlocal_deterministic\n", ""),
     ("case-helium-line", ["case", "helium"], 0,
      "helium: theta* = 2.4757 K (reference 2.17 K), E0 = -5.1558 kB\n", ""),
     # the case study integrates on its own grid, so it reads no [grid] key,
@@ -464,23 +469,34 @@ SCALAR_COMMANDS = {name: argv for name, (kind, argv, _) in golden.ROWS.items()
                    if kind == "text" and argv[0] != "simulate"}
 SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
                     "--set", "noise.theta=2.17 K", "--set", "integrator.t_end=2e-15"]
-# modules a cold command must not load unless its row allows them: the
-# integrator, the noise generator (whose secrets import loads hashlib) and
-# its FFT, the summary writer's hashlib and json, scipy (its import would
-# dominate every cold call) and concurrent.futures (the sampler starts no
-# thread)
-COLD_FORBIDDEN = ("numpy.random", "numpy.fft", "hashlib", "json",
-                  "qhydro.dynamics", "scipy", "concurrent.futures")
+# the modules a cold command loads only when it runs them: numpy (lambda-c
+# and classify are closed forms), the integrator and the noise layer, the
+# noise generator (whose secrets import loads hashlib) and its FFT, the
+# summary writer with its hashlib and json, configparser (only a config
+# file needs it), scipy (its import would dominate every cold call) and
+# concurrent.futures (the sampler starts no thread)
+COLD_WATCHED = ("numpy", "numpy.random", "numpy.fft", "hashlib", "json",
+                "configparser", "qhydro.dynamics", "qhydro.noise",
+                "qhydro.output", "scipy", "concurrent.futures")
+# the README scalar commands that sample a profile on a grid
+ARRAY_COMMANDS = ("lambda-q", "case-lindemann", "case-helium")
+# name, commands run in one fresh interpreter, the watched modules they load
 COLD_ROWS = [
-    *((name, [argv], ()) for name, argv in SCALAR_COMMANDS.items()),
+    *((name, [argv], ("numpy",) if name in ARRAY_COMMANDS else ())
+      for name, argv in SCALAR_COMMANDS.items()),
+    ("classify-without-lambda-q", [CLASSIFY_WITHOUT_LAMBDA_Q], ()),
     ("case-helium+stochastic-simulate",
      [SCALAR_COMMANDS["case-helium"], SHORT_STOCHASTIC],
-     ("qhydro.dynamics", "numpy.random", "numpy.fft", "hashlib")),
+     ("numpy", "qhydro.dynamics", "qhydro.noise", "numpy.random", "numpy.fft",
+      "hashlib")),
     ("lambda-c-json", [[*SCALAR_COMMANDS["lambda-c"], "--json", "{tmp}/lc.json"]],
-     ("hashlib", "json")),
+     ("qhydro.output", "hashlib", "json")),
+    ("lambda-c-config", [["lambda-c", "--config", "{tmp}/theta.ini"]],
+     ("configparser",)),
     ("simulate-csv-json",
      [["simulate", *FAST_SIM, "--csv", "{tmp}/run.csv", "--json", "{tmp}/run.json"]],
-     ("qhydro.dynamics", "hashlib", "json")),
+     ("numpy", "qhydro.dynamics", "qhydro.noise", "qhydro.output", "hashlib",
+      "json")),
 ]
 
 
@@ -491,27 +507,27 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-@pytest.mark.parametrize("commands, allowed",
+@pytest.mark.parametrize("commands, loads",
                          [row[1:] for row in COLD_ROWS],
                          ids=[row[0] for row in COLD_ROWS])
-def test_cold_command_loads_only_what_it_runs(tmp_path, commands, allowed):
-    # in a fresh interpreter, each command exits 0 and loads none of the
-    # forbidden modules that a bare `import numpy` does not already load
+def test_cold_command_loads_only_what_it_runs(tmp_path, commands, loads):
+    # in a fresh interpreter, each command exits 0, and of the watched
+    # modules the commands load exactly their row's
+    for name, text in INI_FILES.items():
+        (tmp_path / f"{name}.ini").write_text(text)
     argvs = [[arg.replace("{tmp}", str(tmp_path)) for arg in argv]
              for argv in commands]
-    forbidden = [m for m in COLD_FORBIDDEN if m not in allowed]
     code = ("import sys\n"
-            "import numpy\n"
             "bare = set(sys.modules)\n"
             "from qhydro.cli import main\n"
             f"for argv in {argvs!r}:\n"
             "    assert main(argv) == 0, argv\n"
-            f"forbidden = {forbidden!r}\n"
-            "print(sorted(m for m in set(sys.modules) - bare\n"
-            "             if any(m == f or m.startswith(f + '.') for f in forbidden)))\n")
+            "loaded = set(sys.modules) - bare\n"
+            f"print(sorted(w for w in {COLD_WATCHED!r}\n"
+            "             if any(m == w or m.startswith(w + '.') for m in loaded)))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=child_env())
-    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == []
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == sorted(loads)
     for out in (a for argv in argvs for a in argv if a.startswith(str(tmp_path))):
         assert Path(out).is_file()
         if out.endswith(".json"):
@@ -543,9 +559,9 @@ SMALL_AUDIT = ["noise-audit", "--theta", "2.17 K",
 
 
 def record_audit_draws(monkeypatch):
-    """(stream, count, rng, reduced rows) of every cli.sample_fields call."""
+    """(stream, count, rng, reduced rows) of every noise.sample_fields call."""
     calls = []
-    real = cli.sample_fields
+    real = noise.sample_fields
 
     def recording(model, grid, stream, count, rng=None, *, reduce=None):
         assert reduce is not None
@@ -553,7 +569,7 @@ def record_audit_draws(monkeypatch):
         calls.append((stream, count, rng, rows.copy()))
         return rows
 
-    monkeypatch.setattr(cli, "sample_fields", recording)
+    monkeypatch.setattr(noise, "sample_fields", recording)
     return calls
 
 

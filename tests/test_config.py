@@ -19,7 +19,7 @@ from qhydro.errors import ValidationError
 from qhydro.grids import Grid
 from qhydro.cli import COMMAND_KEYS
 from qhydro.output import config_hash, summary_record
-from qhydro.potentials import helium_preset, square_well_solve
+from qhydro.params import helium_preset, square_well_solve
 
 
 def test_parse_quantity_units():
@@ -210,7 +210,7 @@ def test_plain_number_key_rejects_a_unit_suffix(dotted):
 
 
 def test_default_config_is_pinned():
-    # the grid is a grids.Grid and the integrator section extends the
+    # the grid is a params.Grid and the integrator section extends the
     # dynamics settings, with the keys and order of the flat sections they
     # replaced, less the density floor, which is a qpotential constant, and
     # the CFL safety, a constant of the bound; the boundary is the grid's

@@ -27,12 +27,11 @@ from qhydro.dynamics import (
 from qhydro.errors import CflError, StepRejected, ValidationError
 from qhydro.grids import Field, Grid, integral
 from qhydro.noise import NoiseModel, RandomStream, noise_amplitude, sample_fields
+from qhydro.params import helium_preset, lj_harmonic
 from qhydro.potentials import (
     free_gaussian_density,
     harmonic_ground_density,
     harmonic_potential,
-    helium_preset,
-    lj_harmonic,
 )
 from qhydro.qpotential import DENSITY_FLOOR_FRACTION, quantum_potential, vqu_kernel
 

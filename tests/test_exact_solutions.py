@@ -21,7 +21,7 @@ import numpy as np
 from qhydro.constants import HBAR
 from qhydro.dynamics import IntegratorConfig, cfl_limit, initial_state, run
 from qhydro.grids import Field, Grid
-from qhydro.potentials import helium_preset
+from qhydro.params import helium_preset
 
 MASS = helium_preset().mass
 SIGMA0 = 1e-10

@@ -6,11 +6,11 @@ from qhydro.errors import UnderResolvedError, ValidationError
 from qhydro.grids import (
     Field,
     Grid,
-    check_length,
     integral,
     quadrature_weights,
     stencil_derivative,
 )
+from qhydro.params import check_length
 
 
 def test_spacing_simple():

@@ -278,6 +278,43 @@ def test_drawn_modes_hold_the_kernel_at_every_grid_lag(lambda_c, n_points):
         assert np.max(np.abs(fields[:, i] @ fields - lagged)) <= tolerance
 
 
+def test_periodic_draw_holds_the_kernel_at_the_wrapped_lag():
+    # a periodic grid is its own circulant, M = N = 801 = 3^2 89, and the
+    # audit's kernel reaches 399 < N / 2 lags, so the draw's exact
+    # covariance is G at the wrapped lag min(d, N - d)
+    model = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=6.6465e-27,
+                       conserving=False)
+    grid = Grid(-2e-9, 2e-9, 801, periodic=True)
+    n = grid.n_points
+    assert noise._embedding_length(model, grid) == n
+    kept = noise._spectral_filter(model, grid).size
+    fields = sample_fields(model, grid, RandomStream(0), 2 * kept - 1,
+                           BasisNormals())
+    for i in (0, n // 2, n - 1):
+        d = np.abs(np.arange(n) - i)
+        wrapped = covariance(model, np.minimum(d, n - d) * grid.spacing)
+        assert np.max(np.abs(fields[:, i] @ fields - wrapped)) <= (
+            1e-13 * model.amplitude)
+
+
+def test_periodic_noise_correlates_across_the_wrap():
+    # the first and last points of a periodic grid are neighbours: eta_0
+    # eta_(N-1) averages to what eta_0 eta_1 does (drawn as if between
+    # walls, the two read 0.015 G(0) and 0.977 G(0))
+    model = NoiseModel(theta=2.17, lambda_c=3.289826e-10, mass=6.6465e-27,
+                       conserving=False)
+    grid = Grid(-2e-9, 2e-9, 801, periodic=True)
+    eta = sample_fields(model, grid, RandomStream(31), 4000)
+    across = eta[:, 0] * eta[:, -1]
+    inside = eta[:, 0] * eta[:, 1]
+    # the two products of one draw are correlated, so their difference
+    # carries the standard error
+    difference = across - inside
+    se = float(np.std(difference, ddof=1)) / math.sqrt(len(difference))
+    assert abs(float(np.mean(difference))) < 5.0 * se
+    assert float(np.mean(across)) > 0.9 * model.amplitude
+
+
 def project(samples, grid):
     """Subtract each row's trapezoid mean, as the conserving model does."""
     mean_density = np.trapezoid(samples, dx=grid.spacing, axis=1) / grid.length
@@ -528,12 +565,14 @@ def test_sampled_covariance_matches_dense_projection(conserving, periodic):
     # reference: cov(P x) = P C P^T with P = I - 1 w^T / L, averaged along
     # each lag diagonal; w and L are the trapezoid rule's weights and
     # q_max - q_min between walls, h on every point and N h on a
-    # periodic grid
+    # periodic grid, where C takes each separation at its wrapped lag
     model = make_model(conserving=conserving)
     grid = Grid(0.0, 6.0, 61, periodic=periodic)
-    q = grid.points
-    kernel = model.amplitude * np.exp(-(((q[:, None] - q[None, :])
-                                         / model.lambda_c) ** 2))
+    n = grid.n_points
+    d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    if periodic:
+        d = np.minimum(d, n - d)
+    kernel = model.amplitude * np.exp(-((d * grid.spacing / model.lambda_c) ** 2))
     if conserving:
         w = np.full(grid.n_points, grid.spacing)
         measure = grid.n_points * grid.spacing

@@ -9,18 +9,21 @@ from hypothesis import assume, given, settings, strategies as st
 from qhydro.constants import BOHR, HBAR, K_B
 from qhydro.errors import NoBoundStateError, UnderResolvedError, ValidationError
 from qhydro.grids import Grid
-from qhydro.potentials import (
+from qhydro.params import (
     DELTA_OVER_R0,
     MaterialParams,
     PseudoGaussianFamily,
-    harmonic_ground_density,
-    harmonic_potential,
     helium_preset,
     lj_harmonic,
-    pseudo_gaussian_log_density,
-    square_well_density,
     square_well_solve,
     _bisect_root,
+)
+from qhydro.potentials import (
+    harmonic_ground_density,
+    harmonic_potential,
+    pseudo_gaussian_log_density,
+    shape_f,
+    square_well_density,
 )
 from qhydro.qpotential import (
     ASYMPTOTICALLY_VANISHING,
@@ -249,7 +252,7 @@ def test_family_validation():
 def test_center_value():
     fam = make_family("power_f")
     grid = Grid(-5.0, 5.0, 1001)
-    n = np.exp(fam.log_density(grid.points))
+    n = np.exp(pseudo_gaussian_log_density(fam, grid).values)
     center = np.argmin(np.abs(grid.points))
     assert n[center] == pytest.approx(1.0)
 
@@ -258,10 +261,10 @@ def test_center_value():
 def test_core_indistinguishable_from_gaussian(family):
     fam = make_family(family, g=1.2, h=1.3, lam=40.0)
     grid = Grid(-1.5, 1.5, 2001)
-    n = np.exp(fam.log_density(grid.points))
+    n = np.exp(pseudo_gaussian_log_density(fam, grid).values)
     r = grid.points
     pure = np.exp(-(r**2) / fam.delta_q_sq)
-    f = fam.shape_f(r)
+    f = shape_f(fam, r)
     core = r**2 <= 0.01 * fam.lam**2 * f
     assert np.max(np.abs(n[core] / pure[core] - 1.0)) < 0.01
 
