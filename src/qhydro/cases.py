@@ -14,17 +14,18 @@ Two desk-scale results fall out of the length-scale machinery:
 Each report's fields are the keys of its JSON results, with the unit in
 the name, and ``case`` writes ``dataclasses.asdict`` of the report.
 
-The lambda point is a closed form; the two studies that sample a force
-profile import numpy and the array modules when they run, so importing
-this module loads no numpy.
+The three studies, ``lindemann``, ``helium_lambda`` and
+``helium_state_check`` (the dimer bound state set beside lambda_q), are
+closed forms on the scalar layer, so neither importing this module nor
+running a case loads numpy.
 """
 
 from dataclasses import dataclass
 
 from .constants import K_B
 from .errors import ValidationError
-from .params import Grid, MaterialParams, lj_harmonic, square_well_solve
-from .scales import correlation_length, nonlocality_length
+from .params import MaterialParams, lj_harmonic, square_well_solve
+from .scales import correlation_length
 
 LINDEMANN_BAND = (0.20, 0.25)
 
@@ -33,9 +34,6 @@ HE4_LAMBDA_POINT_K = 2.17
 # quoted reference ratio for 2*Delta/r_0; inconsistent with the SI preset
 # values, which give about 0.737 (both are reported, neither adjusted)
 REFERENCE_TWO_DELTA_OVER_R0 = 0.4340
-
-# grid points of the case-study profiles
-CASE_GRID_POINTS = 4001
 
 
 @dataclass(frozen=True)
@@ -53,25 +51,13 @@ def lindemann(params: MaterialParams) -> LindemannReport:
 
     The Gaussian ground state of the harmonic well exerts the linear
     quantum force k (q - q_bar); beyond the distance delta the force is
-    negligible and is dropped entirely.  The
-    weighted-range quadrature then gives lambda_q = 2 delta regardless of
-    k, the material constants, or the probe length lambda_c (delta / 2 here).
+    negligible and is dropped entirely.  The weighted-range quadrature of
+    that profile is 2 delta regardless of k, the material constants, or
+    the probe length lambda_c (tests/test_scales.py checks it on a grid),
+    so lambda_q is 2 delta.
     """
-    import numpy as np
-
-    from .grids import Field
-    from .qpotential import QuantumForceProfile
-
-    approx = lj_harmonic(params)
-    delta = approx.delta
-    # place the truncation radius delta exactly halfway between two grid
-    # points: the trapezoid rule then integrates the jump cell exactly
-    n = CASE_GRID_POINTS + (2 - (CASE_GRID_POINTS - 1) % 4) % 4
-    grid = Grid(approx.q_bar - 2.0 * delta, approx.q_bar + 2.0 * delta, n)
-    r = grid.points - approx.q_bar
-    force = np.where(np.abs(r) > delta, 0.0, approx.k * r)
-    profile = QuantumForceProfile(Field(grid, force, "N"), approx.q_bar)
-    lam_q = nonlocality_length(profile, delta / 2.0)
+    delta = lj_harmonic(params).delta
+    lam_q = 2.0 * delta
     ratio = lam_q / params.r_0
     within = LINDEMANN_BAND[0] <= ratio <= LINDEMANN_BAND[1]
     return LindemannReport(ratio, delta / params.r_0, within, lam_q, delta)
@@ -111,9 +97,6 @@ class HeliumStateReport:
     E0_over_kB: float            # bound-state energy in kelvin units
     K0_per_m: float
     matching_residual: float
-    max_force_inside_N: float    # numeric quantum force inside the well
-    core_force_scale_N: float    # harmonic-case force at delta, for comparison
-    zero_force_inside: bool
     lambda_q_over_r0: float      # harmonic estimate
     two_delta_over_r0: float     # from the SI preset values
     reference_two_delta_over_r0: float
@@ -121,34 +104,19 @@ class HeliumStateReport:
 
 
 def helium_state_check(params: MaterialParams) -> HeliumStateReport:
-    """Solve the dimer square well and audit the flat-force interior."""
-    import numpy as np
+    """Solve the dimer square well and set its width beside lambda_q.
 
-    from .potentials import square_well_density
-    from .qpotential import quantum_force
-
+    Inside the well n = sin^2(K_0 x), so V_qu = hbar^2 K_0^2 / 2m is flat
+    and the quantum force is exactly zero there (tests/test_potentials.py
+    checks the sampled operator on that profile).
+    """
     state = square_well_solve(params)
-    # sample the bound state from the hard wall out past the decay length
-    span = state.width + 6.0 / state.kappa
-    grid = Grid(state.sigma, state.sigma + span, CASE_GRID_POINTS)
-    density = square_well_density(state, grid)
-    profile = quantum_force(density, params.mass, state.sigma)
-    q = grid.points
-    interior = (q > state.sigma + 0.1 * state.width) & \
-               (q < state.sigma + 0.9 * state.width)
-    max_force = float(np.max(np.abs(profile.force.values[interior])))
-
-    approx = lj_harmonic(params)
-    core_force = approx.k * approx.delta
     lam_q_ratio = lindemann(params).lambda_q_over_r0
     two_delta_ratio = state.width / params.r_0
     return HeliumStateReport(
         E0_over_kB=state.E_0 / K_B,
         K0_per_m=state.K_0,
         matching_residual=state.matching_residual,
-        max_force_inside_N=max_force,
-        core_force_scale_N=core_force,
-        zero_force_inside=max_force < 1e-6 * core_force,
         lambda_q_over_r0=lam_q_ratio,
         two_delta_over_r0=two_delta_ratio,
         reference_two_delta_over_r0=REFERENCE_TWO_DELTA_OVER_R0,

@@ -12,15 +12,15 @@ Exit codes: 0 success, 1 validation error (a usage error included),
 The scalar commands (lambda-c, lambda-q, classify, case) are dominated by
 import cost, so each command loads only the code it runs.  This module
 imports only the scalar layer, none of which imports numpy: ``config``,
-``params``, the closed forms of ``scales`` and ``cases`` (whose two array
-studies import what they sample with when they run; it is loaded with
-the CLI so that perfbench's tracer finds it).  lambda-c and classify
-therefore never load numpy.  Everything else is imported inside the
-command that uses it: numpy and the array modules (``grids``,
-``potentials``, ``qpotential``, ``noise``) by the commands that sample a
-grid, the integrator by simulate alone, numpy.random on the first noise
-draw, ``output`` with hashlib and json only for a --csv or --json file,
-and configparser only for a --config file.
+``params``, the closed forms of ``scales``, and ``cases``, whose three
+studies are closed forms (it is loaded with the CLI so that perfbench's
+tracer finds it).  lambda-c, classify and case therefore never load
+numpy.  Everything else is imported inside the command that uses it:
+numpy and the array modules (``grids``, ``potentials``, ``qpotential``,
+``noise``) by the commands that sample a grid, the integrator by
+simulate alone, numpy.random on the first noise draw, ``output`` with
+hashlib and json only for a --csv or --json file, and configparser only
+for a --config file.
 
 noise-audit draws all its fields in one sample_fields call that reduces
 each filtered chunk to per-field lag means (its ``reduce`` argument), so

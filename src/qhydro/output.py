@@ -6,14 +6,15 @@ use shortest round-trip representation.  JSON summaries carry the keys
 {config, results, provenance}.  The config block is the command and the
 config keys it reads, {section: {key: value}}, so it re-runs as that
 command with one --set per key; the provenance block records the
-constants, package, numpy and Python versions (numpy's from its package
-metadata, so a scalar command's record imports no numpy), the platform,
-the seed of a command that reads one, and a config hash.  The hash is
-the first 16 hex digits of the SHA-256 of the record's own config block
-with its [output] paths set to null, as canonical JSON (sorted keys, ","
-and ":" separators).  A record is strict JSON: a non-finite number is
-written as its text ("inf", "-inf"), which float() and the converters
-read back.
+constants, package, numpy and Python versions, the platform, the seed
+of a command that reads one, and a config hash.  numpy's version comes
+from the loaded module when the command imported numpy, else from its
+package metadata, so a numpy-free command's record does not import
+numpy.  The hash is the first 16 hex digits of the SHA-256 of the
+record's own config block with its [output] paths set to null, as
+canonical JSON (sorted keys, "," and ":" separators).  A record is
+strict JSON: a non-finite number is written as its text ("inf",
+"-inf"), which float() and the converters read back.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind, and a path that cannot be written is a
 ValidationError naming it, as an unreadable config is.
@@ -25,6 +26,7 @@ from functools import cache
 import math
 import os
 import platform
+import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -78,7 +80,11 @@ def config_hash(config: dict) -> str:
 
 @cache
 def _numpy_version() -> str:
-    """numpy's version, from its package metadata; read once a process."""
+    """numpy's version, read once a process: from the loaded module when
+    the command imported numpy, else from its package metadata."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return numpy.__version__
     from importlib import metadata
 
     return metadata.version("numpy")

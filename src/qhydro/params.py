@@ -1,12 +1,12 @@
 """The objects a config's sections build, and the closed forms on them.
 
 This is the scalar layer's model: nothing here imports numpy, so a command
-that needs no array (lambda-c, classify) never loads it.  ``Grid.points``
-is the one array here, and it imports numpy when it is read.  Each
-object checks its own values when it is built, with messages that name
-the config keys that set them, so a config file's bad value fails when
-the config loads.  The field annotations are real types, not strings,
-because ``qhydro.config`` reads each field's type to choose its
+that needs no array (lambda-c, classify, case) never loads it.
+``Grid.points`` is the one array here, and it imports numpy when it is
+read.  Each object checks its own values when it is built, with messages
+that name the config keys that set them, so a config file's bad value
+fails when the config loads.  The field annotations are real types, not
+strings, because ``qhydro.config`` reads each field's type to choose its
 converter.
 
   * ``Grid`` is [grid]: the uniform 1-D grid, which owns its boundary.

@@ -469,17 +469,20 @@ SCALAR_COMMANDS = {name: argv for name, (kind, argv, _) in golden.ROWS.items()
                    if kind == "text" and argv[0] != "simulate"}
 SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
                     "--set", "noise.theta=2.17 K", "--set", "integrator.t_end=2e-15"]
-# the modules a cold command loads only when it runs them: numpy (lambda-c
-# and classify are closed forms), the integrator and the noise layer, the
-# noise generator (whose secrets import loads hashlib) and its FFT, the
-# summary writer with its hashlib and json, configparser (only a config
-# file needs it), scipy (its import would dominate every cold call) and
-# concurrent.futures (the sampler starts no thread)
+# the modules a cold command loads only when it runs them: numpy (lambda-c,
+# classify and the case studies are closed forms), the integrator and the
+# noise layer, the noise generator (whose secrets import loads hashlib) and
+# its FFT, the summary writer with its hashlib and json, configparser (only
+# a config file needs it), scipy (its import would dominate every cold
+# call), concurrent.futures (the sampler starts no thread) and
+# importlib.metadata (a record reads numpy's version there only when numpy
+# is not loaded)
 COLD_WATCHED = ("numpy", "numpy.random", "numpy.fft", "hashlib", "json",
                 "configparser", "qhydro.dynamics", "qhydro.noise",
-                "qhydro.output", "scipy", "concurrent.futures")
+                "qhydro.output", "scipy", "concurrent.futures",
+                "importlib.metadata")
 # the README scalar commands that sample a profile on a grid
-ARRAY_COMMANDS = ("lambda-q", "case-lindemann", "case-helium")
+ARRAY_COMMANDS = ("lambda-q",)
 # name, commands run in one fresh interpreter, the watched modules they load
 COLD_ROWS = [
     *((name, [argv], ("numpy",) if name in ARRAY_COMMANDS else ())
@@ -490,7 +493,7 @@ COLD_ROWS = [
      ("numpy", "qhydro.dynamics", "qhydro.noise", "numpy.random", "numpy.fft",
       "hashlib")),
     ("lambda-c-json", [[*SCALAR_COMMANDS["lambda-c"], "--json", "{tmp}/lc.json"]],
-     ("qhydro.output", "hashlib", "json")),
+     ("qhydro.output", "hashlib", "json", "importlib.metadata")),
     ("lambda-c-config", [["lambda-c", "--config", "{tmp}/theta.ini"]],
      ("configparser",)),
     ("simulate-csv-json",
@@ -900,11 +903,9 @@ HELIUM_SECTION_KEYS = {
     "lambda_point": {"lambda_c_at_reference_m", "lambda_c_at_theta_star_m",
                      "note", "reference_theta_K", "theta_star_K",
                      "two_delta_m"},
-    "bound_state": {"E0_over_kB", "K0_per_m", "core_force_scale_N",
-                    "lambda_q_over_r0", "matching_residual",
-                    "max_force_inside_N", "ordering_ok",
-                    "reference_two_delta_over_r0", "two_delta_over_r0",
-                    "zero_force_inside"},
+    "bound_state": {"E0_over_kB", "K0_per_m", "lambda_q_over_r0",
+                    "matching_residual", "ordering_ok",
+                    "reference_two_delta_over_r0", "two_delta_over_r0"},
 }
 
 
