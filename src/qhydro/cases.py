@@ -12,7 +12,7 @@ Two desk-scale results fall out of the length-scale machinery:
     the He-4 lambda-transition temperature of 2.17 K.
 
 Each report's fields are the keys of its JSON results, with the unit in
-the name, and ``case`` writes ``dataclasses.asdict`` of the report.
+the name, and ``case`` writes the report's ``as_dict()``.
 
 The three studies, ``lindemann``, ``helium_lambda`` and
 ``helium_state_check`` (the dimer bound state set beside lambda_q), are
@@ -20,11 +20,9 @@ closed forms on the scalar layer, so neither importing this module nor
 running a case loads numpy.
 """
 
-from dataclasses import dataclass
-
 from .constants import K_B
 from .errors import ValidationError
-from .params import MaterialParams, lj_harmonic, square_well_solve
+from .params import MaterialParams, Record, lj_harmonic, square_well_solve
 from .scales import correlation_length
 
 LINDEMANN_BAND = (0.20, 0.25)
@@ -36,8 +34,7 @@ HE4_LAMBDA_POINT_K = 2.17
 REFERENCE_TWO_DELTA_OVER_R0 = 0.4340
 
 
-@dataclass(frozen=True)
-class LindemannReport:
+class LindemannReport(Record):
     lambda_q_over_r0: float
     delta_over_r0: float
     within_empirical_band: bool
@@ -63,8 +60,7 @@ def lindemann(params: MaterialParams) -> LindemannReport:
     return LindemannReport(ratio, delta / params.r_0, within, lam_q, delta)
 
 
-@dataclass(frozen=True)
-class LambdaPointReport:
+class LambdaPointReport(Record):
     theta_star_K: float          # solves lambda_c(Theta) = 2 Delta
     reference_theta_K: float     # quoted transition temperature
     lambda_c_at_theta_star_m: float
@@ -92,8 +88,7 @@ def helium_lambda(params: MaterialParams) -> LambdaPointReport:
     )
 
 
-@dataclass(frozen=True)
-class HeliumStateReport:
+class HeliumStateReport(Record):
     E0_over_kB: float            # bound-state energy in kelvin units
     K0_per_m: float
     matching_residual: float

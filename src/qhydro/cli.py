@@ -20,7 +20,8 @@ numpy and the array modules (``grids``, ``potentials``, ``qpotential``,
 ``noise``) by the commands that sample a grid, the integrator by
 simulate alone, numpy.random on the first noise draw, ``output`` with
 hashlib and json only for a --csv or --json file, and configparser only
-for a --config file.
+for a --config file.  A record names numpy's version only for the
+commands that load it, ``NUMPY_COMMANDS``.
 
 noise-audit draws all its fields in one sample_fields call that reduces
 each filtered chunk to per-field lag means (its ``reduce`` argument), so
@@ -34,7 +35,6 @@ overflow fails the audit as a numerical error.
 from __future__ import annotations
 
 import argparse
-from dataclasses import asdict
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -352,7 +352,7 @@ def _cmd_classify(cfg: ExperimentConfig) -> tuple[dict, str]:
 
 def _cmd_lindemann(cfg: ExperimentConfig) -> tuple[dict, str]:
     report = cases.lindemann(cfg.material)
-    return asdict(report), (
+    return report.as_dict(), (
         f"lindemann: lambda_q / r_0 = {report.lambda_q_over_r0:.5f} "
         f"(band {cases.LINDEMANN_BAND[0]}-{cases.LINDEMANN_BAND[1]}: "
         f"{'inside' if report.within_empirical_band else 'outside'})")
@@ -361,8 +361,8 @@ def _cmd_lindemann(cfg: ExperimentConfig) -> tuple[dict, str]:
 def _cmd_helium(cfg: ExperimentConfig) -> tuple[dict, str]:
     lam_report = cases.helium_lambda(cfg.material)
     state_report = cases.helium_state_check(cfg.material)
-    results = {"lambda_point": asdict(lam_report),
-               "bound_state": asdict(state_report)}
+    results = {"lambda_point": lam_report.as_dict(),
+               "bound_state": state_report.as_dict()}
     return results, (f"helium: theta* = {lam_report.theta_star_K:.4f} K "
                      f"(reference {lam_report.reference_theta_K} K), "
                      f"E0 = {state_report.E0_over_kB:.4f} kB")
@@ -432,6 +432,8 @@ _COMMANDS = {"simulate": _cmd_simulate, "lambda-c": _cmd_lambda_c,
              "lambda-q": _cmd_lambda_q, "classify": _cmd_classify,
              "case lindemann": _cmd_lindemann, "case helium": _cmd_helium,
              "noise-audit": _cmd_noise_audit}
+# the commands that sample a grid, so load numpy and record its version
+NUMPY_COMMANDS = frozenset({"simulate", "lambda-q", "noise-audit"})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -443,8 +445,9 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.output.json:
             from .output import summary_record, write_summary
 
-            write_summary(summary_record(cfg, command, COMMAND_KEYS[command],
-                                         results), cfg.output.json)
+            write_summary(summary_record(
+                cfg, command, COMMAND_KEYS[command], results,
+                uses_numpy=command in NUMPY_COMMANDS), cfg.output.json)
         print(line)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

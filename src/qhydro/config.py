@@ -3,12 +3,13 @@
 Configs are INI-style documents with sections [experiment], [material],
 [grid], [integrator], [noise], [output].  Every key has a documented
 default; unknown sections or keys are rejected by name.  Each key is
-declared once, as a field of its section's dataclass, and is read by the
-converter of the field's type: a float takes a unit suffix ("7.9 Bohr",
-"10.9 kB", "2.17K") and is converted to SI at this boundary, and an
-optional value reads "" and "none" as unset.  ``_KEY_CONVERTERS`` names
-the six keys whose type does not say how to read them: the five plain
-numbers, which take no suffix, and lambda_q_override, which reads "inf".
+declared once, as a field of its section's ``params.Record`` class, whose
+``fields`` table gives its type, and is read by the converter of that
+type: a float takes a unit suffix ("7.9 Bohr", "10.9 kB", "2.17K") and
+is converted to SI at this boundary, and an optional value reads "" and
+"none" as unset.  ``_KEY_CONVERTERS`` names the six keys whose type does
+not say how to read them: the five plain numbers, which take no suffix,
+and lambda_q_override, which reads "inf".
 
 A value reaches a config by one route: ``apply_overrides`` looks up each
 "section.key", converts its text and names the key in any error.  A parsed
@@ -35,13 +36,12 @@ Which keys a command reads is the CLI's table, ``cli.COMMAND_KEYS``, and
 a JSON summary records those keys alone (``output.summary_record``).
 """
 
-from dataclasses import dataclass, field, fields, replace
 import io
 import math
 
 from .constants import parse_quantity
 from .errors import ValidationError
-from .params import Grid, MaterialParams, PseudoGaussianFamily, helium_preset
+from .params import Grid, MaterialParams, PseudoGaussianFamily, Record, helium_preset
 
 INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
 POTENTIALS = ("none", "harmonic", "square_well")
@@ -90,8 +90,7 @@ def length_or_inf(text: str) -> float:
     return quantity(text)
 
 
-@dataclass(frozen=True)
-class ExperimentSection:
+class ExperimentSection(Record):
     seed: int = 12345
     initial: str = "free_gaussian"
     initial_width: float = 1e-10        # m, Gaussian sigma of the start density
@@ -133,8 +132,7 @@ class ExperimentSection:
                                     self.tail_scale, self.family_g, self.family_h)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Record):
     """Settings of the time integrator (``qhydro.dynamics``)."""
 
     dt: float
@@ -147,7 +145,6 @@ class IntegratorConfig:
             raise ValidationError(f"integrator.scheme must be one of {SCHEMES}")
 
 
-@dataclass(frozen=True)
 class IntegratorSection(IntegratorConfig):
     """[integrator]: the integrator's settings and the run length."""
 
@@ -168,8 +165,7 @@ class IntegratorSection(IntegratorConfig):
             raise ValidationError("integrator.output_stride must be >= 1")
 
 
-@dataclass(frozen=True)
-class NoiseSection:
+class NoiseSection(Record):
     theta: float = 0.0
     lambda_c: float | None = None       # m, override of the derived length
     # s kg^-1 m^-2: the prefactor 8 m (k_B Theta)^2 / (pi^3 hbar^2) is in
@@ -186,20 +182,18 @@ class NoiseSection:
             raise ValidationError("noise.mobility_mu must be positive")
 
 
-@dataclass(frozen=True)
-class OutputSection:
+class OutputSection(Record):
     csv: str | None = None
     json: str | None = None
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: ExperimentSection = field(default_factory=ExperimentSection)
-    material: MaterialParams = field(default_factory=helium_preset)
-    grid: Grid = field(default_factory=lambda: Grid(-2e-9, 2e-9, 801))
-    integrator: IntegratorSection = field(default_factory=IntegratorSection)
-    noise: NoiseSection = field(default_factory=NoiseSection)
-    output: OutputSection = field(default_factory=OutputSection)
+class ExperimentConfig(Record):
+    experiment: ExperimentSection = ExperimentSection()
+    material: MaterialParams = helium_preset()
+    grid: Grid = Grid(-2e-9, 2e-9, 801)
+    integrator: IntegratorSection = IntegratorSection()
+    noise: NoiseSection = NoiseSection()
+    output: OutputSection = OutputSection()
 
 
 # a key is read by the converter of its field's type, unless named here:
@@ -220,14 +214,13 @@ _TYPE_CONVERTERS = {
     float | None: _optional(quantity),
     str | None: _optional(str.strip),
 }
-# section -> key -> converter; the dataclass defaults are the default table,
-# and a field of a type without a converter fails this import
+# section -> key -> converter; the sections' field defaults are the default
+# table, and a field of a type without a converter fails this import
 _CONVERTERS = {
-    section.name: {
-        key.name: _KEY_CONVERTERS.get(f"{section.name}.{key.name}",
-                                      _TYPE_CONVERTERS[key.type])
-        for key in fields(section.type)}
-    for section in fields(ExperimentConfig)}
+    section: {
+        key: _KEY_CONVERTERS.get(f"{section}.{key}", _TYPE_CONVERTERS[kind])
+        for key, kind in section_type.fields.items()}
+    for section, section_type in ExperimentConfig.fields.items()}
 
 
 def _section_converters(section: str) -> dict:
@@ -278,7 +271,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
             staged.setdefault(section, {})[key] = converters[key](raw)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"bad value for {dotted}: {exc}") from exc
-    return replace(cfg, **{
-        section: replace(getattr(cfg, section), **values)
+    return cfg.replace(**{
+        section: getattr(cfg, section).replace(**values)
         for section, values in staged.items()})
 

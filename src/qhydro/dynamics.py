@@ -72,7 +72,6 @@ that include them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -88,14 +87,13 @@ from .constants import CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
 from .grids import Field, derivative_kernel, integral
 from .noise import NoiseModel, RandomStream, sample_fields
-from .params import Grid
+from .params import Grid, Record
 from .qpotential import floored_density, vqu_from_curvature, vqu_kernel
 
 FORCE_TAPER_FRACTION = 1e-8
 
 
-@dataclass(frozen=True)
-class HydroState:
+class HydroState(Record):
     """Density and velocity at one instant.
 
     ``y`` is the (2, N) array of rows [n (1/m), v (m/s)] that the step
@@ -373,8 +371,7 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     return _stepped(state, dt, y1)
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(Record):
     time: float
     norm: float
     mean_q: float
@@ -384,8 +381,7 @@ class Snapshot:
     e_qu: float
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     snapshots: list[Snapshot]
     final_state: HydroState
     failure: str | None = None

@@ -19,16 +19,13 @@ length a run samples, hold no array, so they live in the scalar layer,
 ``qhydro.params``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
-from .params import Grid
+from .params import Grid, Record
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Sampled real profile on a grid, with a loose unit tag."""
 
     grid: Grid

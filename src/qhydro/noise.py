@@ -50,7 +50,6 @@ that ``params.check_length`` finds resolves lambda_c: h < lambda_c / 2.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import math
 
@@ -59,11 +58,10 @@ import numpy as np
 from .constants import HBAR, K_B
 from .errors import ValidationError
 from .grids import integral, quadrature_weights
-from .params import Grid, check_length
+from .params import Grid, Record, check_length
 
 
-@dataclass(frozen=True)
-class RandomStream:
+class RandomStream(Record):
     """Seeded RNG wrapper: identical seeds give identical sample sequences."""
 
     seed: int
@@ -92,8 +90,7 @@ def noise_amplitude(mass: float, theta: float, mobility_mu: float) -> float:
     return amplitude
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Gaussian-kernel noise: amplitude from (mass, Theta, mu), length lambda_c."""
 
     theta: float                 # K

@@ -7,14 +7,14 @@ use shortest round-trip representation.  JSON summaries carry the keys
 config keys it reads, {section: {key: value}}, so it re-runs as that
 command with one --set per key; the provenance block records the
 constants, package, numpy and Python versions, the platform, the seed
-of a command that reads one, and a config hash.  numpy's version comes
-from the loaded module when the command imported numpy, else from its
-package metadata, so a numpy-free command's record does not import
-numpy.  The hash is the first 16 hex digits of the SHA-256 of the
-record's own config block with its [output] paths set to null, as
-canonical JSON (sorted keys, "," and ":" separators).  A record is
-strict JSON: a non-finite number is written as its text ("inf",
-"-inf"), which float() and the converters read back.
+of a command that reads one, and a config hash.  numpy's version is that
+of the module the command ran on, and null for a command that runs no
+numpy (lambda-c, classify, case), whose result does not depend on it.
+The hash is the first 16 hex digits of the SHA-256 of the record's own
+config block with its [output] paths set to null, as canonical JSON
+(sorted keys, "," and ":" separators).  A record is strict JSON: a
+non-finite number is written as its text ("inf", "-inf"), which float()
+and the converters read back.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind, and a path that cannot be written is a
 ValidationError naming it, as an unreadable config is.
@@ -22,7 +22,6 @@ ValidationError naming it, as an unreadable config is.
 
 from __future__ import annotations
 
-from functools import cache
 import math
 import os
 import platform
@@ -78,21 +77,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@cache
-def _numpy_version() -> str:
-    """numpy's version, read once a process: from the loaded module when
-    the command imported numpy, else from its package metadata."""
-    numpy = sys.modules.get("numpy")
-    if numpy is not None:
-        return numpy.__version__
-    from importlib import metadata
-
-    return metadata.version("numpy")
-
-
 def summary_record(cfg: ExperimentConfig, command: str, keys,
-                   results: dict) -> dict:
-    """The summary of ``command``, whose config block holds ``keys``."""
+                   results: dict, *, uses_numpy: bool) -> dict:
+    """The summary of ``command``, whose config block holds ``keys``; a
+    command that ``uses_numpy`` records the version it loaded."""
     config = {"command": command}
     for section, _, key in (dotted.partition(".") for dotted in keys):
         config.setdefault(section, {})[key] = getattr(getattr(cfg, section), key)
@@ -100,7 +88,7 @@ def summary_record(cfg: ExperimentConfig, command: str, keys,
     provenance = {
         "package": "qhydro",
         "version": __version__,
-        "numpy": _numpy_version(),
+        "numpy": sys.modules["numpy"].__version__ if uses_numpy else None,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "constants": {

@@ -9,6 +9,16 @@ fails when the config loads.  The field annotations are real types, not
 strings, because ``qhydro.config`` reads each field's type to choose its
 converter.
 
+  * ``Record`` is the one way qhydro declares a value object, here and in
+    every other module.  A subclass lists its fields as annotated class
+    attributes, each class attribute a default; ``Cls.fields`` maps them
+    to their types.  A record binds positional and keyword arguments to
+    its fields, runs ``__post_init__``, and is then frozen, compared and
+    hashed by type and field values; ``replace`` rebuilds it through the
+    checks, and ``as_dict`` gives its fields by name.  It is a plain base
+    class rather than the standard library's class decorator, whose import
+    (inspect, ast, dis, tokenize) and per-class code generation took about
+    a quarter of a cold closed-form command.
   * ``Grid`` is [grid]: the uniform 1-D grid, which owns its boundary.
     ``Grid.periodic`` is the one place the boundary is stated; the
     stencils, the quadrature (``qhydro.grids``) and every caller of them
@@ -26,7 +36,6 @@ converter.
     ``potentials.pseudo_gaussian_log_density``.
 """
 
-from dataclasses import dataclass
 import math
 
 from .constants import BOHR, HBAR, K_B
@@ -37,9 +46,80 @@ DELTA_OVER_R0 = 0.11785
 
 FAMILIES = ("constant_f", "linear_f", "log_f", "power_f")
 
+_MISSING = object()
 
-@dataclass(frozen=True)
-class Grid:
+
+class Record:
+    """A frozen value object, built and checked once (module docstring).
+
+    A subclass's fields are its annotated names, base classes' first, and
+    the class attribute of a field's name is its default.  ``Cls.fields``
+    maps each field's name to its declared type.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = {}
+        for klass in reversed(cls.__mro__):
+            fields.update(vars(klass).get("__annotations__", {}))
+        cls.fields = fields
+        cls._defaults = {name: getattr(cls, name) for name in fields
+                         if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        given = dict(zip(cls.fields, args))
+        if len(given) < len(args):
+            raise TypeError(f"{cls.__name__} takes {len(cls.fields)} fields, "
+                            f"not {len(args)}")
+        for name in kwargs:
+            if name not in cls.fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in given:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+        given.update(kwargs)
+        for name in cls.fields:
+            value = given.get(name, cls._defaults.get(name, _MISSING))
+            if value is _MISSING:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        # looked up now, not at class creation, so a patched check runs
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a subclass with values to check overrides it."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def replace(self, **changes):
+        """A copy with ``changes``, built, and so checked, anew."""
+        return type(self)(**{**self.as_dict(), **changes})
+
+    def as_dict(self) -> dict:
+        """The fields by name, in field order."""
+        return {name: getattr(self, name) for name in self.fields}
+
+
+class Grid(Record):
     q_min: float
     q_max: float
     n_points: int
@@ -90,8 +170,7 @@ def check_length(name: str, length: float, grid: Grid,
             f"[{grid.q_min:.3e}, {grid.q_max:.3e}] m")
 
 
-@dataclass(frozen=True)
-class MaterialParams:
+class MaterialParams(Record):
     """Pair-interaction material constants (SI)."""
 
     mass: float                  # kg
@@ -120,8 +199,7 @@ def helium_preset() -> MaterialParams:
                           r_0=7.9 * BOHR, half_width=1.54e-10)
 
 
-@dataclass(frozen=True)
-class HarmonicApprox:
+class HarmonicApprox(Record):
     """Harmonic expansion of the pair well about its reduced equilibrium."""
 
     k: float                     # N/m, curvature U (12/r_0)^2
@@ -148,8 +226,7 @@ def lj_harmonic(params: MaterialParams) -> HarmonicApprox:
     )
 
 
-@dataclass(frozen=True)
-class SquareWellState:
+class SquareWellState(Record):
     """Lowest bound state of the hard-wall square well."""
 
     K_0: float                   # 1/m, interior wave number
@@ -229,8 +306,7 @@ def square_well_solve(params: MaterialParams) -> SquareWellState:
     )
 
 
-@dataclass(frozen=True)
-class PseudoGaussianFamily:
+class PseudoGaussianFamily(Record):
     """Gaussian-core density with a family-selected slower tail.
 
     Built from the [experiment] keys named beside each field, which it

@@ -27,7 +27,6 @@ route: ``quantum_force_from_log`` -> ``growth_exponent`` ->
 ``scales.nonlocality_length``.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
 from .grids import Field, stencil_derivative
-from .params import Grid
+from .params import Grid, Record
 from .scales import (
     ASYMPTOTICALLY_VANISHING,
     BALLISTIC,
@@ -57,8 +56,7 @@ TAIL_WINDOW = (0.25, 0.05)
 MIN_TAIL_POINTS = 8
 
 
-@dataclass(frozen=True)
-class QuantumForceProfile:
+class QuantumForceProfile(Record):
     """Quantum force -dV_qu/dq on its grid, radial about ``origin``."""
 
     force: Field                 # N
@@ -71,8 +69,7 @@ class QuantumForceProfile:
         return q[mask] - self.origin, np.abs(self.force.values[mask])
 
 
-@dataclass(frozen=True)
-class DecayClass:
+class DecayClass(Record):
     label: str
     fitted_exponent: float       # a in |q^-1 dV_qu/dq| ~ q^a (-inf for zero force)
     coefficient: float = 0.0     # C in C * q^a over the fit window

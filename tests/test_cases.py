@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,7 +86,7 @@ def test_e0_in_kelvin_band():
 
 def test_serialization_dicts():
     # a report's fields are its JSON keys; the band is a field default
-    assert asdict(helium_lambda(HE))["theta_star_K"] > 0
-    d = asdict(lindemann(HE))
+    assert helium_lambda(HE).as_dict()["theta_star_K"] > 0
+    d = lindemann(HE).as_dict()
     assert d["within_empirical_band"] is True
     assert d["band"] == LINDEMANN_BAND == (0.20, 0.25)

@@ -474,32 +474,33 @@ SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
 # noise layer, the noise generator (whose secrets import loads hashlib) and
 # its FFT, the summary writer with its hashlib and json, configparser (only
 # a config file needs it), scipy (its import would dominate every cold
-# call), concurrent.futures (the sampler starts no thread) and
-# importlib.metadata (a record reads numpy's version there only when numpy
-# is not loaded)
+# call), concurrent.futures (the sampler starts no thread),
+# importlib.metadata (a record reads no package metadata), dataclasses (no
+# row may load it: params.Record declares every value object) and inspect
+# (numpy imports it, and nothing else does)
 COLD_WATCHED = ("numpy", "numpy.random", "numpy.fft", "hashlib", "json",
                 "configparser", "qhydro.dynamics", "qhydro.noise",
                 "qhydro.output", "scipy", "concurrent.futures",
-                "importlib.metadata")
+                "importlib.metadata", "dataclasses", "inspect")
 # the README scalar commands that sample a profile on a grid
 ARRAY_COMMANDS = ("lambda-q",)
 # name, commands run in one fresh interpreter, the watched modules they load
 COLD_ROWS = [
-    *((name, [argv], ("numpy",) if name in ARRAY_COMMANDS else ())
+    *((name, [argv], ("numpy", "inspect") if name in ARRAY_COMMANDS else ())
       for name, argv in SCALAR_COMMANDS.items()),
     ("classify-without-lambda-q", [CLASSIFY_WITHOUT_LAMBDA_Q], ()),
     ("case-helium+stochastic-simulate",
      [SCALAR_COMMANDS["case-helium"], SHORT_STOCHASTIC],
      ("numpy", "qhydro.dynamics", "qhydro.noise", "numpy.random", "numpy.fft",
-      "hashlib")),
+      "hashlib", "inspect")),
     ("lambda-c-json", [[*SCALAR_COMMANDS["lambda-c"], "--json", "{tmp}/lc.json"]],
-     ("qhydro.output", "hashlib", "json", "importlib.metadata")),
+     ("qhydro.output", "hashlib", "json")),
     ("lambda-c-config", [["lambda-c", "--config", "{tmp}/theta.ini"]],
      ("configparser",)),
     ("simulate-csv-json",
      [["simulate", *FAST_SIM, "--csv", "{tmp}/run.csv", "--json", "{tmp}/run.json"]],
      ("numpy", "qhydro.dynamics", "qhydro.noise", "qhydro.output", "hashlib",
-      "json")),
+      "json", "inspect")),
 ]
 
 
@@ -537,6 +538,8 @@ def test_cold_command_loads_only_what_it_runs(tmp_path, commands, loads):
             record = json.loads(Path(out).read_text())
             digest = record["provenance"]["config_sha256_16"]
             assert re.fullmatch("[0-9a-f]{16}", digest)
+            # a record names numpy's version exactly when its command loaded it
+            assert (record["provenance"]["numpy"] is None) == ("numpy" not in loads)
 
 
 @pytest.mark.parametrize("lag", [0, 4, 8, 199])
@@ -939,14 +942,15 @@ def test_empty_trajectory_csv_is_header_only():
 
 
 def simulate_block(cfg):
-    return summary_record(cfg, "simulate", COMMAND_KEYS["simulate"], {})["config"]
+    return summary_record(cfg, "simulate", COMMAND_KEYS["simulate"], {},
+                          uses_numpy=True)["config"]
 
 
 def test_config_hash_tracks_content():
     base = simulate_block(ExperimentConfig())
     assert config_hash(base) == config_hash(simulate_block(ExperimentConfig()))
     record = summary_record(ExperimentConfig(), "simulate",
-                            COMMAND_KEYS["simulate"], {"x": 1})
+                            COMMAND_KEYS["simulate"], {"x": 1}, uses_numpy=True)
     assert record["config"] == base
     assert record["provenance"]["config_sha256_16"] == config_hash(base)
     assert len(config_hash(base)) == 16
@@ -1017,9 +1021,14 @@ def test_provenance_records_versions_and_platform(tmp_path, capsys):
                      capsys)
     assert code == 0
     provenance = json.loads(path.read_text())["provenance"]
-    assert provenance["numpy"] == np.__version__
+    # lambda-c runs no numpy, so its result does not depend on numpy's version
+    assert provenance["numpy"] is None
     assert provenance["python"] == platform.python_version()
     assert provenance["platform"] == platform.platform()
+    path = tmp_path / "lq.json"
+    code, _, _ = run([*SCALAR_COMMANDS["lambda-q"], "--json", str(path)], capsys)
+    assert code == 0
+    assert json.loads(path.read_text())["provenance"]["numpy"] == np.__version__
 
 
 def traced_reads(argv):

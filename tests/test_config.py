@@ -1,4 +1,3 @@
-from dataclasses import asdict, fields
 import math
 from pathlib import Path
 import re
@@ -175,14 +174,14 @@ def test_non_finite_value_rejected(dotted, raw):
         apply_overrides(ExperimentConfig(), {dotted: raw})
 
 
-def test_converters_match_dataclass_fields():
+def test_converters_match_record_fields():
     # every field is settable, every converter sets a field, and every key
     # the per-key table names is a field
     cfg = ExperimentConfig()
-    sections = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}
+    sections = {name: getattr(cfg, name) for name in ExperimentConfig.fields}
     assert set(_CONVERTERS) == set(sections)
     for name, section in sections.items():
-        assert set(_CONVERTERS[name]) == {f.name for f in fields(section)}
+        assert set(_CONVERTERS[name]) == set(section.fields)
     for dotted in _KEY_CONVERTERS:
         section, key = dotted.split(".")
         assert key in _CONVERTERS[section]
@@ -191,10 +190,11 @@ def test_converters_match_dataclass_fields():
 PLAIN_NUMBERS = ("experiment.decay_h", "experiment.family_g", "experiment.family_h",
                  "material.depth_factor", "noise.mobility_mu")
 QUANTITIES = [
-    f"{section.name}.{key.name}"
-    for section in fields(ExperimentConfig) for key in fields(section.type)
-    if key.type in (float, float | None)
-    and f"{section.name}.{key.name}" not in PLAIN_NUMBERS]
+    f"{section}.{key}"
+    for section, section_type in ExperimentConfig.fields.items()
+    for key, kind in section_type.fields.items()
+    if kind in (float, float | None)
+    and f"{section}.{key}" not in PLAIN_NUMBERS]
 
 
 @pytest.mark.parametrize("dotted", QUANTITIES)
@@ -215,7 +215,8 @@ def test_default_config_is_pinned():
     # replaced, less the density floor, which is a qpotential constant, and
     # the CFL safety, a constant of the bound; the boundary is the grid's
     # periodic key; the material is the He-4 MaterialParams, to the last bit
-    record = asdict(ExperimentConfig())
+    cfg = ExperimentConfig()
+    record = {name: getattr(cfg, name).as_dict() for name in cfg.fields}
     assert list(record["material"].items()) == [
         ("mass", 6.6465e-27), ("well_depth", 1.50490741e-22),
         ("r_0", 4.1804999661337003e-10), ("sigma", None),
@@ -227,7 +228,7 @@ def test_default_config_is_pinned():
         ("dt", 1e-16), ("scheme", "deterministic_quantum"),
         ("t_end", 1e-13), ("output_stride", 10)]
     record = summary_record(ExperimentConfig(), "simulate",
-                            COMMAND_KEYS["simulate"], {})
+                            COMMAND_KEYS["simulate"], {}, uses_numpy=True)
     assert record["provenance"]["config_sha256_16"] == "7f817fe2994c8651"
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -178,7 +177,7 @@ def test_square_well_rejects_same_sign_bracket():
     # and the matching function is negative at both ends
     crit = (math.pi / 2 * HBAR / (2 * HE.half_width)) ** 2 / (
         2 * HE.mass * HE.depth_factor)
-    marginal = dataclasses.replace(HE, well_depth=crit * (1 + 4e-13))
+    marginal = HE.replace(well_depth=crit * (1 + 4e-13))
     with pytest.raises(NoBoundStateError, match="no root"):
         square_well_solve(marginal)
 
@@ -188,10 +187,10 @@ def test_square_well_rejects_same_sign_bracket():
 def test_square_well_depth_property(depth_factor, step):
     deeper_factor = min(depth_factor + step, 1.0)
     try:
-        state = square_well_solve(dataclasses.replace(HE, depth_factor=depth_factor))
+        state = square_well_solve(HE.replace(depth_factor=depth_factor))
     except NoBoundStateError:
         assume(False)
-    deeper = square_well_solve(dataclasses.replace(HE, depth_factor=deeper_factor))
+    deeper = square_well_solve(HE.replace(depth_factor=deeper_factor))
     assert state.matching_residual < 1e-10
     assert deeper.matching_residual < 1e-10
     assert deeper.E_0 < state.E_0
