@@ -21,7 +21,7 @@ numpy and the array modules (``grids``, ``potentials``, ``qpotential``,
 simulate alone, numpy.random on the first noise draw, ``output`` with
 hashlib and json only for a --csv or --json file, and configparser only
 for a --config file.  A record names numpy's version only for the
-commands that load it, ``NUMPY_COMMANDS``.
+commands that load it, ``output.NUMPY_COMMANDS``.
 
 noise-audit draws all its fields in one sample_fields call that reduces
 each filtered chunk to per-field lag means (its ``reduce`` argument), so
@@ -432,8 +432,6 @@ _COMMANDS = {"simulate": _cmd_simulate, "lambda-c": _cmd_lambda_c,
              "lambda-q": _cmd_lambda_q, "classify": _cmd_classify,
              "case lindemann": _cmd_lindemann, "case helium": _cmd_helium,
              "noise-audit": _cmd_noise_audit}
-# the commands that sample a grid, so load numpy and record its version
-NUMPY_COMMANDS = frozenset({"simulate", "lambda-q", "noise-audit"})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -446,8 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             from .output import summary_record, write_summary
 
             write_summary(summary_record(
-                cfg, command, COMMAND_KEYS[command], results,
-                uses_numpy=command in NUMPY_COMMANDS), cfg.output.json)
+                cfg, command, COMMAND_KEYS[command], results), cfg.output.json)
         print(line)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

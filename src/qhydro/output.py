@@ -77,10 +77,14 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+# the commands that sample a grid, so load numpy and record its version
+NUMPY_COMMANDS = frozenset({"simulate", "lambda-q", "noise-audit"})
+
+
 def summary_record(cfg: ExperimentConfig, command: str, keys,
-                   results: dict, *, uses_numpy: bool) -> dict:
-    """The summary of ``command``, whose config block holds ``keys``; a
-    command that ``uses_numpy`` records the version it loaded."""
+                   results: dict) -> dict:
+    """The summary of ``command``, whose config block holds ``keys``; one of
+    the ``NUMPY_COMMANDS`` records the numpy version it loaded."""
     config = {"command": command}
     for section, _, key in (dotted.partition(".") for dotted in keys):
         config.setdefault(section, {})[key] = getattr(getattr(cfg, section), key)
@@ -88,7 +92,8 @@ def summary_record(cfg: ExperimentConfig, command: str, keys,
     provenance = {
         "package": "qhydro",
         "version": __version__,
-        "numpy": sys.modules["numpy"].__version__ if uses_numpy else None,
+        "numpy": (sys.modules["numpy"].__version__
+                  if command in NUMPY_COMMANDS else None),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "constants": {

@@ -60,8 +60,10 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = {}
-        for klass in reversed(cls.__mro__):
-            fields.update(vars(klass).get("__annotations__", {}))
+        # each class's own annotations, read through the attribute (a class
+        # may keep them unevaluated, outside its __dict__); object has none
+        for klass in reversed(cls.__mro__[:-1]):
+            fields.update(klass.__annotations__)
         cls.fields = fields
         cls._defaults = {name: getattr(cls, name) for name in fields
                          if hasattr(cls, name)}

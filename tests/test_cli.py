@@ -942,15 +942,14 @@ def test_empty_trajectory_csv_is_header_only():
 
 
 def simulate_block(cfg):
-    return summary_record(cfg, "simulate", COMMAND_KEYS["simulate"], {},
-                          uses_numpy=True)["config"]
+    return summary_record(cfg, "simulate", COMMAND_KEYS["simulate"], {})["config"]
 
 
 def test_config_hash_tracks_content():
     base = simulate_block(ExperimentConfig())
     assert config_hash(base) == config_hash(simulate_block(ExperimentConfig()))
     record = summary_record(ExperimentConfig(), "simulate",
-                            COMMAND_KEYS["simulate"], {"x": 1}, uses_numpy=True)
+                            COMMAND_KEYS["simulate"], {"x": 1})
     assert record["config"] == base
     assert record["provenance"]["config_sha256_16"] == config_hash(base)
     assert len(config_hash(base)) == 16

@@ -228,7 +228,7 @@ def test_default_config_is_pinned():
         ("dt", 1e-16), ("scheme", "deterministic_quantum"),
         ("t_end", 1e-13), ("output_stride", 10)]
     record = summary_record(ExperimentConfig(), "simulate",
-                            COMMAND_KEYS["simulate"], {}, uses_numpy=True)
+                            COMMAND_KEYS["simulate"], {})
     assert record["provenance"]["config_sha256_16"] == "7f817fe2994c8651"
 
 

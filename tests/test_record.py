@@ -69,6 +69,32 @@ def test_fields_come_base_first_with_the_subclass_default():
         IntegratorConfig()
 
 
+class Deferred(type):
+    """Computes a class's annotations when they are read and keeps none in
+    its __dict__, as a class with deferred annotations (PEP 649) does."""
+
+    @property
+    def __annotations__(cls):
+        return dict(vars(cls).get("deferred", {}))
+
+
+class DeferredPair(Record, metaclass=Deferred):
+    deferred = {"a": float, "b": int}
+    b = 2
+
+
+class SamePair(Pair):
+    pass
+
+
+def test_fields_are_read_through_each_class_annotations():
+    assert DeferredPair.fields == {"a": float, "b": int}
+    assert DeferredPair(1.0).as_dict() == {"a": 1.0, "b": 2}
+    # a subclass that annotates nothing has its base's fields, once
+    assert SamePair.fields == Pair.fields
+    assert SamePair(1.0, 3).as_dict() == {"a": 1.0, "b": 3}
+
+
 def test_replace_runs_the_checks_again():
     grid = Grid(0.0, 1.0, 11)
     assert grid.replace(n_points=21) == Grid(0.0, 1.0, 21)
