@@ -61,7 +61,7 @@ ROWS = {
     "case-helium": ("text", ["case", "helium"], False),
     "square-well-abort": ("text", ["simulate",
                                    "--set", "experiment.potential=square_well",
-                                   "--set", "experiment.initial=square_well"],
+                                   "--set", "experiment.initial=ground"],
                           False),
     "criterion-8-csv": ("csv", [*STOCHASTIC, "--set", "grid.n_points=201",
                                 "--set", "integrator.t_end=2e-15",
@@ -74,7 +74,7 @@ ROWS = {
     "classical-harmonic-csv": ("csv", [
         "simulate", "--set", "integrator.scheme=classical_limit",
         "--set", "experiment.potential=harmonic",
-        "--set", "experiment.initial=harmonic_ground"], False),
+        "--set", "experiment.initial=ground"], False),
     "periodic-boost-csv": ("csv", ["simulate",
                                    "--set", "grid.periodic=true",
                                    "--set", "experiment.initial_velocity=50"],

@@ -9,6 +9,10 @@ command, so a file's other keys are only checked at load.
 Exit codes: 0 success, 1 validation error (a usage error included),
 2 numerical failure.
 
+simulate starts from a free Gaussian or from ``ground``, the ground state
+of experiment.potential, whose closed form ``_start`` builds once;
+lambda-q reads its density family from the [experiment] section as it is.
+
 The scalar commands (lambda-c, lambda-q, classify, case) are dominated by
 import cost, so each command loads only the code it runs.  This module
 imports only the scalar layer, none of which imports numpy: ``config``,
@@ -194,24 +198,10 @@ def _lambda_c(cfg: ExperimentConfig, command: str) -> float:
     return lam_c
 
 
-def _potential_field(cfg: ExperimentConfig, grid: Grid) -> Field:
-    import numpy as np
-
-    from .grids import Field
-    from .potentials import harmonic_potential, square_well_potential
-
-    kind = cfg.experiment.potential
-    params = cfg.material
-    if kind == "none":
-        return Field(grid, np.zeros(grid.n_points), "J")
-    if kind == "harmonic":
-        approx = lj_harmonic(params)
-        return harmonic_potential(approx, grid, params.well_depth)
-    state = square_well_solve(params)
-    return square_well_potential(state, grid)
-
-
-def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
+def _start(cfg: ExperimentConfig,
+           grid: Grid) -> tuple[Field, dynamics.HydroState]:
+    """The run's potential and start state, which for experiment.initial =
+    ground samples the closed form the potential samples."""
     import numpy as np
 
     from . import dynamics
@@ -219,19 +209,30 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid) -> dynamics.HydroState:
     from .potentials import (
         free_gaussian_density,
         harmonic_ground_density,
+        harmonic_potential,
         square_well_density,
+        square_well_potential,
     )
 
     e = cfg.experiment
     params = cfg.material
-    if e.initial == "free_gaussian":
-        density = free_gaussian_density(e.initial_center, e.initial_width, grid)
-    elif e.initial == "harmonic_ground":
-        density = harmonic_ground_density(lj_harmonic(params), grid)
+    ground = e.initial == "ground"
+    if e.potential == "none":
+        potential = Field(grid, np.zeros(grid.n_points), "J")
+    elif e.potential == "harmonic":
+        approx = lj_harmonic(params)
+        potential = harmonic_potential(approx, grid, params.well_depth)
+        if ground:
+            density = harmonic_ground_density(approx, grid)
     else:
-        density = square_well_density(square_well_solve(params), grid)
+        well = square_well_solve(params)
+        potential = square_well_potential(well, grid)
+        if ground:
+            density = square_well_density(well, grid)
+    if not ground:
+        density = free_gaussian_density(e.initial_center, e.initial_width, grid)
     velocity = Field(grid, np.full(grid.n_points, e.initial_velocity), "m/s")
-    return dynamics.initial_state(density, velocity)
+    return potential, dynamics.initial_state(density, velocity)
 
 
 def _noise_model(cfg: ExperimentConfig) -> NoiseModel:
@@ -250,8 +251,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> tuple[dict, str]:
 
     grid = cfg.grid
     i = cfg.integrator
-    potential = _potential_field(cfg, grid)
-    state = _initial_state(cfg, grid)
+    potential, state = _start(cfg, grid)
     noise = stream = None
     if i.scheme == dynamics.STOCHASTIC_QUANTUM:
         noise = _noise_model(cfg)
@@ -296,13 +296,13 @@ def _cmd_lambda_q(cfg: ExperimentConfig) -> tuple[dict, str]:
     from .potentials import pseudo_gaussian_log_density
     from .qpotential import growth_exponent, quantum_force_from_log
 
-    fam = cfg.experiment.tail_family()
-    log_n = pseudo_gaussian_log_density(fam, cfg.grid)
+    e = cfg.experiment
+    log_n = pseudo_gaussian_log_density(e, cfg.grid)
     profile = quantum_force_from_log(log_n, cfg.material.mass, 0.0)
     decay = growth_exponent(profile)
     lam_c = cfg.noise.lambda_c
     if lam_c is None:
-        lam_c = 2.0 * fam.core_width
+        lam_c = 2.0 * e.core_width
     lam_q = nonlocality_length(profile, lam_c, decay=decay)
     # below the first radial sample, np.interp in nonlocality_length can
     # only clamp F(lambda_c) to that sample
@@ -320,7 +320,7 @@ def _cmd_lambda_q(cfg: ExperimentConfig) -> tuple[dict, str]:
         "decay_label": decay.label,
         "lambda_c_m": lam_c,
         "lambda_c_resolved": resolved,
-        "family": fam.family,
+        "family": e.family,
     }
     rendered = "infinite" if math.isinf(lam_q) else f"{lam_q:.6e} m"
     return results, (f"lambda_q = {rendered} ({decay.label}, exponent "

@@ -22,10 +22,10 @@ whichever command reads the file: [material] is the
 ``params.Grid``, whose ``periodic`` key is the one statement of the
 boundary, and [integrator] the ``IntegratorConfig`` that ``dynamics``
 steps with, plus the run length, a whole number of steps.
-[experiment] builds its five family keys into the
-``params.PseudoGaussianFamily`` that lambda-q runs on
-(``ExperimentSection.tail_family``), and the family checks them.  The
-noise amplitude, from the material's mass and [noise], spans two
+[experiment] is ``ExperimentSection``, read as it is: a start is a free
+Gaussian or ``ground``, the ground state of its potential, which so must
+not be none, and lambda-q reads the five family keys, checked last, from
+it.  The noise amplitude, from the material's mass and [noise], spans two
 sections; the ``noise.NoiseModel`` of the commands that draw noise checks
 it.  ``IntegratorConfig`` and the scheme names live here, and ``dynamics``
 re-exports them, so the scalar commands never import the integrator to
@@ -41,10 +41,11 @@ import math
 
 from .constants import parse_quantity
 from .errors import ValidationError
-from .params import Grid, MaterialParams, PseudoGaussianFamily, Record, helium_preset
+from .params import Grid, MaterialParams, Record, helium_preset
 
-INITIAL_CONDITIONS = ("free_gaussian", "harmonic_ground", "square_well")
+INITIAL_CONDITIONS = ("free_gaussian", "ground")
 POTENTIALS = ("none", "harmonic", "square_well")
+FAMILIES = ("constant_f", "linear_f", "log_f", "power_f")
 
 DETERMINISTIC_QUANTUM = "deterministic_quantum"
 STOCHASTIC_QUANTUM = "stochastic_quantum"
@@ -92,7 +93,7 @@ def length_or_inf(text: str) -> float:
 
 class ExperimentSection(Record):
     seed: int = 12345
-    initial: str = "free_gaussian"
+    initial: str = "free_gaussian"      # or ground: the potential's ground state
     initial_width: float = 1e-10        # m, Gaussian sigma of the start density
     initial_center: float = 0.0         # m
     initial_velocity: float = 0.0       # m/s
@@ -100,9 +101,9 @@ class ExperimentSection(Record):
     delta_l: float | None = None        # m, physical length for classify
     lambda_q_override: float | None = None
     decay_h: float | None = None
-    family: str = "power_f"
-    family_g: float = 2.0
-    family_h: float = 1.0
+    family: str = "power_f"             # one of FAMILIES
+    family_g: float = 2.0               # power_f exponent, 0 < g <= 2
+    family_h: float = 1.0               # log_f exponent
     core_width: float = 1.0             # m, sqrt of the core variance parameter
     tail_scale: float = 20.0            # m, Lambda of the pseudo-Gaussian
     samples: int = 10000                # noise-audit sample count
@@ -113,6 +114,10 @@ class ExperimentSection(Record):
                 f"experiment.initial must be one of {INITIAL_CONDITIONS}")
         if self.potential not in POTENTIALS:
             raise ValidationError(f"experiment.potential must be one of {POTENTIALS}")
+        if self.initial == "ground" and self.potential == "none":
+            raise ValidationError("experiment.initial = ground is the ground "
+                                  "state of experiment.potential, which must "
+                                  "be harmonic or square_well")
         if self.initial_width <= 0:
             raise ValidationError("experiment.initial_width must be positive")
         if self.delta_l is not None and self.delta_l <= 0:
@@ -124,12 +129,26 @@ class ExperimentSection(Record):
         # a single field has no spread, so no standard error
         if self.samples < 2:
             raise ValidationError("experiment.samples must be >= 2")
-        self.tail_family()
-
-    def tail_family(self) -> PseudoGaussianFamily:
-        """The density family of the family keys, which checks them."""
-        return PseudoGaussianFamily(self.family, self.core_width,
-                                    self.tail_scale, self.family_g, self.family_h)
+        # the pseudo-Gaussian family (qhydro.potentials), checked last
+        if self.family not in FAMILIES:
+            raise ValidationError(f"experiment.family must be one of {FAMILIES}")
+        # the width is squared into Dq2, so a negative one would run as
+        # its absolute value, and one whose square underflows as Dq2 = 0
+        if self.core_width <= 0:
+            raise ValidationError("experiment.core_width must be positive")
+        if self.core_width**2 == 0.0:
+            raise ValidationError("experiment.core_width^2 underflows to 0")
+        if self.tail_scale <= 0:
+            raise ValidationError("experiment.tail_scale must be positive")
+        # the tail must not disturb the Gaussian core
+        if self.tail_scale**2 < 100.0 * self.core_width**2:
+            raise ValidationError("experiment.tail_scale^2 must be >= 100 "
+                                  "experiment.core_width^2")
+        if self.family == "power_f" and not 0.0 < self.family_g <= 2.0:
+            raise ValidationError(
+                "experiment.family_g must lie in (0, 2] for power_f")
+        if self.family == "log_f" and self.family_h <= 0:
+            raise ValidationError("experiment.family_h must be positive for log_f")
 
 
 class IntegratorConfig(Record):

@@ -31,9 +31,10 @@ converter.
     with the harmonic approximation of its pair well (``lj_harmonic``) and
     the lowest bound state of its hard-wall square well
     (``square_well_solve``, by bisection on Python floats).
-  * ``PseudoGaussianFamily`` is the five [experiment] family keys that
-    lambda-q runs on; its log-density on a grid is
-    ``potentials.pseudo_gaussian_log_density``.
+
+[experiment] has no object here: ``config.ExperimentSection`` holds its
+keys as they are read, the pseudo-Gaussian family's five among them, and
+checks them itself.
 """
 
 import math
@@ -43,8 +44,6 @@ from .errors import NoBoundStateError, UnderResolvedError, ValidationError
 
 # the documented truncation constant delta / r_0 of the harmonic quantum force
 DELTA_OVER_R0 = 0.11785
-
-FAMILIES = ("constant_f", "linear_f", "log_f", "power_f")
 
 _MISSING = object()
 
@@ -307,41 +306,3 @@ def square_well_solve(params: MaterialParams) -> SquareWellState:
         matching_residual=abs(matching(z)),
     )
 
-
-class PseudoGaussianFamily(Record):
-    """Gaussian-core density with a family-selected slower tail.
-
-    Built from the [experiment] keys named beside each field, which it
-    checks, so a config file's bad value fails when the config loads.
-    """
-
-    family: str                  # family: constant_f | linear_f | log_f | power_f
-    core_width: float            # m, core_width: sqrt of the core variance Dq2
-    lam: float                   # m, tail_scale: tail crossover scale Lambda
-    g: float = 2.0               # family_g: power_f exponent, 0 < g <= 2
-    h: float = 1.0               # family_h: log_f exponent
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"experiment.family must be one of {FAMILIES}")
-        # the width is squared into Dq2, so a negative one would run as
-        # its absolute value, and one whose square underflows as Dq2 = 0
-        if self.core_width <= 0:
-            raise ValidationError("experiment.core_width must be positive")
-        if self.delta_q_sq == 0.0:
-            raise ValidationError("experiment.core_width^2 underflows to 0")
-        if self.lam <= 0:
-            raise ValidationError("experiment.tail_scale must be positive")
-        # the tail must not disturb the Gaussian core
-        if self.lam**2 < 100.0 * self.delta_q_sq:
-            raise ValidationError("experiment.tail_scale^2 must be >= 100 "
-                                  "experiment.core_width^2")
-        if self.family == "power_f" and not 0.0 < self.g <= 2.0:
-            raise ValidationError(
-                "experiment.family_g must lie in (0, 2] for power_f")
-        if self.family == "log_f" and self.h <= 0:
-            raise ValidationError("experiment.family_h must be positive for log_f")
-
-    @property
-    def delta_q_sq(self) -> float:
-        return self.core_width**2

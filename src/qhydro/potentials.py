@@ -2,39 +2,41 @@
 
 The array half of the models that ``qhydro.params`` defines: the sampled
 harmonic approximation of a Lennard-Jones pair well and hard-wall square
-well of the helium dimer, a run's three start densities (free Gaussian,
-harmonic and square-well ground states, each checked by
-``params.check_length`` and normalised by the quadrature of their grid),
-and the log-density of the pseudo-Gaussian families: Gaussians in the core
-with slower-decaying tails, the construction that can make the nonlocality
-length finite.
+well of the helium dimer, a run's start densities (the free Gaussian, and
+the harmonic and square-well ground states that experiment.initial =
+ground takes for its potential, each checked by ``params.check_length``
+and normalised by the quadrature of their grid), and the log-density of
+the pseudo-Gaussian families: Gaussians in the core with slower-decaying
+tails, the construction that can make the nonlocality length finite.
 
-Pseudo-Gaussian densities follow
+Pseudo-Gaussian densities are read from the [experiment] section as it is
+(``config.ExperimentSection``, imported for annotations only) and follow
 
-    n(q) = exp[ -q^2 / (Dq2 (1 + q^2 / (Lam^2 f(s)))) ],   Dq2 = core_width^2,
+    n(q) = exp[ -q^2 / (Dq2 (1 + q^2 / (Lam^2 f(s)))) ],
+    Dq2 = core_width^2,   Lam = tail_scale,
 
 centred on q = 0 with n(0) = 1 (a shift or a constant factor drops out of
 every derivative), with s = |q| / core_width kept dimensionless and f one of
     constant_f: f = 1
     linear_f:   f = 1 + s
-    log_f:      f = 1 + ln(1 + s^h)
-    power_f:    f = 1 + s^g,  0 < g <= 2.
+    log_f:      f = 1 + ln(1 + s^h),  h = family_h > 0
+    power_f:    f = 1 + s^g,  g = family_g in (0, 2].
 """
 
+from __future__ import annotations
+
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grids import Field, integral
-from .params import (
-    Grid,
-    HarmonicApprox,
-    PseudoGaussianFamily,
-    SquareWellState,
-    check_length,
-)
+from .params import Grid, HarmonicApprox, SquareWellState, check_length
 # defined with the material in params; perfbench traces it under this name
 from .params import square_well_solve  # noqa: F401
+
+if TYPE_CHECKING:
+    from .config import ExperimentSection
 
 
 def free_gaussian_density(center: float, width: float, grid: Grid) -> Field:
@@ -91,22 +93,23 @@ def square_well_density(state: SquareWellState, grid: Grid) -> Field:
     return Field(grid, n / integral(n, grid), "1/m")
 
 
-def shape_f(fam: PseudoGaussianFamily, r: np.ndarray) -> np.ndarray:
+def shape_f(experiment: ExperimentSection, r: np.ndarray) -> np.ndarray:
     """The family's f at s = |r| / core_width."""
-    s = np.abs(r) / fam.core_width
-    if fam.family == "constant_f":
+    s = np.abs(r) / experiment.core_width
+    if experiment.family == "constant_f":
         return np.ones_like(s)
-    if fam.family == "linear_f":
+    if experiment.family == "linear_f":
         return 1.0 + s
-    if fam.family == "log_f":
-        return 1.0 + np.log1p(s**fam.h)
-    return 1.0 + s**fam.g
+    if experiment.family == "log_f":
+        return 1.0 + np.log1p(s**experiment.family_h)
+    return 1.0 + s**experiment.family_g
 
 
-def pseudo_gaussian_log_density(fam: PseudoGaussianFamily, grid: Grid) -> Field:
+def pseudo_gaussian_log_density(experiment: ExperimentSection,
+                                grid: Grid) -> Field:
     """log n on the grid, with n(0) = 1; exact in the deep tail."""
     q = grid.points
-    f = shape_f(fam, q)
+    f = shape_f(experiment, q)
     # 0.0 - x keeps the zero at q = 0 positive
-    return Field(grid, 0.0 - q**2 / (
-        fam.delta_q_sq * (1.0 + q**2 / (fam.lam**2 * f))), "1")
+    return Field(grid, 0.0 - q**2 / (experiment.core_width**2 * (
+        1.0 + q**2 / (experiment.tail_scale**2 * f))), "1")

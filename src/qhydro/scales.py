@@ -14,8 +14,8 @@ class is asymptotically vanishing (``convergence_test``).
 
 lambda_c, the two classifiers and the class labels are closed forms, so
 this module imports no numpy: lambda-c and classify run on it alone.
-``nonlocality_length`` integrates a force profile, and imports numpy and
-the tail fit of ``qhydro.qpotential`` when it is called.
+``nonlocality_length`` integrates a force profile, given its tail fit
+(``qpotential.growth_exponent``), and imports numpy when it is called.
 """
 
 from __future__ import annotations
@@ -68,25 +68,22 @@ def convergence_test(decay: DecayClass) -> bool:
 
 
 def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,
-                       decay: DecayClass | None = None) -> float:
+                       decay: DecayClass) -> float:
     """Weighted range of the quantum force about the profile origin.
 
     lambda_q = 2 int_0^inf |r^-1 F(r)| dr / (lambda_c^-1 |F(lambda_c)|),
     realized as trapezoid quadrature over the grid plus a closed-form
-    power-law tail from the fitted exponent.  Returns ``math.inf`` when the
+    power-law tail from ``decay``, the profile's tail fit
+    (``qpotential.growth_exponent``).  Returns ``math.inf`` when the
     integral diverges (convergence test fails).
     """
     import numpy as np
-
-    from .qpotential import growth_exponent
 
     if lambda_c <= 0:
         raise ValidationError("lambda_c must be positive")
     r, f = profile.radial()
     if r.size < 8:
         raise ValidationError("profile too short to integrate")
-    if decay is None:
-        decay = growth_exponent(profile)
     if not convergence_test(decay):
         return math.inf
 

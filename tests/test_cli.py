@@ -115,6 +115,8 @@ INI_FILES = {
     "family-g-5": "[experiment]\nfamily_g = 5\n",
     "short-tail-scale": "[experiment]\ntail_scale = 5\n",
     "overflowing-mu": "[noise]\ntheta = 2.17 K\nmobility_mu = 1e308\n",
+    # a key before any section header
+    "no-section": "theta = 2.17 K\n",
 }
 LINDEMANN_LINE = "lindemann: lambda_q / r_0 = 0.23570 (band 0.2-0.25: inside)\n"
 CLASSIFY_WITHOUT_LAMBDA_Q = ["classify", "--theta", "2.17 K", "--delta-L", "2e-11"]
@@ -149,6 +151,29 @@ OUTCOMES = [
      bad_value("noise.theta: malformed number in 'abc'")),
     ("bare-empty", ["lambda-c", "--set", "noise.theta="], 1, "",
      bad_value("noise.theta: malformed number in ''")),
+    # a config file that cannot be read or parsed
+    ("malformed-config", ["--config", "{tmp}/no-section.ini", "lambda-c"], 1,
+     "", re.compile(r"error: malformed config: .*\n", re.DOTALL)),
+    ("missing-config", ["--config", "{tmp}/missing.ini", "lambda-c"], 1, "",
+     re.compile(r"error: cannot read config '.*missing\.ini': .*\n")),
+    # an override is SEC.KEY=VAL, and its key names its section
+    ("set-without-value", ["simulate", "--set", "foo"], 1, "",
+     "error: --set expects SEC.KEY=VAL, got 'foo'\n"),
+    ("set-without-section", ["simulate", "--set", "foo=1"], 1, "",
+     "error: override 'foo' must be section.key\n"),
+    ("zero-dt", ["simulate", "--set", "integrator.dt=0"], 1, "",
+     "error: integrator.dt must be positive\n"),
+    # ground is the ground state of experiment.potential, which is none by
+    # default; the ground states no longer have a value each
+    ("ground-without-a-potential",
+     ["simulate", "--set", "experiment.initial=ground",
+      "--set", "integrator.t_end=1e-15s"], 1, "",
+     "error: experiment.initial = ground is the ground state of "
+     "experiment.potential, which must be harmonic or square_well\n"),
+    ("removed-start-harmonic-ground",
+     ["simulate", "--set", "experiment.initial=harmonic_ground",
+      "--set", "experiment.potential=harmonic"], 1, "",
+     "error: experiment.initial must be one of ('free_gaussian', 'ground')\n"),
     # a config file's grid is checked at load, also by a command that never
     # builds it
     ("non-finite-grid-bound-lambda-c",
@@ -217,6 +242,9 @@ OUTCOMES = [
      usage_error("qhydro classify", "argument --lambda-q: expected one argument")),
     ("classify-missing-delta-l", ["classify"], 1, "",
      "error: classify needs --delta-L (experiment.delta_l)\n"),
+    # theta = 0 makes lambda_c infinite, which no ratio can be taken of
+    ("classify-without-a-correlation-length", ["classify", "--delta-L", "2e-11"],
+     1, "", "error: classify needs theta > 0 or an explicit noise.lambda_c\n"),
     ("classify-line", ["classify", "--theta", "2.17 K", "--delta-L", "2e-11",
                        "--lambda-q", "inf", "--decay-h", "1.2"], 0,
      "regime = nonlocal_deterministic, decay class = asymptotically_vanishing\n",
@@ -1014,6 +1042,16 @@ def test_lambda_q_flags_unresolved_probe(tmp_path, capsys, lambda_c, resolved):
                               "the first radial sample at 2.500e+01 m")
 
 
+def test_lambda_q_probes_at_twice_the_core_width_by_default(capsys):
+    # the README call sets noise.lambda_c = 2.0 m, which is 2 core_width at
+    # the default core_width of 1 m
+    argv = SCALAR_COMMANDS["lambda-q"]
+    assert argv[-2:] == ["--set", "noise.lambda_c=2.0 m"]
+    default = run(argv[:-2], capsys)
+    assert default == run(argv, capsys)
+    assert default[0] == 0 and UNRESOLVED_PROBE.fullmatch(default[2])
+
+
 def test_provenance_records_versions_and_platform(tmp_path, capsys):
     path = tmp_path / "lc.json"
     code, _, _ = run(["lambda-c", "--theta", "2.17 K", "--json", str(path)],
@@ -1056,19 +1094,24 @@ def traced_reads(argv):
     return reads
 
 
-# every scheme, start density and potential, one step each
+# the five valid start/potential pairs: ground is the potential's own
+START_PAIRS = [("free_gaussian", "none"), ("free_gaussian", "harmonic"),
+               ("free_gaussian", "square_well"), ("ground", "harmonic"),
+               ("ground", "square_well")]
+# every scheme and start pair, one step each
 SIMULATE_VARIANTS = [
     ["simulate", "--theta", "2.17 K", "--set", "integrator.t_end=1e-16",
      "--set", f"integrator.scheme={scheme}",
      "--set", f"experiment.initial={initial}",
      "--set", f"experiment.potential={potential}", "--csv", "{tmp}/run.csv"]
     for scheme in ("deterministic_quantum", "stochastic_quantum", "classical_limit")
-    for initial in ("free_gaussian", "harmonic_ground", "square_well")
-    for potential in ("none", "harmonic", "square_well")]
+    for initial, potential in START_PAIRS]
 TRACED_RUNS = {
     "simulate": SIMULATE_VARIANTS,
     "lambda-c": [SCALAR_COMMANDS["lambda-c"]],
-    "lambda-q": [SCALAR_COMMANDS["lambda-q"]],
+    # family_g is read for power_f only, family_h for log_f only
+    "lambda-q": [SCALAR_COMMANDS["lambda-q"],
+                 [*SCALAR_COMMANDS["lambda-q"], "--set", "experiment.family=log_f"]],
     "classify": [SCALAR_COMMANDS["classify"]],
     "case lindemann": [SCALAR_COMMANDS["case-lindemann"]],
     "case helium": [SCALAR_COMMANDS["case-helium"]],
@@ -1087,6 +1130,29 @@ def test_command_keys_are_the_keys_each_command_reads(tmp_path, capsys,
         read |= traced_reads(argv)
     capsys.readouterr()
     assert read == COMMAND_KEYS[command]
+
+
+CLOSED_FORMS = {"none": [], "harmonic": ["lj_harmonic"],
+                "square_well": ["square_well_solve"]}
+
+
+@pytest.mark.parametrize("initial, potential", START_PAIRS)
+def test_start_pair_runs_on_one_closed_form(capsys, monkeypatch, initial,
+                                            potential):
+    # the potential's closed form is built once, for the sampled potential
+    # and the ground density alike
+    calls = []
+    for name in ("lj_harmonic", "square_well_solve"):
+        def counted(params, name=name, solve=getattr(cli, name)):
+            calls.append(name)
+            return solve(params)
+        monkeypatch.setattr(cli, name, counted)
+    code, out, err = run(["simulate", "--set", "integrator.t_end=1e-16",
+                          "--set", f"experiment.initial={initial}",
+                          "--set", f"experiment.potential={potential}"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("simulate: t = 1.000000e-16 s, norm = 1.0000")
+    assert calls == CLOSED_FORMS[potential]
 
 
 def test_every_config_key_is_read_by_a_command():

@@ -43,7 +43,8 @@ def test_parse_quantity_rejects_unknown_unit():
         parse_quantity("3.0 furlongs")
 
 
-@pytest.mark.parametrize("text", ["abc", "K", "kB", "", "  "])
+# the last is a number float() cannot read before a known unit
+@pytest.mark.parametrize("text", ["abc", "K", "kB", "", "  ", "1.2.3 K"])
 def test_parse_quantity_rejects_missing_number(text):
     with pytest.raises(ValueError, match=re.escape(
             f"malformed number in {text!r}")):
@@ -119,16 +120,17 @@ def test_half_width_moves_the_wall():
 def test_ini_text_parses_as_its_overrides():
     text = """
 [experiment]
-initial = harmonic_ground
+initial = ground
+potential = harmonic
 seed = 7
 [material]
 mass = 4.0026 u
 [noise]
 theta = 2.17 K
 """
-    overrides = {"experiment.initial": "harmonic_ground",
-                 "experiment.seed": "7", "material.mass": "4.0026 u",
-                 "noise.theta": "2.17 K"}
+    overrides = {"experiment.initial": "ground",
+                 "experiment.potential": "harmonic", "experiment.seed": "7",
+                 "material.mass": "4.0026 u", "noise.theta": "2.17 K"}
     cfg = parse_config(text)
     assert cfg == apply_overrides(ExperimentConfig(), overrides)
     assert cfg != ExperimentConfig()
@@ -244,7 +246,8 @@ def test_sections_are_the_objects_the_code_runs_on():
 
 NON_DEFAULT = {
     "experiment.seed": "7",
-    "experiment.initial": "harmonic_ground",
+    "experiment.initial": "ground",
+    "experiment.potential": "harmonic",
     "experiment.lambda_q_override": "inf",
     "experiment.decay_h": "1.2",
     "experiment.samples": "64",
@@ -287,6 +290,15 @@ ALSO_SET = {"experiment.family_h": {"experiment.family": "log_f"}}
     ("grid.n_points", "3", "n_points must be at least 8"),
     # the checks each section, and the whole config, make when built
     ("experiment.initial", "bogus", "experiment.initial must be one of"),
+    # a start is a free Gaussian or the ground state of the potential, so
+    # the ground states no longer have a value each
+    *(("experiment.initial", raw,
+       "experiment.initial must be one of ('free_gaussian', 'ground')")
+      for raw in ("harmonic_ground", "square_well")),
+    # the default potential is none, which has no ground state
+    ("experiment.initial", "ground",
+     "experiment.initial = ground is the ground state of "
+     "experiment.potential, which must be harmonic or square_well"),
     ("experiment.potential", "bogus", "experiment.potential must be one of"),
     ("experiment.family", "bogus", "experiment.family must be one of"),
     ("experiment.initial_width", "0", "experiment.initial_width must be positive"),

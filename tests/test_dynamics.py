@@ -295,6 +295,23 @@ def test_non_finite_noise_row_rejected():
                         cfg, eta=eta)
 
 
+def test_step_names_a_vanished_density():
+    grid, _ = free_setup(n_points=201)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    dt = 0.5 * cfl_limit(MASS, grid.spacing)
+    empty = initial_state(Field(grid, np.zeros(grid.n_points), "1/m"))
+    with pytest.raises(StepRejected, match="density collapsed to zero"):
+        step_deterministic(empty, potential, MASS, IntegratorConfig(dt=dt))
+    # a kick far below -n clips every point to zero, which no rescaling
+    # can give the state's mass back
+    eta = np.full(grid.n_points, -1e300)
+    with pytest.raises(StepRejected, match="noise kick destroyed the density"):
+        step_stochastic(gaussian_state(grid, 2e-10), potential, MASS,
+                        loud_noise(), RandomStream(1),
+                        IntegratorConfig(dt=dt, scheme=STOCHASTIC_QUANTUM),
+                        eta=eta)
+
+
 def test_noisy_step_needs_a_generator_or_a_row():
     # a fresh generator of the stream's seed in every step would apply one
     # noise field step after step
@@ -508,6 +525,26 @@ def test_run_zero_time_single_snapshot():
     trajectory = run(state, potential, MASS, None, cfg, 0.0)
     assert len(trajectory.snapshots) == 1
     assert trajectory.completed
+
+
+@pytest.mark.parametrize("t_end, stride, message", [
+    (-1e-16, 1, "t_end must be >= 0"),
+    (1e-16, 0, "output_stride must be >= 1"),
+], ids=["negative-t-end", "zero-stride"])
+def test_run_rejects_its_span_and_stride(t_end, stride, message):
+    grid, cfg = free_setup(n_points=301)
+    state = gaussian_state(grid, 1e-10)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    with pytest.raises(ValidationError, match=message):
+        run(state, potential, MASS, None, cfg, t_end, output_stride=stride)
+
+
+def test_observables_of_a_zero_norm_state_are_rejected():
+    grid, cfg = free_setup(n_points=301)
+    state = initial_state(Field(grid, np.zeros(grid.n_points), "1/m"))
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    with pytest.raises(ValidationError, match="state has zero norm"):
+        observables(state, potential, MASS, cfg)
 
 
 def test_run_free_variance_monotone():

@@ -64,6 +64,8 @@ def test_validation():
         make_model(lambda_c=0.0)
     with pytest.raises(ValidationError):
         make_model(mu=-1.0)
+    with pytest.raises(ValidationError, match="mass must be positive"):
+        noise_amplitude(0.0, 1.0, 1.0)
 
 
 def test_same_seed_identical_fields():

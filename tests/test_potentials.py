@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qhydro.config import ExperimentSection
 from qhydro.constants import BOHR, HBAR, K_B
 from qhydro.errors import NoBoundStateError, UnderResolvedError, ValidationError
 from qhydro.grids import Grid
 from qhydro.params import (
     DELTA_OVER_R0,
     MaterialParams,
-    PseudoGaussianFamily,
     helium_preset,
     lj_harmonic,
     square_well_solve,
@@ -156,6 +156,12 @@ def test_square_well_deeper_is_lower():
     assert square_well_solve(deeper).E_0 < state.E_0
 
 
+def test_square_well_needs_its_half_width():
+    with pytest.raises(ValidationError, match=re.escape(
+            "square well needs half_width (Delta)")):
+        square_well_solve(HE.replace(half_width=None))
+
+
 def test_square_well_no_bound_state():
     shallow = MaterialParams(mass=HE.mass, well_depth=HE.well_depth / 100,
                              r_0=HE.r_0, sigma=HE.sigma,
@@ -234,16 +240,17 @@ def test_square_well_zero_force_inside():
     assert np.max(np.abs(profile.force.values[interior])) < 1e-6 * core_force
 
 
-def make_family(family, g=2.0, h=1.0, core_width=1.0, lam=20.0):
-    return PseudoGaussianFamily(family=family, core_width=core_width, lam=lam,
-                                g=g, h=h)
+def make_family(family, **keys):
+    # the [experiment] defaults: family_g 2, family_h 1, core_width 1,
+    # tail_scale 20
+    return ExperimentSection(family=family, **keys)
 
 
 def test_family_validation():
     with pytest.raises(ValidationError):
-        make_family("power_f", lam=5.0)         # lam^2 < 100 core_width^2
+        make_family("power_f", tail_scale=5.0)  # < 10 core_width
     with pytest.raises(ValidationError):
-        make_family("power_f", g=2.5)
+        make_family("power_f", family_g=2.5)
     with pytest.raises(ValidationError):
         make_family("nope")
 
@@ -258,25 +265,27 @@ def test_center_value():
 
 @pytest.mark.parametrize("family", ["constant_f", "linear_f", "log_f", "power_f"])
 def test_core_indistinguishable_from_gaussian(family):
-    fam = make_family(family, g=1.2, h=1.3, lam=40.0)
+    fam = make_family(family, family_g=1.2, family_h=1.3,
+                      tail_scale=40.0)
     grid = Grid(-1.5, 1.5, 2001)
     n = np.exp(pseudo_gaussian_log_density(fam, grid).values)
     r = grid.points
-    pure = np.exp(-(r**2) / fam.delta_q_sq)
+    pure = np.exp(-(r**2) / fam.core_width**2)
     f = shape_f(fam, r)
-    core = r**2 <= 0.01 * fam.lam**2 * f
+    core = r**2 <= 0.01 * fam.tail_scale**2 * f
     assert np.max(np.abs(n[core] / pure[core] - 1.0)) < 0.01
 
 
 def test_log_family_power_law_tail():
     # f = 1 + ln(1 + s^h) gives an approximate power law with slope
     # -h lam^2 / dq2 in log n vs log s
-    fam = make_family("log_f", h=1.0, core_width=1.0, lam=20.0)
+    fam = make_family("log_f", family_h=1.0, core_width=1.0, tail_scale=20.0)
     grid = Grid(1e20, 1e24, 2001)
     log_n = pseudo_gaussian_log_density(fam, grid)
     s = grid.points / fam.core_width
     slope = np.polyfit(np.log(s), log_n.values, 1)[0]
-    assert slope == pytest.approx(-fam.lam**2 / fam.delta_q_sq, rel=0.05)
+    assert slope == pytest.approx(-fam.tail_scale**2 / fam.core_width**2,
+                                  rel=0.05)
 
 
 @pytest.mark.parametrize("family", ["linear_f", "log_f"])
@@ -302,7 +311,7 @@ def power_f_force_exponent(g):
 
 @pytest.mark.parametrize("g", [1.0, 1.2, 1.4, 1.8, 2.0])
 def test_numeric_fit_matches_symbolic_exponent(g):
-    fam = make_family("power_f", g=g)
+    fam = make_family("power_f", family_g=g)
     # the tail regime starts at r ~ (lam^2)^(1/(2-g)), which runs away as
     # g approaches 2; the fit window must sit far beyond it
     r_max = {1.0: 1.2e6, 1.2: 3e6, 1.4: 3e6, 1.8: 1e16, 2.0: 3e6}[g]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhydro.constants import HBAR
-from qhydro.errors import DegenerateDensityError, TailFitError
+from qhydro.errors import DegenerateDensityError, TailFitError, ValidationError
 from qhydro.grids import Field, Grid
 from qhydro.qpotential import (
     ASYMPTOTICALLY_VANISHING,
@@ -138,6 +138,13 @@ def test_scale_invariance(c):
     assert np.allclose(scaled, base, rtol=1e-12, atol=1e-30)
 
 
+@pytest.mark.parametrize("kernel", [quantum_potential, quantum_potential_from_log])
+def test_quantum_potential_needs_a_positive_mass(kernel):
+    grid = Grid(-4e-10, 4e-10, 401)
+    with pytest.raises(ValidationError, match="mass must be positive"):
+        kernel(Field(grid, np.ones(401), "1"), 0.0)
+
+
 def test_mass_scaling():
     dq2 = (1e-10) ** 2
     grid = Grid(-4e-10, 4e-10, 401)
@@ -200,6 +207,23 @@ def test_growth_exponent_too_few_points():
     profile = QuantumForceProfile(Field(grid, grid.points, "N"), 0.0)
     with pytest.raises(TailFitError, match="fewer than 8 usable points"):
         growth_exponent(profile)
+
+
+def _one_point_tail():
+    # one nonzero force in a window of zeros: r = 9 lies in [7.5, 9.5]
+    force = np.zeros(101)
+    force[90] = 1.0
+    return Field(Grid(0.0, 10.0, 101), force, "N")
+
+
+@pytest.mark.parametrize("force, origin, message", [
+    (Field(Grid(0.0, 10.0, 32), np.linspace(0.0, 10.0, 32), "N"), 10.0,
+     "profile has no points beyond its origin"),
+    (_one_point_tail(), 0.0, "tail window dominated by zero-force points"),
+], ids=["no-radius", "zero-force-window"])
+def test_growth_exponent_names_an_unfittable_tail(force, origin, message):
+    with pytest.raises(TailFitError, match=message):
+        growth_exponent(QuantumForceProfile(force, origin))
 
 
 def test_force_from_log_linear_everywhere():

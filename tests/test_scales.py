@@ -9,6 +9,7 @@ from qhydro.grids import Field, Grid
 from qhydro.qpotential import (
     ASYMPTOTICALLY_VANISHING,
     BALLISTIC,
+    DecayClass,
     SUPER_BALLISTIC,
     UNDER_BALLISTIC,
     QuantumForceProfile,
@@ -95,7 +96,8 @@ def test_convergence_zero_force_true():
 def test_truncated_linear_gives_two_delta():
     delta = 3.3e-10
     profile = truncated_linear_profile(k=0.12, delta=delta)
-    lam_q = nonlocality_length(profile, delta / 2)
+    lam_q = nonlocality_length(profile, delta / 2,
+                               growth_exponent(profile))
     assert lam_q == pytest.approx(2 * delta, rel=1e-3)
 
 
@@ -104,25 +106,43 @@ def test_truncated_linear_gives_two_delta():
 def test_truncated_linear_independent_of_k_and_lambda_c(log_k, lc_frac):
     delta = 1.0
     profile = truncated_linear_profile(k=10.0**log_k, delta=delta)
-    lam_q = nonlocality_length(profile, lc_frac * delta)
+    lam_q = nonlocality_length(profile, lc_frac * delta,
+                               growth_exponent(profile))
     assert lam_q == pytest.approx(2 * delta, rel=1e-3)
 
 
 def test_untruncated_linear_is_infinite():
-    assert math.isinf(nonlocality_length(linear_profile(), 1.0))
+    profile = linear_profile()
+    assert math.isinf(nonlocality_length(profile, 1.0, growth_exponent(profile)))
+
+
+@pytest.mark.parametrize("lambda_c", [0.0, -1.0])
+def test_nonpositive_lambda_c_is_rejected(lambda_c):
+    profile = truncated_linear_profile(delta=1.0)
+    with pytest.raises(ValidationError, match="lambda_c must be positive"):
+        nonlocality_length(profile, lambda_c, growth_exponent(profile))
+
+
+def test_short_profile_is_rejected():
+    grid = Grid(0.0, 1.0, 8)
+    # seven points lie beyond the origin, too few for a tail fit too
+    profile = QuantumForceProfile(Field(grid, grid.points, "N"), 0.0)
+    decay = DecayClass(ASYMPTOTICALLY_VANISHING, -2.0, 1.0)
+    with pytest.raises(ValidationError, match="profile too short to integrate"):
+        nonlocality_length(profile, 0.5, decay)
 
 
 def test_lambda_c_beyond_support_is_error():
     profile = truncated_linear_profile(delta=1.0)
     with pytest.raises(NumericalError, match="lambda_q undefined"):
-        nonlocality_length(profile, 10.0)
+        nonlocality_length(profile, 10.0, growth_exponent(profile))
 
 
 def test_zero_force_at_lambda_c_is_error():
     profile = truncated_linear_profile(delta=1.0)
     # inside the grid but beyond the truncation radius: no force there
     with pytest.raises(NumericalError, match="lambda_q undefined"):
-        nonlocality_length(profile, 3.0)
+        nonlocality_length(profile, 3.0, growth_exponent(profile))
 
 
 def test_regime_examples():
