@@ -371,13 +371,18 @@ def _cmd_helium(cfg: ExperimentConfig) -> tuple[dict, str]:
 def _lag_means(rows: np.ndarray, lags: list[int]) -> np.ndarray:
     """Each row's mean of x_i x_(i+lag), shape (len(rows), len(lags)).
 
-    einsum over the lagged views builds no product temporary.
+    einsum over the lagged views builds no product temporary, and writes
+    each lag's sums into its column of the result, which is divided once.
     """
     import numpy as np
 
     n = rows.shape[1]
-    return np.stack([np.einsum("ij,ij->i", rows[:, :n - k], rows[:, k:])
-                     / (n - k) for k in lags], axis=1)
+    means = np.empty((len(rows), len(lags)))
+    for column, k in enumerate(lags):
+        np.einsum("ij,ij->i", rows[:, :n - k], rows[:, k:],
+                  out=means[:, column])
+    means /= [n - k for k in lags]
+    return means
 
 
 def _cmd_noise_audit(cfg: ExperimentConfig) -> tuple[dict, str]:

@@ -21,10 +21,15 @@ Layout: ``HydroState`` holds the state as one read-only (2, N) array
 [n, v], which the step reads as its y0 without a copy.  The step works
 in a ``Workspace`` that ``run`` builds once: one block of rows for the stage
 [n, v], the rates and every intermediate, and each slice the stencils and
-the flux divergence read; at N = 601 slicing and allocating cost more than
-the arithmetic.  Building it checks the step bound (``check_cfl``), so a
+the flux divergence read, plus the grid's points and one scratch row for
+``grids.integral``; at N = 601 slicing and allocating cost more than the
+arithmetic.  Building it checks the step bound (``check_cfl``), so a
 run checks it once, and a step takes dt and the grid from the workspace
-it works in; a step called without one builds its own.  k2 is evaluated
+it works in; a step called without one builds its own.  ``run`` passes
+the workspace to ``observables`` too, which takes each snapshot's V_qu
+with its curvature kernel and forms each integrand in its rows; called
+without one, ``observables`` builds its own without checking the bound,
+as it takes no step, and gives the same bits.  k2 is evaluated
 into y1, a fresh array the new state owns, which sums the rates as they
 come.  Every element goes through the same IEEE operations in the same
 order as the field-by-field textbook form, so results are bit-identical
@@ -38,7 +43,8 @@ that reaches t_end fails on its first non-finite snapshot scalar.
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
-order, and scans that row again.  ``run`` draws the noise rows 8 steps ahead
+order (its two renormalisation integrals in the workspace's scratch
+row), and scans that row again.  ``run`` draws the noise rows 8 steps ahead
 in one ``sample_fields`` call, projected on the run's grid, and hands
 row j to step j; the rows equal single-row draws bit for bit, and 8 rows
 keep most of the per-call saving while the batch stays small next to the
@@ -88,7 +94,7 @@ from .errors import CflError, StepRejected, ValidationError
 from .grids import Field, derivative_kernel, integral
 from .noise import NoiseModel, RandomStream, sample_fields
 from .params import Grid, Record
-from .qpotential import floored_density, vqu_from_curvature, vqu_kernel
+from .qpotential import floored_density, vqu_from_curvature
 
 FORCE_TAPER_FRACTION = 1e-8
 
@@ -179,20 +185,28 @@ def check_cfl(cfg: IntegratorConfig, mass: float, grid: Grid) -> None:
 
 
 class Workspace:
-    """The arrays and views the RK4 steps of one grid, potential, mass and
-    ``IntegratorConfig`` work in, one step at a time (module docstring)."""
+    """The arrays and views the RK4 steps and the snapshots of one grid,
+    potential, mass and ``IntegratorConfig`` work in, one call at a time
+    (module docstring).
 
-    def __init__(self, grid: Grid, potential: Field, mass: float, cfg: IntegratorConfig):
-        check_cfl(cfg, mass, grid)
+    ``check`` is the step bound's check; ``observables`` takes no step, so
+    the workspace it builds for itself skips it.
+    """
+
+    def __init__(self, grid: Grid, potential: Field, mass: float,
+                 cfg: IntegratorConfig, check: bool = True):
+        if check:
+            check_cfl(cfg, mass, grid)
         n_points = grid.n_points
         self.potential, self.mass, self.cfg = potential.values, mass, cfg
-        self.grid, self.spacing = grid, grid.spacing
+        self.grid, self.spacing, self._points = grid, grid.spacing, None
         self.quantum = cfg.scheme != CLASSICAL_LIMIT
         # one allocation: the stage n, v and V_qu + V (the force's potential),
-        # the rates, v', (V_qu + V)', the floored n, its sqrt, V_qu, taper, flux
-        block = np.empty((12, n_points))
+        # the rates, v', (V_qu + V)', the floored n, its sqrt, V_qu, taper,
+        # flux, and the scratch row of ``integral``'s sums of neighbours
+        block = np.empty((13, n_points))
         (self.n, self.v, self.g, *self.rates, self.dvdq, self.grad, self.nc,
-         self.s, self.vqu, self.w, self.flux) = block
+         self.s, self.vqu, self.w, self.flux, self.scratch) = block
         self.g[:] = potential.values
         self.stage, self.k = block[:2], block[3:5]
         self.curvature = derivative_kernel(self.s, self.vqu, grid, 2)
@@ -204,6 +218,18 @@ class Workspace:
         faces[-1] = -0.0
         self.face_views = (self.flux[:-1], self.flux[1:], faces[1:-1],
                            faces[1:], faces[:-1])
+
+    @property
+    def points(self) -> np.ndarray:
+        """The grid's points, built when ``observables`` first reads them.
+
+        An attribute set in ``__init__`` keeps them: a cache in the instance
+        ``__dict__`` (``functools.cached_property``) materialises that dict
+        and slows the step's attribute reads, about 5 us a step at N = 601.
+        """
+        if self._points is None:
+            self._points = self.grid.points
+        return self._points
 
 
 def _vacuum_gate(x: np.ndarray, level: float, ws: Workspace) -> np.ndarray:
@@ -360,10 +386,11 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     if noise.conserving:
         # eta has zero integral, but the gate and the clip change the mass;
         # rescale to the norm observables reports, on either boundary
-        norm = float(integral(n, state.grid))
+        scratch = workspace.scratch
+        norm = float(integral(n, state.grid, scratch=scratch))
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
-        n *= float(integral(state.y[0], state.grid)) / norm
+        n *= float(integral(state.y[0], state.grid, scratch=scratch)) / norm
     # a non-finite noise row (a caller's eta; the sampler rejects a spectrum
     # that overflows) is invalid input, not a failed step
     if not np.isfinite(n).all():
@@ -393,24 +420,40 @@ class Trajectory(Record):
 
 
 def observables(state: HydroState, potential: Field, mass: float,
-                cfg: IntegratorConfig) -> Snapshot:
-    # cfg is not read: perfbench calls observables with four arguments
-    grid = state.grid
-    q = grid.points
+                cfg: IntegratorConfig,
+                workspace: Workspace | None = None) -> Snapshot:
+    """The snapshot of ``state``, computed in ``workspace``, built for these
+    arguments, or in a new one that skips the step bound (cfg is read only
+    to build it).
+
+    V_qu is the workspace's curvature kernel on the sqrt of the floored
+    density, ``qpotential.vqu_kernel``'s operations; each integrand is
+    formed in the floored-density row, free once V_qu is, in the order of
+    its textbook expression, and integrated with the scratch row.
+    """
+    ws = workspace or Workspace(state.grid, potential, mass, cfg, check=False)
+    grid, q, f, scratch = state.grid, ws.points, ws.nc, ws.scratch
     n, v = state.y
 
-    def integrate(f: np.ndarray) -> float:
-        return float(integral(f, grid))
+    def integrate(values: np.ndarray) -> float:
+        return float(integral(values, grid, scratch=scratch))
 
     norm = integrate(n)
     if norm <= 0:
         raise ValidationError("state has zero norm")
-    mean_q = integrate(n * q) / norm
-    variance = integrate(n * (q - mean_q) ** 2) / norm
-    vqu = vqu_kernel(n, grid, mass)
-    e_kin = integrate(0.5 * mass * n * v**2)
-    e_pot = integrate(n * potential.values)
-    e_qu = integrate(n * vqu)
+    np.sqrt(floored_density(n, float(n.max()), out=f), out=ws.s)
+    ws.curvature()
+    vqu = vqu_from_curvature(ws.vqu, ws.s, mass)
+    mean_q = integrate(np.multiply(n, q, out=f)) / norm
+    np.subtract(q, mean_q, out=f)
+    np.square(f, out=f)
+    variance = integrate(np.multiply(n, f, out=f)) / norm
+    # 0.5 m n v^2 as ((0.5 m) n) (v^2)
+    np.square(v, out=f)
+    f *= np.multiply(n, 0.5 * mass, out=scratch)
+    e_kin = integrate(f)
+    e_pot = integrate(np.multiply(n, potential.values, out=f))
+    e_qu = integrate(np.multiply(n, vqu, out=f))
     return Snapshot(state.time, norm, mean_q, variance, e_kin, e_pot, e_qu)
 
 
@@ -468,7 +511,7 @@ def run(initial: HydroState, potential: Field, mass: float,
     draw_ahead = (cfg.scheme == STOCHASTIC_QUANTUM
                   and noise.amplitude != 0.0)
     eta = None
-    snapshots = [observables(initial, potential, mass, cfg)]
+    snapshots = [observables(initial, potential, mass, cfg, workspace)]
     state = initial
     warned = _near_boundary_mass(state)
     try:
@@ -486,7 +529,8 @@ def run(initial: HydroState, potential: Field, mass: float,
                 state = step_stochastic(state, potential, mass, noise, stream,
                                         cfg, rng, eta=eta, workspace=workspace)
             if step_index % output_stride == 0 or step_index == n_steps:
-                snapshots.append(observables(state, potential, mass, cfg))
+                snapshots.append(observables(state, potential, mass, cfg,
+                                             workspace))
                 if _near_boundary_mass(state):
                     warned = True
     except StepRejected as exc:

@@ -100,9 +100,23 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def integral(values: np.ndarray, grid: Grid, axis: int = -1):
+def integral(values: np.ndarray, grid: Grid, axis: int = -1,
+             scratch: np.ndarray | None = None):
     """The integral of ``values`` along ``axis``: the cell sum on a periodic
-    grid, the trapezoid rule between walls (module docstring)."""
+    grid, the trapezoid rule between walls (module docstring).
+
+    The trapezoid rule takes the operations of numpy's ``trapezoid`` in
+    its order, so its bits are that function's: the shifted rows added,
+    times h, halved, then summed.  Pass ``scratch``, an array of
+    ``values``' shape, and the sums of neighbours go into its first N - 1
+    entries along ``axis`` instead of new arrays; the cell sum needs none.
+    """
     if grid.periodic:
-        return np.sum(values, axis=axis) * grid.spacing
-    return np.trapezoid(values, dx=grid.spacing, axis=axis)
+        return np.add.reduce(values, axis) * grid.spacing
+    head = (slice(None),) * (axis % values.ndim)
+    hi, lo = (*head, slice(1, None)), (*head, slice(None, -1))
+    pairs = np.add(values[hi], values[lo],
+                   out=None if scratch is None else scratch[lo])
+    pairs *= grid.spacing
+    pairs /= 2.0
+    return np.add.reduce(pairs, axis)

@@ -8,8 +8,9 @@ computed with the stencil kernels of :mod:`qhydro.grids`.  The density
 under the square root carries one additive floor, ``floored_density``:
 max(n, 0) plus 1e-12 of the peak (the tails of any localized state
 underflow long before the grid ends).  ``vqu_kernel`` applies it to a
-density array; ``quantum_potential`` and ``dynamics.observables`` call it,
-and the integrator's step takes the same floor in its workspace.  Every
+density array and ``quantum_potential`` calls it; the integrator's step
+and ``dynamics.observables`` take the same floor and operations in their
+workspace.  Every
 stencil is the grid's own, so a state's V_qu here is the V_qu it is
 stepped and measured with, on either boundary.  For work in the deep
 tail, where no floating-point density survives, the same operator is

@@ -851,6 +851,41 @@ def test_run_matches_standalone_steps_and_owns_its_states(name):
         assert not any(np.shares_memory(shared[j].y, a) for a in buffers)
 
 
+@pytest.mark.parametrize("name", ["zero_flux_harmonic", "periodic_boost",
+                                  "stochastic_mu_1e22", "stochastic_periodic"])
+def test_run_snapshots_equal_standalone_observables(name, monkeypatch):
+    # run computes each snapshot in its workspace; a standalone call builds
+    # one of its own, and both must give the same bits for every state
+    state0, potential, cfg, noise = parity_case(name)
+    calls = []
+    real = dynamics.observables
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "observables", recording)
+    trajectory = run(state0, potential, MASS, noise, cfg, 40 * cfg.dt,
+                     output_stride=3, stream=RandomStream(5))
+    assert trajectory.completed
+    assert len(calls) == len(trajectory.snapshots) == 15
+    for args, got in zip(calls, trajectory.snapshots):
+        state, workspace = args[0], args[-1]
+        assert isinstance(workspace, Workspace)
+        want = observables(state, potential, MASS, cfg)
+        assert np.array_equal(snapshot_bits(got), snapshot_bits(want))
+
+
+def test_observables_do_not_check_the_step_bound():
+    # a snapshot takes no step, so a dt past the bound is not its error
+    grid, cfg = free_setup()
+    bad = IntegratorConfig(dt=10 * cfl_limit(MASS, grid.spacing))
+    state = gaussian_state(grid, 1e-10, velocity=30.0)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    assert (observables(state, potential, MASS, bad)
+            == observables(state, potential, MASS, cfg))
+
+
 def test_periodic_stochastic_run_keeps_its_reported_norm():
     state, potential, cfg, noise = parity_case("stochastic_periodic")
     trajectory = run(state, potential, MASS, noise, cfg, 100 * cfg.dt,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qhydro.errors import UnderResolvedError, ValidationError
 from qhydro.grids import (
@@ -195,6 +196,28 @@ def test_integral_along_an_axis_is_the_integral_of_each_row(periodic):
     rows = np.random.default_rng(0).standard_normal((5, 33))
     each = [integral(row, grid) for row in rows]
     assert np.array_equal(integral(rows, grid, axis=1), each)
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic=st.booleans(), data=st.data(),
+       shape=st.tuples(st.integers(1, 4), st.integers(8, 300)))
+def test_integral_takes_numpy_quadrature_bits(periodic, data, shape):
+    # the trapezoid's own operations in its order, with or without a
+    # scratch row, on a row and along both names of a batch's last axis:
+    # np.trapezoid's bits between walls, the cell sum times h when periodic
+    grid = Grid(-1.5, 2.5, shape[1], periodic=periodic)
+    h = grid.spacing
+    values = data.draw(arrays(float, shape, elements=st.floats(-1e150, 1e150)))
+
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    for batch, axes in ((values, (-1, 1)), (values[0], (-1,))):
+        for axis in axes:
+            want = (np.sum(batch, axis) * h if periodic
+                    else np.trapezoid(batch, dx=h, axis=axis))
+            for scratch in (None, np.full_like(batch, np.nan)):
+                assert bits(integral(batch, grid, axis, scratch)) == bits(want)
 
 
 def test_repeated_first_derivative_matches_second():

@@ -340,11 +340,15 @@ def spectral_reference(model, grid, rng, count):
     return project(samples, grid) if model.conserving else samples
 
 
+# the counts about the 32-row chunk the sampler drew before it drew 64:
+# a row's bits must not depend on the chunking, so they stay checked
+OLD_CHUNK_COUNTS = [31, 32, 33]
 # one chunk, batches on each side of one and two chunk boundaries, and
-# batches of four and seven chunks
+# batches of four and seven chunks, of 64 rows and of 32
 CHUNKED_COUNTS = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
                   2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1,
-                  3 * CHUNK_ROWS + 5, 6 * CHUNK_ROWS + 5]
+                  3 * CHUNK_ROWS + 5, 6 * CHUNK_ROWS + 5,
+                  *OLD_CHUNK_COUNTS, 3 * 32 + 5]
 
 
 @pytest.mark.parametrize("conserving", [False, True])
@@ -464,9 +468,11 @@ def row_summary(rows):
 
 
 @pytest.mark.parametrize("conserving", [False, True])
-# no row, one chunk, and batches whose last chunk has 1, 1 and 4 rows
+# no row, one chunk, batches whose last chunk has one row, a batch of
+# 100, and the counts about the earlier 32-row chunk
 @pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
-                                   CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 100])
+                                   CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 100,
+                                   *OLD_CHUNK_COUNTS])
 def test_reduced_batch_matches_reduce_of_batch(conserving, count):
     model = make_model(conserving=conserving)
     grid = Grid(0.0, 50.0, 200)
@@ -526,8 +532,9 @@ def test_reduced_batch_peak_memory_is_the_chunk_buffers(conserving):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one set of normals, spectrum and field buffers, 32 rows each, reduced
-    # in place: 0.8 MB, against 12.8 MB for the unreduced batch
+    # one set of normals, spectrum and field buffers, 64 rows each, reduced
+    # in place: 1.5 MB (1.8 MB conserving), against 12.8 MB for the
+    # unreduced batch
     assert peak < 4 * 2**20
 
 
