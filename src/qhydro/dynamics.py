@@ -103,8 +103,9 @@ class HydroState(Record):
     """Density and velocity at one instant.
 
     ``y`` is the (2, N) array of rows [n (1/m), v (m/s)] that the step
-    advances; it is checked once, here or by the step that made it,
-    and made read-only.  The rows are built into Fields only when read.
+    advances; it is checked once, here or by the step that made it, and
+    made read-only: a copy of the caller's array, or the step's own.  The
+    rows are built into Fields only when read.
     """
 
     time: float
@@ -112,7 +113,7 @@ class HydroState(Record):
     y: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float)
         if y.shape != (2, self.grid.n_points):
             raise ValidationError(
                 f"state has {y.shape} values for 2 rows on a "
@@ -199,7 +200,7 @@ class Workspace:
             check_cfl(cfg, mass, grid)
         n_points = grid.n_points
         self.potential, self.mass, self.cfg = potential.values, mass, cfg
-        self.grid, self.spacing, self._points = grid, grid.spacing, None
+        self.grid, self.spacing, self.points = grid, grid.spacing, grid.points
         self.quantum = cfg.scheme != CLASSICAL_LIMIT
         # one allocation: the stage n, v and V_qu + V (the force's potential),
         # the rates, v', (V_qu + V)', the floored n, its sqrt, V_qu, taper,
@@ -218,18 +219,6 @@ class Workspace:
         faces[-1] = -0.0
         self.face_views = (self.flux[:-1], self.flux[1:], faces[1:-1],
                            faces[1:], faces[:-1])
-
-    @property
-    def points(self) -> np.ndarray:
-        """The grid's points, built when ``observables`` first reads them.
-
-        An attribute set in ``__init__`` keeps them: a cache in the instance
-        ``__dict__`` (``functools.cached_property``) materialises that dict
-        and slows the step's attribute reads, about 5 us a step at N = 601.
-        """
-        if self._points is None:
-            self._points = self.grid.points
-        return self._points
 
 
 def _vacuum_gate(x: np.ndarray, level: float, ws: Workspace) -> np.ndarray:
@@ -427,9 +416,9 @@ def observables(state: HydroState, potential: Field, mass: float,
     to build it).
 
     V_qu is the workspace's curvature kernel on the sqrt of the floored
-    density, ``qpotential.vqu_kernel``'s operations; each integrand is
-    formed in the floored-density row, free once V_qu is, in the order of
-    its textbook expression, and integrated with the scratch row.
+    density, ``qpotential.quantum_potential``'s operations; each integrand
+    is formed in the floored-density row, free once V_qu is, in the order
+    of its textbook expression, and integrated with the scratch row.
     """
     ws = workspace or Workspace(state.grid, potential, mass, cfg, check=False)
     grid, q, f, scratch = state.grid, ws.points, ws.nc, ws.scratch

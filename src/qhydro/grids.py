@@ -12,11 +12,11 @@ The grid owns its boundary: ``Grid.periodic`` is the one place it is
 stated, and the stencils, the quadrature and every caller of them read it
 there.  The quadrature, ``integral``, is the trapezoid rule between walls
 and the cell sum on a periodic grid, whose N points each own a cell of
-width h, the wrap-around one included; it integrates over
-``Grid.length``.  ``quadrature_weights`` gives its w:
-integral(f) = w . f.  ``Grid`` and ``params.check_length``, the rule for a
-length a run samples, hold no array, so they live in the scalar layer,
-``qhydro.params``.
+width h, the wrap-around one included; it integrates along the last axis
+over ``Grid.length``, the package's one trapezoid rule (lambda_q's too).
+``quadrature_weights`` gives its w: integral(f) = w . f.  ``Grid`` and
+``params.check_length``, the rule for a length a run samples, hold no
+array, so they live in the scalar layer, ``qhydro.params``.
 """
 
 import numpy as np
@@ -100,23 +100,21 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def integral(values: np.ndarray, grid: Grid, axis: int = -1,
+def integral(values: np.ndarray, grid: Grid,
              scratch: np.ndarray | None = None):
-    """The integral of ``values`` along ``axis``: the cell sum on a periodic
-    grid, the trapezoid rule between walls (module docstring).
+    """The integral of ``values`` along their last axis: the cell sum on a
+    periodic grid, the trapezoid rule between walls (module docstring).
 
     The trapezoid rule takes the operations of numpy's ``trapezoid`` in
     its order, so its bits are that function's: the shifted rows added,
     times h, halved, then summed.  Pass ``scratch``, an array of
     ``values``' shape, and the sums of neighbours go into its first N - 1
-    entries along ``axis`` instead of new arrays; the cell sum needs none.
+    entries along that axis instead of new arrays; the cell sum needs none.
     """
     if grid.periodic:
-        return np.add.reduce(values, axis) * grid.spacing
-    head = (slice(None),) * (axis % values.ndim)
-    hi, lo = (*head, slice(1, None)), (*head, slice(None, -1))
-    pairs = np.add(values[hi], values[lo],
-                   out=None if scratch is None else scratch[lo])
+        return np.add.reduce(values, -1) * grid.spacing
+    pairs = np.add(values[..., 1:], values[..., :-1],
+                   out=None if scratch is None else scratch[..., :-1])
     pairs *= grid.spacing
     pairs /= 2.0
-    return np.add.reduce(pairs, axis)
+    return np.add.reduce(pairs, -1)

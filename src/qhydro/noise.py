@@ -240,7 +240,7 @@ def _filter_chunk(normals: np.ndarray, spectrum: np.ndarray,
     np.fft.irfft(spectrum, n=field.shape[1], axis=1, out=field)
     if model.conserving:
         rows = field[:, :grid.n_points]
-        rows -= (integral(rows, grid, axis=1) / grid.length)[:, None]
+        rows -= (integral(rows, grid) / grid.length)[:, None]
 
 
 def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
@@ -253,46 +253,44 @@ def sample_fields(model: NoiseModel, grid: Grid, stream: RandomStream,
     fresh generator is built from the stream seed (deterministic per call).
     A conserving model's projection zeroes each sample's integral on ``grid``.
 
-    Pass ``reduce`` to keep a summary of each sample instead of the sample:
-    each chunk ``rows`` of shape (k, n_points), a view of the transform's
-    buffer, is replaced by ``reduce(rows)``, of shape (k, m), as soon as it
-    is drawn, and the call returns shape (count, m), sized from the first
-    reduced chunk.  No (count, n_points) array is held, so peak memory is
-    the chunk buffers plus the result.  ``reduce`` must treat rows
-    independently and keep no reference to ``rows``, whose buffer is
+    Each chunk's ``rows``, shape (k, n_points) and zero for a silent
+    model, go into one result array sized from the first chunk.  Pass
+    ``reduce`` to keep a summary of each sample instead: ``reduce(rows)``,
+    of shape (k, m), goes in, and the call returns shape (count, m).  No
+    (count, n_points) array is held, so peak memory is the chunk buffers
+    plus the result.  ``reduce`` must treat rows independently and keep no
+    reference to ``rows``, a view of the transform's buffer, which is
     reused; then the result is ``reduce`` of the unreduced batch, bit for
     bit, whatever the chunking.
     """
     check_length("lambda_c", model.lambda_c, grid, what="kernel")
     n = grid.n_points
-    if model.amplitude == 0.0 or count == 0:
-        # nothing to draw: every row is zero, or there is no row
-        zero = np.zeros((1, n))
-        return np.repeat(zero if reduce is None else reduce(zero), count,
-                         axis=0)
-    filt = _spectral_filter(model, grid)
-    if rng is None:
-        rng = stream.generator()
-    m = _embedding_length(model, grid)
     # one set of chunk buffers, reused by every chunk; the transform writes
     # into them instead of allocating, and the spectrum's zeros stay put
     chunk = min(count, CHUNK_ROWS)
-    normals = np.empty((chunk, 2 * filt.size - 1))
-    spectrum = np.zeros((chunk, m // 2 + 1), dtype=complex)
-    field = np.empty((chunk, m))
-    samples = np.empty((count, n)) if reduce is None else None
-    for start in range(0, count, CHUNK_ROWS):
+    draw = model.amplitude != 0.0 and count > 0
+    if draw:
+        filt = _spectral_filter(model, grid)
+        if rng is None:
+            rng = stream.generator()
+        m = _embedding_length(model, grid)
+        normals = np.empty((chunk, 2 * filt.size - 1))
+        spectrum = np.zeros((chunk, m // 2 + 1), dtype=complex)
+    # with nothing to draw every row is zero, or there is no row
+    field = np.empty((chunk, m)) if draw else np.zeros((chunk, n))
+    samples = None
+    # one chunk at least, so that no rows still size the result from one
+    for start in range(0, max(count, 1), CHUNK_ROWS):
         k = min(CHUNK_ROWS, count - start)
-        rng.standard_normal(out=normals[:k])
-        _filter_chunk(normals[:k], spectrum[:k], field[:k], filt, model, grid)
+        if draw:
+            rng.standard_normal(out=normals[:k])
+            _filter_chunk(normals[:k], spectrum[:k], field[:k], filt, model,
+                          grid)
         rows = field[:k, :n]
-        if reduce is None:
-            samples[start:start + k] = rows
-            continue
-        reduced = reduce(rows)
+        kept = rows if reduce is None else reduce(rows)
         if samples is None:
-            samples = np.empty((count, *reduced.shape[1:]), reduced.dtype)
-        samples[start:start + k] = reduced
+            samples = np.empty((count, *kept.shape[1:]), kept.dtype)
+        samples[start:start + k] = kept
     return samples
 
 

@@ -7,14 +7,13 @@ The quantum potential of a density n is
 computed with the stencil kernels of :mod:`qhydro.grids`.  The density
 under the square root carries one additive floor, ``floored_density``:
 max(n, 0) plus 1e-12 of the peak (the tails of any localized state
-underflow long before the grid ends).  ``vqu_kernel`` applies it to a
-density array and ``quantum_potential`` calls it; the integrator's step
-and ``dynamics.observables`` take the same floor and operations in their
-workspace.  Every
-stencil is the grid's own, so a state's V_qu here is the V_qu it is
-stepped and measured with, on either boundary.  For work in the deep
-tail, where no floating-point density survives, the same operator is
-available on log-densities via the identity
+underflow long before the grid ends).  ``quantum_potential`` applies it
+to a density field; the integrator's step and ``dynamics.observables``
+take the same floor and operations in their workspace.  Every stencil is
+the grid's own, so a state's V_qu here is the V_qu it is stepped and
+measured with, on either boundary.  For work in the deep tail, where no
+floating-point density survives, the same operator is available on
+log-densities via the identity
 
     psi''/psi = (L')^2/4 + L''/2,      L = log n.
 
@@ -35,7 +34,7 @@ import numpy as np
 from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
 from .grids import Field, stencil_derivative
-from .params import Grid, Record
+from .params import Record
 from .scales import (
     ASYMPTOTICALLY_VANISHING,
     BALLISTIC,
@@ -84,16 +83,6 @@ def floored_density(n: np.ndarray, peak: float,
     return nc
 
 
-def vqu_kernel(n: np.ndarray, grid: Grid, mass: float) -> np.ndarray:
-    """V_qu = -(hbar^2 / 2m) s'' / s of a density array n on ``grid``, where
-    s is the square root of its ``floored_density``."""
-    peak = float(np.max(n))
-    if peak <= 0.0:
-        raise DegenerateDensityError("degenerate density: no positive values")
-    s = np.sqrt(floored_density(n, peak))
-    return vqu_from_curvature(stencil_derivative(s, grid, 2), s, mass)
-
-
 def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarray:
     """V_qu from s'' = ``d2s`` and s, written over ``d2s``."""
     d2s *= -(HBAR**2 / (2.0 * mass))
@@ -102,10 +91,16 @@ def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarra
 
 
 def quantum_potential(n: Field, mass: float) -> Field:
-    """V_qu of a density field, in joules, with the stencils of its grid."""
+    """V_qu = -(hbar^2 / 2m) s'' / s of a density field in joules, s the
+    square root of its ``floored_density``, with the stencils of its grid."""
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    return Field(n.grid, vqu_kernel(n.values, n.grid, mass), "J")
+    peak = float(np.max(n.values))
+    if peak <= 0.0:
+        raise DegenerateDensityError("degenerate density: no positive values")
+    s = np.sqrt(floored_density(n.values, peak))
+    vqu = vqu_from_curvature(stencil_derivative(s, n.grid, 2), s, mass)
+    return Field(n.grid, vqu, "J")
 
 
 def quantum_potential_from_log(log_n: Field, mass: float) -> Field:

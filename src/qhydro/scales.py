@@ -15,7 +15,8 @@ class is asymptotically vanishing (``convergence_test``).
 lambda_c, the two classifiers and the class labels are closed forms, so
 this module imports no numpy: lambda-c and classify run on it alone.
 ``nonlocality_length`` integrates a force profile, given its tail fit
-(``qpotential.growth_exponent``), and imports numpy when it is called.
+(``qpotential.growth_exponent``), with ``grids.integral``, which it
+imports with numpy when it is called.
 """
 
 from __future__ import annotations
@@ -72,12 +73,14 @@ def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,
     """Weighted range of the quantum force about the profile origin.
 
     lambda_q = 2 int_0^inf |r^-1 F(r)| dr / (lambda_c^-1 |F(lambda_c)|),
-    realized as trapezoid quadrature over the grid plus a closed-form
-    power-law tail from ``decay``, the profile's tail fit
-    (``qpotential.growth_exponent``).  Returns ``math.inf`` when the
-    integral diverges (convergence test fails).
+    realized as ``grids.integral`` over the radial samples, one panel from
+    r = 0, and a closed-form power-law tail from ``decay``, the profile's
+    tail fit (``qpotential.growth_exponent``).  Returns ``math.inf`` when
+    the integral diverges (convergence test fails).
     """
     import numpy as np
+
+    from .grids import Grid, integral
 
     if lambda_c <= 0:
         raise ValidationError("lambda_c must be positive")
@@ -96,13 +99,12 @@ def nonlocality_length(profile: QuantumForceProfile, lambda_c: float,
 
     cutoff = r[-1]
     integrand = f / r
-    # extend to r = 0 by linear extrapolation of the first two points
-    if r[0] > 0:
-        slope0 = (integrand[1] - integrand[0]) / (r[1] - r[0])
-        i0 = integrand[0] - slope0 * r[0]
-        r = np.concatenate(([0.0], r))
-        integrand = np.concatenate(([max(i0, 0.0)], integrand))
-    total = float(np.trapezoid(integrand, r))
+    total = float(integral(integrand, Grid(r[0], cutoff, r.size)))
+    # the panel from r = 0 (radial() keeps r > 0), where the integrand is
+    # extended by linear extrapolation of the first two points
+    slope0 = (integrand[1] - integrand[0]) / (r[1] - r[0])
+    i0 = max(integrand[0] - slope0 * r[0], 0.0)
+    total += (i0 + integrand[0]) * r[0] / 2
 
     # analytic tail: integrand ~ C r^a beyond the grid end with a < -1
     a = decay.fitted_exponent

@@ -33,7 +33,7 @@ from qhydro.potentials import (
     harmonic_ground_density,
     harmonic_potential,
 )
-from qhydro.qpotential import DENSITY_FLOOR_FRACTION, quantum_potential, vqu_kernel
+from qhydro.qpotential import DENSITY_FLOOR_FRACTION, quantum_potential
 
 HE = helium_preset()
 MASS = HE.mass
@@ -157,8 +157,14 @@ def test_state_array_checked_and_read_only():
     y[1, 7] = np.nan
     with pytest.raises(ValidationError, match="field values must be finite"):
         HydroState(0.0, grid, y)
-    state = HydroState(0.0, grid, np.ones((2, 101)))
+    y = np.ones((2, 101))
+    state = HydroState(0.0, grid, y)
     assert not state.y.flags.writeable
+    # the state holds a copy: the caller's array stays writeable, and
+    # writing to it leaves the state as it was
+    assert y.flags.writeable
+    y[0, 3] = 7.0
+    assert np.array_equal(state.y, np.ones((2, 101)))
     for field, unit in ((state.density, "1/m"), (state.velocity, "m/s")):
         assert field.unit == unit
         assert np.array_equal(field.values, np.ones(101))
@@ -246,7 +252,7 @@ def test_poschl_teller_ground_state_stationary_one_period(boundary):
     n0 = sech2 / (2 * a)
     potential = Field(grid, -(HBAR**2 / (MASS * a**2)) * sech2, "J")
     energy = -HBAR**2 / (2 * MASS * a**2)
-    total = potential.values + vqu_kernel(n0, grid, MASS)
+    total = potential.values + quantum_potential(Field(grid, n0), MASS).values
     core = total[np.abs(q) <= 2 * a]
     assert np.ptp(core) < PT_FLATNESS_BOUND * abs(energy)
     assert abs(np.mean(core) - energy) < PT_MEAN_BOUND * abs(energy)

@@ -18,7 +18,6 @@ from qhydro.qpotential import (
     quantum_force_from_log,
     quantum_potential,
     quantum_potential_from_log,
-    vqu_kernel,
 )
 
 MASS = 6.6465e-27
@@ -80,7 +79,7 @@ def _periodic_vqu_error(n_points):
         - (0.5 * k * np.sin(k * q)) ** 2 / (4 * n**2)
     expected = -(HBAR**2 / (2 * MASS)) * s_ratio
     grid = Grid(0.0, (n_points - 1) * h, n_points, periodic=True)
-    vqu = vqu_kernel(n, grid, MASS)
+    vqu = quantum_potential(Field(grid, n), MASS).values
     return np.max(np.abs(vqu - expected)) / np.max(np.abs(expected))
 
 
@@ -91,11 +90,11 @@ def _zero_flux_vqu_error(n_points):
     grid = Grid(-4e-10, 4e-10, n_points)
     r = grid.points
     expected = -(HBAR**2 / (2 * MASS)) * (r**2 / dq2**2 - 1.0 / dq2)
-    vqu = vqu_kernel(np.exp(-(r**2) / dq2), grid, MASS)
+    vqu = quantum_potential(Field(grid, np.exp(-(r**2) / dq2)), MASS).values
     return np.max(np.abs(vqu - expected)) / np.max(np.abs(expected))
 
 
-def test_vqu_kernel_second_order_both_boundaries():
+def test_quantum_potential_second_order_both_boundaries():
     periodic = [_periodic_vqu_error(n) for n in (64, 128, 256)]
     zero_flux = [_zero_flux_vqu_error(n) for n in (401, 801, 1601)]
     for errors in (periodic, zero_flux):

@@ -1,9 +1,13 @@
+import json
 import math
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhydro.cli import main
 from qhydro.errors import NumericalError, ValidationError
 from qhydro.grids import Field, Grid
 from qhydro.qpotential import (
@@ -109,6 +113,81 @@ def test_truncated_linear_independent_of_k_and_lambda_c(log_k, lc_frac):
     lam_q = nonlocality_length(profile, lc_frac * delta,
                                growth_exponent(profile))
     assert lam_q == pytest.approx(2 * delta, rel=1e-3)
+
+
+def trapezoid_reference(profile, lambda_c, decay):
+    """lambda_q by the rule grids.integral replaced: np.trapezoid over the
+    radii [0, r...], the integrand at r = 0 extrapolated from its first two
+    values, plus the same closed-form tail."""
+    r, f = profile.radial()
+    integrand = f / r
+    slope0 = (integrand[1] - integrand[0]) / (r[1] - r[0])
+    i0 = max(integrand[0] - slope0 * r[0], 0.0)
+    total = float(np.trapezoid(np.concatenate(([i0], integrand)),
+                               np.concatenate(([0.0], r))))
+    a = decay.fitted_exponent
+    if decay.coefficient > 0.0:
+        total += decay.coefficient * r[-1] ** (a + 1.0) / (-1.0 - a)
+    return 2.0 * total / (float(np.interp(lambda_c, r, f)) / lambda_c)
+
+
+# The two rules differ in the panel widths: np.trapezoid takes each from
+# diff(r), whose radii r = q - origin each carry a rounding of about
+# eps |q|, where grids.integral takes the grid's one spacing h.  Over
+# 40,000 random draws of the ranges below and their corners the relative
+# difference reached 1.17 eps max|q| / h (9.6e-13 at N = 3,000).
+REFERENCE_RTOL_PER_Q_OVER_H = 3.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("between", [False, True], ids=["on_point", "between"])
+@given(n=st.integers(16, 3000), log_length=st.floats(-12.0, 8.0),
+       offset=st.floats(-1.0, 1.0), start=st.floats(0.0, 1.0),
+       fraction=st.floats(0.01, 0.99), power=st.floats(2.2, 6.0),
+       log_width=st.floats(-1.5, 0.0), log_k=st.floats(-30.0, 10.0),
+       lc_frac=st.floats(0.05, 0.9), tail=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_nonlocality_length_matches_trapezoid_reference(
+        between, n, log_length, offset, start, fraction, power, log_width,
+        log_k, lc_frac, tail):
+    # F = k r / (1 + (r / L)^p): positive and decaying as r^(1 - p), with
+    # the origin on a grid point or between two
+    length = 10.0**log_length
+    grid = Grid(offset * length, (offset + 1.0) * length, n)
+    q = grid.points
+    origin = float(q[int(start * (n - 11))])
+    if between:
+        origin += fraction * grid.spacing
+    r_max = float(q[-1]) - origin
+    width, k = r_max * 10.0**log_width, 10.0**log_k
+    r = np.abs(q - origin)
+    profile = QuantumForceProfile(
+        Field(grid, k * r / (1.0 + (r / width) ** power), "N"), origin)
+    decay = DecayClass(ASYMPTOTICALLY_VANISHING, 1.0 - power,
+                       tail * k * width**power)
+    lambda_c = lc_frac * r_max
+    want = trapezoid_reference(profile, lambda_c, decay)
+    got = nonlocality_length(profile, lambda_c, decay)
+    scale = max(abs(grid.q_min), abs(grid.q_max)) / grid.spacing
+    assert abs(got - want) <= REFERENCE_RTOL_PER_Q_OVER_H * scale * abs(want)
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden.json").read_text())
+
+
+@pytest.mark.skipif(
+    GOLDEN["environment"] != {"numpy": np.__version__,
+                              "machine": platform.machine()},
+    reason="the golden table's numpy and machine fix lambda_q's bits")
+def test_readme_lambda_q_keeps_its_bits(tmp_path):
+    # the README's slow-tail lambda-q call, JSON record and all
+    out = tmp_path / "lambda_q.json"
+    assert main(["lambda-q", "--set", "experiment.family=power_f",
+                 "--set", "experiment.family_g=1.4",
+                 "--set", "grid.q_max=3e6 m", "--set", "grid.n_points=120001",
+                 "--set", "noise.lambda_c=2.0 m", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["lambda_q_m"] \
+        == 4317.784169338138
 
 
 def test_untruncated_linear_is_infinite():
