@@ -25,6 +25,7 @@ import json
 import os
 from pathlib import Path
 import platform
+import re
 import tempfile
 
 import numpy as np
@@ -94,6 +95,30 @@ ROWS.update({
 def environment() -> dict:
     """What the bits of an FFT-filtered row depend on, besides the code."""
     return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def on_table_environment() -> bool:
+    """Whether this numpy and machine are the ones that wrote the table."""
+    return json.loads(TABLE.read_text())["environment"] == environment()
+
+
+NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def last_digit_unit(token: str) -> float:
+    """One unit in the last printed digit of a number as written."""
+    mantissa, _, exponent = token.lower().partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+def text_matches_to_printed_digit(expected: str, actual: str) -> bool:
+    """Whether ``actual`` is ``expected`` but for its numbers, each within one
+    unit of the last digit ``expected`` prints."""
+    if NUMBER.split(expected) != NUMBER.split(actual):
+        return False
+    # the slack absorbs the binary rounding of the two decimal strings
+    return all(abs(float(a) - float(e)) <= last_digit_unit(e) * (1 + 1e-9)
+               for e, a in zip(NUMBER.findall(expected), NUMBER.findall(actual)))
 
 
 def _sha256(data: bytes) -> str:

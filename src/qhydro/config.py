@@ -19,9 +19,8 @@ Each section is the object the code runs on, and each checks its own
 values when it is built, so a config file's bad value fails at load
 whichever command reads the file: [material] is the
 ``params.MaterialParams`` of the run (He-4 by default), [grid] the
-``params.Grid``, whose ``periodic`` key is the one statement of the
-boundary, and [integrator] the ``IntegratorConfig`` that ``dynamics``
-steps with, plus the run length, a whole number of steps.
+``params.Grid``, and [integrator] the ``IntegratorConfig`` that
+``dynamics`` steps with, plus the run length, a whole number of steps.
 [experiment] is ``ExperimentSection``, read as it is: a start is a free
 Gaussian or ``ground``, the ground state of its potential, which so must
 not be none, and lambda-q reads the five family keys, checked last, from

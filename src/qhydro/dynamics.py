@@ -10,12 +10,10 @@ at every stage.  V_qu depends on n alone, so (n, v) is the whole state and
 every observable is a function of it.  Three schemes share the core:
 deterministic_quantum (full force), classical_limit (quantum force
 dropped), and stochastic_quantum (deterministic drift plus an
-Euler-Maruyama noise increment on the density).  The step's settings,
-``IntegratorConfig``, and the scheme names are defined in
-``qhydro.config``, where the [integrator] section extends them with the
-run length, and are importable from here.  The boundary is the grid's:
-``Grid.periodic`` picks the stencils, the flux through the end faces and
-the quadrature of the step, ``observables`` and the noise projection.
+Euler-Maruyama noise increment on the density).  ``IntegratorConfig`` and
+the scheme names are ``qhydro.config``'s, importable from here.  The
+boundary is the grid's (``Grid.periodic``), for the step, ``observables``
+and the noise projection alike.
 
 Layout: ``HydroState`` holds the state as one read-only (2, N) array
 [n, v], which the step reads as its y0 without a copy.  The step works
@@ -25,39 +23,34 @@ the flux divergence read, plus the grid's points and one scratch row for
 ``grids.integral``; at N = 601 slicing and allocating cost more than the
 arithmetic.  Building it checks the step bound (``check_cfl``), so a
 run checks it once, and a step takes dt and the grid from the workspace
-it works in; a step called without one builds its own.  ``run`` passes
-the workspace to ``observables`` too, which takes each snapshot's V_qu
-with its curvature kernel and forms each integrand in its rows; called
-without one, ``observables`` builds its own without checking the bound,
-as it takes no step, and gives the same bits.  k2 is evaluated
-into y1, a fresh array the new state owns, which sums the rates as they
-come.  Every element goes through the same IEEE operations in the same
-order as the field-by-field textbook form, so results are bit-identical
-to it.  The step scans y1 once for non-finite
-values, naming the row it finds, and the next ``HydroState`` adopts it
-without a second scan; a Field of one row is built only when a caller
-reads it (the final state).  A diverging run overflows to inf, which that
-scan names; ``run`` silences numpy's overflow warnings once for the run.
-A scalar can overflow while n and v stay finite (m v^2 / 2), so a run
-that reaches t_end fails on its first non-finite snapshot scalar.
+it works in.  ``run`` passes the workspace to ``observables`` too, which
+takes each snapshot's V_qu with its curvature kernel and forms each
+integrand in its rows.  k2 is evaluated into y1, a fresh array the new
+state owns.  Every element goes through the same IEEE operations in the
+same order as the field-by-field textbook form, so results are
+bit-identical to it.  The step scans y1 once for non-finite values,
+naming the row it finds, and the next ``HydroState`` adopts it without a
+second scan.  A diverging run overflows to inf, which that scan names;
+``run`` silences numpy's overflow warnings once for the run.  A snapshot
+scalar that overflows while n and v stay finite fails the run
+(``_non_finite_scalar``).
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
 order (its two renormalisation integrals in the workspace's scratch
-row), and scans that row again.  ``run`` draws the noise rows 8 steps ahead
-in one ``sample_fields`` call, projected on the run's grid, and hands
-row j to step j; the rows equal single-row draws bit for bit, and 8 rows
-keep most of the per-call saving while the batch stays small next to the
-run's memory (a 64-row batch adds about 5 MB to the peak at N = 801).
+row), and scans that row again.  ``run`` draws the noise rows
+``NOISE_DRAW_ROWS`` steps ahead in one ``sample_fields`` call, projected
+on the run's grid, and hands row j to step j; the rows equal single-row
+draws bit for bit, and 8 rows keep most of the per-call saving while the
+batch stays small next to the run's memory (a 64-row batch adds about
+5 MB to the peak at N = 801).
 
-Vacuum handling: the density under the square root carries the additive
-floor of ``qpotential.floored_density``, 1e-12 of the peak, so the step,
-``observables`` and ``qpotential.quantum_potential`` take V_qu alike.
-The total force is multiplied by a smooth taper that shuts it off where
-the density is at floor level.  Without the taper the floor region hosts
-unbounded parasitic accelerations; tapering only the quantum force leaves
-the classical force to accelerate ghost fluid, so the taper multiplies
-the sum.
+Vacuum handling: the density under the square root carries the floor of
+``qpotential.floored_density``.  The total force is multiplied by a
+smooth taper that shuts it off where the density is at floor level.
+Without the taper the floor region hosts unbounded parasitic
+accelerations; tapering only the quantum force leaves the classical force
+to accelerate ghost fluid, so the taper multiplies the sum.
 
 Stability: the quantum term behaves like free-particle dispersion.
 Linearised about a uniform periodic state n0 at rest, the rates read
@@ -69,11 +62,10 @@ all on the imaginary axis, whose largest is omega = 4 / (3 sqrt 3) *
 hbar / (m h^2) at cos(kh/2) = 1/sqrt(3).  RK4 is stable on the imaginary
 axis up to |lambda dt| = 2 sqrt 2 (Hairer & Wanner, Solving ODEs II,
 1996), so the step must satisfy dt <= CFL_SAFETY * 2 sqrt 2 / omega,
-which is 3.67 CFL_SAFETY m h^2 / hbar = 1.47 m h^2 / hbar.  The bound
-depends on the grid and the mass only, so a run that starts inside it
-stays inside it.  The one-sided wall stencils and the low-density fringe
-lie outside this analysis; the constant CFL_SAFETY = 0.4 is set from runs
-that include them.
+which is 3.67 CFL_SAFETY m h^2 / hbar.  The bound depends on the grid and
+the mass only, so a run that starts inside it stays inside it.  The
+one-sided wall stencils and the low-density fringe lie outside this
+analysis; ``constants.CFL_SAFETY`` is set from runs that include them.
 """
 
 from __future__ import annotations
@@ -165,14 +157,8 @@ DISPERSION_RATE = 4.0 / (3.0 * math.sqrt(3.0))
 
 def cfl_limit(mass: float, spacing: float) -> float:
     """Largest dt allowed for the explicit step: ``CFL_SAFETY`` times RK4's
-    stability limit on the discretised dispersion.
-
-    The linearised rates are +-i omega(k), the largest
-    omega = 4 / (3 sqrt 3) hbar / (m h^2) (derived in the module
-    docstring).  RK4 keeps i omega dt stable up to 2 sqrt 2, so the
-    limit itself, cfl_limit / CFL_SAFETY = 2 sqrt 2 / omega
-    = 3.67 m h^2 / hbar, is the edge of stability.
-    """
+    stability limit on the discretised dispersion, 2 sqrt 2 / omega
+    (derived in the module docstring)."""
     omega = DISPERSION_RATE * HBAR / (mass * spacing**2)
     return CFL_SAFETY * RK4_IMAGINARY_LIMIT / omega
 
@@ -412,8 +398,8 @@ def observables(state: HydroState, potential: Field, mass: float,
                 cfg: IntegratorConfig,
                 workspace: Workspace | None = None) -> Snapshot:
     """The snapshot of ``state``, computed in ``workspace``, built for these
-    arguments, or in a new one that skips the step bound (cfg is read only
-    to build it).
+    arguments, or in a new one, with the same bits (cfg is read only to
+    build it).
 
     V_qu is the workspace's curvature kernel on the sqrt of the floored
     density, ``qpotential.quantum_potential``'s operations; each integrand

@@ -8,12 +8,11 @@ integrator slices its workspace once per run.  Grouped differences map
 constant fields to exactly zero; the ends run on Python floats, the same
 IEEE doubles as numpy scalars without their per-operation overhead.
 
-The grid owns its boundary: ``Grid.periodic`` is the one place it is
-stated, and the stencils, the quadrature and every caller of them read it
-there.  The quadrature, ``integral``, is the trapezoid rule between walls
-and the cell sum on a periodic grid, whose N points each own a cell of
-width h, the wrap-around one included; it integrates along the last axis
-over ``Grid.length``, the package's one trapezoid rule (lambda_q's too).
+The stencils and the quadrature read the boundary from ``Grid.periodic``
+(``qhydro.params``).  The quadrature, ``integral``, is the trapezoid rule
+between walls and the cell sum on a periodic grid, the wrap-around cell
+included; it integrates along the last axis over ``Grid.length``, the
+package's one trapezoid rule (lambda_q's too).
 ``quadrature_weights`` gives its w: integral(f) = w . f.  ``Grid`` and
 ``params.check_length``, the rule for a length a run samples, hold no
 array, so they live in the scalar layer, ``qhydro.params``.

@@ -11,41 +11,33 @@ kernel, extended periodically to length M, is diagonalized by the FFT,
 so a field with that covariance is the inverse transform of a Hermitian
 spectrum whose mode j is complex normal with variance set by the
 kernel's eigenvalue eig_j.  The kernel's reach r is the smallest grid
-lag at which G has fallen to 2^-53 G(0), a float's resolution:
-r = ceil((lambda_c / h) sqrt(53 ln 2)), about 6.06 lambda_c.  Between
-walls M is the smallest 2^a 3^b 5^c >= (n_points - 1) + min(n_points - 1,
-r): the embedding holds G at every grid lag up to M / 2 exactly, and past
-it holds G((M - d) h) with M - d >= r, so there both it and G(d h) are at
-or below 2^-53 G(0).  A kernel whose reach spans the grid gets
-2 (n_points - 1), so every grid lag is held exactly.  The FFT is fastest
-on a 5-smooth length.  The default audit's 801-point grid, with
-lambda_c = 65.8 h and r = 399, uses 1,200.  On a periodic grid the field
-is periodic, so M = n_points and the kernel is taken at the wrapped lag
-min(d, n_points - d): the periodized kernel to within 2^-53 G(0) while the
-reach is under n_points / 2 (the default grid, periodic, uses 801).  The
-spectrum of a Gaussian kernel is itself a Gaussian, so past a few
-lambda_c-dependent modes the eigenvalues are rounding noise; only the
-prefix above a roundoff floor is drawn (32 of the 601 modes for the
-default audit).  Each field takes a fixed block of 2J - 1 normals from
-the generator (63 for the default audit), the real parts of modes
-0..J-1 and the imaginary parts of modes 1..J-1, goes through one irfft,
-and its first n_points entries are the field.  The filter is computed
-once per (model, grid) and kept in a small cache.  A batch is drawn on
-the caller's thread in fixed row chunks into one output array; each
+lag at which G has fallen to 2^-53 G(0), a float's resolution; past it
+G is negligible.  M (``_embedding_length``) holds G at every grid lag it
+must and wraps only negligible ones, and the FFT is fastest on its
+5-smooth length.  On a periodic grid the field is periodic, so M is
+n_points and the kernel is taken at the wrapped lag.  The spectrum of a
+Gaussian kernel is itself a Gaussian, so past a few lambda_c-dependent
+modes the eigenvalues are rounding noise; only the J modes before
+``SPECTRUM_FLOOR`` are drawn.  Each field takes a fixed block of 2J - 1
+normals from the generator, the real parts of modes 0..J-1 and the
+imaginary parts of modes 1..J-1, goes through one irfft, and its first
+n_points entries are the field.  The filter is computed once per (model,
+grid) and kept in a small cache.  A batch is drawn on the caller's
+thread in chunks of ``CHUNK_ROWS`` rows into one output array; each
 row's bits depend on its own normals alone, so they are those of a
-one-shot batch whatever the chunking.
-Peak memory is the output array plus one set of chunk buffers, 1.26 MB
-for the default audit's 64-row chunks.  A caller that needs only a
-summary of each field (noise-audit's lag means) passes ``reduce``: each
-chunk is reduced in the transform's buffer as soon as it is drawn, and
-the output holds the summaries, so a batch of any size costs the chunk
-buffers plus the summaries.  A conserving model projects
-each field to zero ``grids.integral`` on the grid it is drawn on, over
-the grid's ``length``: the trapezoid rule over q_max - q_min between
-walls, the cell sum over the period N h on a periodic grid.  The
-delta(tau) time factor is the integrator's contract (fields are scaled by
-sqrt(dt) there); the sampler produces unit-time-density fields, on a grid
-that ``params.check_length`` finds resolves lambda_c: h < lambda_c / 2.
+one-shot batch whatever the chunking, and a caller that needs only a
+summary of each field passes ``reduce`` (``sample_fields``).  A
+conserving model projects each field to zero ``grids.integral`` on the
+grid it is drawn on, over the grid's ``length``.  The delta(tau) time
+factor is the integrator's contract (fields are scaled by sqrt(dt)
+there); the sampler produces unit-time-density fields, on a grid that
+``params.check_length`` finds resolves lambda_c: h < lambda_c / 2.
+
+The default audit is the worked example the docstrings below refer to:
+801 points with lambda_c = 65.8 h give the reach r = 399 and M = 1,200,
+whose spectrum keeps 32 of the 601 modes, so a field takes 63 normals,
+and the 64-row chunk buffers take 32 kB + 615 kB + 614 kB = 1.26 MB.
+The same grid, periodic, uses M = 801.
 """
 
 from __future__ import annotations
@@ -119,10 +111,9 @@ def covariance(model: NoiseModel, separation: float | np.ndarray
 # rows per chunk in sample_fields: the working set beyond the output is a
 # (CHUNK_ROWS, 2J - 1) normals buffer, a complex (CHUNK_ROWS, M // 2 + 1)
 # spectrum and a real (CHUNK_ROWS, M) field buffer, M the embedding length
-# and J the modes drawn, whatever the sample count.  At the default audit's
-# M = 1,200 and J = 32 that is 32 kB + 615 kB + 614 kB = 1.26 MB; 64 rows
-# halve the per-chunk calls of 32 (the audit's reduction among them), and
-# 128 rows were no faster
+# and J the modes drawn, whatever the sample count (the default audit's
+# size is in the module docstring); 64 rows halve the per-chunk calls of
+# 32 (the audit's reduction among them), and 128 rows were no faster
 CHUNK_ROWS = 64
 
 # modes from the first eigenvalue at or below this fraction of eig[0] on
@@ -131,8 +122,8 @@ CHUNK_ROWS = 64
 # the audit's kernel (tests/test_noise.py bounds it at 1e-13 G(0))
 SPECTRUM_FLOOR = 1e-13
 
-# G(x) is at or below 2^-53 G(0), a float's resolution, from x =
-# REACH_LAMBDA_C lambda_c (about 6.06 lambda_c) on
+# G is negligible (module docstring) from REACH_LAMBDA_C lambda_c on, about
+# 6.06 lambda_c
 REACH_LAMBDA_C = math.sqrt(53 * math.log(2))
 
 
@@ -159,12 +150,11 @@ def _embedding_length(model: NoiseModel, grid: Grid) -> int:
 
     A periodic grid's field is periodic itself, so the circulant is the
     grid: M = n.  Between walls, n is n_points and r = ceil((lambda_c / h)
-    REACH_LAMBDA_C) the kernel's reach, the smallest grid lag d with
-    G(d h) <= 2^-53 G(0).  Each grid lag d <= M / 2 is held exactly.  A lag
-    d > M / 2 wraps to M - d >= min(n - 1, r); a reach below n - 1 puts
-    both G(d h) and the held G((M - d) h) at or below 2^-53 G(0), and a
-    reach of n - 1 or more gives M >= 2 (n - 1), so no grid lag wraps.  The
-    default audit (n = 801, lambda_c = 65.8 h, r = 399) gets 1,200.
+    REACH_LAMBDA_C) the kernel's reach.  Each grid lag d <= M / 2 is held
+    exactly.  A lag d > M / 2 wraps to M - d >= min(n - 1, r); a reach
+    below n - 1 makes both G(d h) and the held G((M - d) h) negligible,
+    and a reach of n - 1 or more gives M >= 2 (n - 1), so no grid lag
+    wraps.
     """
     if grid.periodic:
         return grid.n_points
@@ -179,10 +169,10 @@ def _kernel_row(model: NoiseModel, grid: Grid) -> np.ndarray:
 
     Entry j of its ``_embedding_length`` M entries is G(min(j, M - j) h).
     Between walls that is G(d h) itself at every grid lag d <= M / 2, and
-    at or below 2^-53 G(0) at the grid lags past it, as G(d h) is there.
-    On a periodic grid (M = n) it is G at the wrapped lag, which is the
-    periodized kernel sum_m G((j - m n) h) to within 2^-53 G(0) while the
-    reach is under n / 2.
+    negligible at the grid lags past it, as G(d h) is there.  On a
+    periodic grid (M = n) it is G at the wrapped lag, which is the
+    periodized kernel sum_m G((j - m n) h) but for negligible terms while
+    the reach is under n / 2.
     """
     m = _embedding_length(model, grid)
     j = np.arange(m)
@@ -199,9 +189,9 @@ def _spectral_filter(model: NoiseModel, grid: Grid) -> np.ndarray:
     real and imaginary parts of variance eig_j M / 2, except that modes 0
     and M / 2 (for even M) are real and carry eig_j M.  Only the prefix
     of modes before the first eig_j <= SPECTRUM_FLOOR eig_0 is kept, so
-    every kept eigenvalue is positive: 32 of the 601 modes of the default
-    audit's M = 1,200.  An amplitude near overflow can overflow the
-    transform or eig_j M; such a filter is rejected by name.  Read-only.
+    every kept eigenvalue is positive.  An amplitude near overflow can
+    overflow the transform or eig_j M; such a filter is rejected by name.
+    Read-only.
     """
     m = _embedding_length(model, grid)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,9 +295,9 @@ def sampled_covariance(model: NoiseModel, grid: Grid, lag: int) -> float:
     cov(y)_ij = C_ij - a_i - a_j + b with a = Cw/L and b = w.Cw/L^2, so
     the mean along the lag is
     G(lag h) - mean(a[:n-lag]) - mean(a[lag:]) + b.  C is built from G at
-    the grid lags 0..n-1 itself, not from the kernel row: the default
-    audit's M = 1,200 holds G only up to lag 600 of its 800.  On a periodic
-    grid C is the circulant of the kernel row, G at the same wrapped lags.
+    the grid lags 0..n-1 itself, not from the kernel row, which holds G
+    only up to lag M / 2.  On a periodic grid C is the circulant of the
+    kernel row, G at the same wrapped lags.
     """
     n = grid.n_points
     lags, wrapped = np.arange(n), lag

@@ -2,19 +2,25 @@
 
 CSV: comma separated, header mandatory, LF endings, one row per snapshot,
 columns time, norm, mean_q, variance, E_kin, E_pot, E_qu.  All numbers
-use shortest round-trip representation.  JSON summaries carry the keys
+use shortest round-trip representation, so a run with the same config
+and seed writes the same bytes.  JSON summaries carry the keys
 {config, results, provenance}.  The config block is the command and the
 config keys it reads, {section: {key: value}}, so it re-runs as that
 command with one --set per key; the provenance block records the
 constants, package, numpy and Python versions, the platform, the seed
 of a command that reads one, and a config hash.  numpy's version is that
-of the module the command ran on, and null for a command that runs no
-numpy (lambda-c, classify, case), whose result does not depend on it.
+of the module the command ran on, recorded for the commands that read
+[grid] keys, which sample the grid on numpy, and null for the others
+(lambda-c, classify, case), whose results do not depend on it.  The
+platform is os.uname()'s system, release and machine where it exists
+(sys.platform elsewhere): the ``platform`` module would cost a cold
+record its import and a read of the interpreter binary for the libc
+version.
 The hash is the first 16 hex digits of the SHA-256 of the record's own
 config block with its [output] paths set to null, as canonical JSON
 (sorted keys, "," and ":" separators).  A record is strict JSON: a
 non-finite number is written as its text ("inf", "-inf"), which float()
-and the converters read back.
+and the converters read back, an unbounded length among them.
 Files are written whole at the end of a run: a failed run leaves no
 partial summary behind, and a path that cannot be written is a
 ValidationError naming it, as an unreadable config is.
@@ -24,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-import platform
 import sys
 from typing import TYPE_CHECKING
 
@@ -77,14 +82,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# the commands that sample a grid, so load numpy and record its version
-NUMPY_COMMANDS = frozenset({"simulate", "lambda-q", "noise-audit"})
-
-
 def summary_record(cfg: ExperimentConfig, command: str, keys,
                    results: dict) -> dict:
-    """The summary of ``command``, whose config block holds ``keys``; one of
-    the ``NUMPY_COMMANDS`` records the numpy version it loaded."""
+    """The summary of ``command``, whose config block holds ``keys``."""
     config = {"command": command}
     for section, _, key in (dotted.partition(".") for dotted in keys):
         config.setdefault(section, {})[key] = getattr(getattr(cfg, section), key)
@@ -93,9 +93,11 @@ def summary_record(cfg: ExperimentConfig, command: str, keys,
         "package": "qhydro",
         "version": __version__,
         "numpy": (sys.modules["numpy"].__version__
-                  if command in NUMPY_COMMANDS else None),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
+                  if any(key.startswith("grid.") for key in keys) else None),
+        # the version token of sys.version, as platform.python_version()
+        "python": sys.version.split()[0],
+        "platform": ("{0.sysname}-{0.release}-{0.machine}".format(os.uname())
+                     if hasattr(os, "uname") else sys.platform),
         "constants": {
             "hbar_Js": HBAR,
             "k_B_J_per_K": K_B,

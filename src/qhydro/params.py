@@ -11,14 +11,14 @@ converter.
 
   * ``Record`` is the one way qhydro declares a value object, here and in
     every other module.  A subclass lists its fields as annotated class
-    attributes, each class attribute a default; ``Cls.fields`` maps them
-    to their types.  A record binds positional and keyword arguments to
-    its fields, runs ``__post_init__``, and is then frozen, compared and
-    hashed by type and field values; ``replace`` rebuilds it through the
-    checks, and ``as_dict`` gives its fields by name.  It is a plain base
-    class rather than the standard library's class decorator, whose import
-    (inspect, ast, dis, tokenize) and per-class code generation took about
-    a quarter of a cold closed-form command.
+    attributes, base classes' first, each class attribute a default;
+    ``Cls.fields`` maps them to their types.  A record binds positional and
+    keyword arguments to its fields, runs ``__post_init__``, and is then
+    frozen, compared and hashed by type and field values; ``replace``
+    rebuilds it through the checks, and ``as_dict`` gives its fields by
+    name.  It is a plain base class rather than the standard library's class
+    decorator, whose import (inspect, ast, dis, tokenize) and per-class code
+    generation took about a quarter of a cold closed-form command.
   * ``Grid`` is [grid]: the uniform 1-D grid, which owns its boundary.
     ``Grid.periodic`` is the one place the boundary is stated; the
     stencils, the quadrature (``qhydro.grids``) and every caller of them
@@ -32,9 +32,7 @@ converter.
     the lowest bound state of its hard-wall square well
     (``square_well_solve``, by bisection on Python floats).
 
-[experiment] has no object here: ``config.ExperimentSection`` holds its
-keys as they are read, the pseudo-Gaussian family's five among them, and
-checks them itself.
+[experiment] has no object here: it is ``config.ExperimentSection``.
 """
 
 import math
@@ -49,12 +47,7 @@ _MISSING = object()
 
 
 class Record:
-    """A frozen value object, built and checked once (module docstring).
-
-    A subclass's fields are its annotated names, base classes' first, and
-    the class attribute of a field's name is its default.  ``Cls.fields``
-    maps each field's name to its declared type.
-    """
+    """A frozen value object, built and checked once (module docstring)."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -4,14 +4,14 @@ The quantum potential of a density n is
 
     V_qu = -(hbar^2 / 2m) (d^2 sqrt(n) / dq^2) / sqrt(n)
 
-computed with the stencil kernels of :mod:`qhydro.grids`.  The density
-under the square root carries one additive floor, ``floored_density``:
-max(n, 0) plus 1e-12 of the peak (the tails of any localized state
-underflow long before the grid ends).  ``quantum_potential`` applies it
-to a density field; the integrator's step and ``dynamics.observables``
-take the same floor and operations in their workspace.  Every stencil is
-the grid's own, so a state's V_qu here is the V_qu it is stepped and
-measured with, on either boundary.  For work in the deep tail, where no
+computed with the stencil kernels of :mod:`qhydro.grids`.  The density under
+the square root carries one additive floor, ``floored_density``: max(n, 0)
+plus ``DENSITY_FLOOR_FRACTION`` of the peak (the tails of any localized
+state underflow long before the grid ends).  ``quantum_potential`` applies it
+to a density field; the integrator's step and ``dynamics.observables`` take
+the same floor and operations in their workspace.  Every stencil is the
+grid's own, so a state's V_qu here is the V_qu it is stepped and measured
+with, on either boundary.  For work in the deep tail, where no
 floating-point density survives, the same operator is available on
 log-densities via the identity
 
@@ -21,10 +21,9 @@ A :class:`QuantumForceProfile` is the force field and the origin of radial
 distance.  The force-growth classifier fits the exponent a of
 |q^-1 dV_qu/dq| ~ q^a over an outer radial window and maps it onto the four
 expansion classes, whose labels ``scales`` defines beside its closed-form
-decay classifier (the nonlocality integral converges in the asymptotically
-vanishing one).  A density family reaches the nonlocality length by one
-route: ``quantum_force_from_log`` -> ``growth_exponent`` ->
-``scales.nonlocality_length``.
+decay classifier and ``convergence_test``.  A density family reaches the
+nonlocality length by one route: ``quantum_force_from_log`` ->
+``growth_exponent`` -> ``scales.nonlocality_length``.
 """
 
 import math

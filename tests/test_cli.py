@@ -6,6 +6,7 @@ import math
 import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -504,23 +505,25 @@ SHORT_STOCHASTIC = ["simulate", "--set", "integrator.scheme=stochastic_quantum",
 # a config file needs it), scipy (its import would dominate every cold
 # call), concurrent.futures (the sampler starts no thread),
 # importlib.metadata (a record reads no package metadata), dataclasses (no
-# row may load it: params.Record declares every value object) and inspect
-# (numpy imports it, and nothing else does)
+# row may load it: params.Record declares every value object), and inspect
+# and platform (numpy imports them, and nothing else does: a record takes
+# its platform from os.uname())
 COLD_WATCHED = ("numpy", "numpy.random", "numpy.fft", "hashlib", "json",
                 "configparser", "qhydro.dynamics", "qhydro.noise",
                 "qhydro.output", "scipy", "concurrent.futures",
-                "importlib.metadata", "dataclasses", "inspect")
+                "importlib.metadata", "dataclasses", "inspect", "platform")
 # the README scalar commands that sample a profile on a grid
 ARRAY_COMMANDS = ("lambda-q",)
 # name, commands run in one fresh interpreter, the watched modules they load
 COLD_ROWS = [
-    *((name, [argv], ("numpy", "inspect") if name in ARRAY_COMMANDS else ())
+    *((name, [argv], ("numpy", "inspect", "platform")
+       if name in ARRAY_COMMANDS else ())
       for name, argv in SCALAR_COMMANDS.items()),
     ("classify-without-lambda-q", [CLASSIFY_WITHOUT_LAMBDA_Q], ()),
     ("case-helium+stochastic-simulate",
      [SCALAR_COMMANDS["case-helium"], SHORT_STOCHASTIC],
      ("numpy", "qhydro.dynamics", "qhydro.noise", "numpy.random", "numpy.fft",
-      "hashlib", "inspect")),
+      "hashlib", "inspect", "platform")),
     ("lambda-c-json", [[*SCALAR_COMMANDS["lambda-c"], "--json", "{tmp}/lc.json"]],
      ("qhydro.output", "hashlib", "json")),
     ("lambda-c-config", [["lambda-c", "--config", "{tmp}/theta.ini"]],
@@ -528,7 +531,7 @@ COLD_ROWS = [
     ("simulate-csv-json",
      [["simulate", *FAST_SIM, "--csv", "{tmp}/run.csv", "--json", "{tmp}/run.json"]],
      ("numpy", "qhydro.dynamics", "qhydro.noise", "qhydro.output", "hashlib",
-      "json", "inspect")),
+      "json", "inspect", "platform")),
 ]
 
 
@@ -646,15 +649,23 @@ def test_streamed_audit_matches_one_batch_reference(
     assert out == f"noise-audit: worst |z| {worst_z:.2f} over {samples} samples\n"
 
 
+# a lag far past the grid, and the lag round(2 lambda_c / h) = 33 cells
+# equal to n_points: one past the last lag the grid holds
+SHORT_AUDIT_GRIDS = [
+    ["--set", "grid.q_min=-0.25 nm", "--set", "grid.q_max=0.25 nm",
+     "--set", "grid.n_points=8"],
+    ["--set", "noise.lambda_c=16.5e-11 m", "--set", "grid.q_min=0 m",
+     "--set", "grid.q_max=32e-11 m", "--set", "grid.n_points=33"],
+]
+
+
 def test_audit_rejects_short_grid_before_drawing(monkeypatch, capsys):
     calls = record_audit_draws(monkeypatch)
-    code, out, err = run(["noise-audit", "--theta", "2.17 K",
-                          "--set", "grid.q_min=-0.25 nm",
-                          "--set", "grid.q_max=0.25 nm",
-                          "--set", "grid.n_points=8"], capsys)
-    assert code == 1
-    assert err == "error: grid too short for the 2 lambda_c lag\n"
-    assert out == ""
+    for grid in SHORT_AUDIT_GRIDS:
+        code, out, err = run(["noise-audit", "--theta", "2.17 K", *grid], capsys)
+        assert code == 1
+        assert err == "error: grid too short for the 2 lambda_c lag\n"
+        assert out == ""
     assert calls == []
 
 
@@ -1061,11 +1072,22 @@ def test_provenance_records_versions_and_platform(tmp_path, capsys):
     # lambda-c runs no numpy, so its result does not depend on numpy's version
     assert provenance["numpy"] is None
     assert provenance["python"] == platform.python_version()
-    assert provenance["platform"] == platform.platform()
+    # the platform is os.uname()'s, without platform.platform()'s libc suffix
+    system = os.uname()
+    assert provenance["platform"] == (f"{system.sysname}-{system.release}-"
+                                      f"{system.machine}")
     path = tmp_path / "lq.json"
     code, _, _ = run([*SCALAR_COMMANDS["lambda-q"], "--json", str(path)], capsys)
     assert code == 0
     assert json.loads(path.read_text())["provenance"]["numpy"] == np.__version__
+
+
+def test_provenance_platform_without_uname(monkeypatch):
+    # where os has no uname (Windows), the platform is sys.platform
+    monkeypatch.delattr(os, "uname")
+    record = summary_record(ExperimentConfig(), "lambda-c",
+                            COMMAND_KEYS["lambda-c"], {})
+    assert record["provenance"]["platform"] == sys.platform
 
 
 def traced_reads(argv):
@@ -1156,7 +1178,6 @@ def test_start_pair_runs_on_one_closed_form(capsys, monkeypatch, initial,
 
 
 def test_every_config_key_is_read_by_a_command():
-    assert set(COMMAND_KEYS) == set(cli._COMMANDS)
     assert set().union(*COMMAND_KEYS.values()) == {
         f"{section}.{key}" for section, keys in _CONVERTERS.items() for key in keys}
 
@@ -1178,8 +1199,56 @@ def test_readme_key_table_is_command_keys():
     assert documented == COMMAND_KEYS
 
 
+def readme_commands():
+    """(argv, printed lines) of each command in the README's console block."""
+    block = (ROOT / "README.md").read_text().split("```console\n", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines():
+        if line.startswith("$ qhydro "):
+            commands.append((shlex.split(line)[2:], []))
+        elif line and not line.startswith("#"):
+            commands[-1][1].append(line)
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_quotes_every_command():
+    assert {" ".join(argv[:2]) if argv[0] == "case" else argv[0]
+            for argv, _ in README_COMMANDS} == set(COMMAND_KEYS)
+
+
+@pytest.mark.parametrize("argv, printed", README_COMMANDS,
+                         ids=[" ".join(argv[:2]) if argv[0] == "case" else argv[0]
+                              for argv, _ in README_COMMANDS])
+def test_readme_command_prints_its_line(tmp_path, capsys, monkeypatch, argv,
+                                        printed):
+    # the golden table's rule: exact on its numpy and machine, and to the
+    # last printed digit elsewhere; simulate writes its files here
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    expected = "\n".join(printed) + "\n"
+    if golden.on_table_environment():
+        assert out == expected
+    else:
+        assert golden.text_matches_to_printed_digit(expected, out)
+
+
 def _refuse(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def _keys_in(value):
+    """Every dict key in a JSON value, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys_in(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys_in(item)
 
 
 @pytest.mark.parametrize("argv, where, text", [
@@ -1188,13 +1257,24 @@ def _refuse(constant):
     # a zero-force tail fits an exponent of -inf
     (["lambda-q", "--set", "experiment.family=log_f", *TAIL_GRID],
      ("results", "fitted_exponent"), "-inf"),
-], ids=["lambda-q-override-inf", "fitted-exponent-minus-inf"])
+    # an unbounded length is written as the config block writes one
+    (["lambda-c", "--theta", "0"], ("results", "lambda_c_m"), "inf"),
+    (CLASSIFY_WITHOUT_LAMBDA_Q, ("results", "lambda_q_m"), "inf"),
+    # a ballistic tail (power_f at g = 2) prints lambda_q = infinite
+    ([*golden.ROWS["lambda-q"][1], "--set", "experiment.family_g=2"],
+     ("results", "lambda_q_m"), "inf"),
+], ids=["lambda-q-override-inf", "fitted-exponent-minus-inf",
+        "lambda-c-unbounded", "classify-lambda-q-unbounded",
+        "lambda-q-unbounded"])
 def test_records_with_infinities_are_strict_json(tmp_path, capsys, argv, where,
                                                  text):
-    # a non-finite number is written as text that float() reads back
+    # a non-finite number is written as text that float() reads back, and
+    # no flag beside it says so
     path = tmp_path / "record.json"
     assert run([*argv, "--json", str(path)], capsys)[0] == 0
-    value = json.loads(path.read_text(), parse_constant=_refuse)
+    record = json.loads(path.read_text(), parse_constant=_refuse)
+    assert not [key for key in _keys_in(record) if key.endswith("_infinite")]
+    value = record
     for key in where:
         value = value[key]
     assert value == text and math.isinf(float(value))

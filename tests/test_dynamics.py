@@ -318,6 +318,30 @@ def test_step_names_a_vanished_density():
                         eta=eta)
 
 
+# a dip of the density row to a fraction of its peak: an undershoot above
+# -1e-4 of the peak is clipped to zero, and one below it rejects the step
+@pytest.mark.parametrize("dip, rejected", [(-5e-5, False), (-5e-4, True)])
+def test_negative_density_clipped_or_rejected(dip, rejected):
+    # without a quantum force, potential or velocity every rate is zero, so
+    # the step's new density row is the start's, dip and all
+    grid, _ = free_setup(n_points=201)
+    potential = Field(grid, np.zeros(grid.n_points), "J")
+    cfg = IntegratorConfig(dt=0.5 * cfl_limit(MASS, grid.spacing),
+                           scheme=CLASSICAL_LIMIT)
+    y = gaussian_state(grid, 2e-10).y.copy()
+    y[0, 10] = dip * y[0].max()
+    state = HydroState(0.0, grid, y)
+    if rejected:
+        with pytest.raises(StepRejected, match="^negative density beyond "
+                                               "floor tolerance at t = 0"):
+            step_deterministic(state, potential, MASS, cfg)
+        return
+    clipped = y[0].copy()
+    clipped[10] = 0.0
+    stepped = step_deterministic(state, potential, MASS, cfg)
+    np.testing.assert_array_equal(stepped.y[0], clipped)
+
+
 def test_noisy_step_needs_a_generator_or_a_row():
     # a fresh generator of the stream's seed in every step would apply one
     # noise field step after step

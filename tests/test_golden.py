@@ -11,7 +11,6 @@ one-ulp difference in one noise draw grows over a run.
 
 import importlib.util
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -23,22 +22,7 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 TABLE = json.loads((ROOT / "tests" / "golden.json").read_text())
-SAME_ENVIRONMENT = TABLE["environment"] == golden.environment()
-NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
-
-
-def last_digit_unit(token: str) -> float:
-    """One unit in the last printed digit of a number as written."""
-    mantissa, _, exponent = token.lower().partition("e")
-    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
-
-
-def text_matches_to_printed_digit(expected: str, actual: str) -> bool:
-    if NUMBER.split(expected) != NUMBER.split(actual):
-        return False
-    # the slack absorbs the binary rounding of the two decimal strings
-    return all(abs(float(a) - float(e)) <= last_digit_unit(e) * (1 + 1e-9)
-               for e, a in zip(NUMBER.findall(expected), NUMBER.findall(actual)))
+SAME_ENVIRONMENT = golden.on_table_environment()
 
 
 def test_table_has_every_row():
@@ -58,4 +42,5 @@ def test_golden_row(name):
     else:
         assert actual["exit"] == expected["exit"]
         for stream in ("stdout", "stderr"):
-            assert text_matches_to_printed_digit(expected[stream], actual[stream])
+            assert golden.text_matches_to_printed_digit(expected[stream],
+                                                        actual[stream])

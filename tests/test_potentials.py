@@ -249,6 +249,8 @@ def make_family(family, **keys):
 def test_family_validation():
     with pytest.raises(ValidationError):
         make_family("power_f", tail_scale=5.0)  # < 10 core_width
+    # tail_scale = 10 core_width exactly is the least it may be
+    assert make_family("power_f", tail_scale=10.0).tail_scale == 10.0
     with pytest.raises(ValidationError):
         make_family("power_f", family_g=2.5)
     with pytest.raises(ValidationError):

@@ -264,6 +264,9 @@ def test_regime_monotone_in_delta_l(scale):
     (1.7, UNDER_BALLISTIC),
     (1.5, UNDER_BALLISTIC),
     (2.5, SUPER_BALLISTIC),
+    # ballistic is h = 2 to within 1e-9
+    (2.0 + 1e-7, SUPER_BALLISTIC),
+    (2.0 - 1e-7, UNDER_BALLISTIC),
 ])
 def test_classify_decay(h, label):
     assert classify_decay(h) == label
