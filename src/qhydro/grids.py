@@ -23,6 +23,9 @@ import numpy as np
 from .errors import ValidationError
 from .params import Grid, Record
 
+# bound once and given ``out`` positionally: numpy parses no keyword then
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
+
 
 class Field(Record):
     """Sampled real profile on a grid, with a loose unit tag."""
@@ -52,6 +55,8 @@ def derivative_kernel(values: np.ndarray, out: np.ndarray, grid: Grid,
         raise ValidationError("derivative order must be 1 or 2")
     spacing, periodic = grid.spacing, grid.periodic
     scale = 2 * spacing if order == 1 else spacing**2
+    # the interior's divisor as a 0-d array, which numpy need not convert
+    divisor = np.array(scale)
     hi, mid, lo, inner = values[2:], values[1:-1], values[:-2], out[1:-1]
     head, tail = values[:order + 2], values[-order - 2:]
     if order == 2 and not periodic:
@@ -61,23 +66,21 @@ def derivative_kernel(values: np.ndarray, out: np.ndarray, grid: Grid,
     def kernel():
         a, b = head.tolist(), tail.tolist()
         if order == 1:
-            np.subtract(hi, lo, out=inner)
+            _sub(hi, lo, inner)
             if periodic:
                 first, last = a[1] - b[2], a[0] - b[1]
             else:
                 first = 3 * (a[1] - a[0]) + (a[1] - a[2])
                 last = 3 * (b[2] - b[1]) + (b[0] - b[1])
         elif periodic:
-            np.multiply(mid, 2, out=inner)
-            np.subtract(hi, inner, out=inner)
-            np.add(inner, lo, out=inner)
+            _add(_sub(hi, _mul(mid, 2, inner), inner), lo, inner)
             first, last = (a[1] - 2 * a[0]) + b[3], (a[0] - 2 * b[3]) + b[2]
         else:
-            np.subtract(right, left, out=step)
-            np.subtract(step_hi, step_lo, out=inner)
+            _sub(right, left, step)
+            _sub(step_hi, step_lo, inner)
             first = 2 * (a[0] - a[1]) - 3 * (a[1] - a[2]) + (a[2] - a[3])
             last = 2 * (b[3] - b[2]) - 3 * (b[2] - b[1]) + (b[1] - b[0])
-        np.divide(inner, scale, out=inner)
+        _div(inner, divisor, inner)
         out[0], out[-1] = first / scale, last / scale
     return kernel
 
@@ -112,8 +115,8 @@ def integral(values: np.ndarray, grid: Grid,
     """
     if grid.periodic:
         return np.add.reduce(values, -1) * grid.spacing
-    pairs = np.add(values[..., 1:], values[..., :-1],
-                   out=None if scratch is None else scratch[..., :-1])
+    pairs = _add(values[..., 1:], values[..., :-1],
+                 None if scratch is None else scratch[..., :-1])
     pairs *= grid.spacing
     pairs /= 2.0
     return np.add.reduce(pairs, -1)

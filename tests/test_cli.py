@@ -715,6 +715,16 @@ def test_audit_peak_memory_is_about_one_block(capsys, samples):
     capsys.readouterr()
 
 
+def test_audit_traced_peak_is_the_docstring_figure(capsys):
+    # the cli docstring's "about 2.1 MB traced" at the default 10,000
+    # samples: 2.08-2.09 MB measured (Python 3.11.7, numpy 2.4.6), of which
+    # the chunk buffers are 1.26 MB and the lag means 0.24 MB
+    argv = ["noise-audit", "--theta", "2.17 K", "--seed", "3"]
+    assert main([*argv, "--set", "experiment.samples=33"]) == 0
+    assert 1.9e6 < audit_peak(argv, 10_000) < 2.3e6
+    capsys.readouterr()
+
+
 def test_audit_standard_error_matches_isserlis(tmp_path, capsys):
     # for zero-mean Gaussian fields with covariance C(d cells), the mean of
     # x_i x_(i+k) over P = N - k positions has variance

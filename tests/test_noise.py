@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import tracemalloc
 
+from qhydro.cli import _build_parser, _load, _noise_model
 from qhydro.constants import HBAR, K_B
 from qhydro.errors import UnderResolvedError, ValidationError
 from qhydro.grids import Grid
@@ -190,6 +191,28 @@ def test_embedding_length_is_the_smallest_5_smooth_past_the_reach():
             # a kernel whose reach spans the grid keeps 2 (n - 1)
             if r >= n - 1:
                 assert m == next(s for s in smooth if s >= 2 * (n - 1)), n
+
+
+def test_default_audit_is_the_worked_example():
+    # the module docstring's figures, for the model and grid of
+    # qhydro noise-audit --theta "2.17 K"
+    cfg = _load(_build_parser().parse_args(["noise-audit", "--theta", "2.17 K"]))
+    model, grid = _noise_model(cfg), cfg.grid
+    lambda_over_h = model.lambda_c / grid.spacing
+    assert (grid.n_points, grid.periodic) == (801, False)
+    assert round(lambda_over_h, 1) == 65.8
+    assert math.ceil(lambda_over_h * noise.REACH_LAMBDA_C) == 399
+    m = noise._embedding_length(model, grid)
+    kept = noise._spectral_filter(model, grid).size
+    # M, the modes kept of the M / 2 + 1, and the normals per field
+    assert (m, kept, m // 2 + 1, 2 * kept - 1) == (1200, 32, 601, 63)
+    # the chunk buffers: normals, the complex spectrum and the real field
+    buffers = [CHUNK_ROWS * (2 * kept - 1) * 8,
+               CHUNK_ROWS * (m // 2 + 1) * 16, CHUNK_ROWS * m * 8]
+    assert [round(size / 1e3) for size in buffers] == [32, 615, 614]
+    assert round(sum(buffers) / 1e6, 2) == 1.26
+    periodic = Grid(grid.q_min, grid.q_max, grid.n_points, periodic=True)
+    assert noise._embedding_length(model, periodic) == 801
 
 
 @pytest.mark.parametrize("n_points", [64, 200, 201, 602, 801])
