@@ -22,26 +22,26 @@ in a ``Workspace`` that ``run`` builds once: one block of rows for the stage
 the flux divergence read, plus the grid's points, one scratch row for
 ``grids.integral`` and the flags of the step's finiteness scan.  At
 N = 601 a step costs numpy's per-call overhead more than arithmetic, so
-the step binds its ufuncs once and passes ``out`` positionally (but to
-``maximum``, where numpy 2.4 deprecates it), takes its own constant
-operands as 0-d arrays the workspace holds (numpy converts a float afresh
-on every call), and scans through the ufunc ``reduce``, not ndarray's
-Python-level ``max``, ``min`` and ``all``.  That took a step from 82,
-117 and 194 us to 66, 99 and 179 us at N = 101, 601 and 2,001 (fastest
-of 12 alternated processes of 5 x 300 steps; Python 3.11, numpy 2.4.6,
+the step binds its ufuncs once, passes ``out`` positionally (but to
+``maximum``, where numpy 2.4 deprecates it), scans through the ufunc
+``reduce``, not ndarray's Python-level ``max``, ``min`` and ``all``, and
+unpacks what ``_rhs`` reads from one tuple, ``Workspace.bound``.  It hands
+numpy no Python scalar, which numpy converts on every call: constants are
+read-only 0-d arrays (``grids.constant``), per-stage scalars go through
+the 0-d ``Workspace.level``, and the floor is the peak's np.float64.  A
+step took 71, 99 and 177 us at N = 201, 601 and 2,001 (fastest of 12
+alternated processes of 5 x 300 steps, 100 at N = 201; numpy 2.4.6,
 2-vCPU Xeon).  Building it checks the step bound (``check_cfl``), so a
 run checks it once, and a step takes dt and the grid from the workspace
-it works in.  ``run`` passes the workspace to ``observables`` too, which
-takes each snapshot's V_qu with its curvature kernel and forms each
-integrand in its rows.  k2 is evaluated into y1, a fresh array the new
-state owns.  Every element goes through the same IEEE operations in the
-same order as the field-by-field textbook form, so results are
-bit-identical to it.  The step scans y1 once for non-finite values,
-naming the row it finds, and the next ``HydroState`` adopts it without a
-second scan.  A diverging run overflows to inf, which that scan names;
-``run`` silences numpy's overflow warnings once for the run.  A snapshot
-scalar that overflows while n and v stay finite fails the run
-(``_non_finite_scalar``).
+it works in; ``run`` passes the workspace to ``observables`` too.  k2 is
+evaluated into y1, a fresh array the new state owns.  Every element goes
+through the same IEEE operations in the same order as the field-by-field
+textbook form, so results are bit-identical to it.  The step scans y1
+once for non-finite values, naming the row it finds, and the next
+``HydroState`` adopts it without a second scan.  A diverging run
+overflows to inf, which that scan names; ``run`` silences numpy's
+overflow warnings once for the run.  A snapshot scalar that overflows
+while n and v stay finite fails the run (``_non_finite_scalar``).
 
 Noise: the stochastic step gates, kicks, clips and renormalises the new
 density row in place, with the operations of the textbook form in their
@@ -91,10 +91,10 @@ from .config import (  # noqa: F401
 )
 from .constants import CFL_SAFETY, HBAR
 from .errors import CflError, StepRejected, ValidationError
-from .grids import Field, derivative_kernel, integral
+from .grids import Field, constant, derivative_kernel, integral
 from .noise import NoiseModel, RandomStream, sample_fields
 from .params import Grid, Record
-from .qpotential import floored_density, vqu_from_curvature
+from .qpotential import ZERO, floored_density, vqu_factor, vqu_from_curvature
 
 FORCE_TAPER_FRACTION = 1e-8
 
@@ -138,11 +138,8 @@ class HydroState(Record):
 
 
 def _stepped(state: HydroState, dt: float, y1: np.ndarray) -> HydroState:
-    """The state dt after ``state``, holding the step's own (2, N) y1.
-
-    The step has already scanned y1 for non-finite values, so the
-    constructor's scan is skipped rather than repeated.
-    """
+    """The state dt after ``state``, adopting the step's scanned (2, N) y1
+    without the constructor's second scan."""
     y1.flags.writeable = False
     new = object.__new__(HydroState)
     object.__setattr__(new, "time", state.time + dt)
@@ -198,12 +195,14 @@ class Workspace:
         if check:
             check_cfl(cfg, mass, grid)
         n_points = grid.n_points
-        self.potential, self.mass, self.cfg = potential.values, mass, cfg
+        self.potential, self.cfg = potential.values, cfg
         self.grid, self.points, self.periodic = grid, grid.points, grid.periodic
-        # the step's constant operands (Layout, module docstring)
+        # the step's 0-d operands and scratch (Layout, module docstring)
         (self.minus_spacing, self.minus_mass, self.half, self.two, self.half_dt,
-         self.dt, self.sixth_dt) = map(np.array, (
-             -grid.spacing, -mass, 0.5, 2.0, 0.5 * cfg.dt, cfg.dt, cfg.dt / 6.0))
+         self.dt, self.sixth_dt, self.sqrt_dt) = map(constant, (
+             -grid.spacing, -mass, 0.5, 2.0, 0.5 * cfg.dt, cfg.dt, cfg.dt / 6.0,
+             math.sqrt(cfg.dt)))
+        self.vqu_factor, self.level = vqu_factor(mass), np.empty(())
         self.quantum = cfg.scheme != CLASSICAL_LIMIT
         # one allocation: the stage n, v and V_qu + V (the force's potential),
         # the rates, v', (V_qu + V)', the floored n, its sqrt, V_qu, taper,
@@ -221,17 +220,22 @@ class Workspace:
         # and -0, the signed zeros that f / h and -f / h give at zero flux
         faces = np.zeros(n_points + 1)
         faces[-1] = -0.0
-        self.face_views = (self.flux[:-1], self.flux[1:], faces[1:-1],
-                           faces[1:], faces[:-1])
+        self.bound = (  # all that _rhs reads, in its order
+            self.n, self.v, self.nc, self.s, self.vqu, self.g, self.dvdq,
+            self.grad, self.flux, self.potential, self.vqu_factor, self.quantum,
+            self.periodic, self.curvature, self.force_gradient,
+            self.velocity_gradient, self.flux[:-1], self.flux[1:], faces[1:-1],
+            faces[1:], faces[:-1], self.half, self.minus_spacing, self.minus_mass)
 
 
 def _vacuum_gate(x: np.ndarray, level: float, ws: Workspace) -> np.ndarray:
     """x^2 / (x^2 + level^2) into ``ws.w``, x^2 into ``ws.nc`` (x may be it).
 
-    A numpy scalar's ** is the C pow a float's is, bit for bit, but it
-    overflows to inf where a float's raises."""
+    level^2 goes through ``ws.level``: a numpy scalar's ** is the C pow a
+    float's is, bit for bit, but overflows to inf where a float's raises."""
     sq = _square(x, ws.nc)
-    w = _add(sq, np.float64(level)**2, ws.w)
+    ws.level[()] = np.float64(level)**2
+    w = _add(sq, ws.level, ws.w)
     return _div(sq, w, w)
 
 
@@ -242,19 +246,20 @@ def _rhs(ws: Workspace, rates) -> None:
     x + (-y) == x - y and x + y == y + x, so every element rounds as in the
     textbook form dn = -d(nv)/dq, dv = -v dv/dq + w F/m.
     """
-    n, v, mass = ws.n, ws.v, ws.mass
+    (n, v, nc, s, vqu, g, dvdq, grad, flux, potential, factor, quantum,
+     periodic, curvature, force_gradient, velocity_gradient, flux_lo, flux_hi,
+     inner, right, left, half, minus_spacing, minus_mass) = ws.bound
     dn, dv = rates
     peak = _peak(n)
     if peak <= 0:
         raise StepRejected("density collapsed to zero")
-    nc = floored_density(n, peak, out=ws.nc)
-    if ws.quantum:
-        _sqrt(nc, ws.s)
-        ws.curvature()
-        vqu = vqu_from_curvature(ws.vqu, ws.s, mass)
-        _add(vqu, ws.potential, ws.g)
-    ws.force_gradient()
-    ws.velocity_gradient()
+    floored_density(n, peak, nc)
+    if quantum:
+        _sqrt(nc, s)
+        curvature()
+        _add(vqu_from_curvature(vqu, s, factor), potential, g)
+    force_gradient()
+    velocity_gradient()
 
     # shut the force off where only floor density lives (sqrt(nc) is taken
     # above); an untapered force accelerates ghost fluid without bound
@@ -262,19 +267,18 @@ def _rhs(ws: Workspace, rates) -> None:
 
     # conservative d(nv)/dq: averaged fluxes through the faces, differenced
     # as a telescoping sum
-    flux_lo, flux_hi, inner, right, left = ws.face_views
-    _mul(n, v, ws.flux)
+    _mul(n, v, flux)
     _add(flux_lo, flux_hi, inner)
-    inner *= ws.half
-    if ws.periodic:
+    inner *= half
+    if periodic:
         left[0] = right[-1] = (flux_hi.item(-1) + flux_lo.item(0)) * 0.5
-    _div(_sub(right, left, dn), ws.minus_spacing, dn)
+    _div(_sub(right, left, dn), minus_spacing, dn)
     # dv = (w grad)/(-m) - v v', rounded as (-(v v')) - (w grad)/m, the
     # force being -grad
-    _mul(v, ws.dvdq, dv)
-    ws.grad *= w
-    ws.grad /= ws.minus_mass
-    _sub(ws.grad, dv, dv)
+    _mul(v, dvdq, dv)
+    grad *= w
+    grad /= minus_mass
+    _sub(grad, dv, dv)
 
 
 _STATE_ROWS = ("density", "velocity")
@@ -321,7 +325,7 @@ def _advance(state: HydroState, ws: Workspace) -> np.ndarray:
     if peak <= 0 or _trough(n1) < -1e-4 * peak:
         raise StepRejected(
             f"negative density beyond floor tolerance at t = {state.time:.3e} s")
-    np.maximum(n1, 0.0, out=n1)
+    np.maximum(n1, ZERO, out=n1)
     return y1
 
 
@@ -371,17 +375,18 @@ def step_stochastic(state: HydroState, potential: Field, mass: float,
     kick = _vacuum_gate(n, NOISE_GATE_KICKS * math.sqrt(amplitude * dt),
                         workspace)
     kick *= eta
-    kick *= math.sqrt(dt)
+    kick *= workspace.sqrt_dt
     n += kick
-    np.maximum(n, 0.0, out=n)
+    np.maximum(n, ZERO, out=n)
     if noise.conserving:
         # eta has zero integral, but the gate and the clip change the mass;
         # rescale to the norm observables reports, on either boundary
-        scratch = workspace.scratch
+        scratch, level = workspace.scratch, workspace.level
         norm = float(integral(n, state.grid, scratch=scratch))
         if norm <= 0:
             raise StepRejected("noise kick destroyed the density")
-        n *= float(integral(state.y[0], state.grid, scratch=scratch)) / norm
+        level[()] = integral(state.y[0], state.grid, scratch=scratch) / norm
+        n *= level
     # a non-finite noise row (a caller's eta; the sampler rejects a spectrum
     # that overflows) is invalid input, not a failed step
     if not _all(_isfinite(n, workspace.finite[0])):
@@ -432,9 +437,9 @@ def observables(state: HydroState, potential: Field, mass: float,
     norm = integrate(n)
     if norm <= 0:
         raise ValidationError("state has zero norm")
-    np.sqrt(floored_density(n, float(n.max()), out=f), out=ws.s)
+    np.sqrt(floored_density(n, _peak(n), out=f), out=ws.s)
     ws.curvature()
-    vqu = vqu_from_curvature(ws.vqu, ws.s, mass)
+    vqu = vqu_from_curvature(ws.vqu, ws.s, ws.vqu_factor)
     mean_q = integrate(np.multiply(n, q, out=f)) / norm
     np.subtract(q, mean_q, out=f)
     np.square(f, out=f)
@@ -466,9 +471,7 @@ def _near_boundary_mass(state: HydroState) -> bool:
     if state.grid.periodic:
         return False
     n = state.y[0]
-    peak = float(np.max(n))
-    edge = max(float(np.max(n[:5])), float(np.max(n[-5:])))
-    return edge > 1e-6 * peak
+    return bool(max(_peak(n[:5]), _peak(n[-5:])) > 1e-6 * _peak(n))
 
 
 # noise rows run() draws per sample_fields call, one per coming step; they

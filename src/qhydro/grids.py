@@ -27,6 +27,16 @@ from .params import Grid, Record
 _add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 
 
+def constant(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d array, an operand numpy need not convert."""
+    array = np.array(value, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+_TWO = constant(2.0)
+
+
 class Field(Record):
     """Sampled real profile on a grid, with a loose unit tag."""
 
@@ -55,8 +65,7 @@ def derivative_kernel(values: np.ndarray, out: np.ndarray, grid: Grid,
         raise ValidationError("derivative order must be 1 or 2")
     spacing, periodic = grid.spacing, grid.periodic
     scale = 2 * spacing if order == 1 else spacing**2
-    # the interior's divisor as a 0-d array, which numpy need not convert
-    divisor = np.array(scale)
+    divisor = constant(scale)
     hi, mid, lo, inner = values[2:], values[1:-1], values[:-2], out[1:-1]
     head, tail = values[:order + 2], values[-order - 2:]
     if order == 2 and not periodic:
@@ -73,7 +82,7 @@ def derivative_kernel(values: np.ndarray, out: np.ndarray, grid: Grid,
                 first = 3 * (a[1] - a[0]) + (a[1] - a[2])
                 last = 3 * (b[2] - b[1]) + (b[0] - b[1])
         elif periodic:
-            _add(_sub(hi, _mul(mid, 2, inner), inner), lo, inner)
+            _add(_sub(hi, _mul(mid, _TWO, inner), inner), lo, inner)
             first, last = (a[1] - 2 * a[0]) + b[3], (a[0] - 2 * b[3]) + b[2]
         else:
             _sub(right, left, step)
@@ -118,5 +127,5 @@ def integral(values: np.ndarray, grid: Grid,
     pairs = _add(values[..., 1:], values[..., :-1],
                  None if scratch is None else scratch[..., :-1])
     pairs *= grid.spacing
-    pairs /= 2.0
+    pairs /= _TWO
     return np.add.reduce(pairs, -1)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DegenerateDensityError, TailFitError, ValidationError
-from .grids import Field, stencil_derivative
+from .grids import Field, constant, stencil_derivative
 from .params import Record
 from .scales import (
     ASYMPTOTICALLY_VANISHING,
@@ -43,6 +43,7 @@ from .scales import (
 
 # the additive density floor, as a fraction of the peak density
 DENSITY_FLOOR_FRACTION = 1e-12
+ZERO = constant(0.0)
 
 # Fitted-exponent class boundaries sit at 0 (ballistic) and -1
 # (convergence of the nonlocality integral); finite-window fits cannot
@@ -76,15 +77,22 @@ class DecayClass(Record):
 
 def floored_density(n: np.ndarray, peak: float,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """max(n, 0) + DENSITY_FLOOR_FRACTION * peak, into ``out`` or a new array."""
-    nc = np.maximum(n, 0.0, out=out)
+    """max(n, ``ZERO``) + DENSITY_FLOOR_FRACTION * peak, into ``out`` or a
+    new array; ``ZERO`` is +0.0, so a -0.0 in n clips to +0.0."""
+    nc = np.maximum(n, ZERO, out=out)
     nc += DENSITY_FLOOR_FRACTION * peak
     return nc
 
 
-def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray, mass: float) -> np.ndarray:
-    """V_qu from s'' = ``d2s`` and s, written over ``d2s``."""
-    d2s *= -(HBAR**2 / (2.0 * mass))
+def vqu_factor(mass: float) -> np.ndarray:
+    """-hbar^2 / 2m, V_qu's factor on s'' / s, as a read-only 0-d array."""
+    return constant(-(HBAR**2 / (2.0 * mass)))
+
+
+def vqu_from_curvature(d2s: np.ndarray, s: np.ndarray,
+                       factor: np.ndarray) -> np.ndarray:
+    """V_qu = ``vqu_factor`` s'' / s from s'' = ``d2s`` and s, over ``d2s``."""
+    d2s *= factor
     d2s /= s
     return d2s
 
@@ -98,8 +106,8 @@ def quantum_potential(n: Field, mass: float) -> Field:
     if peak <= 0.0:
         raise DegenerateDensityError("degenerate density: no positive values")
     s = np.sqrt(floored_density(n.values, peak))
-    vqu = vqu_from_curvature(stencil_derivative(s, n.grid, 2), s, mass)
-    return Field(n.grid, vqu, "J")
+    d2s = stencil_derivative(s, n.grid, 2)
+    return Field(n.grid, vqu_from_curvature(d2s, s, vqu_factor(mass)), "J")
 
 
 def quantum_potential_from_log(log_n: Field, mass: float) -> Field:
@@ -109,7 +117,7 @@ def quantum_potential_from_log(log_n: Field, mass: float) -> Field:
     d1 = stencil_derivative(log_n.values, log_n.grid, 1)
     d2 = stencil_derivative(log_n.values, log_n.grid, 2)
     curv_over_psi = d1**2 / 4.0 + d2 / 2.0
-    return Field(log_n.grid, -(HBAR**2 / (2 * mass)) * curv_over_psi, "J")
+    return Field(log_n.grid, vqu_factor(mass) * curv_over_psi, "J")
 
 
 def _force_from_potential(vqu: Field, origin: float) -> QuantumForceProfile:

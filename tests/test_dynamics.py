@@ -33,6 +33,7 @@ from qhydro.potentials import (
     harmonic_ground_density,
     harmonic_potential,
 )
+from qhydro import grids, qpotential
 from qhydro.qpotential import DENSITY_FLOOR_FRACTION, quantum_potential
 
 HE = helium_preset()
@@ -716,7 +717,16 @@ def reference_kick(n0, n, grid, noise, stream, cfg, rng):
 
 def parity_case(name):
     """(state, potential, cfg, noise): one setup per branch of the step;
-    "<name> from -0" starts that setup from a velocity row of -0.0."""
+    "<name> from -0" starts that setup from a velocity row of -0.0, and
+    "<name> from -0 tails" from its density with the first and last 20
+    entries -0.0."""
+    if name.endswith(" from -0 tails"):
+        base = name[:-len(" from -0 tails")]
+        state, potential, cfg, noise = parity_case(base)
+        density = state.density.values.copy()
+        density[:20] = density[-20:] = -0.0
+        return (initial_state(Field(state.grid, density, "1/m"),
+                              state.velocity), potential, cfg, noise)
     if name.endswith(" from -0"):
         state, potential, cfg, noise = parity_case(name[:-len(" from -0")])
         velocity = Field(state.grid, np.full(state.grid.n_points, -0.0), "m/s")
@@ -764,7 +774,10 @@ def parity_case(name):
     # a rate that rounds to zero keeps the textbook form's sign: a step that
     # writes -k and subtracts it in the RK4 sum leaves a -0 for a +0 here
     "zero_flux_harmonic from -0", "periodic_boost from -0",
-    "classical_limit from -0"])
+    "classical_limit from -0",
+    # max(-0.0, +0.0) is +0.0 but max(+0.0, -0.0) is -0.0: a clip against
+    # a -0.0 leaves a -0 where the textbook form has +0
+    "zero_flux_harmonic from -0 tails", "stochastic_mu_1e22 from -0 tails"])
 def test_step_matches_reference_bit_for_bit(name):
     state0, potential, cfg, noise = parity_case(name)
     grid = state0.grid
@@ -797,6 +810,30 @@ def test_step_matches_reference_bit_for_bit(name):
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_step_constants_stay_read_only_and_unchanged():
+    # every 0-d operand the steps read is built once and never written;
+    # only the workspace's scratch, ``level``, takes per-stage scalars
+    state, potential, cfg, noise = parity_case("stochastic_mu_1e22")
+    workspace = Workspace(state.grid, potential, MASS, cfg)
+    constants = {name: value for name, value in vars(workspace).items()
+                 if isinstance(value, np.ndarray) and value.ndim == 0
+                 and name != "level"}
+    constants["qpotential.ZERO"] = qpotential.ZERO
+    constants["grids._TWO"] = grids._TWO
+    assert {"two", "sqrt_dt", "vqu_factor"} <= constants.keys()
+    before = {name: bits(value).copy() for name, value in constants.items()}
+    stream = RandomStream(7)
+    rng = stream.generator()
+    for _ in range(25):
+        state = step_deterministic(state, potential, MASS, cfg, workspace)
+    for _ in range(25):
+        state = step_stochastic(state, potential, MASS, noise, stream, cfg,
+                                rng, workspace=workspace)
+    for name, value in constants.items():
+        assert not value.flags.writeable, name
+        assert bits(value) == before[name], name
 
 
 def snapshot_bits(snap):
